@@ -19,23 +19,27 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .egp import GpModel, _cross_kernel, _posterior_flat
+from .egp import GpModel, PosteriorRows, posterior_rows
 from .manifolds import (
+    AmbiguousSubspaceError,
     InvalidInputError,
     ManifoldError,
     ManifoldPoint,
+    ambient_norms,
     embed,
     flatten_ambient,
+    flatten_rows,
     random_point,
     retract_embedded,
     tangent_project_embedded,
     unembed,
     unflatten_ambient,
+    unflatten_rows,
     within_chart,
 )
 
@@ -57,14 +61,14 @@ def normal_pdf(z: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-def inverse_mills_ratio(z: float) -> float:
-    """phi(z) / Phi(z), the derivative of log Phi at z.
+def inverse_mills_ratio(z):
+    """phi(z) / Phi(z), the derivative of log Phi at z (elementwise).
 
     Written as sqrt(2/pi) / erfcx(-z/sqrt(2)), which follows the Mills-ratio
     asymptote -z for z << 0 without forming exp(-z^2/2) / Phi(z) (both
     underflow there) and goes smoothly to 0 for z >> 0.
     """
-    return SQRT_2_OVER_PI / float(erfcx(-z / SQRT2))
+    return SQRT_2_OVER_PI / erfcx(-np.asarray(z, dtype=float) / SQRT2)
 
 
 @dataclass(frozen=True)
@@ -137,100 +141,77 @@ class AscentConfig:
             raise InvalidInputError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
-def _standardized_improvement(state: AcquisitionState, w: np.ndarray) -> float:
-    """r = (f_best - mean) / sigma at flat coordinates w; PI is Phi(r)."""
-    mean, var = _posterior_flat(state.model, w)
-    sigma = max(math.sqrt(var), state.sigma_floor)
-    return (state.best_value - mean) / sigma
+def _improvement(
+    state: AcquisitionState, post: PosteriorRows
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: r = (f_best - mean) / sigma (PI is Phi(r)), sigma, and
+    whether sigma is above its floor (so that it varies with w)."""
+    sigma_raw = np.sqrt(post.var)
+    sigma = np.maximum(sigma_raw, state.sigma_floor)
+    return (state.best_value - post.mean) / sigma, sigma, sigma_raw > state.sigma_floor
+
+
+def _improvement_gradient(
+    state: AcquisitionState, post: PosteriorRows
+) -> tuple[np.ndarray, np.ndarray]:
+    """r and its gradient in flat coordinates, per row."""
+    r, sigma, free = _improvement(state, post)
+    dmean, dvar = post.gradients()
+    sigma_col = sigma[:, None]
+    # Where the floor is active, sigma is locally constant.
+    dsigma = np.where(free[:, None], dvar / (2.0 * sigma_col), 0.0)
+    return r, -dmean / sigma_col - (r / sigma)[:, None] * dsigma
+
+
+def _log_pi_gradient(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+    r, dr = _improvement_gradient(state, post)
+    return inverse_mills_ratio(r)[:, None] * dr
+
+
+def _ascent_value(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+    """What the ascent climbs, per row: log PI, or the negated posterior
+    mean when the round exploits."""
+    if state.exploit:
+        return -post.mean
+    return log_ndtr(_improvement(state, post)[0])
+
+
+def _ascent_gradient(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+    if state.exploit:
+        return -post.gradients()[0]
+    return _log_pi_gradient(state, post)
+
+
+def _at(state: AcquisitionState, w: np.ndarray) -> PosteriorRows:
+    """The posterior at one flat point, as a 1-row stack."""
+    return posterior_rows(state.model, np.asarray(w, dtype=float)[None])
 
 
 def _pi_flat(state: AcquisitionState, w: np.ndarray) -> float:
-    return normal_cdf(_standardized_improvement(state, w))
+    return normal_cdf(float(_improvement(state, _at(state, w))[0][0]))
 
 
 def _log_pi_flat(state: AcquisitionState, w: np.ndarray) -> float:
-    return float(log_ndtr(_standardized_improvement(state, w)))
+    return float(log_ndtr(_improvement(state, _at(state, w))[0][0]))
+
+
+def _pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the acquisition in flat ambient coordinates."""
+    r, dr = _improvement_gradient(state, _at(state, w))
+    density = normal_pdf(float(r[0]))
+    if density == 0.0:
+        return np.zeros_like(dr[0])
+    return density * dr[0]
+
+
+def _log_pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
+    """Analytic gradient of log PI in flat ambient coordinates."""
+    return _log_pi_gradient(state, _at(state, w))[0]
 
 
 def pi_value(state: AcquisitionState, x: ManifoldPoint) -> float:
     """Probability that the objective at x improves on the incumbent."""
     return _pi_flat(state, flatten_ambient(x.kind, embed(x)))
-
-
-def _mean_gradient(
-    model: GpModel, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Cross-kernel k, its Jacobian dk (rows: gradient of k_i), and the
-    posterior mean and its gradient at flat coordinates w."""
-    params = model.params
-    diff = model.data.embedded - w  # (n, D)
-    k = _cross_kernel(params, model.data.embedded, w)
-    dk = (k[:, None] * diff) / params.lengthscale**2
-    mean = float(model.trend[0] + model.trend[1:] @ w + k @ model.alpha)
-    dmean = model.trend[1:] + dk.T @ model.alpha
-    return k, dk, mean, dmean
-
-
-def _improvement_gradient(
-    state: AcquisitionState, w: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """r = (f_best - mean) / sigma and its gradient in flat coordinates.
-
-    The variance terms use v = L^{-1} k and beta = L^{-T} v = K^{-1} k, as
-    the posterior does, so that sigma keeps its precision next to the data.
-    """
-    model = state.model
-    params = model.params
-    k, dk, mean, dmean = _mean_gradient(model, w)
-    v = model.chol_inv @ k
-    var = params.amplitude - float(v @ v)
-    sigma_raw = math.sqrt(max(var, 0.0))
-    if sigma_raw > state.sigma_floor:
-        sigma = sigma_raw
-        beta = model.chol_inv.T @ v
-        dsigma = -(dk.T @ beta) / sigma
-    else:
-        # The floor is active: sigma is locally constant.
-        sigma = state.sigma_floor
-        dsigma = np.zeros_like(w)
-    r = (state.best_value - mean) / sigma
-    return r, -dmean / sigma - (r / sigma) * dsigma
-
-
-def _pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the acquisition in flat ambient coordinates."""
-    r, dr = _improvement_gradient(state, w)
-    density = normal_pdf(r)
-    if density == 0.0:
-        return np.zeros_like(w)
-    return density * dr
-
-
-def _log_pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of log PI in flat ambient coordinates."""
-    r, dr = _improvement_gradient(state, w)
-    return inverse_mills_ratio(r) * dr
-
-
-def _ascent_value(state: AcquisitionState, w: np.ndarray) -> float:
-    """What the ascent climbs: log PI, or the negated posterior mean when
-    the round exploits."""
-    if state.exploit:
-        return -_posterior_flat(state.model, w)[0]
-    return _log_pi_flat(state, w)
-
-
-def _ascent_gradient(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    if state.exploit:
-        return -_mean_gradient(state.model, w)[3]
-    return _log_pi_gradient_flat(state, w)
-
-
-def _within_trust(state: AcquisitionState, w: np.ndarray) -> bool:
-    if math.isinf(state.trust_radius):
-        return True
-    diff = w - state.trust_center
-    return float(diff @ diff) <= state.trust_radius**2
 
 
 def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray:
@@ -243,6 +224,23 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
     return unflatten_ambient(x.kind, _pi_gradient_flat(state, w))
 
 
+def _within_trust(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
+    """Per row of flat points w, whether it lies within the trust radius."""
+    if math.isinf(state.trust_radius):
+        return np.ones(len(w), dtype=bool)
+    diff = w - state.trust_center
+    return np.einsum("sd,sd->s", diff, diff) <= state.trust_radius**2
+
+
+def _tangents(state: AcquisitionState, e: np.ndarray, post: PosteriorRows) -> np.ndarray:
+    """The ascent direction at each row of the embedded points e: the
+    gradient of what the ascent climbs, from the posterior there, projected
+    onto the tangent space."""
+    kind = state.model.data.kind
+    grad = unflatten_rows(kind, _ascent_gradient(state, post))
+    return tangent_project_embedded(kind, e, grad)
+
+
 def _resolve_step(state: AcquisitionState, config: AscentConfig) -> float:
     if config.step is not None:
         return config.step
@@ -250,57 +248,100 @@ def _resolve_step(state: AcquisitionState, config: AscentConfig) -> float:
 
 
 def ascend(
-    state: AcquisitionState, config: AscentConfig, x0: ManifoldPoint
-) -> tuple[ManifoldPoint, float]:
-    """Projected gradient ascent of the acquisition from x0; returns the
-    last iterate and its PI.
+    state: AcquisitionState, config: AscentConfig, starts: Sequence[ManifoldPoint]
+) -> list[Optional[tuple[ManifoldPoint, float]]]:
+    """Projected gradient ascent of the acquisition from every start at
+    once; returns, per start, the last iterate and its PI, or None for a
+    start whose retraction failed.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
-    the negated posterior mean when ``state.exploit`` is set.  The loop
-    iterates on embedded representations (every iterate stays exactly on
-    the embedded image via the geodesic / retraction), which avoids
-    rebuilding native coordinates at each trial step.  A trial step that
-    would decrease the acquisition is halved; after an accepted step the
-    next trial is 1.5 times as long, so the step length adapts to the scale
-    of the acquisition.  Trial steps that leave the manifold's chart
-    (``within_chart``) or the trust radius count as not improving, so every
-    iterate can be unembedded.  The ascent stops when the projected gradient
-    is below ``grad_tol``, no halving helps, a step no longer raises the
-    acquisition, a log-PI step gains less than ``LOG_PI_RTOL`` of the
-    distance of log PI from 0, or ``max_steps`` is reached; every accepted
-    step raises the acquisition, so the result never scores below the start.
+    the negated posterior mean when ``state.exploit`` is set.  All starts
+    ascend together as one stack of embedded points: every iterate stays
+    exactly on the embedded image via the geodesic / retraction, and the
+    posterior terms computed for an accepted trial point feed its gradient.
+    Each row keeps its own step length and stops on its own; a stopped row
+    does no further work.  A trial step that would decrease the acquisition
+    is halved; after an accepted step the next trial is 1.5 times as long,
+    so the step length adapts to the scale of the acquisition.  Trial steps
+    that leave the manifold's chart (``within_chart``) or the trust radius
+    count as not improving, so every iterate can be unembedded.  A row stops
+    when its projected gradient is below ``grad_tol``, no halving helps, a
+    step no longer raises the acquisition, a log-PI step gains less than
+    ``LOG_PI_RTOL`` of the distance of log PI from 0, or ``max_steps`` is
+    reached; every accepted step raises the acquisition, so a result never
+    scores below its start.  Every row is computed on its own, so its result
+    does not depend on the other starts.  Raises the last failure when every
+    start fails.
     """
     kind = state.model.data.kind
-    if x0.kind != kind:
-        raise InvalidInputError(f"start kind {x0.kind} does not match model")
-    e = embed(x0)
-    w = flatten_ambient(kind, e)
-    acq = _ascent_value(state, w)
-    step = _resolve_step(state, config)
-    for _ in range(config.max_steps):
-        grad = unflatten_ambient(kind, _ascent_gradient(state, w))
-        tangent = tangent_project_embedded(kind, e, grad)
-        if np.linalg.norm(tangent) < config.grad_tol:
+    for x0 in starts:
+        if x0.kind != kind:
+            raise InvalidInputError(f"start kind {x0.kind} does not match model")
+    e = np.stack([embed(x0) for x0 in starts])
+    post = posterior_rows(state.model, flatten_rows(kind, e))
+    acq = _ascent_value(state, post)
+    tangent = _tangents(state, e, post)
+    step = np.full(len(starts), _resolve_step(state, config))
+    n_steps = np.ones(len(starts), dtype=int)  # gradients taken
+    rejected = np.zeros(len(starts), dtype=int)  # trials of the current step
+    active = ambient_norms(kind, tangent) >= config.grad_tol
+    errors: dict[int, ManifoldError] = {}
+    # Each round, every active row tries one step; a row never waits for
+    # another's backtracking.
+    while True:
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        accepted = False
-        for _ in range(config.max_backtracks + 1):
-            e_cand = retract_embedded(kind, e, tangent, step)
-            if within_chart(kind, e_cand):
-                w_cand = flatten_ambient(kind, e_cand)
-                if _within_trust(state, w_cand):
-                    acq_cand = _ascent_value(state, w_cand)
-                    if acq_cand >= acq:
-                        accepted = True
-                        break
-            step *= 0.5
-        if not accepted or acq_cand == acq:
-            break
-        gain = acq_cand - acq
-        e, w, acq = e_cand, w_cand, acq_cand
-        if not state.exploit and gain <= LOG_PI_RTOL * -acq:
-            break
-        step *= 1.5
-    return unembed(kind, e), _pi_flat(state, w)
+        e_cand = retract_embedded(kind, e[rows], tangent[rows], step[rows])
+        w_cand = flatten_rows(kind, e_cand)
+        failed = np.isnan(w_cand[:, 0])
+        for row in rows[failed]:
+            errors[int(row)] = AmbiguousSubspaceError(
+                f"retraction from start {row} has no unique dominant subspace"
+            )
+        trial = np.flatnonzero(
+            ~failed & within_chart(kind, e_cand) & _within_trust(state, w_cand)
+        )
+        post_cand = posterior_rows(state.model, w_cand[trial])
+        acq_cand = _ascent_value(state, post_cand)
+        accepted = acq_cand >= acq[rows[trial]]
+        # An accepted step that does not raise the acquisition ends the row
+        # where it is; one that raises it moves the row.
+        moved = np.flatnonzero(accepted & (acq_cand != acq[rows[trial]]))
+        new = rows[trial[moved]]
+        gain = acq_cand[moved] - acq[new]
+        e[new], acq[new] = e_cand[trial[moved]], acq_cand[moved]
+        step[new] *= 1.5
+        going = n_steps[new] < config.max_steps
+        if not state.exploit:
+            going &= ~(gain <= LOG_PI_RTOL * -acq[new])
+        go = new[going]
+        if go.size:
+            tangent[go] = _tangents(state, e[go], post_cand.take(moved[going]))
+            n_steps[go] += 1
+            rejected[go] = 0
+        retry = ~failed
+        retry[trial[accepted]] = False
+        retry = rows[retry]
+        step[retry] *= 0.5
+        rejected[retry] += 1
+        active[rows] = False
+        active[go] = ambient_norms(kind, tangent[go]) >= config.grad_tol
+        active[retry] = rejected[retry] <= config.max_backtracks
+    final = posterior_rows(state.model, flatten_rows(kind, e))
+    pi = [normal_cdf(float(r)) for r in _improvement(state, final)[0]]
+    results: list[Optional[tuple[ManifoldPoint, float]]] = []
+    for row in range(len(starts)):
+        point = None
+        if row not in errors:
+            try:
+                point = unembed(kind, e[row])
+            except ManifoldError as exc:
+                errors[row] = exc
+        results.append(None if point is None else (point, pi[row]))
+    if len(errors) == len(starts):
+        raise errors[len(starts) - 1]
+    return results
 
 
 def _into_trust(state: AcquisitionState, x: ManifoldPoint) -> ManifoldPoint:
@@ -308,7 +349,7 @@ def _into_trust(state: AcquisitionState, x: ManifoldPoint) -> ManifoldPoint:
     until it lies within the trust radius, then back onto the manifold."""
     kind = x.kind
     w = flatten_ambient(kind, embed(x))
-    if _within_trust(state, w):
+    if _within_trust(state, w[None])[0]:
         return x
     diff = w - state.trust_center
     pulled = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
@@ -319,35 +360,33 @@ def maximize(state: AcquisitionState, config: AscentConfig) -> ManifoldPoint:
     """Best acquisition point across multistart ascents.
 
     Starts from the best observed point plus ``n_starts - 1`` random points,
-    each pulled within the trust radius; deterministic given the config
-    seed.  Starts are compared on what the ascent climbs (log PI, so
-    candidates whose PI rounds to 1.0 still rank), at the returned points;
-    ties keep the earliest start.  Random-start candidates outside the trust
-    radius (a pulled-in start can land just outside it on a curved
-    manifold) and start-level manifold failures are skipped, unless every
-    start fails.
+    each pulled within the trust radius, and ascends them all in one
+    ``ascend`` call; deterministic given the config seed.  Starts are
+    compared on what the ascent climbs (log PI, so candidates whose PI
+    rounds to 1.0 still rank), at the returned points; ties keep the
+    earliest start.  Random-start candidates outside the trust radius (a
+    pulled-in start can land just outside it on a curved manifold) and
+    start-level manifold failures are skipped, unless every start fails.
+
+    Each start ascends on its own bits: the batch size changes no row's
+    result, so the proposal is the one that ascending the starts one by one
+    would give.  Proposals are bit-reproducible on one platform (one
+    numpy/BLAS build), not across builds.
     """
     data = state.model.data
     incumbent = data.points[int(np.argmin(data.values))]
     rng = np.random.default_rng(config.seed)
-    starts = [incumbent] + [
-        random_point(data.kind, rng) for _ in range(config.n_starts - 1)
-    ]
-    best: tuple[ManifoldPoint, float] | None = None
-    last_error: ManifoldError | None = None
-    for start in starts:
+    starts = [incumbent]
+    for _ in range(config.n_starts - 1):
         try:
-            candidate, _ = ascend(state, config, _into_trust(state, start))
-        except ManifoldError as exc:
-            last_error = exc
+            starts.append(_into_trust(state, random_point(data.kind, rng)))
+        except ManifoldError:
             continue
-        w = flatten_ambient(data.kind, embed(candidate))
-        if start is not incumbent and not _within_trust(state, w):
-            continue
-        acq = _ascent_value(state, w)
-        if best is None or acq > best[1]:
-            best = (candidate, acq)
-    if best is None:
-        assert last_error is not None
-        raise last_error
-    return best[0]
+    results = ascend(state, config, starts)
+    rows = [row for row, result in enumerate(results) if result is not None]
+    w = flatten_rows(data.kind, np.stack([embed(results[row][0]) for row in rows]))
+    eligible = np.flatnonzero(_within_trust(state, w) | (np.asarray(rows) == 0))
+    if eligible.size == 0:
+        raise ManifoldError("every acquisition start failed or left the trust radius")
+    acq = _ascent_value(state, posterior_rows(state.model, w[eligible]))
+    return results[rows[eligible[int(np.argmax(acq))]]][0]

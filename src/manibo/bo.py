@@ -3,9 +3,9 @@
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
 refitting.  The incumbent is the best observed value.  Failures mid-run
-(non-finite objective values, unfactorizable surrogates, geometry errors)
-abort the run but keep the trace collected so far, since traces are the
-primary artifact.
+(non-finite objective values, objective exceptions, unfactorizable
+surrogates, geometry errors) abort the run but keep the trace collected so
+far, since traces are the primary artifact.
 """
 
 from __future__ import annotations
@@ -180,11 +180,11 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     """Run the optimization loop; returns (best point, best value, trace).
 
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
-    initial design; records 1..n_iters follow the proposals.  A non-finite
-    objective value, an unfactorizable surrogate or a ``ManifoldError``
-    after the initial design aborts the run with the trace collected so far
-    (``trace.aborted`` set, ``trace.abort_reason`` saying why) rather than
-    discarding it.
+    initial design; records 1..n_iters follow the proposals.  After the
+    initial design, a non-finite objective value, any exception the
+    objective raises, an unfactorizable surrogate or a ``ManifoldError``
+    aborts the run with the trace collected so far (``trace.aborted`` set,
+    ``trace.abort_reason`` saying why) rather than discarding it.
     """
     trace = RunTrace()
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -286,7 +286,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 loop_rng,
                 spacing if spacing is not None else 0.1 * params.lengthscale,
             )
-            y = float(obj.fn(x_next))
         except IllConditionedModelError as exc:
             trace.aborted = True
             trace.abort_reason = f"surrogate became ill-conditioned at iteration {s}: {exc}"
@@ -295,6 +294,15 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             trace.aborted = True
             trace.abort_reason = (
                 f"geometry error at iteration {s}: {type(exc).__name__}: {exc}"
+            )
+            break
+        try:
+            y = float(obj.fn(x_next))
+        except Exception as exc:  # a user objective may raise anything
+            logger.warning("objective raised at iteration %d", s, exc_info=True)
+            trace.aborted = True
+            trace.abort_reason = (
+                f"objective raised at iteration {s}: {type(exc).__name__}: {exc}"
             )
             break
         if not math.isfinite(y):

@@ -8,7 +8,9 @@ optimizer with the fixed header ``iter,f_next,f_best,err_to_oracle,wall_ms``
 and per-optimizer outcomes.
 
 Per-row wall times are written only with ``--timings``; by default the cell
-is left empty so identical seeds reproduce byte-identical CSV files.  The
+is left empty so identical seeds reproduce byte-identical CSV files on one
+platform (one numpy/BLAS build; another build can differ in the last
+digits).  The
 summary JSON always reports measured wall time.  ``MANIBO_OUT`` overrides
 the output directory.
 """

@@ -164,12 +164,6 @@ def kernel_eval(params: KernelParams, x: ManifoldPoint, z: ManifoldPoint) -> flo
     return params.amplitude * math.exp(-sq / (2.0 * params.lengthscale**2))
 
 
-def _cross_kernel(params: KernelParams, embedded: np.ndarray, w: np.ndarray) -> np.ndarray:
-    diff = embedded - w
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return params.amplitude * np.exp(-sq / (2.0 * params.lengthscale**2))
-
-
 def linear_trend(data: GpDataset) -> np.ndarray:
     """Least-squares coefficients (c0, c) of the affine function c0 + c.w of
     the flat embedded coordinates w that best fits the data values.
@@ -277,29 +271,79 @@ class GpModel:
         )
 
 
-def _posterior_flat(model: GpModel, w: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and variance at flat embedding coordinates w.
+@dataclass(frozen=True, eq=False)
+class PosteriorRows:
+    """Posterior mean and variance at a stack of flat embedding coordinates
+    w (S, D), with the terms its gradients reuse: the differences x_i - w to
+    the data, the cross-kernel k and v = L^{-1} k.
 
     Defined for any ambient location, on or off the embedded manifold; the
-    finite-difference checks rely on off-manifold evaluations.
+    finite-difference checks rely on off-manifold evaluations.  Every row is
+    computed on its own (``np.einsum`` and stacked ``np.matmul``, one BLAS
+    call per row, never one matrix-matrix product across rows), so a row's
+    bits do not depend on how many rows are stacked.
     """
-    k = _cross_kernel(model.params, model.data.embedded, w)
-    mean = float(model.trend[0] + model.trend[1:] @ w + k @ model.alpha)
-    v = model.chol_inv @ k
-    var = model.params.amplitude - float(v @ v)
-    if var < 0.0:
+
+    model: GpModel
+    diff: np.ndarray  # (S, n, D)
+    k: np.ndarray  # (S, n)
+    v: np.ndarray  # (S, n)
+    mean: np.ndarray  # (S,)
+    var: np.ndarray  # (S,), clamped at 0
+
+    def take(self, rows) -> "PosteriorRows":
+        """The posterior at a subset of the rows."""
+        return PosteriorRows(
+            self.model, self.diff[rows], self.k[rows], self.v[rows],
+            self.mean[rows], self.var[rows],
+        )
+
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of the posterior mean and variance at each row, (S, D)
+        each.
+
+        The gradient of k_i is k_i (x_i - w) / l^2, so both are weighted
+        sums of the differences: with weights alpha_i k_i for the mean and
+        -2 beta_i k_i for the variance, where beta = L^{-T} v = K^{-1} k
+        keeps the variance's precision next to the data.
+        """
+        model = self.model
+        beta = np.matmul(model.chol_inv.T, self.v[:, :, None])[..., 0]
+        alpha = np.broadcast_to(model.alpha, beta.shape)
+        weights = self.k[:, None, :] * np.stack([alpha, beta], axis=1)
+        sums = np.matmul(weights, self.diff) / model.params.lengthscale**2
+        return model.trend[1:] + sums[:, 0], -2.0 * sums[:, 1]
+
+
+def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
+    """Posterior at each row of the flat embedding coordinates w (S, D)."""
+    params = model.params
+    # C order: einsum sums in memory order, so the layout decides a row's bits.
+    w = np.ascontiguousarray(w, dtype=float)
+    diff = np.subtract(model.data.embedded, w[:, None, :], order="C")
+    sq = np.einsum("snd,snd->sn", diff, diff)
+    k = params.amplitude * np.exp(-sq / (2.0 * params.lengthscale**2))
+    mean = (
+        model.trend[0]
+        + np.einsum("sd,d->s", w, model.trend[1:])
+        + np.einsum("sn,n->s", k, model.alpha)
+    )
+    v = np.matmul(model.chol_inv, k[:, :, None])[..., 0]
+    var = params.amplitude - np.einsum("si,si->s", v, v)
+    if np.any(var < 0.0):
         # Round-off near (near-)duplicate data; routine once the search
         # concentrates, so logged quietly rather than warned per query.
-        logger.debug("posterior variance %.3g clamped to 0", var)
-        var = 0.0
-    return mean, var
+        logger.debug("posterior variance %.3g clamped to 0", var.min())
+        var = np.maximum(var, 0.0)
+    return PosteriorRows(model, diff, k, v, mean, var)
 
 
 def posterior(model: GpModel, x: ManifoldPoint) -> tuple[float, float]:
     """Posterior mean and variance of the objective at a manifold point."""
     if x.kind != model.data.kind:
         raise InvalidInputError(f"kind mismatch: {model.data.kind} vs {x.kind}")
-    return _posterior_flat(model, flatten_ambient(x.kind, embed(x)))
+    post = posterior_rows(model, flatten_ambient(x.kind, embed(x))[None])
+    return float(post.mean[0]), float(post.var[0])
 
 
 def log_marginal_likelihood(model: GpModel) -> float:

@@ -155,7 +155,19 @@ ManifoldKind = Union[Sphere, Grassmann, Spd]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _batch_shape(kind: ManifoldKind, a: np.ndarray) -> tuple[int, ...]:
+    return a.shape[: a.ndim - len(kind.ambient_shape)]
+
+
+def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
+    """Euclidean (Frobenius) norm of each ambient value in a, which may
+    carry leading batch axes.  Each norm is computed on its own row, so it
+    does not depend on how many rows are stacked."""
+    flat = a.reshape(_batch_shape(kind, a) + (math.prod(kind.ambient_shape),))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def _sym_expm(a: np.ndarray) -> np.ndarray:
@@ -304,16 +316,31 @@ def embed(x: ManifoldPoint) -> np.ndarray:
     return _spd_logm(x.coords)
 
 
+def _grassmann_top_frames(
+    kind: Grassmann, sym_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of the dominant p-eigenspaces of a stack of symmetric
+    matrices, and the eigenvalue gap that makes each subspace unique (at
+    least ``EIGENGAP_TOL``) or not.  The stacked ``eigh`` factors each
+    matrix on its own."""
+    w, vecs = np.linalg.eigh(sym_v)
+    gaps = w[..., kind.n - kind.p] - w[..., kind.n - kind.p - 1]
+    return vecs[..., kind.n - kind.p:][..., ::-1], gaps
+
+
 def _grassmann_top_frame(kind: Grassmann, sym_v: np.ndarray) -> np.ndarray:
     """Frame of the dominant p-eigenspace of a symmetric matrix."""
-    w, vecs = np.linalg.eigh(sym_v)
-    gap = w[kind.n - kind.p] - w[kind.n - kind.p - 1]
-    if gap < EIGENGAP_TOL:
-        raise AmbiguousSubspaceError(
-            f"eigenvalue gap {gap:g} below {EIGENGAP_TOL:g}: dominant "
-            f"{kind.p}-subspace is not unique"
-        )
-    return vecs[:, kind.n - kind.p:][:, ::-1]
+    frames, gaps = _grassmann_top_frames(kind, sym_v[None])
+    if not gaps[0] >= EIGENGAP_TOL:
+        raise _ambiguous_subspace(kind, gaps[0])
+    return frames[0]
+
+
+def _ambiguous_subspace(kind: Grassmann, gap: float) -> AmbiguousSubspaceError:
+    return AmbiguousSubspaceError(
+        f"eigenvalue gap {gap:g} below {EIGENGAP_TOL:g}: dominant "
+        f"{kind.p}-subspace is not unique"
+    )
 
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
@@ -341,10 +368,13 @@ def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
     return ManifoldPoint(kind, _sym_expm(v))
 
 
-def within_chart(kind: ManifoldKind, e: np.ndarray) -> bool:
+def within_chart(kind: ManifoldKind, e: np.ndarray) -> np.ndarray:
     """Whether an embedded value lies where ``unembed`` accepts it: always
-    for the sphere and the Grassmannian, within ``SPD_LOG_NORM_MAX`` for Spd."""
-    return not isinstance(kind, Spd) or float(np.linalg.norm(e)) <= SPD_LOG_NORM_MAX
+    for the sphere and the Grassmannian, within ``SPD_LOG_NORM_MAX`` for Spd.
+    With leading batch axes on e, one flag per value."""
+    if not isinstance(kind, Spd):
+        return np.ones(_batch_shape(kind, e), dtype=bool)
+    return ambient_norms(kind, e) <= SPD_LOG_NORM_MAX
 
 
 def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
@@ -372,35 +402,59 @@ def tangent_project_embedded(
 ) -> np.ndarray:
     """Tangent projection expressed on the embedded representation e of a
     point; the workhorse behind project_to_tangent and the acquisition
-    ascent, which iterates in embedded coordinates."""
+    ascent, which iterates in embedded coordinates.
+
+    e and g may carry a leading batch axis (one point and one ambient vector
+    per row); each row is projected on its own (a stacked ``@`` makes one
+    BLAS call per row), with the same bits as a single call.
+    """
+    e, g = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(g, dtype=float)
     if isinstance(kind, Sphere):
-        return g - np.dot(e, g) * e
+        return g - np.einsum("...i,...i->...", e, g)[..., None] * e
     if isinstance(kind, Grassmann):
         sym_g = _sym(g)
         pg = e @ sym_g
-        return pg + pg.T - 2.0 * (e @ sym_g @ e)
+        return pg + np.swapaxes(pg, -1, -2) - 2.0 * (pg @ e)
     return _sym(g)
 
 
 def retract_embedded(
-    kind: ManifoldKind, e: np.ndarray, v: np.ndarray, t: float
+    kind: ManifoldKind, e: np.ndarray, v: np.ndarray, t
 ) -> np.ndarray:
     """Embedded representation of a step from the embedded point e along the
     tangent vector v: the geodesic for the sphere, the nearest-point
     retraction for the matrix manifolds (exact for Spd, whose image is
     linear).  Equals ``embed(exp_map(x, v, t))`` for x with ``embed(x) = e``.
+
+    With a leading batch axis on e and v (and t a scalar or one step length
+    per row), each row is retracted on its own, with the same bits as a
+    single call.  A single Grassmann step whose dominant subspace is not
+    unique raises ``AmbiguousSubspaceError``; in a batch, that row comes
+    back as NaN and the other rows are unaffected.
     """
+    e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
+    batched = e.ndim > len(kind.ambient_shape)
+    if not batched:
+        e, v = e[None], v[None]
+    t = np.broadcast_to(np.asarray(t, dtype=float), e.shape[:1])
+    t = t.reshape(t.shape + (1,) * len(kind.ambient_shape))
     if isinstance(kind, Sphere):
-        speed = np.linalg.norm(v)
-        if speed < ZERO_STEP_TOL:
-            return np.array(e)
-        theta = t * speed
-        y = math.cos(theta) * e + math.sin(theta) * (v / speed)
-        return y / np.linalg.norm(y)
-    if isinstance(kind, Grassmann):
-        frame = _grassmann_top_frame(kind, _sym(e + t * v))
-        return frame @ frame.T
-    return _sym(e + t * v)
+        speed = ambient_norms(kind, v)[:, None]
+        moving = speed[:, 0] >= ZERO_STEP_TOL
+        out = np.array(e)
+        theta = t[moving] * speed[moving]
+        y = np.cos(theta) * e[moving] + np.sin(theta) * (v[moving] / speed[moving])
+        out[moving] = y / ambient_norms(kind, y)[:, None]
+    elif isinstance(kind, Grassmann):
+        frames, gaps = _grassmann_top_frames(kind, _sym(e + t * v))
+        out = frames @ np.swapaxes(frames, -1, -2)
+        ambiguous = ~(gaps >= EIGENGAP_TOL)
+        if ambiguous.any() and not batched:
+            raise _ambiguous_subspace(kind, gaps[0])
+        out[ambiguous] = np.nan
+    else:
+        out = _sym(e + t * v)
+    return out if batched else out[0]
 
 
 def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> TangentVector:
@@ -478,11 +532,39 @@ def random_point(kind: ManifoldKind, rng: Union[int, np.random.Generator]) -> Ma
 
 
 @functools.lru_cache(maxsize=None)
-def _sym_flat_factors(k: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    iu = np.triu_indices(k)
-    factors = np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0))
-    factors.setflags(write=False)
-    return iu, factors
+def _sym_flat_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How a k x k symmetric matrix, read as its k*k entries, maps to flat
+    coordinates: the entries (i, j) and (j, i) of each upper-triangle pair,
+    the flat scale factors, and the flat index of every matrix entry."""
+    rows, cols = np.triu_indices(k)
+    upper, lower = rows * k + cols, cols * k + rows
+    factors = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    entry = np.empty(k * k, dtype=int)
+    entry[upper] = entry[lower] = np.arange(upper.size)
+    for table in (upper, lower, factors, entry):
+        table.setflags(write=False)
+    return upper, lower, factors, entry
+
+
+def flatten_rows(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
+    """``flatten_ambient`` without validation, for ambient values with
+    leading batch axes: one length-D row per value, in C order (``einsum``
+    sums in memory order, so the layout decides a row's bits)."""
+    if isinstance(kind, Sphere):
+        return np.array(v, order="C")
+    k = kind.ambient_shape[0]
+    upper, lower, factors, _ = _sym_flat_layout(k)
+    entries = v.reshape(v.shape[:-2] + (k * k,))
+    return 0.5 * (entries[..., upper] + entries[..., lower]) * factors
+
+
+def unflatten_rows(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
+    """Inverse of ``flatten_rows``."""
+    if isinstance(kind, Sphere):
+        return np.array(w, order="C")
+    k = kind.ambient_shape[0]
+    _, _, factors, entry = _sym_flat_layout(k)
+    return (w / factors)[..., entry].reshape(w.shape[:-1] + (k, k))
 
 
 def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
@@ -492,12 +574,7 @@ def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     scaled by sqrt(2), making the flat dot product equal to the Frobenius
     inner product.  Sphere values pass through unchanged.
     """
-    v = _require_ambient(kind, v)
-    if isinstance(kind, Sphere):
-        return np.array(v)
-    sym_v = _sym(v)
-    iu, factors = _sym_flat_factors(v.shape[0])
-    return sym_v[iu] * factors
+    return flatten_rows(kind, _require_ambient(kind, v))
 
 
 def unflatten_ambient(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
@@ -507,12 +584,4 @@ def unflatten_ambient(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"flat value has shape {w.shape}, expected ({kind.ambient_dim},)"
         )
-    if isinstance(kind, Sphere):
-        return np.array(w)
-    k = kind.ambient_shape[0]
-    iu, factors = _sym_flat_factors(k)
-    m = np.zeros((k, k))
-    m[iu] = w / factors
-    m = m + m.T
-    m[np.diag_indices(k)] *= 0.5
-    return m
+    return unflatten_rows(kind, w)

@@ -8,6 +8,10 @@ ALL_KINDS = [Sphere(2), Sphere(4), Grassmann(1, 2), Grassmann(2, 3), Spd(2), Spd
 # One canonical kind per family, used by the cross-manifold suites.
 FAMILY_KINDS = [Sphere(2), Grassmann(2, 3), Spd(3)]
 
+# The kinds the stacked (batched) operations are checked on: Gr(2, 5) adds
+# a retraction whose eigh is larger than the benchmark's Gr(2, 3).
+BATCH_KINDS = [Sphere(2), Grassmann(2, 3), Grassmann(2, 5), Spd(3)]
+
 
 @pytest.fixture
 def rng():

@@ -24,18 +24,35 @@ from manibo import (
     project_to_tangent,
     random_point,
 )
+from manibo import acquisition, manifolds
 from manibo.acquisition import (
+    LOG_PI_RTOL,
+    _ascent_gradient,
+    _ascent_value,
+    _at,
+    _into_trust,
     _log_pi_flat,
     _log_pi_gradient_flat,
     _pi_flat,
     _pi_gradient_flat,
+    _resolve_step,
+    _within_trust,
     inverse_mills_ratio,
     normal_cdf,
 )
 from manibo.egp import posterior
-from manibo.manifolds import retract_embedded, tangent_project_embedded
+from manibo.manifolds import (
+    AmbiguousSubspaceError,
+    ManifoldError,
+    ambient_norms,
+    retract_embedded,
+    tangent_project_embedded,
+    unembed,
+    unflatten_ambient,
+    within_chart,
+)
 
-from conftest import FAMILY_KINDS
+from conftest import BATCH_KINDS, FAMILY_KINDS
 
 
 def _state(kind, n, rng, params=None, best=None):
@@ -233,7 +250,7 @@ class TestAscend:
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
         state = AcquisitionState.for_model(model, 0.4)
-        result, _ = ascend(state, AscentConfig(grad_tol=1e-5), mid)
+        [(result, _)] = ascend(state, AscentConfig(grad_tol=1e-5), [mid])
         np.testing.assert_allclose(result.coords, mid.coords, atol=1e-12)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -242,7 +259,7 @@ class TestAscend:
         config = AscentConfig(seed=0)
         for _ in range(5):
             x0 = random_point(kind, rng)
-            result, acq = ascend(state, config, x0)
+            [(result, acq)] = ascend(state, config, [x0])
             assert acq >= pi_value(state, x0) - 1e-12
             # Re-embedding the returned native coordinates reconstructs the
             # iterate to eigensolver precision only.
@@ -257,7 +274,7 @@ class TestAscend:
         state = AcquisitionState.for_model(model, 1.0)
         start = ManifoldPoint(kind, [1.0, 0.0, 0.0])
         # A quarter-sphere traverse needs more than the default step budget.
-        _, acq = ascend(state, AscentConfig(max_steps=2000), start)
+        [(_, acq)] = ascend(state, AscentConfig(max_steps=2000), [start])
         probe_rng = np.random.default_rng(11)
         probe_best = max(
             pi_value(state, random_point(kind, probe_rng)) for _ in range(100)
@@ -275,7 +292,7 @@ class TestAscend:
     def test_kind_mismatch(self, rng):
         state = _state(Sphere(2), 3, rng)
         with pytest.raises(InvalidInputError):
-            ascend(state, AscentConfig(), random_point(Spd(2), rng))
+            ascend(state, AscentConfig(), [random_point(Spd(2), rng)])
 
 
 class TestMaximize:
@@ -284,7 +301,7 @@ class TestMaximize:
         state = _state(kind, 5, rng)
         config = AscentConfig(n_starts=1, seed=3)
         incumbent = state.model.data.points[int(np.argmin(state.model.data.values))]
-        expected, _ = ascend(state, config, incumbent)
+        [(expected, _)] = ascend(state, config, [incumbent])
         result = maximize(state, config)
         np.testing.assert_array_equal(result.coords, expected.coords)
 
@@ -298,7 +315,7 @@ class TestMaximize:
         starts += [random_point(kind, start_rng) for _ in range(config.n_starts - 1)]
         best_point, best_acq = None, -np.inf
         for s in starts:
-            candidate, acq = ascend(state, config, s)
+            [(candidate, acq)] = ascend(state, config, [s])
             if acq > best_acq:
                 best_point, best_acq = candidate, acq
         result = maximize(state, config)
@@ -347,6 +364,93 @@ class TestTrustAndExploit:
         probe_rng = np.random.default_rng(5)
         probes = [posterior(state.model, random_point(kind, probe_rng))[0] for _ in range(200)]
         assert mean_x <= min(probes) + 1e-6
+
+
+def _reference_ascend(state, config, x0):
+    """The ascent of one start, step by step: the rules ``ascend`` applies
+    to every row, written as a plain loop over 1-row evaluations."""
+    kind = state.model.data.kind
+    e = embed(x0)
+    w = flatten_ambient(kind, e)
+    acq = _ascent_value(state, _at(state, w))[0]
+    step = _resolve_step(state, config)
+    for _ in range(config.max_steps):
+        grad = unflatten_ambient(kind, _ascent_gradient(state, _at(state, w))[0])
+        tangent = tangent_project_embedded(kind, e, grad)
+        if ambient_norms(kind, tangent) < config.grad_tol:
+            break
+        accepted = False
+        for _ in range(config.max_backtracks + 1):
+            e_cand = retract_embedded(kind, e, tangent, step)
+            if within_chart(kind, e_cand):
+                w_cand = flatten_ambient(kind, e_cand)
+                if _within_trust(state, w_cand[None])[0]:
+                    acq_cand = _ascent_value(state, _at(state, w_cand))[0]
+                    if acq_cand >= acq:
+                        accepted = True
+                        break
+            step *= 0.5
+        if not accepted or acq_cand == acq:
+            break
+        gain = acq_cand - acq
+        e, w, acq = e_cand, w_cand, acq_cand
+        if not state.exploit and gain <= LOG_PI_RTOL * -acq:
+            break
+        step *= 1.5
+    return unembed(kind, e), _pi_flat(state, w)
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize(
+        "trust_radius, exploit", [(math.inf, False), (math.inf, True), (0.8, False)]
+    )
+    def test_rows_equal_single_start_ascents(self, kind, trust_radius, exploit, rng):
+        base = _state(kind, 8, rng)
+        state = AcquisitionState.for_model(
+            base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
+        )
+        config = AscentConfig(seed=0)
+        starts = [_into_trust(state, random_point(kind, rng)) for _ in range(10)]
+        batch = ascend(state, config, starts)
+        for start, (point, pi) in zip(starts, batch):
+            [(alone, alone_pi)] = ascend(state, config, [start])
+            reference, reference_pi = _reference_ascend(state, config, start)
+            np.testing.assert_array_equal(point.coords, alone.coords)
+            np.testing.assert_array_equal(point.coords, reference.coords)
+            assert pi == alone_pi == reference_pi
+
+    def test_failed_row_leaves_other_rows_unchanged(self, monkeypatch, rng):
+        kind = Grassmann(2, 3)
+        state = _state(kind, 6, rng)
+        config = AscentConfig(seed=0)
+        starts = [random_point(kind, rng) for _ in range(5)]
+        clean = ascend(state, config, starts)
+        doomed = embed(starts[2])
+        retract = acquisition.retract_embedded
+
+        def fail_from_start_2(kind, e, v, t):
+            # A batched retraction marks a failed row with NaN.
+            out = retract(kind, e, v, t)
+            out[np.all(e == doomed, axis=(1, 2))] = np.nan
+            return out
+
+        monkeypatch.setattr(acquisition, "retract_embedded", fail_from_start_2)
+        broken = ascend(state, config, starts)
+        assert broken[2] is None
+        for row in (0, 1, 3, 4):
+            np.testing.assert_array_equal(broken[row][0].coords, clean[row][0].coords)
+            assert broken[row][1] == clean[row][1]
+
+    def test_every_row_failing_raises(self, monkeypatch, rng):
+        kind = Grassmann(2, 3)
+        state = _state(kind, 6, rng)
+        # No eigenvalue gap is wide enough: every retraction is ambiguous.
+        monkeypatch.setattr(manifolds, "EIGENGAP_TOL", math.inf)
+        with pytest.raises(AmbiguousSubspaceError):
+            ascend(state, AscentConfig(), [random_point(kind, rng) for _ in range(3)])
+        with pytest.raises(ManifoldError):
+            maximize(state, AscentConfig(seed=1))
 
 
 class TestConfigValidation:

@@ -145,6 +145,25 @@ class TestAbort:
         assert len(trace.records) == 3
         assert np.isfinite(value)
 
+    def test_objective_exception_mid_run_aborts_with_trace(self):
+        calls = {"n": 0}
+        base = frechet_objective(latitude_circle_problem()).fn
+        n_init = 4
+
+        def broken(x):
+            calls["n"] += 1
+            if calls["n"] == n_init + 3:
+                raise RuntimeError("simulator crashed")
+            return base(x)
+
+        obj = Objective(kind=KIND, fn=broken)
+        best, value, trace = run(obj, BoConfig(n_init=n_init, n_iters=10, seed=3))
+        assert trace.aborted
+        assert "iteration 3" in trace.abort_reason
+        assert "RuntimeError: simulator crashed" in trace.abort_reason
+        assert [r.iteration for r in trace.records] == [0, 1, 2]
+        assert np.isfinite(value)
+
     def test_nonfinite_first_evaluation_raises(self):
         obj = Objective(kind=KIND, fn=lambda x: np.inf)
         with pytest.raises(InvalidInputError):

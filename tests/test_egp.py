@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manibo import (
     GpDataset,
@@ -14,6 +16,7 @@ from manibo import (
     Sphere,
     ManifoldPoint,
     default_bounds,
+    embed,
     fit_hyperparams,
     gram_matrix,
     kernel_eval,
@@ -22,7 +25,8 @@ from manibo import (
     posterior,
     random_point,
 )
-from manibo.egp import linear_trend
+from manibo.egp import linear_trend, posterior_rows
+from manibo.manifolds import flatten_rows
 
 from conftest import FAMILY_KINDS
 
@@ -221,6 +225,32 @@ class TestPosterior:
         )
         assert mean_b == pytest.approx(mean_a, abs=1e-10)
         assert var_b == pytest.approx(var_a, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(FAMILY_KINDS),
+    n_rows=st.integers(1, 12),
+    fortran=st.booleans(),
+)
+def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
+    # Each row's bits, gradients included, are those of a 1-row call,
+    # whatever the batch size and the memory layout of the query stack.
+    rng = np.random.default_rng(seed)
+    data = _dataset(kind, 7, rng)
+    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), data, linear_trend(data))
+    points = [random_point(kind, rng) for _ in range(n_rows)]
+    w = flatten_rows(kind, np.stack([embed(p) for p in points]))
+    stacked = posterior_rows(model, np.asfortranarray(w) if fortran else w)
+    grads = stacked.gradients()
+    for row in range(n_rows):
+        single = posterior_rows(model, w[row][None])
+        for name in ("k", "v", "mean", "var"):
+            np.testing.assert_array_equal(getattr(stacked, name)[row], getattr(single, name)[0])
+        for stacked_grad, single_grad in zip(grads, single.gradients()):
+            np.testing.assert_array_equal(stacked_grad[row], single_grad[0])
+        assert posterior(model, points[row]) == (stacked.mean[row], stacked.var[row])
 
 
 def _mp_posterior_variance(params, embedded, w):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manibo import (
     AmbiguousSubspaceError,
@@ -24,9 +26,14 @@ from manibo import (
     unembed,
     unflatten_ambient,
 )
-from manibo.manifolds import SPD_LOG_NORM_MAX, within_chart
+from manibo.manifolds import (
+    SPD_LOG_NORM_MAX,
+    retract_embedded,
+    tangent_project_embedded,
+    within_chart,
+)
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, BATCH_KINDS
 
 
 def test_kind_dimensions():
@@ -430,3 +437,60 @@ class TestFlattening:
         frob = float(np.sum(a * b))
         flat = float(flatten_ambient(kind, a) @ flatten_ambient(kind, b))
         assert flat == pytest.approx(frob, rel=1e-12)
+
+
+def _stack(kind, rng, n_rows):
+    """Embedded points, ambient vectors and their tangent projections."""
+    e = np.stack([embed(random_point(kind, rng)) for _ in range(n_rows)])
+    g = rng.standard_normal((n_rows,) + kind.ambient_shape)
+    return e, g, tangent_project_embedded(kind, e, g)
+
+
+class TestStackedGeometry:
+    """A leading batch axis computes every row as a single call would."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(BATCH_KINDS),
+        n_rows=st.integers(1, 12),
+    )
+    def test_tangent_projection_rows_equal_single_calls(self, seed, kind, n_rows):
+        e, g, projected = _stack(kind, np.random.default_rng(seed), n_rows)
+        for row in range(n_rows):
+            np.testing.assert_array_equal(
+                projected[row], tangent_project_embedded(kind, e[row], g[row])
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(BATCH_KINDS),
+        n_rows=st.integers(1, 12),
+        scalar_step=st.booleans(),
+    )
+    def test_retraction_rows_equal_single_calls(self, seed, kind, n_rows, scalar_step):
+        rng = np.random.default_rng(seed)
+        e, _, v = _stack(kind, rng, n_rows)
+        t = 0.3 if scalar_step else rng.uniform(0.0, 2.0, n_rows)
+        stepped = retract_embedded(kind, e, v, t)
+        for row in range(n_rows):
+            t_row = t if scalar_step else t[row]
+            np.testing.assert_array_equal(
+                stepped[row], retract_embedded(kind, e[row], v[row], t_row)
+            )
+
+    def test_ambiguous_row_is_nan_and_spares_the_others(self, rng):
+        kind = Grassmann(2, 3)
+        e, _, v = _stack(kind, rng, 4)
+        # diag(1, 1, 0) + 0.5 diag(0, -1, 1) = diag(1, 0.5, 0.5): the two
+        # smaller eigenvalues tie, so the dominant plane is not unique.
+        e[1], v[1] = np.diag([1.0, 1.0, 0.0]), np.diag([0.0, -1.0, 1.0])
+        stepped = retract_embedded(kind, e, v, 0.5)
+        assert np.all(np.isnan(stepped[1]))
+        for row in (0, 2, 3):
+            np.testing.assert_array_equal(
+                stepped[row], retract_embedded(kind, e[row], v[row], 0.5)
+            )
+        with pytest.raises(AmbiguousSubspaceError):
+            retract_embedded(kind, e[1], v[1], 0.5)
