@@ -4,8 +4,8 @@ One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
 refitting.  The incumbent is the best observed value.  Failures mid-run
 (non-finite objective values, objective exceptions, unfactorizable
-surrogates, geometry errors) abort the run but keep the trace collected so
-far, since traces are the primary artifact.
+surrogates, geometry errors, failed refits) abort the run but keep the
+trace collected so far, since traces are the primary artifact.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ class BoConfig:
     """Run settings: design size, iteration budget, refit cadence, kernel.
 
     ``kernel=None`` selects median-heuristic defaults from the initial
-    design.  ``refit_every=0`` disables hyperparameter fitting entirely.
+    design.  The hyperparameters are fitted on the initial design and after
+    every ``refit_every``-th iteration but the last, whose fit no proposal
+    would use; ``refit_every=0`` disables hyperparameter fitting entirely.
     ``init_points`` overrides the random initial design (the design size is
     then their count).  Per-iteration acquisition seeds are derived from
     ``seed``; an explicit ``ascent.seed`` is overridden inside a run.
@@ -182,8 +184,9 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
     initial design; records 1..n_iters follow the proposals.  After the
     initial design, a non-finite objective value, any exception the
-    objective raises, an unfactorizable surrogate or a ``ManifoldError``
-    aborts the run with the trace collected so far (``trace.aborted`` set,
+    objective raises, an unfactorizable surrogate, a ``ManifoldError`` or
+    any exception from the trend update or the hyperparameter refit aborts
+    the run with the trace collected so far (``trace.aborted`` set,
     ``trace.abort_reason`` saying why) rather than discarding it.
     """
     trace = RunTrace()
@@ -233,17 +236,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     if trace.aborted:
         return best_point, best_value, trace
 
-    # The surrogate's prior mean is the least-squares affine function of the
-    # embedded coordinates (once the data determine it), refreshed with the
-    # data, and the kernel models the residual.  With a zero mean the kernel carries the whole trend, so
-    # its amplitude, and the noise floor relative to it, grow with the spread
-    # of all values seen; that floor then hides the small value differences
-    # near the optimum.
-    trend = linear_trend(dataset)
-    params = cfg.kernel
-    if params is None:
-        params = median_heuristic_params(dataset, trend)
-
     def refit(current: KernelParams) -> KernelParams:
         try:
             return fit_hyperparams(
@@ -257,8 +249,30 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current
 
-    if cfg.refit_every > 0 and len(dataset) >= 2:
-        params = refit(params)
+    def update_failed(s: int, exc: Exception) -> None:
+        logger.warning("surrogate update failed at iteration %d", s, exc_info=True)
+        trace.aborted = True
+        trace.abort_reason = (
+            f"surrogate update failed at iteration {s}: {type(exc).__name__}: {exc}"
+        )
+
+    try:
+        # The surrogate's prior mean is the least-squares affine function of
+        # the embedded coordinates (once the data determine it), refreshed
+        # with the data, and the kernel models the residual.  With a zero
+        # mean the kernel carries the whole trend, so its amplitude, and the
+        # noise floor relative to it, grow with the spread of all values
+        # seen; that floor then hides the small value differences near the
+        # optimum.
+        trend = linear_trend(dataset)
+        params = cfg.kernel
+        if params is None:
+            params = median_heuristic_params(dataset, trend)
+        if cfg.refit_every > 0 and len(dataset) >= 2:
+            params = refit(params)
+    except Exception as exc:  # any failure here keeps the trace
+        update_failed(0, exc)
+        return best_point, best_value, trace
 
     ascent_base = cfg.ascent if cfg.ascent is not None else AscentConfig()
     loop_rng = np.random.default_rng(loop_seq)
@@ -314,9 +328,16 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         if y < best_value:
             best_point, best_value = x_next, y
         dataset = dataset.append(x_next, y)
-        trend = linear_trend(dataset)
-        if cfg.refit_every > 0 and s % cfg.refit_every == 0:
-            params = refit(params)
+        failure = None
+        # After the last iteration no surrogate is built, so neither the
+        # trend nor the hyperparameters are updated.
+        if s < cfg.n_iters:
+            try:
+                trend = linear_trend(dataset)
+                if cfg.refit_every > 0 and s % cfg.refit_every == 0:
+                    params = refit(params)
+            except Exception as exc:  # any failure here keeps the trace
+                failure = exc
         trace.records.append(
             TraceRecord(
                 iteration=s,
@@ -329,4 +350,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 n_evals=len(dataset),
             )
         )
+        if failure is not None:
+            update_failed(s, failure)
+            break
     return best_point, best_value, trace

@@ -14,7 +14,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -185,11 +185,15 @@ def _residuals(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
     return data.values - (trend[0] + data.embedded @ trend[1:])
 
 
+def _gram(params: KernelParams, sq_dists: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    k = params.amplitude * np.exp(-sq_dists / (2.0 * params.lengthscale**2))
+    k = 0.5 * (k + k.T)
+    return k + params.noise * eye
+
+
 def gram_matrix(params: KernelParams, data: GpDataset) -> np.ndarray:
     """Kernel matrix of the dataset plus noise on the diagonal."""
-    k = params.amplitude * np.exp(-data.sq_dists / (2.0 * params.lengthscale**2))
-    k = 0.5 * (k + k.T)
-    return k + params.noise * np.eye(len(data))
+    return _gram(params, data.sq_dists, np.eye(len(data)))
 
 
 def _cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, float]:
@@ -228,8 +232,8 @@ class GpModel:
     is then amplitude - v.v (Rasmussen & Williams 2006, Algorithm 2.1),
     which keeps its precision when the Gram matrix is ill-conditioned; the
     form k.(K^{-1} k) through an explicit Gram inverse does not.  It is
-    computed on first use, as is ``alpha``, so the models built only for
-    their marginal likelihood during fitting never pay for them.
+    computed on first use, as is ``alpha``: the log marginal likelihood
+    needs neither.
     """
 
     params: KernelParams
@@ -256,19 +260,31 @@ class GpModel:
     def build(
         cls, params: KernelParams, data: GpDataset, trend: Optional[np.ndarray] = None
     ) -> "GpModel":
-        gram = gram_matrix(params, data)
-        chol, jitter = _cholesky_with_jitter(gram, params.amplitude)
-        whitened = solve_triangular(
-            chol, _residuals(data, trend), lower=True, check_finite=False
-        )
-        return cls(
-            params=params,
-            data=data,
-            chol=chol,
-            whitened=whitened,
-            jitter=jitter,
-            trend=np.zeros(data.embedded.shape[1] + 1) if trend is None else trend,
-        )
+        residuals = _residuals(data, trend)
+        eye = np.eye(len(data))
+        return _factorized(params, data, residuals, _trend_or_zero(data, trend), eye)
+
+
+def _trend_or_zero(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
+    return np.zeros(data.embedded.shape[1] + 1) if trend is None else trend
+
+
+def _factorized(
+    params: KernelParams,
+    data: GpDataset,
+    residuals: np.ndarray,
+    trend: np.ndarray,
+    eye: np.ndarray,
+) -> GpModel:
+    """The model for ``params`` from the per-dataset quantities: the
+    residuals about ``trend`` and the identity of the data's size.  Raises
+    IllConditionedModelError when the Gram matrix cannot be factorized."""
+    gram = _gram(params, data.sq_dists, eye)
+    chol, jitter = _cholesky_with_jitter(gram, params.amplitude)
+    whitened = solve_triangular(chol, residuals, lower=True, check_finite=False)
+    return GpModel(
+        params=params, data=data, chol=chol, whitened=whitened, jitter=jitter, trend=trend
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,32 +403,47 @@ def default_bounds(data: GpDataset, trend: Optional[np.ndarray] = None) -> Kerne
     )
 
 
-def _lml_or_none(
-    params: KernelParams, data: GpDataset, trend: Optional[np.ndarray]
-) -> float | None:
-    try:
-        return log_marginal_likelihood(GpModel.build(params, data, trend))
-    except IllConditionedModelError:
-        return None
+def _log_evidence(
+    data: GpDataset, trend: Optional[np.ndarray]
+) -> Callable[[np.ndarray], Optional[float]]:
+    """The log marginal likelihood as a function of the log-parameters
+    theta, None where the Gram matrix cannot be factorized.
+
+    The residuals and the identity are computed once, and each distinct
+    theta is scored once: the coordinate search revisits points (the
+    opposite move after an accepted one returns to the old point, and
+    restarts meet), and those revisits read the cache."""
+    residuals = _residuals(data, trend)
+    trend = _trend_or_zero(data, trend)
+    eye = np.eye(len(data))
+    scores: dict[bytes, Optional[float]] = {}
+
+    def evaluate(theta: np.ndarray) -> Optional[float]:
+        key = theta.tobytes()
+        if key not in scores:
+            params = KernelParams(*np.exp(theta))
+            try:
+                model = _factorized(params, data, residuals, trend, eye)
+            except IllConditionedModelError:
+                scores[key] = None
+            else:
+                scores[key] = log_marginal_likelihood(model)
+        return scores[key]
+
+    return evaluate
 
 
 def _coordinate_search(
     theta0: np.ndarray,
     log_lo: np.ndarray,
     log_hi: np.ndarray,
-    data: GpDataset,
-    trend: Optional[np.ndarray] = None,
+    objective: Callable[[np.ndarray], Optional[float]],
     initial_step: float = 0.5,
     min_step: float = 1e-3,
     max_sweeps: int = 60,
 ) -> tuple[np.ndarray, float | None]:
-    """Maximize the log evidence over log-parameters by coordinate moves with
+    """Maximize ``objective`` over log-parameters by coordinate moves with
     shrinking step; returns (theta, value) with value None if nothing evaluated."""
-
-    def objective(theta: np.ndarray) -> float | None:
-        params = KernelParams(*np.exp(theta))
-        return _lml_or_none(params, data, trend)
-
     theta = np.clip(theta0, log_lo, log_hi)
     best = objective(theta)
     step = initial_step
@@ -446,8 +477,10 @@ def fit_hyperparams(
     """Maximize the log marginal likelihood by multistart coordinate search,
     for the prior mean ``trend`` (zero when None).
 
-    Deterministic given the seed.  Raises FittingFailedError when every
-    candidate in every restart fails to factorize.
+    All restarts share one evaluator, which scores each distinct candidate
+    once; no ``GpModel.build`` runs.  Deterministic given the seed.  Raises
+    FittingFailedError when every candidate in every restart fails to
+    factorize.
     """
     if len(data) < 2:
         raise InvalidInputError("hyperparameter fitting requires at least 2 points")
@@ -458,9 +491,10 @@ def fit_hyperparams(
     rng = np.random.default_rng(seed)
     for _ in range(max(0, n_restarts - 1)):
         starts.append(rng.uniform(log_lo, log_hi))
+    objective = _log_evidence(data, trend)
     best_theta, best_val = None, None
     for theta0 in starts:
-        theta, val = _coordinate_search(theta0, log_lo, log_hi, data, trend)
+        theta, val = _coordinate_search(theta0, log_lo, log_hi, objective)
         if val is not None and (best_val is None or val > best_val):
             best_theta, best_val = theta, val
     if best_theta is None:

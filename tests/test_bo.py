@@ -16,6 +16,7 @@ from manibo import (
     random_point,
     run,
 )
+from manibo import bo
 from manibo.bo import DEDUP_TOL, local_spacing
 
 KIND = Sphere(2)
@@ -164,6 +165,44 @@ class TestAbort:
         assert [r.iteration for r in trace.records] == [0, 1, 2]
         assert np.isfinite(value)
 
+    def test_failed_refit_aborts_with_trace(self):
+        # An overflowing value is finite, but its variance is not: the refit
+        # after it cannot size the kernel amplitude.
+        calls = {"n": 0}
+        base = frechet_objective(latitude_circle_problem()).fn
+
+        def overflowing(x):
+            calls["n"] += 1
+            return 1e200 if calls["n"] == 8 else base(x)
+
+        obj = Objective(kind=KIND, fn=overflowing)
+        with np.errstate(over="ignore"):
+            best, value, trace = run(
+                obj, BoConfig(n_init=5, n_iters=8, refit_every=1, seed=0)
+            )
+        assert trace.aborted
+        assert "iteration 3" in trace.abort_reason
+        assert "InvalidInputError" in trace.abort_reason
+        assert [r.iteration for r in trace.records] == [0, 1, 2, 3]
+        assert trace.final.value == 1e200
+        assert trace.final.n_evals == 8
+        assert np.isfinite(value)
+
+    def test_failed_initial_fit_aborts_with_trace(self):
+        calls = {"n": 0}
+
+        def overflowing(x):
+            calls["n"] += 1
+            return 1e200 if calls["n"] == 2 else 0.0
+
+        obj = Objective(kind=KIND, fn=overflowing)
+        with np.errstate(over="ignore"):
+            _, value, trace = run(obj, BoConfig(n_init=3, n_iters=4, seed=0))
+        assert trace.aborted
+        assert "iteration 0" in trace.abort_reason
+        assert [r.iteration for r in trace.records] == [0]
+        assert value == 0.0
+
     def test_nonfinite_first_evaluation_raises(self):
         obj = Objective(kind=KIND, fn=lambda x: np.inf)
         with pytest.raises(InvalidInputError):
@@ -217,6 +256,22 @@ class TestLocalSpacing:
         x = ManifoldPoint(KIND, [0.0, 0.0, 1.0])
         data = GpDataset.from_points([x, x], [0.0, 0.0])
         assert local_spacing(data, x) is None
+
+
+class TestRefitSchedule:
+    def test_no_refit_after_last_iteration(self, monkeypatch):
+        fits = []
+        original = bo.fit_hyperparams
+
+        def counting(data, *args, **kwargs):
+            fits.append(len(data))
+            return original(data, *args, **kwargs)
+
+        monkeypatch.setattr(bo, "fit_hyperparams", counting)
+        obj = frechet_objective(latitude_circle_problem())
+        _, _, trace = run(obj, BoConfig(n_init=4, n_iters=10, refit_every=5, seed=0))
+        assert len(trace.records) == 11
+        assert fits == [4, 9]  # the initial design, and after iteration 5
 
 
 class TestConfigValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from manibo import (
     GpDataset,
     GpModel,
     Grassmann,
+    IllConditionedModelError,
     InvalidInputError,
     KernelBounds,
     KernelParams,
@@ -25,6 +27,7 @@ from manibo import (
     posterior,
     random_point,
 )
+from manibo import egp
 from manibo.egp import linear_trend, posterior_rows
 from manibo.manifolds import flatten_rows
 
@@ -384,6 +387,148 @@ class TestFitHyperparams:
         a = fit_hyperparams(data, init, bounds, seed=5)
         b = fit_hyperparams(data, init, bounds, seed=5)
         assert a == b
+
+
+def _reference_fit(data, init, bounds, seed=0, trend=None):
+    """Plain multistart coordinate search: a fresh ``GpModel.build`` and
+    ``log_marginal_likelihood`` for every candidate it visits, revisits
+    included, with the start points and move rules of ``fit_hyperparams``."""
+
+    def objective(theta):
+        try:
+            model = GpModel.build(KernelParams(*np.exp(theta)), data, trend)
+        except IllConditionedModelError:
+            return None
+        return log_marginal_likelihood(model)
+
+    log_lo = np.log([bounds.lengthscale[0], bounds.amplitude[0], bounds.noise[0]])
+    log_hi = np.log([bounds.lengthscale[1], bounds.amplitude[1], bounds.noise[1]])
+    init = bounds.clip(init)
+    rng = np.random.default_rng(seed)
+    starts = [np.log([init.lengthscale, init.amplitude, init.noise])]
+    starts += [rng.uniform(log_lo, log_hi) for _ in range(4)]
+    best_theta, best_val = None, None
+    for theta0 in starts:
+        theta = np.clip(theta0, log_lo, log_hi)
+        best = objective(theta)
+        step = 0.5
+        for _ in range(60):
+            if step < 1e-3:
+                break
+            improved = False
+            for axis in range(3):
+                for sign in (1.0, -1.0):
+                    cand = theta.copy()
+                    cand[axis] = np.clip(
+                        cand[axis] + sign * step, log_lo[axis], log_hi[axis]
+                    )
+                    if cand[axis] == theta[axis]:
+                        continue
+                    val = objective(cand)
+                    if val is not None and (best is None or val > best):
+                        theta, best = cand, val
+                        improved = True
+            if not improved:
+                step *= 0.5
+        if best is not None and (best_val is None or best > best_val):
+            best_theta, best_val = theta, best
+    return bounds.clip(KernelParams(*np.exp(best_theta)))
+
+
+def _fit_case(kind, with_trend, duplicated, seed):
+    """A dataset, starting values and bounds for one pinned fit.  Values are
+    a smooth function of the embedding.  The duplicated case repeats three
+    of the points and lowers the noise floor, so that candidates with
+    little noise need jitter."""
+    gen = np.random.default_rng(seed)
+    points = [random_point(kind, gen) for _ in range(8)]
+    if duplicated:
+        points = points[:5] + points[:3]
+    emb = GpDataset.from_points(points, np.zeros(len(points))).embedded
+    data = GpDataset.from_points(points, emb[:, 0] + 0.5 * emb[:, 1] ** 2)
+    trend = 0.3 * gen.standard_normal(emb.shape[1] + 1) if with_trend else None
+    bounds = default_bounds(data, trend)
+    if duplicated:
+        noise = (1e-18 * bounds.amplitude[0], bounds.noise[1])
+        bounds = KernelBounds(bounds.lengthscale, bounds.amplitude, noise)
+    return data, trend, median_heuristic_params(data, trend), bounds
+
+
+PIN_KINDS = [Sphere(2), Grassmann(2, 5), Spd(3)]
+# "unfactorizable": duplicated points with no jitter allowed, so that the
+# candidates that would need it fail to factorize.
+PIN_CASES = ["distinct", "duplicated", "unfactorizable"]
+
+
+def _recording_cholesky(monkeypatch):
+    """Record each factorization's jitter, None for a failed one."""
+    jitters = []
+    original = egp._cholesky_with_jitter
+
+    def recording(gram, amplitude):
+        try:
+            chol, jitter = original(gram, amplitude)
+        except IllConditionedModelError:
+            jitters.append(None)
+            raise
+        jitters.append(jitter)
+        return chol, jitter
+
+    monkeypatch.setattr(egp, "_cholesky_with_jitter", recording)
+    return jitters
+
+
+class TestFitPinned:
+    """``fit_hyperparams`` scores each candidate once from per-fit
+    quantities; it must return exactly what the plain search returns."""
+
+    @pytest.mark.parametrize("case", PIN_CASES)
+    @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
+    @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
+    def test_bitwise_equal_to_reference(self, kind, with_trend, case, monkeypatch):
+        if case == "unfactorizable":
+            monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
+        duplicated = case != "distinct"
+        data, trend, init, bounds = _fit_case(kind, with_trend, duplicated, seed=7)
+        jitters = _recording_cholesky(monkeypatch)
+        fitted = fit_hyperparams(data, init, bounds, seed=3, trend=trend)
+        if case == "duplicated":
+            assert any(j is not None and j > 0.0 for j in jitters)
+        if case == "unfactorizable":
+            assert None in jitters
+        expected = _reference_fit(data, init, bounds, seed=3, trend=trend)
+        assert np.array(dataclasses.astuple(fitted)).tobytes() == (
+            np.array(dataclasses.astuple(expected)).tobytes()
+        )
+
+    @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
+    def test_each_theta_scored_once(self, kind, monkeypatch):
+        scored = []
+        visits = []
+        original_lml = egp.log_marginal_likelihood
+        original_evidence = egp._log_evidence
+
+        def counting_lml(model):
+            scored.append(model)
+            return original_lml(model)
+
+        def recording_evidence(data, trend):
+            evaluate = original_evidence(data, trend)
+
+            def recorded(theta):
+                value = evaluate(theta)
+                visits.append((theta.tobytes(), value))
+                return value
+
+            return recorded
+
+        monkeypatch.setattr(egp, "log_marginal_likelihood", counting_lml)
+        monkeypatch.setattr(egp, "_log_evidence", recording_evidence)
+        data, trend, init, bounds = _fit_case(kind, True, True, seed=11)
+        fit_hyperparams(data, init, bounds, seed=2, trend=trend)
+        distinct = {key for key, value in visits if value is not None}
+        assert len(scored) == len(distinct)
+        assert len(visits) > len({key for key, _ in visits})  # revisits happen
 
 
 class TestMedianHeuristic:
