@@ -163,11 +163,6 @@ def _improvement_gradient(
     return r, -dmean / sigma_col - (r / sigma)[:, None] * dsigma
 
 
-def _log_pi_gradient(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
-    r, dr = _improvement_gradient(state, post)
-    return inverse_mills_ratio(r)[:, None] * dr
-
-
 def _ascent_value(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
     """What the ascent climbs, per row: log PI, or the negated posterior
     mean when the round exploits."""
@@ -179,7 +174,8 @@ def _ascent_value(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
 def _ascent_gradient(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
     if state.exploit:
         return -post.gradients()[0]
-    return _log_pi_gradient(state, post)
+    r, dr = _improvement_gradient(state, post)
+    return inverse_mills_ratio(r)[:, None] * dr
 
 
 def _at(state: AcquisitionState, w: np.ndarray) -> PosteriorRows:
@@ -191,10 +187,6 @@ def _pi_flat(state: AcquisitionState, w: np.ndarray) -> float:
     return normal_cdf(float(_improvement(state, _at(state, w))[0][0]))
 
 
-def _log_pi_flat(state: AcquisitionState, w: np.ndarray) -> float:
-    return float(log_ndtr(_improvement(state, _at(state, w))[0][0]))
-
-
 def _pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
     """Analytic gradient of the acquisition in flat ambient coordinates."""
     r, dr = _improvement_gradient(state, _at(state, w))
@@ -202,11 +194,6 @@ def _pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
     if density == 0.0:
         return np.zeros_like(dr[0])
     return density * dr[0]
-
-
-def _log_pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of log PI in flat ambient coordinates."""
-    return _log_pi_gradient(state, _at(state, w))[0]
 
 
 def pi_value(state: AcquisitionState, x: ManifoldPoint) -> float:

@@ -3,9 +3,9 @@
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
 refitting.  The incumbent is the best observed value.  Failures mid-run
-(non-finite objective values, objective exceptions, unfactorizable
-surrogates, geometry errors, failed refits) abort the run but keep the
-trace collected so far, since traces are the primary artifact.
+(a non-finite objective value, or an exception from the proposal, the
+objective or the refit) abort the run but keep the trace collected so far,
+since traces are the primary artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .egp import (
     FittingFailedError,
     GpDataset,
     GpModel,
-    IllConditionedModelError,
     KernelParams,
     default_bounds,
     fit_hyperparams,
@@ -32,7 +31,6 @@ from .egp import (
 )
 from .manifolds import (
     InvalidInputError,
-    ManifoldError,
     ManifoldKind,
     ManifoldPoint,
     exp_map,
@@ -183,10 +181,10 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
 
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
     initial design; records 1..n_iters follow the proposals.  After the
-    initial design, a non-finite objective value, any exception the
-    objective raises, an unfactorizable surrogate, a ``ManifoldError`` or
-    any exception from the trend update or the hyperparameter refit aborts
-    the run with the trace collected so far (``trace.aborted`` set,
+    initial design, a non-finite objective value or any exception from the
+    proposal phase (surrogate build, acquisition maximization, dedup), the
+    objective, the trend update or the hyperparameter refit aborts the run
+    with the trace collected so far (``trace.aborted`` set,
     ``trace.abort_reason`` saying why) rather than discarding it.
     """
     trace = RunTrace()
@@ -249,12 +247,10 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current
 
-    def update_failed(s: int, exc: Exception) -> None:
-        logger.warning("surrogate update failed at iteration %d", s, exc_info=True)
+    def abort(what: str, s: int, exc: Exception) -> None:
+        logger.warning("%s at iteration %d", what, s, exc_info=True)
         trace.aborted = True
-        trace.abort_reason = (
-            f"surrogate update failed at iteration {s}: {type(exc).__name__}: {exc}"
-        )
+        trace.abort_reason = f"{what} at iteration {s}: {type(exc).__name__}: {exc}"
 
     try:
         # The surrogate's prior mean is the least-squares affine function of
@@ -271,7 +267,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         if cfg.refit_every > 0 and len(dataset) >= 2:
             params = refit(params)
     except Exception as exc:  # any failure here keeps the trace
-        update_failed(0, exc)
+        abort("surrogate update failed", 0, exc)
         return best_point, best_value, trace
 
     ascent_base = cfg.ascent if cfg.ascent is not None else AscentConfig()
@@ -300,24 +296,13 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 loop_rng,
                 spacing if spacing is not None else 0.1 * params.lengthscale,
             )
-        except IllConditionedModelError as exc:
-            trace.aborted = True
-            trace.abort_reason = f"surrogate became ill-conditioned at iteration {s}: {exc}"
-            break
-        except ManifoldError as exc:
-            trace.aborted = True
-            trace.abort_reason = (
-                f"geometry error at iteration {s}: {type(exc).__name__}: {exc}"
-            )
+        except Exception as exc:  # any failure here keeps the trace
+            abort("proposal failed", s, exc)
             break
         try:
             y = float(obj.fn(x_next))
         except Exception as exc:  # a user objective may raise anything
-            logger.warning("objective raised at iteration %d", s, exc_info=True)
-            trace.aborted = True
-            trace.abort_reason = (
-                f"objective raised at iteration {s}: {type(exc).__name__}: {exc}"
-            )
+            abort("objective raised", s, exc)
             break
         if not math.isfinite(y):
             trace.aborted = True
@@ -351,6 +336,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             )
         )
         if failure is not None:
-            update_failed(s, failure)
+            abort("surrogate update failed", s, failure)
             break
     return best_point, best_value, trace

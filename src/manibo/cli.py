@@ -1,6 +1,15 @@
 """Command-line entry point: run the benchmark experiments, emit CSV traces
 and a summary JSON.
 
+Two tables define the command line.  ``EXPERIMENTS`` maps each experiment
+name to its default budget and the builder of its problem.  The fields of
+``ExperimentConfig`` are the settings: each field's metadata gives its INI
+section and how its text parses, and the click options, the accepted INI
+keys and the resolved configuration all come from those fields.  A flag
+``--refit-every`` is the field ``refit_every`` and the key ``refit-every``
+of its section, without the section's prefix (``--kernel-noise`` is
+``[kernel] noise``).
+
 Output contract per run directory: one ``<optimizer>.csv`` per enabled
 optimizer with the fixed header ``iter,f_next,f_best,err_to_oracle,wall_ms``
 (UTF-8, LF line endings, floats at 17 significant digits), plus a
@@ -24,9 +33,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 
@@ -44,68 +53,137 @@ from .experiments import (
     spd_regression_objective,
 )
 
-EXPERIMENTS = ("frechet-sphere", "grassmann-approx", "spd-regression", "custom")
 BASELINES = ("gd", "nelder-mead")
-
-# Per-experiment iteration and design-size defaults, applied when neither the
-# config file nor a flag sets them.
-DEFAULT_BUDGETS = {
-    "frechet-sphere": (25, 5),
-    "grassmann-approx": (30, 6),
-    "spd-regression": (30, 8),
-    "custom": (25, 5),
-}
-
-KNOWN_FILE_KEYS = {
-    "run": {
-        "experiment",
-        "seed",
-        "seeds",
-        "iters",
-        "init",
-        "refit-every",
-        "baselines",
-        "out",
-        "timings",
-    },
-    "kernel": {"lengthscale", "amplitude", "noise"},
-    "frechet-sphere": {"latitude", "n-data"},
-    "grassmann-approx": {"rows", "cols", "subspace-dim"},
-    "spd-regression": {"n-locations", "noise", "bandwidth", "query"},
-    "custom": {"objective"},
-}
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run configuration; every default is materialized."""
+def _frechet_sphere(cfg: ExperimentConfig, seed: int):
+    problem = latitude_circle_problem(n_points=cfg.n_data, z=cfg.latitude)
+    grad_obj = frechet_grad_objective(problem)
+    return grad_obj.base, grad_obj, None
 
-    experiment: str
-    seed: int
-    out: str
+
+def _grassmann_approx(cfg: ExperimentConfig, seed: int):
+    problem = random_approx_problem(n=cfg.rows, m=cfg.cols, p=cfg.subspace_dim, seed=seed)
+    return grassmann_objective(problem), None, None
+
+
+def _spd_regression(cfg: ExperimentConfig, seed: int):
+    problem = generate_spd_regression_data(
+        n=cfg.n_locations,
+        noise=cfg.noise,
+        seed=seed,
+        bandwidth=cfg.bandwidth,
+        query=cfg.query,
+    )
+    init = response_design(problem, cfg.init, seed)
+    return spd_regression_objective(problem), None, init
+
+
+def _custom(cfg: ExperimentConfig, seed: int):
+    """The objective that ``module:callable`` returns for the seed."""
+    dotted_path = cfg.objective
+    module_name, _, attr = dotted_path.partition(":")
+    if not module_name or not attr:
+        raise ConfigError(
+            f"objective must look like module:callable, got {dotted_path!r}"
+        )
+    try:
+        module = importlib.import_module(module_name)
+        factory = getattr(module, attr)
+    except (ImportError, AttributeError) as exc:
+        raise ConfigError(f"cannot load objective {dotted_path!r}: {exc}") from exc
+    objective = factory(seed)
+    if not isinstance(objective, Objective):
+        raise ConfigError(
+            f"objective factory {dotted_path!r} did not return an Objective"
+        )
+    return objective, None, None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A CLI experiment: the iteration budget and design size used when
+    neither the config file nor a flag sets them, and the builder of its
+    problem, which returns (objective, gradient objective or None, initial
+    design or None) for the resolved settings and a seed."""
+
     iters: int
     init: int
-    refit_every: int = 5
-    baselines: tuple[str, ...] = ()
-    seeds: Optional[tuple[int, ...]] = None
-    timings: bool = False
-    kernel_lengthscale: Optional[float] = None
-    kernel_amplitude: Optional[float] = None
-    kernel_noise: Optional[float] = None
-    latitude: float = -0.5
-    n_data: int = 8
-    rows: int = 3
-    cols: int = 6
-    subspace_dim: int = 2
-    n_locations: int = 75
-    noise: float = 0.05
-    bandwidth: float = 0.1
-    query: float = 0.5
-    objective: Optional[str] = None
+    build: Callable[[ExperimentConfig, int], tuple]
+
+
+EXPERIMENTS = {
+    "frechet-sphere": Experiment(25, 5, _frechet_sphere),
+    "grassmann-approx": Experiment(30, 6, _grassmann_approx),
+    "spd-regression": Experiment(30, 8, _spd_regression),
+    "custom": Experiment(25, 5, _custom),
+}
+
+
+def _setting(section: str, kind: str, default=MISSING, help=None, choices=None):
+    """One setting: an ``ExperimentConfig`` field whose text (from the config
+    file or a text flag) parses as ``kind``: int, float, bool, str, ints (a
+    comma-separated integer list) or names (a comma-separated name list)."""
+    metadata = {"section": section, "kind": kind, "help": help, "choices": choices}
+    return field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """Fully resolved run configuration; every default is materialized.
+
+    The fields are the settings, in the order ``--help`` lists them."""
+
+    experiment: str = _setting("run", "str", choices=tuple(EXPERIMENTS))
+    seed: int = _setting("run", "int")
+    seeds: Optional[tuple[int, ...]] = _setting(
+        "run", "ints", None, "Comma-separated seeds; each runs into seed-<s>/ subdirectories."
+    )
+    iters: int = _setting("run", "int", help="Optimization iterations.")
+    init: int = _setting("run", "int", help="Initial design size.")
+    refit_every: int = _setting(
+        "run", "int", 5, "Hyperparameter refit cadence (0 disables fitting)."
+    )
+    baselines: tuple[str, ...] = _setting(
+        "run", "names", (), "Comma-separated subset of: gd, nelder-mead."
+    )
+    out: str = _setting("run", "str", "manibo-runs", "Output directory.")
+    timings: bool = _setting(
+        "run", "bool", False, "Write per-row wall times (breaks byte-reproducibility)."
+    )
+    kernel_lengthscale: Optional[float] = _setting("kernel", "float", None)
+    kernel_amplitude: Optional[float] = _setting("kernel", "float", None)
+    kernel_noise: Optional[float] = _setting("kernel", "float", None)
+    latitude: float = _setting(
+        "frechet-sphere", "float", -0.5, "frechet-sphere: height of the data circle."
+    )
+    n_data: int = _setting(
+        "frechet-sphere", "int", 8, "frechet-sphere: number of data points."
+    )
+    rows: int = _setting("grassmann-approx", "int", 3, "grassmann-approx: matrix rows.")
+    cols: int = _setting("grassmann-approx", "int", 6, "grassmann-approx: matrix cols.")
+    subspace_dim: int = _setting(
+        "grassmann-approx", "int", 2, "grassmann-approx: target subspace dimension."
+    )
+    n_locations: int = _setting(
+        "spd-regression", "int", 75, "spd-regression: number of covariate locations."
+    )
+    noise: float = _setting(
+        "spd-regression", "float", 0.05, "spd-regression: response noise scale."
+    )
+    bandwidth: float = _setting(
+        "spd-regression", "float", 0.1, "spd-regression: kernel bandwidth."
+    )
+    query: float = _setting(
+        "spd-regression", "float", 0.5, "spd-regression: covariate location to estimate."
+    )
+    objective: Optional[str] = _setting(
+        "custom", "str", None, "custom: module:callable returning an Objective given a seed."
+    )
 
     def kernel_params(self) -> Optional[KernelParams]:
         values = (self.kernel_lengthscale, self.kernel_amplitude, self.kernel_noise)
@@ -117,34 +195,24 @@ class ExperimentConfig:
             )
         return KernelParams(*values)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["seeds"] = list(self.seeds) if self.seeds is not None else None
-        out["baselines"] = list(self.baselines)
-        return out
+
+def _flag(setting: dataclasses.Field) -> str:
+    return "--" + setting.name.replace("_", "-")
 
 
-def _parse_config_file(path: str) -> dict[tuple[str, str], str]:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file: {exc}") from exc
-    values: dict[tuple[str, str], str] = {}
-    for section in parser.sections():
-        if section not in KNOWN_FILE_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in KNOWN_FILE_KEYS[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            values[(section, key)] = value
-    return values
+def _file_key(setting: dataclasses.Field) -> tuple[str, str]:
+    """The setting's (section, key) in a config file: the key is the flag's
+    name without the section's prefix."""
+    section = setting.metadata["section"]
+    return section, _flag(setting)[2:].removeprefix(section + "-")
 
 
-def _convert(raw: str, kind: str, label: str):
+_FILE_KEYS = {_file_key(setting): setting for setting in fields(ExperimentConfig)}
+_KIND_NAMES = {"ints": "integer list"}
+_CLICK_TYPES = {"int": int, "float": float, "str": str, "ints": str, "names": str}
+
+
+def _parse(raw: str, kind: str, label: str):
     try:
         if kind == "int":
             return int(raw)
@@ -157,73 +225,49 @@ def _convert(raw: str, kind: str, label: str):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
+        if kind == "ints":  # an empty list leaves the setting unset
+            return tuple(int(part) for part in raw.split(",") if part.strip()) if raw else None
+        if kind == "names":
+            return tuple(part.strip() for part in raw.split(",") if part.strip())
         return raw
     except ValueError as exc:
-        raise ConfigError(f"invalid {kind} for {label}: {raw!r}") from exc
+        raise ConfigError(f"invalid {_KIND_NAMES.get(kind, kind)} for {label}: {raw!r}") from exc
 
 
-def _parse_int_list(raw: str, label: str) -> tuple[int, ...]:
+def _read_config_file(path: str) -> dict[str, object]:
+    """The settings a config file gives, parsed, by field name."""
+    parser = configparser.ConfigParser()
     try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"invalid integer list for {label}: {raw!r}") from exc
-
-
-# (flag name, file section, file key, type) for every scalar setting.
-_FIELD_SPECS = [
-    ("experiment", "run", "experiment", "str"),
-    ("seed", "run", "seed", "int"),
-    ("iters", "run", "iters", "int"),
-    ("init", "run", "init", "int"),
-    ("refit_every", "run", "refit-every", "int"),
-    ("out", "run", "out", "str"),
-    ("timings", "run", "timings", "bool"),
-    ("kernel_lengthscale", "kernel", "lengthscale", "float"),
-    ("kernel_amplitude", "kernel", "amplitude", "float"),
-    ("kernel_noise", "kernel", "noise", "float"),
-    ("latitude", "frechet-sphere", "latitude", "float"),
-    ("n_data", "frechet-sphere", "n-data", "int"),
-    ("rows", "grassmann-approx", "rows", "int"),
-    ("cols", "grassmann-approx", "cols", "int"),
-    ("subspace_dim", "grassmann-approx", "subspace-dim", "int"),
-    ("n_locations", "spd-regression", "n-locations", "int"),
-    ("noise", "spd-regression", "noise", "float"),
-    ("bandwidth", "spd-regression", "bandwidth", "float"),
-    ("query", "spd-regression", "query", "float"),
-    ("objective", "custom", "objective", "str"),
-]
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {exc}") from exc
+    sections = {section for section, _ in _FILE_KEYS}
+    values: dict[str, object] = {}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            setting = _FILE_KEYS.get((section, key))
+            if setting is None:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            values[setting.name] = _parse(raw, setting.metadata["kind"], f"[{section}] {key}")
+    return values
 
 
 def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     """Merge built-in defaults, the config file, and explicit flags (highest
     precedence last), then validate."""
-    file_values = _parse_config_file(config_path) if config_path else {}
-    merged: dict = {}
-    for field_name, section, key, type_name in _FIELD_SPECS:
-        if (section, key) in file_values:
-            merged[field_name] = _convert(
-                file_values[(section, key)], type_name, f"[{section}] {key}"
-            )
-        if flags.get(field_name) is not None:
-            merged[field_name] = flags[field_name]
-
-    baselines_raw = None
-    if ("run", "baselines") in file_values:
-        baselines_raw = file_values[("run", "baselines")]
-    if flags.get("baselines") is not None:
-        baselines_raw = flags["baselines"]
-    if baselines_raw:
-        merged["baselines"] = tuple(
-            part.strip() for part in baselines_raw.split(",") if part.strip()
-        )
-
-    seeds_raw = None
-    if ("run", "seeds") in file_values:
-        seeds_raw = file_values[("run", "seeds")]
-    if flags.get("seeds") is not None:
-        seeds_raw = flags["seeds"]
-    if seeds_raw:
-        merged["seeds"] = _parse_int_list(seeds_raw, "seeds")
+    merged = _read_config_file(config_path) if config_path else {}
+    for setting in fields(ExperimentConfig):
+        value = flags.get(setting.name)
+        if isinstance(value, str):  # a text flag parses as the file's text does
+            value = _parse(value, setting.metadata["kind"], _flag(setting))
+        elif value is None:
+            continue
+        merged[setting.name] = value
 
     if "experiment" not in merged:
         raise ConfigError("experiment is required (flag --experiment or [run] experiment)")
@@ -237,11 +281,10 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     env_out = os.environ.get("MANIBO_OUT")
     if env_out:
         merged["out"] = env_out
-    merged.setdefault("out", "manibo-runs")
 
-    default_iters, default_init = DEFAULT_BUDGETS[merged["experiment"]]
-    merged.setdefault("iters", default_iters)
-    merged.setdefault("init", default_init)
+    experiment = EXPERIMENTS[merged["experiment"]]
+    merged.setdefault("iters", experiment.iters)
+    merged.setdefault("init", experiment.init)
 
     cfg = ExperimentConfig(**merged)
     for baseline in cfg.baselines:
@@ -262,47 +305,14 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     return cfg
 
 
-def _load_custom_objective(dotted_path: str, seed: int) -> Objective:
-    module_name, _, attr = dotted_path.partition(":")
-    if not module_name or not attr:
-        raise ConfigError(
-            f"objective must look like module:callable, got {dotted_path!r}"
-        )
+def build_problem(cfg: ExperimentConfig, seed: int) -> tuple:
+    """The experiment's (objective, gradient objective or None, initial
+    design or None) for one seed.  A setting its builder rejects, as a
+    ``ValueError`` or a ``ConfigError``, is a usage error."""
     try:
-        module = importlib.import_module(module_name)
-        factory = getattr(module, attr)
-    except (ImportError, AttributeError) as exc:
-        raise ConfigError(f"cannot load objective {dotted_path!r}: {exc}") from exc
-    objective = factory(seed)
-    if not isinstance(objective, Objective):
-        raise ConfigError(
-            f"objective factory {dotted_path!r} did not return an Objective"
-        )
-    return objective
-
-
-def _build_objective(cfg: ExperimentConfig, seed: int):
-    """Returns (objective, grad_objective or None, init points or None)."""
-    if cfg.experiment == "frechet-sphere":
-        problem = latitude_circle_problem(n_points=cfg.n_data, z=cfg.latitude)
-        grad_obj = frechet_grad_objective(problem)
-        return grad_obj.base, grad_obj, None
-    if cfg.experiment == "grassmann-approx":
-        problem = random_approx_problem(
-            n=cfg.rows, m=cfg.cols, p=cfg.subspace_dim, seed=seed
-        )
-        return grassmann_objective(problem), None, None
-    if cfg.experiment == "spd-regression":
-        problem = generate_spd_regression_data(
-            n=cfg.n_locations,
-            noise=cfg.noise,
-            seed=seed,
-            bandwidth=cfg.bandwidth,
-            query=cfg.query,
-        )
-        init = response_design(problem, cfg.init, seed)
-        return spd_regression_objective(problem), None, init
-    return _load_custom_objective(cfg.objective, seed), None, None
+        return EXPERIMENTS[cfg.experiment].build(cfg, seed)
+    except (ConfigError, ValueError) as exc:
+        raise click.UsageError(str(exc))
 
 
 def _format_float(value: float) -> str:
@@ -348,8 +358,8 @@ def _optimizer_summary(trace: RunTrace, csv_name: str, wall_ms: float) -> dict:
 
 def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
     """Execute one seed into out_dir; returns True when any optimizer aborted."""
+    objective, grad_objective, init_points = build_problem(cfg, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    objective, grad_objective, init_points = _build_objective(cfg, seed)
     bo_cfg = BoConfig(
         n_init=cfg.init,
         n_iters=cfg.iters,
@@ -359,7 +369,7 @@ def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
         init_points=init_points,
     )
     summary: dict = {
-        "config": {**cfg.to_dict(), "seed": seed},
+        "config": {**dataclasses.asdict(cfg), "seed": seed},
         "oracle": {
             "known": objective.oracle_value is not None,
             "value": objective.oracle_value,
@@ -397,50 +407,17 @@ def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
     return aborted
 
 
-_OPTIONS = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="Config file (INI sections mirroring the flags)."),
-    click.option("--experiment", type=click.Choice(EXPERIMENTS), default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--seeds", type=str, default=None,
-                 help="Comma-separated seeds; each runs into seed-<s>/ subdirectories."),
-    click.option("--iters", type=int, default=None, help="Optimization iterations."),
-    click.option("--init", type=int, default=None, help="Initial design size."),
-    click.option("--refit-every", type=int, default=None,
-                 help="Hyperparameter refit cadence (0 disables fitting)."),
-    click.option("--baselines", type=str, default=None,
-                 help="Comma-separated subset of: gd, nelder-mead."),
-    click.option("--out", type=str, default=None, help="Output directory."),
-    click.option("--timings/--no-timings", default=None,
-                 help="Write per-row wall times (breaks byte-reproducibility)."),
-    click.option("--kernel-lengthscale", type=float, default=None),
-    click.option("--kernel-amplitude", type=float, default=None),
-    click.option("--kernel-noise", type=float, default=None),
-    click.option("--latitude", type=float, default=None,
-                 help="frechet-sphere: height of the data circle."),
-    click.option("--n-data", type=int, default=None,
-                 help="frechet-sphere: number of data points."),
-    click.option("--rows", type=int, default=None, help="grassmann-approx: matrix rows."),
-    click.option("--cols", type=int, default=None, help="grassmann-approx: matrix cols."),
-    click.option("--subspace-dim", type=int, default=None,
-                 help="grassmann-approx: target subspace dimension."),
-    click.option("--n-locations", type=int, default=None,
-                 help="spd-regression: number of covariate locations."),
-    click.option("--noise", type=float, default=None,
-                 help="spd-regression: response noise scale."),
-    click.option("--bandwidth", type=float, default=None,
-                 help="spd-regression: kernel bandwidth."),
-    click.option("--query", type=float, default=None,
-                 help="spd-regression: covariate location to estimate."),
-    click.option("--objective", type=str, default=None,
-                 help="custom: module:callable returning an Objective given a seed."),
-]
-
-
 def _with_options(command):
-    for option in reversed(_OPTIONS):
+    for setting in reversed(fields(ExperimentConfig)):
+        meta, flag = setting.metadata, _flag(setting)
+        if meta["kind"] == "bool":
+            option = click.option(f"{flag}/--no-{flag[2:]}", default=None, help=meta["help"])
+        else:
+            kind = click.Choice(meta["choices"]) if meta["choices"] else _CLICK_TYPES[meta["kind"]]
+            option = click.option(flag, type=kind, default=None, help=meta["help"])
         command = option(command)
-    return command
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="Config file (INI sections mirroring the flags).")(command)
 
 
 @click.group()
@@ -462,10 +439,7 @@ def cmd_run(config_path, **flags):
     any_aborted = False
     for seed in seeds:
         out_dir = base_dir if len(seeds) == 1 else base_dir / f"seed-{seed}"
-        try:
-            aborted = _run_single_seed(cfg, seed, out_dir)
-        except ConfigError as exc:
-            raise click.UsageError(str(exc))
+        aborted = _run_single_seed(cfg, seed, out_dir)
         any_aborted |= aborted
         status = "aborted" if aborted else "ok"
         click.echo(f"seed {seed}: {status} -> {out_dir}")
@@ -479,11 +453,10 @@ def cmd_validate(config_path, **flags):
     """Check a configuration without running; print the resolved settings."""
     try:
         cfg = resolve_config(config_path, flags)
-        if cfg.experiment == "custom":
-            _load_custom_objective(cfg.objective, cfg.seed)
     except (ConfigError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    click.echo(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+    build_problem(cfg, cfg.seed)
+    click.echo(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -33,9 +33,6 @@ from .manifolds import (
     Grassmann,
     Spd,
     Sphere,
-    _spd_logm,
-    _sym,
-    _sym_expm,
     embed,
     flatten_ambient,
     project_to_image,
@@ -228,21 +225,6 @@ def svd_oracle(problem: GrassmannApproxProblem) -> tuple[ManifoldPoint, float]:
     return point, float(np.sqrt(np.sum(s[p:] ** 2)))
 
 
-def svd_offset_design(
-    problem: GrassmannApproxProblem, count: int = 6
-) -> tuple[ManifoldPoint, ...]:
-    """Initial frames built by offsetting the optimal frame entrywise by
-    i(-1)^i / 2 and retracting the resulting span back onto the manifold."""
-    u, _, _ = np.linalg.svd(problem.matrix)
-    base = u[:, : problem.p]
-    points = []
-    for i in range(1, count + 1):
-        shifted = base + (i * (-1) ** i) / 2.0
-        projector = shifted @ np.linalg.solve(shifted.T @ shifted, shifted.T)
-        points.append(unembed(problem.kind, projector))
-    return tuple(points)
-
-
 # ---------------------------------------------------------------------------
 # Kernel regression with SPD responses
 
@@ -310,8 +292,8 @@ def generate_spd_regression_data(
     kind = Spd(3)
     responses = []
     for z in covariates:
-        log_val = CURVE_BASE + z * CURVE_DIRECTION + noise * _sym(rng.standard_normal((3, 3)))
-        responses.append(ManifoldPoint(kind, _sym_expm(log_val)))
+        perturbation = noise * project_to_image(kind, rng.standard_normal((3, 3)))
+        responses.append(unembed(kind, CURVE_BASE + z * CURVE_DIRECTION + perturbation))
     return SpdRegressionProblem(
         covariates=covariates,
         responses=tuple(responses),
@@ -350,19 +332,19 @@ def response_design(
 def weighted_mean_oracle(problem: SpdRegressionProblem) -> ManifoldPoint:
     """Closed-form minimizer: the weighted log-Euclidean mean of the responses."""
     w = regression_weights(problem)
-    logs = np.stack([_spd_logm(pt.coords) for pt in problem.responses])
+    logs = np.stack([embed(pt) for pt in problem.responses])
     mean_log = np.einsum("i,ijk->jk", w, logs) / w.sum()
-    return ManifoldPoint(problem.kind, _sym_expm(mean_log))
+    return unembed(problem.kind, mean_log)
 
 
 def spd_regression_objective(problem: SpdRegressionProblem) -> Objective:
     """Locally-weighted sum of squared log-Euclidean distances to the responses."""
     w = regression_weights(problem)
-    logs = np.stack([_spd_logm(pt.coords) for pt in problem.responses])
+    logs = np.stack([embed(pt) for pt in problem.responses])
     oracle_point = weighted_mean_oracle(problem)
 
     def fn(y: ManifoldPoint) -> float:
-        diff = logs - _spd_logm(y.coords)
+        diff = logs - embed(y)
         return float(w @ np.einsum("ijk,ijk->i", diff, diff))
 
     return Objective(

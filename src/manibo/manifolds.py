@@ -11,6 +11,14 @@ steps are computed:
 * ``Spd(p)``: symmetric positive definite p x p matrices, embedded by the
   matrix logarithm (log-Euclidean coordinates) inside Sym(p).
 
+Each kind is one class holding everything that differs between manifolds,
+behind the small protocol that ``ManifoldKind`` declares: point and
+tangency checks, embed / unembed / project-to-image, the stacked tangent
+projection and retraction, the chart check, random coordinates, and the
+flat layout.  Grassmann and Spd share the Sym(k) parts.  The free functions
+below are the public entry points; they validate their arguments and
+delegate to the kind.  Adding a manifold means adding one such class.
+
 Ambient values for the matrix manifolds are full symmetric matrices under
 the Frobenius inner product.  ``flatten_ambient`` / ``unflatten_ambient``
 convert to length-D coordinate vectors with sqrt(2)-scaled off-diagonals,
@@ -67,8 +75,43 @@ class AmbiguousSubspaceError(ManifoldError):
     """Tied eigenvalues make the dominant subspace ill-defined."""
 
 
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+class ManifoldKind:
+    """The protocol every manifold kind implements, on raw arrays that the
+    free functions have already checked for shape and finiteness:
+
+    * ``coords_shape``, ``ambient_shape``, ``ambient_dim``, ``intrinsic_dim``;
+    * ``check_point(coords)`` and ``check_tangent(coords, d, tol)`` raise
+      unless the coordinates, or d at that point, are valid;
+    * ``embed(coords)``; ``unembed(v)``, the coordinates of the image point
+      nearest to v; ``project_to_image(v)``;
+    * ``tangent_project(e, g)`` and ``retract(e, v, t, single)``: a row that
+      cannot be retracted comes back NaN, or raises when ``single``;
+    * ``within_chart(e)``, ``flatten_rows(v)``, ``unflatten_rows(w)``;
+    * ``random_coords(gen)`` and ``exp_map(x, d, t)``.
+
+    The stacked methods (``tangent_project`` through ``unflatten_rows``)
+    accept leading batch axes and compute every row on its own, so a row's
+    bits do not depend on the other rows.  A kind overrides the defaults
+    below where it has an exact or cheaper form.
+    """
+
+    def project_to_image(self, v: np.ndarray) -> np.ndarray:
+        return self.embed(self.unembed(v))
+
+    def within_chart(self, e: np.ndarray) -> np.ndarray:
+        return np.ones(_batch_shape(self, e), dtype=bool)
+
+    def exp_map(self, x: ManifoldPoint, d: np.ndarray, t: float) -> ManifoldPoint:
+        """The projection retraction: the ambient step, back onto the image."""
+        return unembed(self, embed(x) + t * d)
+
+
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(ManifoldKind):
     """Unit sphere S^n embedded in R^{n+1}."""
 
     n: int
@@ -81,9 +124,7 @@ class Sphere:
     def coords_shape(self) -> tuple[int, ...]:
         return (self.n + 1,)
 
-    @property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return (self.n + 1,)
+    ambient_shape = coords_shape
 
     @property
     def ambient_dim(self) -> int:
@@ -93,9 +134,106 @@ class Sphere:
     def intrinsic_dim(self) -> int:
         return self.n
 
+    def check_point(self, coords):
+        norm = np.linalg.norm(coords)
+        if abs(norm - 1.0) > POINT_ATOL:
+            raise InvalidInputError(f"sphere point has norm {norm!r}, expected 1")
+
+    def check_tangent(self, coords, d, tol):
+        if abs(np.dot(coords, d)) > tol:
+            raise InvalidInputError("direction is not tangent to the sphere")
+
+    def embed(self, coords):
+        return np.array(coords)
+
+    def unembed(self, v):
+        norm = np.linalg.norm(v)
+        if norm < DEGENERATE_NORM_TOL:
+            raise DegenerateProjectionError(
+                f"cannot project near-zero vector (norm {norm:g}) to the sphere"
+            )
+        return v / norm
+
+    def tangent_project(self, e, g):
+        return g - np.einsum("...i,...i->...", e, g)[..., None] * e
+
+    def retract(self, e, v, t, single):
+        """The geodesic, computed with numpy's elementwise cos/sin and an
+        einsum norm per row."""
+        speed = ambient_norms(self, v)[:, None]
+        moving = speed[:, 0] >= ZERO_STEP_TOL
+        out = np.array(e)
+        theta = t[moving] * speed[moving]
+        y = np.cos(theta) * e[moving] + np.sin(theta) * (v[moving] / speed[moving])
+        out[moving] = y / ambient_norms(self, y)[:, None]
+        return out
+
+    def exp_map(self, x, d, t):
+        """The geodesic for one point, computed with ``math.cos`` and
+        ``np.linalg.norm``.  It is a second copy of ``retract``'s formula
+        because the two round differently (on about one random S^2 step in
+        five they differ in the last bits), and the gradient-descent
+        baseline and proposal dedup, which step through here, must keep
+        their traces."""
+        speed = float(np.linalg.norm(d))
+        if speed < ZERO_STEP_TOL:
+            return x
+        theta = t * speed
+        y = math.cos(theta) * x.coords + math.sin(theta) * (d / speed)
+        return ManifoldPoint(self, y / np.linalg.norm(y))
+
+    def random_coords(self, gen):
+        v = gen.standard_normal(self.n + 1)
+        while np.linalg.norm(v) < DEGENERATE_NORM_TOL:
+            v = gen.standard_normal(self.n + 1)
+        return v / np.linalg.norm(v)
+
+    def flatten_rows(self, v):
+        return np.array(v, order="C")
+
+    unflatten_rows = flatten_rows
+
+
+class _SymKind(ManifoldKind):
+    """A kind embedded in Sym(k), the symmetric k x k matrices."""
+
+    @property
+    def ambient_dim(self) -> int:
+        k = self.ambient_shape[0]
+        return k * (k + 1) // 2
+
+    def check_tangent(self, coords, d, tol):
+        if np.max(np.abs(d - d.T)) > tol:
+            raise InvalidInputError("direction is not symmetric")
+
+    def flatten_rows(self, v):
+        k = self.ambient_shape[0]
+        upper, lower, factors, _ = _sym_flat_layout(k)
+        entries = v.reshape(v.shape[:-2] + (k * k,))
+        return 0.5 * (entries[..., upper] + entries[..., lower]) * factors
+
+    def unflatten_rows(self, w):
+        _, _, factors, entry = _sym_flat_layout(self.ambient_shape[0])
+        return (w / factors)[..., entry].reshape(w.shape[:-1] + self.ambient_shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_flat_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How a k x k symmetric matrix, read as its k*k entries, maps to flat
+    coordinates: the entries (i, j) and (j, i) of each upper-triangle pair,
+    the flat scale factors, and the flat index of every matrix entry."""
+    rows, cols = np.triu_indices(k)
+    upper, lower = rows * k + cols, cols * k + rows
+    factors = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    entry = np.empty(k * k, dtype=int)
+    entry[upper] = entry[lower] = np.arange(upper.size)
+    for table in (upper, lower, factors, entry):
+        table.setflags(write=False)
+    return upper, lower, factors, entry
+
 
 @dataclass(frozen=True)
-class Grassmann:
+class Grassmann(_SymKind):
     """Subspaces of dimension p in R^n, embedded as projectors in Sym(n)."""
 
     p: int
@@ -116,16 +254,75 @@ class Grassmann:
         return (self.n, self.n)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.n * (self.n + 1) // 2
-
-    @property
     def intrinsic_dim(self) -> int:
         return self.p * (self.n - self.p)
 
+    def check_point(self, coords):
+        if np.max(np.abs(coords.T @ coords - np.eye(self.p))) > POINT_ATOL:
+            raise InvalidInputError("Grassmann frame columns are not orthonormal")
+
+    def check_tangent(self, coords, d, tol):
+        super().check_tangent(coords, d, tol)
+        if np.max(np.abs(d - self.tangent_project(self.embed(coords), d))) > tol:
+            raise InvalidInputError("direction is not in the projector tangent space")
+
+    def embed(self, coords):
+        return coords @ coords.T
+
+    def _top_frames(self, sym_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frames of the dominant p-eigenspaces of a stack of symmetric
+        matrices, and the eigenvalue gap that makes each subspace unique (at
+        least ``EIGENGAP_TOL``) or not.  The stacked ``eigh`` factors each
+        matrix on its own."""
+        w, vecs = np.linalg.eigh(sym_v)
+        gaps = w[..., self.n - self.p] - w[..., self.n - self.p - 1]
+        return vecs[..., self.n - self.p:][..., ::-1], gaps
+
+    def _ambiguous(self, gap: float) -> AmbiguousSubspaceError:
+        return AmbiguousSubspaceError(
+            f"eigenvalue gap {gap:g} below {EIGENGAP_TOL:g}: dominant "
+            f"{self.p}-subspace is not unique"
+        )
+
+    def unembed(self, v):
+        frames, gaps = self._top_frames(_sym(v)[None])
+        if not gaps[0] >= EIGENGAP_TOL:
+            raise self._ambiguous(gaps[0])
+        return frames[0]
+
+    def tangent_project(self, e, g):
+        pg = e @ _sym(g)
+        return pg + np.swapaxes(pg, -1, -2) - 2.0 * (pg @ e)
+
+    def retract(self, e, v, t, single):
+        """The nearest-point retraction: the dominant p-eigenspace of the
+        ambient step."""
+        y = _sym(e + t * v)
+        finite = np.isfinite(y).all(axis=(-2, -1))
+        if single and not finite[0]:
+            raise InvalidInputError("Grassmann step has non-finite entries")
+        if not finite.all():
+            # A non-finite row goes into the stacked eigh as zeros (one NaN
+            # or inf would fail the whole stack); its eigenvalues then tie,
+            # so it comes back NaN like any ambiguous row.
+            y = np.where(finite[:, None, None], y, 0.0)
+        frames, gaps = self._top_frames(y)
+        out = frames @ np.swapaxes(frames, -1, -2)
+        ambiguous = ~(gaps >= EIGENGAP_TOL)
+        if single and ambiguous[0]:
+            raise self._ambiguous(gaps[0])
+        out[ambiguous] = np.nan
+        return out
+
+    def random_coords(self, gen):
+        q, r = np.linalg.qr(gen.standard_normal((self.n, self.p)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        return q * signs
+
 
 @dataclass(frozen=True)
-class Spd:
+class Spd(_SymKind):
     """Symmetric positive definite p x p matrices in log-Euclidean coordinates."""
 
     p: int
@@ -138,24 +335,62 @@ class Spd:
     def coords_shape(self) -> tuple[int, ...]:
         return (self.p, self.p)
 
-    @property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return (self.p, self.p)
+    ambient_shape = coords_shape
+    intrinsic_dim = _SymKind.ambient_dim
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.p * (self.p + 1) // 2
+    def check_point(self, coords):
+        if np.max(np.abs(coords - coords.T)) > POINT_ATOL:
+            raise InvalidInputError("Spd point is not symmetric")
+        eigs = np.linalg.eigvalsh(_sym(coords))
+        if eigs[0] <= 0.0:
+            raise DomainError("Spd point is not positive definite")
+        log_norm = float(np.linalg.norm(np.log(eigs)))
+        # POINT_ATOL of slack absorbs the exp/log round-off of points that
+        # unembed builds right at the bound.
+        if log_norm > SPD_LOG_NORM_MAX + POINT_ATOL:
+            raise DomainError(
+                f"Spd point has log-norm {log_norm:g}, outside the chart "
+                f"(at most {SPD_LOG_NORM_MAX:g})"
+            )
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.p * (self.p + 1) // 2
+    def embed(self, coords):
+        """The matrix logarithm; raises DomainError off the SPD cone."""
+        w, v = np.linalg.eigh(_sym(coords))
+        if w[0] <= 0.0:
+            raise DomainError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
+        return _sym((v * np.log(w)) @ v.T)
 
+    def unembed(self, v):
+        """The matrix exponential, within the chart."""
+        if not self.within_chart(v):
+            raise DomainError(
+                f"log-coordinates of norm {np.linalg.norm(v):g} lie outside the Spd "
+                f"chart (at most {SPD_LOG_NORM_MAX:g})"
+            )
+        w, vecs = np.linalg.eigh(_sym(v))
+        if w[-1] > 700.0:
+            raise InvalidInputError(
+                f"log-coordinate eigenvalue {w[-1]:g} too large to exponentiate"
+            )
+        return _sym((vecs * np.exp(w)) @ vecs.T)
 
-ManifoldKind = Union[Sphere, Grassmann, Spd]
+    def project_to_image(self, v):
+        """The image is all of Sym(p): symmetrization."""
+        return _sym(v)
 
+    def tangent_project(self, e, g):
+        return _sym(g)
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    def retract(self, e, v, t, single):
+        """Exact: the image is linear."""
+        return _sym(e + t * v)
+
+    def within_chart(self, e):
+        return ambient_norms(self, e) <= SPD_LOG_NORM_MAX
+
+    def random_coords(self, gen):
+        """The exponential of a symmetric Gaussian matrix."""
+        return self.unembed(_sym(gen.standard_normal((self.p, self.p))))
 
 
 def _batch_shape(kind: ManifoldKind, a: np.ndarray) -> tuple[int, ...]:
@@ -168,24 +403,6 @@ def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
     does not depend on how many rows are stacked."""
     flat = a.reshape(_batch_shape(kind, a) + (math.prod(kind.ambient_shape),))
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
-
-
-def _sym_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(_sym(a))
-    if w[-1] > 700.0:
-        raise InvalidInputError(
-            f"log-coordinate eigenvalue {w[-1]:g} too large to exponentiate"
-        )
-    return _sym((v * np.exp(w)) @ v.T)
-
-
-def _spd_logm(s: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix; raises DomainError otherwise."""
-    w, v = np.linalg.eigh(_sym(s))
-    if w[0] <= 0.0:
-        raise DomainError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
-    return _sym((v * np.log(w)) @ v.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,29 +427,7 @@ class ManifoldPoint:
             )
         if not np.all(np.isfinite(coords)):
             raise InvalidInputError("coords contain non-finite entries")
-        kind = self.kind
-        if isinstance(kind, Sphere):
-            norm = np.linalg.norm(coords)
-            if abs(norm - 1.0) > POINT_ATOL:
-                raise InvalidInputError(f"sphere point has norm {norm!r}, expected 1")
-        elif isinstance(kind, Grassmann):
-            gram = coords.T @ coords
-            if np.max(np.abs(gram - np.eye(kind.p))) > POINT_ATOL:
-                raise InvalidInputError("Grassmann frame columns are not orthonormal")
-        else:
-            if np.max(np.abs(coords - coords.T)) > POINT_ATOL:
-                raise InvalidInputError("Spd point is not symmetric")
-            eigs = np.linalg.eigvalsh(_sym(coords))
-            if eigs[0] <= 0.0:
-                raise DomainError("Spd point is not positive definite")
-            log_norm = float(np.linalg.norm(np.log(eigs)))
-            # POINT_ATOL of slack absorbs the exp/log round-off of points
-            # that unembed builds right at the bound.
-            if log_norm > SPD_LOG_NORM_MAX + POINT_ATOL:
-                raise DomainError(
-                    f"Spd point has log-norm {log_norm:g}, outside the chart "
-                    f"(at most {SPD_LOG_NORM_MAX:g})"
-                )
+        self.kind.check_point(coords)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -260,22 +455,7 @@ class TangentVector:
         if not np.all(np.isfinite(direction)):
             raise InvalidInputError("direction contains non-finite entries")
         tol = TANGENT_ATOL * max(1.0, float(np.linalg.norm(direction)))
-        if isinstance(kind, Sphere):
-            if abs(np.dot(self.base.coords, direction)) > tol:
-                raise InvalidInputError("direction is not tangent to the sphere")
-        elif isinstance(kind, Grassmann):
-            if np.max(np.abs(direction - direction.T)) > tol:
-                raise InvalidInputError("direction is not symmetric")
-            p_mat = self.base.coords @ self.base.coords.T
-            pg = p_mat @ direction
-            reproj = pg + pg.T - 2.0 * (p_mat @ direction @ p_mat)
-            if np.max(np.abs(direction - reproj)) > tol:
-                raise InvalidInputError(
-                    "direction is not in the projector tangent space"
-                )
-        else:
-            if np.max(np.abs(direction - direction.T)) > tol:
-                raise InvalidInputError("direction is not symmetric")
+        kind.check_tangent(self.base.coords, direction, tol)
         direction.setflags(write=False)
         object.__setattr__(self, "direction", direction)
 
@@ -308,39 +488,7 @@ def embed(x: ManifoldPoint) -> np.ndarray:
     same matrix for every frame spanning the subspace).  Spd: the matrix
     logarithm.
     """
-    kind = x.kind
-    if isinstance(kind, Sphere):
-        return np.array(x.coords)
-    if isinstance(kind, Grassmann):
-        return x.coords @ x.coords.T
-    return _spd_logm(x.coords)
-
-
-def _grassmann_top_frames(
-    kind: Grassmann, sym_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of the dominant p-eigenspaces of a stack of symmetric
-    matrices, and the eigenvalue gap that makes each subspace unique (at
-    least ``EIGENGAP_TOL``) or not.  The stacked ``eigh`` factors each
-    matrix on its own."""
-    w, vecs = np.linalg.eigh(sym_v)
-    gaps = w[..., kind.n - kind.p] - w[..., kind.n - kind.p - 1]
-    return vecs[..., kind.n - kind.p:][..., ::-1], gaps
-
-
-def _grassmann_top_frame(kind: Grassmann, sym_v: np.ndarray) -> np.ndarray:
-    """Frame of the dominant p-eigenspace of a symmetric matrix."""
-    frames, gaps = _grassmann_top_frames(kind, sym_v[None])
-    if not gaps[0] >= EIGENGAP_TOL:
-        raise _ambiguous_subspace(kind, gaps[0])
-    return frames[0]
-
-
-def _ambiguous_subspace(kind: Grassmann, gap: float) -> AmbiguousSubspaceError:
-    return AmbiguousSubspaceError(
-        f"eigenvalue gap {gap:g} below {EIGENGAP_TOL:g}: dominant "
-        f"{kind.p}-subspace is not unique"
-    )
+    return x.kind.embed(x.coords)
 
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
@@ -349,32 +497,14 @@ def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
     This is the retraction used throughout: the ambient value is projected
     to the nearest point of the image and expressed in native coordinates.
     """
-    v = _require_ambient(kind, v)
-    if isinstance(kind, Sphere):
-        norm = np.linalg.norm(v)
-        if norm < DEGENERATE_NORM_TOL:
-            raise DegenerateProjectionError(
-                f"cannot project near-zero vector (norm {norm:g}) to the sphere"
-            )
-        return ManifoldPoint(kind, v / norm)
-    if isinstance(kind, Grassmann):
-        frame = _grassmann_top_frame(kind, _sym(v))
-        return ManifoldPoint(kind, frame)
-    if not within_chart(kind, v):
-        raise DomainError(
-            f"log-coordinates of norm {np.linalg.norm(v):g} lie outside the Spd "
-            f"chart (at most {SPD_LOG_NORM_MAX:g})"
-        )
-    return ManifoldPoint(kind, _sym_expm(v))
+    return ManifoldPoint(kind, kind.unembed(_require_ambient(kind, v)))
 
 
 def within_chart(kind: ManifoldKind, e: np.ndarray) -> np.ndarray:
     """Whether an embedded value lies where ``unembed`` accepts it: always
     for the sphere and the Grassmannian, within ``SPD_LOG_NORM_MAX`` for Spd.
     With leading batch axes on e, one flag per value."""
-    if not isinstance(kind, Spd):
-        return np.ones(_batch_shape(kind, e), dtype=bool)
-    return ambient_norms(kind, e) <= SPD_LOG_NORM_MAX
+    return kind.within_chart(e)
 
 
 def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
@@ -383,18 +513,7 @@ def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     Idempotent.  For Spd the embedded image is all of Sym(p), so this is
     just symmetrization.
     """
-    v = _require_ambient(kind, v)
-    if isinstance(kind, Sphere):
-        norm = np.linalg.norm(v)
-        if norm < DEGENERATE_NORM_TOL:
-            raise DegenerateProjectionError(
-                f"cannot project near-zero vector (norm {norm:g}) to the sphere"
-            )
-        return v / norm
-    if isinstance(kind, Grassmann):
-        frame = _grassmann_top_frame(kind, _sym(v))
-        return frame @ frame.T
-    return _sym(v)
+    return kind.project_to_image(_require_ambient(kind, v))
 
 
 def tangent_project_embedded(
@@ -409,13 +528,7 @@ def tangent_project_embedded(
     BLAS call per row), with the same bits as a single call.
     """
     e, g = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(g, dtype=float)
-    if isinstance(kind, Sphere):
-        return g - np.einsum("...i,...i->...", e, g)[..., None] * e
-    if isinstance(kind, Grassmann):
-        sym_g = _sym(g)
-        pg = e @ sym_g
-        return pg + np.swapaxes(pg, -1, -2) - 2.0 * (pg @ e)
-    return _sym(g)
+    return kind.tangent_project(e, g)
 
 
 def retract_embedded(
@@ -424,37 +537,24 @@ def retract_embedded(
     """Embedded representation of a step from the embedded point e along the
     tangent vector v: the geodesic for the sphere, the nearest-point
     retraction for the matrix manifolds (exact for Spd, whose image is
-    linear).  Equals ``embed(exp_map(x, v, t))`` for x with ``embed(x) = e``.
+    linear).  Equals ``embed(exp_map(x, v, t))`` for x with ``embed(x) = e``
+    up to rounding.
 
     With a leading batch axis on e and v (and t a scalar or one step length
     per row), each row is retracted on its own, with the same bits as a
     single call.  A single Grassmann step whose dominant subspace is not
-    unique raises ``AmbiguousSubspaceError``; in a batch, that row comes
-    back as NaN and the other rows are unaffected.
+    unique raises ``AmbiguousSubspaceError``, and one with non-finite
+    entries raises ``InvalidInputError``; in a batch, such a row comes back
+    as NaN and the other rows are unaffected.
     """
     e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
-    batched = e.ndim > len(kind.ambient_shape)
-    if not batched:
+    single = e.ndim == len(kind.ambient_shape)
+    if single:
         e, v = e[None], v[None]
     t = np.broadcast_to(np.asarray(t, dtype=float), e.shape[:1])
     t = t.reshape(t.shape + (1,) * len(kind.ambient_shape))
-    if isinstance(kind, Sphere):
-        speed = ambient_norms(kind, v)[:, None]
-        moving = speed[:, 0] >= ZERO_STEP_TOL
-        out = np.array(e)
-        theta = t[moving] * speed[moving]
-        y = np.cos(theta) * e[moving] + np.sin(theta) * (v[moving] / speed[moving])
-        out[moving] = y / ambient_norms(kind, y)[:, None]
-    elif isinstance(kind, Grassmann):
-        frames, gaps = _grassmann_top_frames(kind, _sym(e + t * v))
-        out = frames @ np.swapaxes(frames, -1, -2)
-        ambiguous = ~(gaps >= EIGENGAP_TOL)
-        if ambiguous.any() and not batched:
-            raise _ambiguous_subspace(kind, gaps[0])
-        out[ambiguous] = np.nan
-    else:
-        out = _sym(e + t * v)
-    return out if batched else out[0]
+    out = kind.retract(e, v, t, single)
+    return out[0] if single else out
 
 
 def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> TangentVector:
@@ -463,15 +563,8 @@ def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> TangentVector:
     The projection is with respect to the Euclidean / Frobenius inner
     product of the ambient space.
     """
-    kind = x.kind
-    g = _require_ambient(kind, g)
-    if isinstance(kind, Sphere):
-        e = x.coords
-    elif isinstance(kind, Grassmann):
-        e = x.coords @ x.coords.T
-    else:
-        e = None  # Spd projection is plain symmetrization; no base needed.
-    return TangentVector(x, tangent_project_embedded(kind, e, g))
+    g = _require_ambient(x.kind, g)
+    return TangentVector(x, tangent_project_embedded(x.kind, embed(x), g))
 
 
 def exp_map(x: ManifoldPoint, v: TangentVector, t: float = 1.0) -> ManifoldPoint:
@@ -484,15 +577,7 @@ def exp_map(x: ManifoldPoint, v: TangentVector, t: float = 1.0) -> ManifoldPoint
     """
     if v.base.kind != x.kind:
         raise InvalidInputError("tangent vector is based on a different manifold")
-    kind = x.kind
-    if isinstance(kind, Sphere):
-        speed = v.norm
-        if speed < ZERO_STEP_TOL:
-            return x
-        theta = t * speed
-        y = math.cos(theta) * x.coords + math.sin(theta) * (v.direction / speed)
-        return ManifoldPoint(kind, y / np.linalg.norm(y))
-    return unembed(kind, embed(x) + t * v.direction)
+    return x.kind.exp_map(x, v.direction, t)
 
 
 def extrinsic_distance(x: ManifoldPoint, z: ManifoldPoint) -> float:
@@ -508,63 +593,26 @@ def spd_intrinsic_distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
         raise DomainError("log-Euclidean distance requires Spd points")
     if a.kind != b.kind:
         raise DomainError(f"size mismatch: {a.kind} vs {b.kind}")
-    return float(np.linalg.norm(_spd_logm(a.coords) - _spd_logm(b.coords)))
+    return extrinsic_distance(a, b)
 
 
 def random_point(kind: ManifoldKind, rng: Union[int, np.random.Generator]) -> ManifoldPoint:
     """Draw a random point: uniform on the sphere and Grassmannian, and the
     exponential of a symmetric Gaussian matrix for Spd.  Deterministic given
     the seed."""
-    gen = np.random.default_rng(rng)
-    if isinstance(kind, Sphere):
-        v = gen.standard_normal(kind.n + 1)
-        while np.linalg.norm(v) < DEGENERATE_NORM_TOL:
-            v = gen.standard_normal(kind.n + 1)
-        return ManifoldPoint(kind, v / np.linalg.norm(v))
-    if isinstance(kind, Grassmann):
-        a = gen.standard_normal((kind.n, kind.p))
-        q, r = np.linalg.qr(a)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        return ManifoldPoint(kind, q * signs)
-    a = gen.standard_normal((kind.p, kind.p))
-    return ManifoldPoint(kind, _sym_expm(_sym(a)))
-
-
-@functools.lru_cache(maxsize=None)
-def _sym_flat_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """How a k x k symmetric matrix, read as its k*k entries, maps to flat
-    coordinates: the entries (i, j) and (j, i) of each upper-triangle pair,
-    the flat scale factors, and the flat index of every matrix entry."""
-    rows, cols = np.triu_indices(k)
-    upper, lower = rows * k + cols, cols * k + rows
-    factors = np.where(rows == cols, 1.0, math.sqrt(2.0))
-    entry = np.empty(k * k, dtype=int)
-    entry[upper] = entry[lower] = np.arange(upper.size)
-    for table in (upper, lower, factors, entry):
-        table.setflags(write=False)
-    return upper, lower, factors, entry
+    return ManifoldPoint(kind, kind.random_coords(np.random.default_rng(rng)))
 
 
 def flatten_rows(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     """``flatten_ambient`` without validation, for ambient values with
     leading batch axes: one length-D row per value, in C order (``einsum``
     sums in memory order, so the layout decides a row's bits)."""
-    if isinstance(kind, Sphere):
-        return np.array(v, order="C")
-    k = kind.ambient_shape[0]
-    upper, lower, factors, _ = _sym_flat_layout(k)
-    entries = v.reshape(v.shape[:-2] + (k * k,))
-    return 0.5 * (entries[..., upper] + entries[..., lower]) * factors
+    return kind.flatten_rows(v)
 
 
 def unflatten_rows(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
     """Inverse of ``flatten_rows``."""
-    if isinstance(kind, Sphere):
-        return np.array(w, order="C")
-    k = kind.ambient_shape[0]
-    _, _, factors, entry = _sym_flat_layout(k)
-    return (w / factors)[..., entry].reshape(w.shape[:-1] + (k, k))
+    return kind.unflatten_rows(w)
 
 
 def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:

@@ -31,8 +31,6 @@ from manibo.acquisition import (
     _ascent_value,
     _at,
     _into_trust,
-    _log_pi_flat,
-    _log_pi_gradient_flat,
     _pi_flat,
     _pi_gradient_flat,
     _resolve_step,
@@ -166,6 +164,16 @@ class TestPiGradient:
         np.testing.assert_array_equal(pi_gradient_ambient(state, x), np.zeros(3))
 
 
+def _log_pi_at(state, w):
+    """log PI at one flat point, as the ascent computes it: ``_ascent_value``
+    on a 1-row posterior."""
+    return float(_ascent_value(state, _at(state, w))[0])
+
+
+def _log_pi_gradient_at(state, w):
+    return _ascent_gradient(state, _at(state, w))[0]
+
+
 class TestLogPi:
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_gradient_matches_finite_differences(self, kind, rng):
@@ -173,13 +181,13 @@ class TestLogPi:
         state = _state(kind, 5, rng)
         for _ in range(10):
             w = flatten_ambient(kind, embed(random_point(kind, rng)))
-            analytic = _log_pi_gradient_flat(state, w)
+            analytic = _log_pi_gradient_at(state, w)
             numeric = np.zeros_like(w)
             for j in range(w.size):
                 up, down = w.copy(), w.copy()
                 up[j] += h
                 down[j] -= h
-                numeric[j] = (_log_pi_flat(state, up) - _log_pi_flat(state, down)) / (2.0 * h)
+                numeric[j] = (_log_pi_at(state, up) - _log_pi_at(state, down)) / (2.0 * h)
             scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-6)
             assert np.linalg.norm(analytic - numeric) / scale < 1e-5
 
@@ -187,7 +195,7 @@ class TestLogPi:
         state = _state(Sphere(2), 5, rng)
         for _ in range(20):
             w = flatten_ambient(Sphere(2), embed(random_point(Sphere(2), rng)))
-            assert math.exp(_log_pi_flat(state, w)) == pytest.approx(_pi_flat(state, w), rel=1e-12)
+            assert math.exp(_log_pi_at(state, w)) == pytest.approx(_pi_flat(state, w), rel=1e-12)
 
     def test_inverse_mills_ratio(self):
         # Moderate arguments: the direct quotient phi / Phi is accurate.
@@ -213,10 +221,10 @@ class TestLogPi:
         state = AcquisitionState.for_model(model, 1.0)
         arc = [np.array([math.sin(t), 0.0, math.cos(t)]) for t in np.linspace(0.025, 0.3, 12)]
         assert all(_pi_flat(state, w) == 1.0 for w in arc)
-        logs = [_log_pi_flat(state, w) for w in arc]
+        logs = [_log_pi_at(state, w) for w in arc]
         assert all(lo < hi < 0.0 for lo, hi in zip(logs, logs[1:]))
         for w in arc:
-            grad = _log_pi_gradient_flat(state, w)
+            grad = _log_pi_gradient_at(state, w)
             assert np.linalg.norm(tangent_project_embedded(kind, w, grad)) > 0.0
 
 

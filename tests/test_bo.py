@@ -165,6 +165,29 @@ class TestAbort:
         assert [r.iteration for r in trace.records] == [0, 1, 2]
         assert np.isfinite(value)
 
+    def test_proposal_exception_mid_run_aborts_with_trace(self, monkeypatch):
+        # Not a ManifoldError: any exception from the proposal phase keeps
+        # the trace.
+        calls = {"n": 0}
+        maximize = bo.maximize
+
+        def failing_third(state, config):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return maximize(state, config)
+
+        monkeypatch.setattr(bo, "maximize", failing_third)
+        obj = frechet_objective(latitude_circle_problem())
+        _, value, trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
+        assert trace.aborted
+        assert trace.abort_reason == (
+            "proposal failed at iteration 3: LinAlgError: Eigenvalues did not converge"
+        )
+        assert [r.iteration for r in trace.records] == [0, 1, 2]
+        assert trace.final.n_evals == 6
+        assert np.isfinite(value)
+
     def test_failed_refit_aborts_with_trace(self):
         # An overflowing value is finite, but its variance is not: the refit
         # after it cannot size the kernel amplitude.

@@ -284,3 +284,20 @@ class TestValidate:
             ],
         )
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["--experiment", "frechet-sphere", "--latitude", "2"],
+        ["--experiment", "grassmann-approx", "--rows", "7"],
+        ["--experiment", "spd-regression", "--init", "100"],
+        ["--experiment", "spd-regression", "--query", "100"],
+    ],
+)
+def test_setting_the_problem_rejects_is_a_usage_error(runner, tmp_path, command, settings):
+    result = runner.invoke(main, [command, "--seed", "1", "--out", str(tmp_path), *settings])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+    assert not any(tmp_path.iterdir())

@@ -13,6 +13,7 @@ from manibo import (
     Spd,
     SpdRegressionProblem,
     Sphere,
+    embed,
     extrinsic_mean_oracle,
     frechet_objective,
     generate_spd_regression_data,
@@ -22,12 +23,11 @@ from manibo import (
     random_point,
     regression_weights,
     spd_regression_objective,
-    svd_offset_design,
     svd_oracle,
+    unembed,
     weighted_mean_oracle,
 )
 from manibo.experiments import approx_weights
-from manibo.manifolds import _spd_logm, _sym_expm
 
 
 class TestFrechetProblem:
@@ -139,15 +139,6 @@ class TestGrassmannApprox:
         with pytest.raises(InvalidInputError):
             GrassmannApproxProblem(matrix=matrix, p=2)
 
-    def test_offset_design_valid_frames(self):
-        problem = random_approx_problem(3, 6, 2, seed=7)
-        design = svd_offset_design(problem, count=6)
-        assert len(design) == 6
-        for point in design:
-            np.testing.assert_allclose(
-                point.coords.T @ point.coords, np.eye(2), atol=1e-10
-            )
-
 
 class TestSpdRegression:
     def test_identical_responses_minimize_at_zero(self, rng):
@@ -172,7 +163,7 @@ class TestSpdRegression:
             query=0.5,
         )
         oracle = weighted_mean_oracle(problem)
-        midpoint = _sym_expm(0.5 * (_spd_logm(y1.coords) + _spd_logm(y2.coords)))
+        midpoint = unembed(Spd(3), 0.5 * (embed(y1) + embed(y2))).coords
         np.testing.assert_allclose(oracle.coords, midpoint, atol=1e-10)
 
     def test_oracle_minimizes_objective(self, rng):

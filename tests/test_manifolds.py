@@ -494,3 +494,18 @@ class TestStackedGeometry:
             )
         with pytest.raises(AmbiguousSubspaceError):
             retract_embedded(kind, e[1], v[1], 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_row_is_nan_and_spares_the_others(self, rng, bad):
+        # One non-finite entry must not fail the stacked eigh of the rows.
+        kind = Grassmann(2, 5)
+        e, _, v = _stack(kind, rng, 3)
+        v[1, 2, 3] = bad
+        stepped = retract_embedded(kind, e, v, 0.5)
+        assert np.all(np.isnan(stepped[1]))
+        for row in (0, 2):
+            np.testing.assert_array_equal(
+                stepped[row], retract_embedded(kind, e[row], v[row], 0.5)
+            )
+        with pytest.raises(InvalidInputError):
+            retract_embedded(kind, e[1], v[1], 0.5)
