@@ -5,7 +5,9 @@ beats the incumbent: Phi((f_best - mean) / sigma).  It is maximized by
 projected gradient ascent in the embedding space: the analytic ambient
 gradient is projected onto the tangent space of the embedded manifold and
 a step is taken with the manifold's exponential map / retraction, so every
-iterate stays on the manifold.  Multistart makes the search global.
+iterate stays on the manifold.  Multistart makes the search global: the
+starts climb in embedded coordinates, are ranked there on the values their
+ascent reached, and only the winner is mapped back to a manifold point.
 
 The ascent climbs log Phi, which has the same maximizer.  PI rounds to
 exactly 1.0 once the standardized improvement passes about 8.3, so an
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .egp import GpModel, PosteriorRows, posterior_rows
 from .manifolds import (
@@ -33,14 +35,11 @@ from .manifolds import (
     ambient_norms,
     embed,
     flatten_ambient,
-    flatten_rows,
     random_point,
     retract_embedded,
     tangent_project_embedded,
     unembed,
     unflatten_ambient,
-    unflatten_rows,
-    within_chart,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -51,14 +50,6 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # acquisition flattens and the ascent would only crawl toward certainty;
 # ranking the starts needs no more than this relative precision.
 LOG_PI_RTOL = 3e-3
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / SQRT2))
-
-
-def normal_pdf(z: float) -> float:
-    return INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def inverse_mills_ratio(z):
@@ -183,32 +174,22 @@ def _at(state: AcquisitionState, w: np.ndarray) -> PosteriorRows:
     return posterior_rows(state.model, np.asarray(w, dtype=float)[None])
 
 
-def _pi_flat(state: AcquisitionState, w: np.ndarray) -> float:
-    return normal_cdf(float(_improvement(state, _at(state, w))[0][0]))
-
-
-def _pi_gradient_flat(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the acquisition in flat ambient coordinates."""
-    r, dr = _improvement_gradient(state, _at(state, w))
-    density = normal_pdf(float(r[0]))
-    if density == 0.0:
-        return np.zeros_like(dr[0])
-    return density * dr[0]
-
-
 def pi_value(state: AcquisitionState, x: ManifoldPoint) -> float:
     """Probability that the objective at x improves on the incumbent."""
-    return _pi_flat(state, flatten_ambient(x.kind, embed(x)))
+    r, _, _ = _improvement(state, _at(state, flatten_ambient(x.kind, embed(x))))
+    return float(ndtr(r[0]))
 
 
 def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray:
-    """Ambient gradient of the acquisition at the embedding of x.
+    """Ambient gradient of the acquisition at the embedding of x, phi(r)
+    times the gradient of r.
 
     Matches central finite differences of the acquisition in flat ambient
     coordinates; project onto the tangent space before stepping.
     """
-    w = flatten_ambient(x.kind, embed(x))
-    return unflatten_ambient(x.kind, _pi_gradient_flat(state, w))
+    r, dr = _improvement_gradient(state, _at(state, flatten_ambient(x.kind, embed(x))))
+    density = INV_SQRT_2PI * math.exp(-0.5 * float(r[0]) ** 2)
+    return unflatten_ambient(x.kind, density * dr[0])
 
 
 def _within_trust(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
@@ -224,7 +205,7 @@ def _tangents(state: AcquisitionState, e: np.ndarray, post: PosteriorRows) -> np
     gradient of what the ascent climbs, from the posterior there, projected
     onto the tangent space."""
     kind = state.model.data.kind
-    grad = unflatten_rows(kind, _ascent_gradient(state, post))
+    grad = kind.unflatten_rows(_ascent_gradient(state, post))
     return tangent_project_embedded(kind, e, grad)
 
 
@@ -236,10 +217,11 @@ def _resolve_step(state: AcquisitionState, config: AscentConfig) -> float:
 
 def ascend(
     state: AcquisitionState, config: AscentConfig, starts: Sequence[ManifoldPoint]
-) -> list[Optional[tuple[ManifoldPoint, float]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent of the acquisition from every start at
-    once; returns, per start, the last iterate and its PI, or None for a
-    start whose retraction failed.
+    once; returns the last iterate of every start, embedded and stacked
+    along a leading axis, and the value the ascent reached there (``-inf``
+    for a start whose retraction failed).
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set.  All starts
@@ -257,22 +239,20 @@ def ascend(
     ``LOG_PI_RTOL`` of the distance of log PI from 0, or ``max_steps`` is
     reached; every accepted step raises the acquisition, so a result never
     scores below its start.  Every row is computed on its own, so its result
-    does not depend on the other starts.  Raises the last failure when every
-    start fails.
+    does not depend on the other starts.  Raises when every start fails.
     """
     kind = state.model.data.kind
     for x0 in starts:
         if x0.kind != kind:
             raise InvalidInputError(f"start kind {x0.kind} does not match model")
     e = np.stack([embed(x0) for x0 in starts])
-    post = posterior_rows(state.model, flatten_rows(kind, e))
+    post = posterior_rows(state.model, kind.flatten_rows(e))
     acq = _ascent_value(state, post)
     tangent = _tangents(state, e, post)
     step = np.full(len(starts), _resolve_step(state, config))
     n_steps = np.ones(len(starts), dtype=int)  # gradients taken
     rejected = np.zeros(len(starts), dtype=int)  # trials of the current step
     active = ambient_norms(kind, tangent) >= config.grad_tol
-    errors: dict[int, ManifoldError] = {}
     # Each round, every active row tries one step; a row never waits for
     # another's backtracking.
     while True:
@@ -280,14 +260,11 @@ def ascend(
         if rows.size == 0:
             break
         e_cand = retract_embedded(kind, e[rows], tangent[rows], step[rows])
-        w_cand = flatten_rows(kind, e_cand)
+        w_cand = kind.flatten_rows(e_cand)
         failed = np.isnan(w_cand[:, 0])
-        for row in rows[failed]:
-            errors[int(row)] = AmbiguousSubspaceError(
-                f"retraction from start {row} has no unique dominant subspace"
-            )
+        acq[rows[failed]] = -np.inf
         trial = np.flatnonzero(
-            ~failed & within_chart(kind, e_cand) & _within_trust(state, w_cand)
+            ~failed & kind.within_chart(e_cand) & _within_trust(state, w_cand)
         )
         post_cand = posterior_rows(state.model, w_cand[trial])
         acq_cand = _ascent_value(state, post_cand)
@@ -315,20 +292,11 @@ def ascend(
         active[rows] = False
         active[go] = ambient_norms(kind, tangent[go]) >= config.grad_tol
         active[retry] = rejected[retry] <= config.max_backtracks
-    final = posterior_rows(state.model, flatten_rows(kind, e))
-    pi = [normal_cdf(float(r)) for r in _improvement(state, final)[0]]
-    results: list[Optional[tuple[ManifoldPoint, float]]] = []
-    for row in range(len(starts)):
-        point = None
-        if row not in errors:
-            try:
-                point = unembed(kind, e[row])
-            except ManifoldError as exc:
-                errors[row] = exc
-        results.append(None if point is None else (point, pi[row]))
-    if len(errors) == len(starts):
-        raise errors[len(starts) - 1]
-    return results
+    if np.all(acq == -np.inf):
+        raise AmbiguousSubspaceError(
+            "the retraction failed from every start (no unique dominant subspace)"
+        )
+    return e, acq
 
 
 def _into_trust(state: AcquisitionState, x: ManifoldPoint) -> ManifoldPoint:
@@ -349,11 +317,13 @@ def maximize(state: AcquisitionState, config: AscentConfig) -> ManifoldPoint:
     Starts from the best observed point plus ``n_starts - 1`` random points,
     each pulled within the trust radius, and ascends them all in one
     ``ascend`` call; deterministic given the config seed.  Starts are
-    compared on what the ascent climbs (log PI, so candidates whose PI
-    rounds to 1.0 still rank), at the returned points; ties keep the
-    earliest start.  Random-start candidates outside the trust radius (a
-    pulled-in start can land just outside it on a curved manifold) and
-    start-level manifold failures are skipped, unless every start fails.
+    ranked on the values their ascent reached (log PI, so candidates whose
+    PI rounds to 1.0 still rank), at their embedded last iterates; ties
+    keep the earliest start.  A start is skipped if its retraction failed,
+    or if its last iterate lies outside the chart or, unless it is the
+    incumbent's, outside the trust radius (a pulled-in start can land just
+    outside it on a curved manifold); if every start is skipped, this
+    raises.  Only the winner is unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -361,19 +331,21 @@ def maximize(state: AcquisitionState, config: AscentConfig) -> ManifoldPoint:
     numpy/BLAS build), not across builds.
     """
     data = state.model.data
+    kind = data.kind
     incumbent = data.points[int(np.argmin(data.values))]
     rng = np.random.default_rng(config.seed)
     starts = [incumbent]
     for _ in range(config.n_starts - 1):
         try:
-            starts.append(_into_trust(state, random_point(data.kind, rng)))
+            starts.append(_into_trust(state, random_point(kind, rng)))
         except ManifoldError:
             continue
-    results = ascend(state, config, starts)
-    rows = [row for row, result in enumerate(results) if result is not None]
-    w = flatten_rows(data.kind, np.stack([embed(results[row][0]) for row in rows]))
-    eligible = np.flatnonzero(_within_trust(state, w) | (np.asarray(rows) == 0))
-    if eligible.size == 0:
-        raise ManifoldError("every acquisition start failed or left the trust radius")
-    acq = _ascent_value(state, posterior_rows(state.model, w[eligible]))
-    return results[rows[eligible[int(np.argmax(acq))]]][0]
+    e, acq = ascend(state, config, starts)
+    in_trust = _within_trust(state, kind.flatten_rows(e))
+    in_trust[0] = True
+    eligible = np.isfinite(acq) & kind.within_chart(e) & in_trust
+    if not eligible.any():
+        raise ManifoldError(
+            "every acquisition start failed or left the chart or the trust radius"
+        )
+    return unembed(kind, e[int(np.argmax(np.where(eligible, acq, -np.inf)))])

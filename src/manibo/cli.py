@@ -96,7 +96,13 @@ def _custom(cfg: ExperimentConfig, seed: int):
         factory = getattr(module, attr)
     except (ImportError, AttributeError) as exc:
         raise ConfigError(f"cannot load objective {dotted_path!r}: {exc}") from exc
-    objective = factory(seed)
+    try:
+        objective = factory(seed)
+    except Exception as exc:
+        raise ConfigError(
+            f"objective factory {dotted_path!r} failed for seed {seed}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(objective, Objective):
         raise ConfigError(
             f"objective factory {dotted_path!r} did not return an Objective"

@@ -88,9 +88,15 @@ class ManifoldKind:
       unless the coordinates, or d at that point, are valid;
     * ``embed(coords)``; ``unembed(v)``, the coordinates of the image point
       nearest to v; ``project_to_image(v)``;
-    * ``tangent_project(e, g)`` and ``retract(e, v, t, single)``: a row that
-      cannot be retracted comes back NaN, or raises when ``single``;
-    * ``within_chart(e)``, ``flatten_rows(v)``, ``unflatten_rows(w)``;
+    * ``tangent_project(e, g)`` and ``retract(e, v, t, single)``, which gets
+      only finite steps: a row that cannot be retracted comes back NaN, or
+      raises when ``single``;
+    * ``within_chart(e)``, whether an embedded value lies where ``unembed``
+      accepts it;
+    * ``flatten_rows(v)``, ``flatten_ambient`` without validation: one
+      length-D row per ambient value, in C order (``einsum`` sums in memory
+      order, so the layout decides a row's bits), and its inverse
+      ``unflatten_rows(w)``;
     * ``random_coords(gen)`` and ``exp_map(x, d, t)``.
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
@@ -297,16 +303,7 @@ class Grassmann(_SymKind):
     def retract(self, e, v, t, single):
         """The nearest-point retraction: the dominant p-eigenspace of the
         ambient step."""
-        y = _sym(e + t * v)
-        finite = np.isfinite(y).all(axis=(-2, -1))
-        if single and not finite[0]:
-            raise InvalidInputError("Grassmann step has non-finite entries")
-        if not finite.all():
-            # A non-finite row goes into the stacked eigh as zeros (one NaN
-            # or inf would fail the whole stack); its eigenvalues then tie,
-            # so it comes back NaN like any ambiguous row.
-            y = np.where(finite[:, None, None], y, 0.0)
-        frames, gaps = self._top_frames(y)
+        frames, gaps = self._top_frames(_sym(e + t * v))
         out = frames @ np.swapaxes(frames, -1, -2)
         ambiguous = ~(gaps >= EIGENGAP_TOL)
         if single and ambiguous[0]:
@@ -500,13 +497,6 @@ def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
     return ManifoldPoint(kind, kind.unembed(_require_ambient(kind, v)))
 
 
-def within_chart(kind: ManifoldKind, e: np.ndarray) -> np.ndarray:
-    """Whether an embedded value lies where ``unembed`` accepts it: always
-    for the sphere and the Grassmannian, within ``SPD_LOG_NORM_MAX`` for Spd.
-    With leading batch axes on e, one flag per value."""
-    return kind.within_chart(e)
-
-
 def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     """Nearest point of the embedded manifold to an ambient value.
 
@@ -542,10 +532,12 @@ def retract_embedded(
 
     With a leading batch axis on e and v (and t a scalar or one step length
     per row), each row is retracted on its own, with the same bits as a
-    single call.  A single Grassmann step whose dominant subspace is not
-    unique raises ``AmbiguousSubspaceError``, and one with non-finite
-    entries raises ``InvalidInputError``; in a batch, such a row comes back
-    as NaN and the other rows are unaffected.
+    single call.  A step whose ``e + t * v`` has a non-finite entry raises
+    ``InvalidInputError``, on every kind, and a single Grassmann step whose
+    dominant subspace is not unique raises ``AmbiguousSubspaceError``; in a
+    batch, such a row comes back all NaN and the other rows are unaffected
+    (a non-finite row never reaches the kind's retraction, where one NaN
+    would fail a stacked ``eigh``).
     """
     e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
     single = e.ndim == len(kind.ambient_shape)
@@ -553,7 +545,15 @@ def retract_embedded(
         e, v = e[None], v[None]
     t = np.broadcast_to(np.asarray(t, dtype=float), e.shape[:1])
     t = t.reshape(t.shape + (1,) * len(kind.ambient_shape))
-    out = kind.retract(e, v, t, single)
+    finite = np.isfinite(e + t * v)
+    if finite.all():
+        out = kind.retract(e, v, t, single)
+    elif single:
+        raise InvalidInputError("retraction step has non-finite entries")
+    else:
+        rows = finite.reshape(len(e), -1).all(axis=1)
+        out = np.full_like(e, np.nan)
+        out[rows] = kind.retract(e[rows], v[rows], t[rows], single)
     return out[0] if single else out
 
 
@@ -603,18 +603,6 @@ def random_point(kind: ManifoldKind, rng: Union[int, np.random.Generator]) -> Ma
     return ManifoldPoint(kind, kind.random_coords(np.random.default_rng(rng)))
 
 
-def flatten_rows(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
-    """``flatten_ambient`` without validation, for ambient values with
-    leading batch axes: one length-D row per value, in C order (``einsum``
-    sums in memory order, so the layout decides a row's bits)."""
-    return kind.flatten_rows(v)
-
-
-def unflatten_rows(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
-    """Inverse of ``flatten_rows``."""
-    return kind.unflatten_rows(w)
-
-
 def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     """Flatten an ambient value to a length-D vector.
 
@@ -622,7 +610,7 @@ def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     scaled by sqrt(2), making the flat dot product equal to the Frobenius
     inner product.  Sphere values pass through unchanged.
     """
-    return flatten_rows(kind, _require_ambient(kind, v))
+    return kind.flatten_rows(_require_ambient(kind, v))
 
 
 def unflatten_ambient(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
@@ -632,4 +620,4 @@ def unflatten_ambient(kind: ManifoldKind, w: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"flat value has shape {w.shape}, expected ({kind.ambient_dim},)"
         )
-    return unflatten_rows(kind, w)
+    return kind.unflatten_rows(w)

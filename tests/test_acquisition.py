@@ -30,13 +30,11 @@ from manibo.acquisition import (
     _ascent_gradient,
     _ascent_value,
     _at,
+    _improvement,
     _into_trust,
-    _pi_flat,
-    _pi_gradient_flat,
     _resolve_step,
     _within_trust,
     inverse_mills_ratio,
-    normal_cdf,
 )
 from manibo.egp import posterior
 from manibo.manifolds import (
@@ -47,7 +45,6 @@ from manibo.manifolds import (
     tangent_project_embedded,
     unembed,
     unflatten_ambient,
-    within_chart,
 )
 
 from conftest import BATCH_KINDS, FAMILY_KINDS
@@ -61,23 +58,19 @@ def _state(kind, n, rng, params=None, best=None):
     return AcquisitionState.for_model(model, float(values.min()) if best is None else best)
 
 
+def _pi_at(state, w):
+    """PI at one flat point, which need not lie on the embedded image."""
+    return float(ndtr(_improvement(state, _at(state, w))[0][0]))
+
+
 def _fd_gradient(state, w, h=1e-5):
     grad = np.zeros_like(w)
     for j in range(w.size):
         up, down = w.copy(), w.copy()
         up[j] += h
         down[j] -= h
-        grad[j] = (_pi_flat(state, up) - _pi_flat(state, down)) / (2.0 * h)
+        grad[j] = (_pi_at(state, up) - _pi_at(state, down)) / (2.0 * h)
     return grad
-
-
-class TestNormalCdf:
-    def test_zero(self):
-        assert abs(normal_cdf(0.0) - 0.5) < 1e-15
-
-    def test_symmetry(self, rng):
-        for x in rng.uniform(-8.0, 8.0, size=200):
-            assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPiValue:
@@ -124,18 +117,21 @@ class TestPiGradient:
         # it both sides are zero at measurement precision.
         state = _state(kind, 5, rng)
         for _ in range(10):
-            w = flatten_ambient(kind, embed(random_point(kind, rng)))
-            analytic = _pi_gradient_flat(state, w)
-            numeric = _fd_gradient(state, w)
+            x = random_point(kind, rng)
+            analytic = flatten_ambient(kind, pi_gradient_ambient(state, x))
+            numeric = _fd_gradient(state, flatten_ambient(kind, embed(x)))
             scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-6)
             assert np.linalg.norm(analytic - numeric) / scale < 1e-5
 
     def test_ambient_gradient_matches_flat(self, rng):
+        # The chain rule through log PI: grad PI = PI * grad log PI, with the
+        # log-PI gradient the ascent uses in flat coordinates.
         kind = Spd(3)
         state = _state(kind, 4, rng)
         x = random_point(kind, rng)
         ambient = pi_gradient_ambient(state, x)
-        flat = _pi_gradient_flat(state, flatten_ambient(kind, embed(x)))
+        w = flatten_ambient(kind, embed(x))
+        flat = pi_value(state, x) * _log_pi_gradient_at(state, w)
         np.testing.assert_allclose(flatten_ambient(kind, ambient), flat, atol=1e-12)
 
     def test_symmetric_pair_midpoint_is_stationary(self):
@@ -195,7 +191,7 @@ class TestLogPi:
         state = _state(Sphere(2), 5, rng)
         for _ in range(20):
             w = flatten_ambient(Sphere(2), embed(random_point(Sphere(2), rng)))
-            assert math.exp(_log_pi_at(state, w)) == pytest.approx(_pi_flat(state, w), rel=1e-12)
+            assert math.exp(_log_pi_at(state, w)) == pytest.approx(_pi_at(state, w), rel=1e-12)
 
     def test_inverse_mills_ratio(self):
         # Moderate arguments: the direct quotient phi / Phi is accurate.
@@ -220,7 +216,7 @@ class TestLogPi:
         model = GpModel.build(params, GpDataset.from_points([a, b], [1.0, -1.0]))
         state = AcquisitionState.for_model(model, 1.0)
         arc = [np.array([math.sin(t), 0.0, math.cos(t)]) for t in np.linspace(0.025, 0.3, 12)]
-        assert all(_pi_flat(state, w) == 1.0 for w in arc)
+        assert all(_pi_at(state, w) == 1.0 for w in arc)
         logs = [_log_pi_at(state, w) for w in arc]
         assert all(lo < hi < 0.0 for lo, hi in zip(logs, logs[1:]))
         for w in arc:
@@ -258,8 +254,8 @@ class TestAscend:
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
         state = AcquisitionState.for_model(model, 0.4)
-        [(result, _)] = ascend(state, AscentConfig(grad_tol=1e-5), [mid])
-        np.testing.assert_allclose(result.coords, mid.coords, atol=1e-12)
+        e, _ = ascend(state, AscentConfig(grad_tol=1e-5), [mid])
+        np.testing.assert_allclose(e[0], embed(mid), atol=1e-12)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_never_below_start(self, kind, rng):
@@ -267,11 +263,11 @@ class TestAscend:
         config = AscentConfig(seed=0)
         for _ in range(5):
             x0 = random_point(kind, rng)
-            [(result, acq)] = ascend(state, config, [x0])
-            assert acq >= pi_value(state, x0) - 1e-12
-            # Re-embedding the returned native coordinates reconstructs the
-            # iterate to eigensolver precision only.
-            assert acq == pytest.approx(pi_value(state, result), abs=1e-9)
+            e, acq = ascend(state, config, [x0])
+            assert acq[0] >= _log_pi_at(state, flatten_ambient(kind, embed(x0)))
+            # The value is the log PI at the returned embedded iterate, bit
+            # for bit.
+            assert acq[0] == _log_pi_at(state, flatten_ambient(kind, e[0]))
 
     def test_beats_random_probes_single_datum(self, rng):
         # Oracle: dense random probing of the sphere.
@@ -282,12 +278,12 @@ class TestAscend:
         state = AcquisitionState.for_model(model, 1.0)
         start = ManifoldPoint(kind, [1.0, 0.0, 0.0])
         # A quarter-sphere traverse needs more than the default step budget.
-        [(_, acq)] = ascend(state, AscentConfig(max_steps=2000), [start])
+        _, acq = ascend(state, AscentConfig(max_steps=2000), [start])
         probe_rng = np.random.default_rng(11)
         probe_best = max(
             pi_value(state, random_point(kind, probe_rng)) for _ in range(100)
         )
-        assert acq >= probe_best - 1e-3
+        assert math.exp(acq[0]) >= probe_best - 1e-3
 
     def test_projected_gradient_tangency(self, rng):
         kind = Sphere(2)
@@ -309,9 +305,9 @@ class TestMaximize:
         state = _state(kind, 5, rng)
         config = AscentConfig(n_starts=1, seed=3)
         incumbent = state.model.data.points[int(np.argmin(state.model.data.values))]
-        [(expected, _)] = ascend(state, config, [incumbent])
+        e, _ = ascend(state, config, [incumbent])
         result = maximize(state, config)
-        np.testing.assert_array_equal(result.coords, expected.coords)
+        np.testing.assert_array_equal(result.coords, unembed(kind, e[0]).coords)
 
     def test_argmax_over_starts(self, rng):
         kind = Sphere(2)
@@ -321,13 +317,15 @@ class TestMaximize:
         start_rng = np.random.default_rng(config.seed)
         starts = [state.model.data.points[int(np.argmin(state.model.data.values))]]
         starts += [random_point(kind, start_rng) for _ in range(config.n_starts - 1)]
-        best_point, best_acq = None, -np.inf
+        best_e, best_acq = None, -np.inf
         for s in starts:
-            [(candidate, acq)] = ascend(state, config, [s])
-            if acq > best_acq:
-                best_point, best_acq = candidate, acq
+            e, acq = ascend(state, config, [s])
+            if acq[0] > best_acq:
+                best_e, best_acq = e[0], acq[0]
         result = maximize(state, config)
-        np.testing.assert_array_equal(result.coords, best_point.coords)
+        np.testing.assert_array_equal(result.coords, unembed(kind, best_e).coords)
+        e, acq = ascend(state, config, starts)
+        np.testing.assert_array_equal(e[int(np.argmax(acq))], best_e)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_bit_reproducible(self, kind, rng):
@@ -348,6 +346,28 @@ class TestMaximize:
             pi_value(state, random_point(kind, probe_rng)) for _ in range(500)
         )
         assert result_acq >= probe_best - 1e-2
+
+    @pytest.mark.parametrize(
+        "radius, offsets, acq, winner",
+        [
+            # The best-valued row lies outside the trust radius: the next wins.
+            (0.5, [0.0, 0.75, 0.25], [-3.0, -1.0, -2.0], 2),
+            # The best-valued row lies outside the chart: the next wins.
+            (math.inf, [0.0, 25.0, 0.25], [-3.0, -1.0, -2.0], 2),
+            # Row 0, the incumbent's, is eligible wherever it lies.
+            (0.5, [0.75, 0.0, 0.25], [-1.0, -3.0, -2.0], 0),
+        ],
+    )
+    def test_ranks_eligible_rows_only(self, radius, offsets, acq, winner, monkeypatch, rng):
+        kind = Spd(3)
+        base = _state(kind, 5, rng)
+        state = AcquisitionState.for_model(base.model, base.best_value, trust_radius=radius)
+        center = unflatten_ambient(kind, state.trust_center)
+        e = np.stack([center + t * np.diag([1.0, 0.0, 0.0]) for t in offsets])
+        fake = lambda state, config, starts: (e.copy(), np.array(acq))
+        monkeypatch.setattr(acquisition, "ascend", fake)
+        result = maximize(state, AscentConfig(n_starts=3, seed=0))
+        np.testing.assert_array_equal(result.coords, unembed(kind, e[winner]).coords)
 
 
 class TestTrustAndExploit:
@@ -390,7 +410,7 @@ def _reference_ascend(state, config, x0):
         accepted = False
         for _ in range(config.max_backtracks + 1):
             e_cand = retract_embedded(kind, e, tangent, step)
-            if within_chart(kind, e_cand):
+            if kind.within_chart(e_cand):
                 w_cand = flatten_ambient(kind, e_cand)
                 if _within_trust(state, w_cand[None])[0]:
                     acq_cand = _ascent_value(state, _at(state, w_cand))[0]
@@ -405,7 +425,7 @@ def _reference_ascend(state, config, x0):
         if not state.exploit and gain <= LOG_PI_RTOL * -acq:
             break
         step *= 1.5
-    return unembed(kind, e), _pi_flat(state, w)
+    return e, acq
 
 
 class TestBatchedAscent:
@@ -420,20 +440,20 @@ class TestBatchedAscent:
         )
         config = AscentConfig(seed=0)
         starts = [_into_trust(state, random_point(kind, rng)) for _ in range(10)]
-        batch = ascend(state, config, starts)
-        for start, (point, pi) in zip(starts, batch):
-            [(alone, alone_pi)] = ascend(state, config, [start])
-            reference, reference_pi = _reference_ascend(state, config, start)
-            np.testing.assert_array_equal(point.coords, alone.coords)
-            np.testing.assert_array_equal(point.coords, reference.coords)
-            assert pi == alone_pi == reference_pi
+        e, acq = ascend(state, config, starts)
+        for row, start in enumerate(starts):
+            alone, alone_acq = ascend(state, config, [start])
+            reference, reference_acq = _reference_ascend(state, config, start)
+            np.testing.assert_array_equal(e[row], alone[0])
+            np.testing.assert_array_equal(e[row], reference)
+            assert acq[row] == alone_acq[0] == reference_acq
 
     def test_failed_row_leaves_other_rows_unchanged(self, monkeypatch, rng):
         kind = Grassmann(2, 3)
         state = _state(kind, 6, rng)
         config = AscentConfig(seed=0)
         starts = [random_point(kind, rng) for _ in range(5)]
-        clean = ascend(state, config, starts)
+        clean_e, clean_acq = ascend(state, config, starts)
         doomed = embed(starts[2])
         retract = acquisition.retract_embedded
 
@@ -444,11 +464,11 @@ class TestBatchedAscent:
             return out
 
         monkeypatch.setattr(acquisition, "retract_embedded", fail_from_start_2)
-        broken = ascend(state, config, starts)
-        assert broken[2] is None
+        e, acq = ascend(state, config, starts)
+        assert acq[2] == -np.inf
         for row in (0, 1, 3, 4):
-            np.testing.assert_array_equal(broken[row][0].coords, clean[row][0].coords)
-            assert broken[row][1] == clean[row][1]
+            np.testing.assert_array_equal(e[row], clean_e[row])
+            assert acq[row] == clean_acq[row]
 
     def test_every_row_failing_raises(self, monkeypatch, rng):
         kind = Grassmann(2, 3)

@@ -301,3 +301,16 @@ def test_setting_the_problem_rejects_is_a_usage_error(runner, tmp_path, command,
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_failing_objective_factory_is_a_usage_error(runner, tmp_path, command):
+    # json.loads(3) raises TypeError: the factory rejects the seed.
+    result = runner.invoke(
+        main,
+        [command, "--experiment", "custom", "--seed", "3", "--objective", "json:loads",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "TypeError" in result.output
+    assert not any(tmp_path.iterdir())

@@ -29,7 +29,6 @@ from manibo import (
 )
 from manibo import egp
 from manibo.egp import linear_trend, posterior_rows
-from manibo.manifolds import flatten_rows
 
 from conftest import FAMILY_KINDS
 
@@ -244,7 +243,7 @@ def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
     data = _dataset(kind, 7, rng)
     model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), data, linear_trend(data))
     points = [random_point(kind, rng) for _ in range(n_rows)]
-    w = flatten_rows(kind, np.stack([embed(p) for p in points]))
+    w = kind.flatten_rows(np.stack([embed(p) for p in points]))
     stacked = posterior_rows(model, np.asfortranarray(w) if fortran else w)
     grads = stacked.gradients()
     for row in range(n_rows):
