@@ -33,6 +33,7 @@ from .manifolds import (
     InvalidInputError,
     ManifoldKind,
     ManifoldPoint,
+    embed,
     exp_map,
     extrinsic_distance,
     project_to_tangent,
@@ -127,12 +128,21 @@ class RunTrace:
         return self.records[-1]
 
 
+def _data_distances(dataset: GpDataset, x: ManifoldPoint) -> list[float]:
+    """``extrinsic_distance`` from x to each datum, bit for bit, with x
+    embedded once and the data's embeddings read from the dataset."""
+    if x.kind != dataset.kind:
+        raise InvalidInputError(f"kind mismatch: {x.kind} vs {dataset.kind}")
+    ex = embed(x)
+    return [float(np.linalg.norm(ex - a)) for a in dataset.ambient]
+
+
 def local_spacing(dataset: GpDataset, x: ManifoldPoint) -> Optional[float]:
     """Half the distance from x to its nearest datum farther than
     ``DEDUP_TOL``: the data spacing around x, floored at ``2 * DEDUP_TOL``
     so that a step of that size clears a duplicate.  None when every datum
     lies within ``DEDUP_TOL`` of x."""
-    dists = [extrinsic_distance(x, pt) for pt in dataset.points]
+    dists = _data_distances(dataset, x)
     separated = [d for d in dists if d >= DEDUP_TOL]
     return max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else None
 
@@ -149,7 +159,7 @@ def proposal_dedup(
     at that size separates it, the size doubles after every 10 draws."""
 
     def min_dist(candidate: ManifoldPoint) -> float:
-        return min(extrinsic_distance(candidate, pt) for pt in dataset.points)
+        return min(_data_distances(dataset, candidate))
 
     if min_dist(x_next) >= DEDUP_TOL:
         return x_next

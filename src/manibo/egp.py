@@ -14,10 +14,10 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Generator, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .manifolds import (
     InvalidInputError,
@@ -93,13 +93,16 @@ class KernelBounds:
 
 @dataclass(frozen=True, eq=False)
 class GpDataset:
-    """Evaluated points with cached flat embeddings.
+    """Evaluated points with cached embeddings: the ambient values
+    ``embed(pt)``, for distances that keep ``extrinsic_distance``'s bits, and
+    their flat coordinates, for the surrogate.
 
     Immutable; ``append`` returns a new dataset.  All points must share one
     manifold kind and all values must be finite.
     """
 
     points: tuple[ManifoldPoint, ...]
+    ambient: np.ndarray  # (n, *ambient_shape) embed(pt) per point
     embedded: np.ndarray  # (n, D) flat embedding coordinates
     values: np.ndarray  # (n,)
 
@@ -121,17 +124,20 @@ class GpDataset:
         for pt in points[1:]:
             if pt.kind != kind:
                 raise InvalidInputError(f"mixed manifold kinds: {kind} vs {pt.kind}")
-        emb = np.stack([flatten_ambient(kind, embed(pt)) for pt in points])
-        return cls(points=points, embedded=emb, values=values_arr)
+        ambient = [embed(pt) for pt in points]
+        emb = np.stack([flatten_ambient(kind, a) for a in ambient])
+        return cls(points=points, ambient=np.stack(ambient), embedded=emb, values=values_arr)
 
     def append(self, point: ManifoldPoint, value: float) -> "GpDataset":
         if point.kind != self.kind:
             raise InvalidInputError(f"kind mismatch: {self.kind} vs {point.kind}")
         if not math.isfinite(value):
             raise InvalidInputError(f"non-finite value {value!r}")
-        row = flatten_ambient(point.kind, embed(point))[None, :]
+        ambient = embed(point)
+        row = flatten_ambient(point.kind, ambient)[None, :]
         return GpDataset(
             points=self.points + (point,),
+            ambient=np.concatenate([self.ambient, ambient[None]]),
             embedded=np.concatenate([self.embedded, row]),
             values=np.append(self.values, value),
         )
@@ -185,15 +191,22 @@ def _residuals(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
     return data.values - (trend[0] + data.embedded @ trend[1:])
 
 
-def _gram(params: KernelParams, sq_dists: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    k = params.amplitude * np.exp(-sq_dists / (2.0 * params.lengthscale**2))
-    k = 0.5 * (k + k.T)
-    return k + params.noise * eye
+def _grams(
+    params: Sequence[KernelParams], sq_dists: np.ndarray, eye: np.ndarray
+) -> np.ndarray:
+    """Kernel matrices plus noise on the diagonal, one per parameter set,
+    stacked (m, n, n).  Each matrix is formed elementwise from its own
+    scalars, so its bits do not depend on the stack it is built in."""
+    scalars = np.array([(p.amplitude, 2.0 * p.lengthscale**2, p.noise) for p in params])
+    amplitude, two_l2, noise = scalars.T[:, :, None, None]
+    k = amplitude * np.exp(-sq_dists / two_l2)
+    k = 0.5 * (k + k.transpose(0, 2, 1))
+    return k + noise * eye
 
 
 def gram_matrix(params: KernelParams, data: GpDataset) -> np.ndarray:
     """Kernel matrix of the dataset plus noise on the diagonal."""
-    return _gram(params, data.sq_dists, np.eye(len(data)))
+    return _grams([params], data.sq_dists, np.eye(len(data)))[0]
 
 
 def _cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, float]:
@@ -214,6 +227,24 @@ def _cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarra
     raise IllConditionedModelError(
         f"Cholesky failed up to jitter {JITTER_MAX * amplitude:g}"
     )
+
+
+def _solve_chol(chol: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """L^{-1} b, or L^{-T} b with ``transpose``, for a C-ordered lower
+    Cholesky factor L and a vector or matrix b.
+
+    LAPACK's ``dtrtrs`` called exactly as ``scipy.linalg.solve_triangular``
+    calls it (on the F-ordered upper factor L.T), so the bits are the same,
+    without that function's argument validation, most of its cost on these
+    small systems.  Raises LinAlgError on a zero diagonal, as it does."""
+    x, info = dtrtrs(chol.T, b, lower=0, trans=0 if transpose else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,23 +277,21 @@ class GpModel:
     @functools.cached_property
     def alpha(self) -> np.ndarray:
         """(K + noise I)^{-1} (y - prior mean)."""
-        return solve_triangular(
-            self.chol.T, self.whitened, lower=False, check_finite=False
-        )
+        return _solve_chol(self.chol, self.whitened, transpose=True)
 
     @functools.cached_property
     def chol_inv(self) -> np.ndarray:
         """L^{-1}, lower triangular."""
-        eye = np.eye(self.chol.shape[0])
-        return solve_triangular(self.chol, eye, lower=True, check_finite=False)
+        return _solve_chol(self.chol, np.eye(self.chol.shape[0]))
 
     @classmethod
     def build(
         cls, params: KernelParams, data: GpDataset, trend: Optional[np.ndarray] = None
     ) -> "GpModel":
-        residuals = _residuals(data, trend)
-        eye = np.eye(len(data))
-        return _factorized(params, data, residuals, _trend_or_zero(data, trend), eye)
+        factor = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
+        return _factorized(
+            params, data, _residuals(data, trend), _trend_or_zero(data, trend), factor
+        )
 
 
 def _trend_or_zero(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
@@ -274,14 +303,12 @@ def _factorized(
     data: GpDataset,
     residuals: np.ndarray,
     trend: np.ndarray,
-    eye: np.ndarray,
+    factor: tuple[np.ndarray, float],
 ) -> GpModel:
-    """The model for ``params`` from the per-dataset quantities: the
-    residuals about ``trend`` and the identity of the data's size.  Raises
-    IllConditionedModelError when the Gram matrix cannot be factorized."""
-    gram = _gram(params, data.sq_dists, eye)
-    chol, jitter = _cholesky_with_jitter(gram, params.amplitude)
-    whitened = solve_triangular(chol, residuals, lower=True, check_finite=False)
+    """The model for ``params`` from its Gram matrix's factor (L, jitter)
+    and the residuals of the data about ``trend``."""
+    chol, jitter = factor
+    whitened = _solve_chol(chol, residuals)
     return GpModel(
         params=params, data=data, chol=chol, whitened=whitened, jitter=jitter, trend=trend
     )
@@ -366,7 +393,7 @@ def log_marginal_likelihood(model: GpModel) -> float:
     """Gaussian log evidence of the model's data around its prior mean."""
     n = len(model.data)
     data_fit = -0.5 * float(model.whitened @ model.whitened)
-    log_det = float(np.sum(np.log(np.diag(model.chol))))
+    log_det = float(np.log(model.chol.diagonal()).sum())
     return data_fit - log_det - 0.5 * n * math.log(2.0 * math.pi)
 
 
@@ -405,30 +432,52 @@ def default_bounds(data: GpDataset, trend: Optional[np.ndarray] = None) -> Kerne
 
 def _log_evidence(
     data: GpDataset, trend: Optional[np.ndarray]
-) -> Callable[[np.ndarray], Optional[float]]:
-    """The log marginal likelihood as a function of the log-parameters
-    theta, None where the Gram matrix cannot be factorized.
+) -> Callable[[Sequence[np.ndarray]], list[Optional[float]]]:
+    """The log marginal likelihood as a function of a round of log-parameter
+    candidates theta: their scores, None where the Gram matrix cannot be
+    factorized.
 
     The residuals and the identity are computed once, and each distinct
-    theta is scored once: the coordinate search revisits points (the
-    opposite move after an accepted one returns to the old point, and
-    restarts meet), and those revisits read the cache."""
+    theta is scored once: the coordinate search revisits
+    points (the opposite move after an accepted one returns to the old
+    point, and restarts meet), and those revisits read the cache.  A round's
+    distinct uncached candidates are scored together: one stacked Gram
+    matrix and one stacked Cholesky factorization, whose rows equal the
+    single ones bit for bit.  When the stack cannot be factorized, every
+    candidate of the round goes through the jitter escalation on its own.
+    Each factor is whitened by ``_solve_chol`` and scored by
+    ``log_marginal_likelihood``, once per distinct theta."""
     residuals = _residuals(data, trend)
     trend = _trend_or_zero(data, trend)
     eye = np.eye(len(data))
     scores: dict[bytes, Optional[float]] = {}
 
-    def evaluate(theta: np.ndarray) -> Optional[float]:
-        key = theta.tobytes()
-        if key not in scores:
-            params = KernelParams(*np.exp(theta))
-            try:
-                model = _factorized(params, data, residuals, trend, eye)
-            except IllConditionedModelError:
-                scores[key] = None
-            else:
-                scores[key] = log_marginal_likelihood(model)
-        return scores[key]
+    def score(thetas: list[np.ndarray]) -> None:
+        params = [KernelParams(*np.exp(theta)) for theta in thetas]
+        grams = _grams(params, data.sq_dists, eye)
+        try:
+            factors = [(chol, 0.0) for chol in np.linalg.cholesky(grams)]
+        except np.linalg.LinAlgError:
+            factors = []
+            for p, gram in zip(params, grams):
+                try:
+                    factors.append(_cholesky_with_jitter(gram, p.amplitude))
+                except IllConditionedModelError:
+                    factors.append(None)
+        for theta, p, factor in zip(thetas, params, factors):
+            scores[theta.tobytes()] = None if factor is None else log_marginal_likelihood(
+                _factorized(p, data, residuals, trend, factor)
+            )
+
+    def evaluate(thetas: Sequence[np.ndarray]) -> list[Optional[float]]:
+        fresh = {}
+        for theta in thetas:
+            key = theta.tobytes()
+            if key not in scores:
+                fresh.setdefault(key, theta)
+        if fresh:
+            score(list(fresh.values()))
+        return [scores[theta.tobytes()] for theta in thetas]
 
     return evaluate
 
@@ -437,15 +486,19 @@ def _coordinate_search(
     theta0: np.ndarray,
     log_lo: np.ndarray,
     log_hi: np.ndarray,
-    objective: Callable[[np.ndarray], Optional[float]],
     initial_step: float = 0.5,
     min_step: float = 1e-3,
     max_sweeps: int = 60,
-) -> tuple[np.ndarray, float | None]:
-    """Maximize ``objective`` over log-parameters by coordinate moves with
-    shrinking step; returns (theta, value) with value None if nothing evaluated."""
+) -> Generator[np.ndarray, Optional[float], tuple[np.ndarray, Optional[float]]]:
+    """Maximize a score over log-parameters by coordinate moves with
+    shrinking step, accepting each improving move at once.
+
+    A generator: it yields each candidate theta and is sent its score (None
+    where it cannot be scored), so that the caller can score the candidates
+    of several searches together.  It returns (theta, value), with value
+    None if no candidate could be scored."""
     theta = np.clip(theta0, log_lo, log_hi)
-    best = objective(theta)
+    best = yield theta
     step = initial_step
     for _ in range(max_sweeps):
         if step < min_step:
@@ -453,11 +506,13 @@ def _coordinate_search(
         improved = False
         for axis in range(theta.size):
             for sign in (1.0, -1.0):
-                cand = theta.copy()
-                cand[axis] = np.clip(cand[axis] + sign * step, log_lo[axis], log_hi[axis])
-                if cand[axis] == theta[axis]:
+                # Scalar min/max: the bits of np.clip, at a fraction of its cost.
+                moved = min(max(theta[axis] + sign * step, log_lo[axis]), log_hi[axis])
+                if moved == theta[axis]:
                     continue
-                val = objective(cand)
+                cand = theta.copy()
+                cand[axis] = moved
+                val = yield cand
                 if val is not None and (best is None or val > best):
                     theta, best = cand, val
                     improved = True
@@ -477,8 +532,12 @@ def fit_hyperparams(
     """Maximize the log marginal likelihood by multistart coordinate search,
     for the prior mean ``trend`` (zero when None).
 
-    All restarts share one evaluator, which scores each distinct candidate
-    once; no ``GpModel.build`` runs.  Deterministic given the seed.  Raises
+    The restarts advance in lockstep: each round, every live restart
+    proposes its next candidate, and one evaluator scores the round's
+    distinct new candidates together (see ``_log_evidence``); each distinct
+    candidate is scored once, and no ``GpModel.build`` runs.  Each restart
+    keeps its own greedy accept order, so it visits the same candidates as
+    it would alone.  Deterministic given the seed.  Raises
     FittingFailedError when every candidate in every restart fails to
     factorize.
     """
@@ -491,10 +550,19 @@ def fit_hyperparams(
     rng = np.random.default_rng(seed)
     for _ in range(max(0, n_restarts - 1)):
         starts.append(rng.uniform(log_lo, log_hi))
-    objective = _log_evidence(data, trend)
+    evaluate = _log_evidence(data, trend)
+    searches = [_coordinate_search(theta0, log_lo, log_hi) for theta0 in starts]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    results: list = [None] * len(searches)
+    while pending:
+        for i, val in zip(list(pending), evaluate(list(pending.values()))):
+            try:
+                pending[i] = searches[i].send(val)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
     best_theta, best_val = None, None
-    for theta0 in starts:
-        theta, val = _coordinate_search(theta0, log_lo, log_hi, objective)
+    for theta, val in results:
         if val is not None and (best_val is None or val > best_val):
             best_theta, best_val = theta, val
     if best_theta is None:

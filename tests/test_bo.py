@@ -5,13 +5,17 @@ from manibo import (
     BoConfig,
     DomainError,
     GpDataset,
+    Grassmann,
     InvalidInputError,
     ManifoldPoint,
     Objective,
+    Spd,
     Sphere,
+    exp_map,
     extrinsic_distance,
     frechet_objective,
     latitude_circle_problem,
+    project_to_tangent,
     proposal_dedup,
     random_point,
     run,
@@ -279,6 +283,69 @@ class TestLocalSpacing:
         x = ManifoldPoint(KIND, [0.0, 0.0, 1.0])
         data = GpDataset.from_points([x, x], [0.0, 0.0])
         assert local_spacing(data, x) is None
+
+
+def _reference_local_spacing(dataset, x):
+    """``local_spacing`` as it was before the dataset cached its ambient
+    embeddings: one ``extrinsic_distance`` per datum."""
+    dists = [extrinsic_distance(x, pt) for pt in dataset.points]
+    separated = [d for d in dists if d >= DEDUP_TOL]
+    return max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else None
+
+
+def _reference_proposal_dedup(dataset, x_next, rng, step_scale):
+    """``proposal_dedup`` as it was before the dataset cached its ambient
+    embeddings."""
+
+    def min_dist(candidate):
+        return min(extrinsic_distance(candidate, pt) for pt in dataset.points)
+
+    if min_dist(x_next) >= DEDUP_TOL:
+        return x_next
+    candidate = x_next
+    step = step_scale
+    for attempt in range(50):
+        if attempt and attempt % 10 == 0:
+            step *= 2.0
+        direction = rng.standard_normal(x_next.kind.ambient_shape)
+        tangent = project_to_tangent(x_next, direction)
+        if tangent.norm < 1e-12:
+            continue
+        candidate = exp_map(x_next, tangent.scaled(step / tangent.norm), 1.0)
+        if min_dist(candidate) >= DEDUP_TOL:
+            return candidate
+    return candidate
+
+
+class TestCachedDistances:
+    """Distances from the dataset's cached embeddings keep the bits of
+    ``extrinsic_distance``, on datasets built at once and grown by
+    ``append``."""
+
+    @pytest.mark.parametrize("kind", [Sphere(2), Grassmann(2, 5), Spd(3)], ids=str)
+    def test_equal_to_extrinsic_distance(self, kind, rng):
+        points = [random_point(kind, rng) for _ in range(5)]
+        built = GpDataset.from_points(points[:3], np.zeros(3))
+        grown = built.append(points[3], 1.0).append(points[4], 2.0)
+        queries = [random_point(kind, rng) for _ in range(4)] + points
+        for data in (built, grown):
+            for x in queries:
+                got = bo._data_distances(data, x)
+                expected = [extrinsic_distance(x, pt) for pt in data.points]
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
+                assert local_spacing(data, x) == _reference_local_spacing(data, x)
+                for seed in range(2):
+                    moved = proposal_dedup(data, x, np.random.default_rng(seed), 0.05)
+                    reference = _reference_proposal_dedup(
+                        data, x, np.random.default_rng(seed), 0.05
+                    )
+                    assert moved.coords.tobytes() == reference.coords.tobytes()
+                    assert (moved is x) == (reference is x)
+
+    def test_kind_mismatch(self, rng):
+        data = GpDataset.from_points([random_point(KIND, rng)], [0.0])
+        with pytest.raises(InvalidInputError):
+            local_spacing(data, random_point(Spd(3), rng))
 
 
 class TestRefitSchedule:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from manibo import (
     GpDataset,
@@ -514,13 +515,15 @@ class TestFitPinned:
         def recording_evidence(data, trend):
             evaluate = original_evidence(data, trend)
 
-            def recorded(theta):
-                value = evaluate(theta)
-                visits.append((theta.tobytes(), value))
-                return value
+            def recorded(thetas):
+                values = evaluate(thetas)
+                rounds.append(len(thetas))
+                visits.extend(zip((theta.tobytes() for theta in thetas), values))
+                return values
 
             return recorded
 
+        rounds = []
         monkeypatch.setattr(egp, "log_marginal_likelihood", counting_lml)
         monkeypatch.setattr(egp, "_log_evidence", recording_evidence)
         data, trend, init, bounds = _fit_case(kind, True, True, seed=11)
@@ -528,6 +531,64 @@ class TestFitPinned:
         distinct = {key for key, value in visits if value is not None}
         assert len(scored) == len(distinct)
         assert len(visits) > len({key for key, _ in visits})  # revisits happen
+        assert rounds[0] == 5 and max(rounds[1:]) > 1  # the restarts share rounds
+
+    @pytest.mark.parametrize("case", ["factorizable", "jitter", "unfactorizable"])
+    @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
+    def test_round_rows_score_as_alone(self, kind, case, monkeypatch):
+        """A round's scores equal each candidate's score alone, bit for bit,
+        also when one row cannot be factorized at zero jitter, so that the
+        stacked Cholesky raises and every row takes the jitter path."""
+        if case == "unfactorizable":
+            monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
+        data, trend, init, _ = _fit_case(kind, True, True, seed=11)
+        good = np.log([init.lengthscale, init.amplitude, init.noise])
+        thetas = [good, good + [0.3, -0.2, 0.5], good + [-0.4, 0.1, 0.0]]
+        if case != "factorizable":
+            # Three duplicated points and a noise floor far below round-off.
+            thetas.insert(1, good + [0.0, 0.0, -40.0])
+        jitters = _recording_cholesky(monkeypatch)
+        together = egp._log_evidence(data, trend)(thetas)
+        if case == "factorizable":
+            assert jitters == []
+        else:
+            assert len(jitters) == len(thetas)  # the stack raised
+            if case == "unfactorizable":
+                assert jitters[1] is None
+            else:
+                assert jitters[1] > 0.0
+        alone = [egp._log_evidence(data, trend)([theta])[0] for theta in thetas]
+        assert [np.float64(v).tobytes() if v is not None else None for v in together] == [
+            np.float64(v).tobytes() if v is not None else None for v in alone
+        ]
+
+
+class TestSolveChol:
+    """``_solve_chol`` is ``solve_triangular`` without its wrapper."""
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["L", "LT"])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix", "identity"])
+    def test_equals_solve_triangular(self, rhs, transpose, rng):
+        data = _dataset(Spd(3), 12, rng)
+        chol = np.linalg.cholesky(gram_matrix(median_heuristic_params(data), data))
+        b = {
+            "vector": rng.standard_normal(12),
+            "matrix": rng.standard_normal((12, 4)),
+            "identity": np.eye(12),
+        }[rhs]
+        got = egp._solve_chol(chol, b, transpose=transpose)
+        a = chol.T if transpose else chol
+        expected = solve_triangular(a, b, lower=not transpose, check_finite=False)
+        assert got.shape == expected.shape
+        assert got.flags.f_contiguous == expected.flags.f_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["L", "LT"])
+    def test_zero_diagonal_raises(self, transpose, rng):
+        chol = np.tril(rng.standard_normal((6, 6))) + 3.0 * np.eye(6)
+        chol[3, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 3"):
+            egp._solve_chol(chol, rng.standard_normal(6), transpose=transpose)
 
 
 class TestMedianHeuristic:
