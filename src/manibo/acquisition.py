@@ -4,8 +4,8 @@ The acquisition value at x is the posterior probability that the objective
 beats the incumbent: Phi((f_best - mean) / sigma).  It is maximized by
 projected gradient ascent in the embedding space: the analytic ambient
 gradient is projected onto the tangent space of the embedded manifold and
-a step is taken with the manifold's exponential map / retraction, so every
-iterate stays on the manifold.  Multistart makes the search global: the
+a step is taken with the manifold's retraction (``retract_embedded``), so
+every iterate stays on the manifold.  Multistart makes the search global: the
 starts climb in embedded coordinates, are ranked there on the values their
 ascent reached, and only the winner is mapped back to a manifold point.
 

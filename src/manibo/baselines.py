@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .bo import Objective, RunTrace, TraceRecord, _oracle_distance
+from .bo import Objective, RunTrace
 from .manifolds import (
+    InvalidInputError,
     ManifoldError,
     ManifoldPoint,
     embed,
@@ -74,22 +75,11 @@ def riemannian_gd(
     x = x0
     f = float(obj.base.fn(x))
     n_evals = 1
-    trace.records.append(
-        TraceRecord(
-            iteration=0,
-            point=x,
-            value=f,
-            best_value=f,
-            best_point=x,
-            err_to_oracle=_oracle_distance(obj.base, x),
-            wall_ms=(time.perf_counter() - start) * 1e3,
-            n_evals=n_evals,
-        )
-    )
+    trace.record(obj.base, 0, x, f, x, f, n_evals, start)
     for t in range(1, max_iters + 1):
         tick = time.perf_counter()
         tangent = project_to_tangent(x, obj.grad(x))
-        if tangent.norm < tol:
+        if np.linalg.norm(tangent) < tol:
             break
         lam = step
         accepted = False
@@ -104,18 +94,7 @@ def riemannian_gd(
         if not accepted:
             break
         x, f = candidate, f_cand
-        trace.records.append(
-            TraceRecord(
-                iteration=t,
-                point=x,
-                value=f,
-                best_value=f,
-                best_point=x,
-                err_to_oracle=_oracle_distance(obj.base, x),
-                wall_ms=(time.perf_counter() - tick) * 1e3,
-                n_evals=n_evals,
-            )
-        )
+        trace.record(obj.base, t, x, f, x, f, n_evals, tick)
     return x, trace
 
 
@@ -132,14 +111,16 @@ def nelder_mead(
     degenerate count as +inf.  Ties at the worst vertex accept the
     reflection, so a flat objective keeps reflecting until the evaluation
     budget is exhausted.  Stops when the simplex diameter drops below
-    ``tol`` or the budget runs out.
+    ``tol`` or the budget runs out; a budget below 1 raises
+    ``InvalidInputError``.  A failed evaluation is recorded at x0, which is
+    also the best point while no evaluation has succeeded.
     """
+    if max_evals < 1:
+        raise InvalidInputError(f"max_evals must be >= 1, got {max_evals}")
     kind = obj.kind
     dim = kind.ambient_dim
     trace = RunTrace()
-    start = time.perf_counter()
-    best_point: Optional[ManifoldPoint] = None
-    best_value = np.inf
+    best_point, best_value = x0, np.inf
     n_evals = 0
 
     def evaluate(w: np.ndarray) -> float:
@@ -149,23 +130,11 @@ def nelder_mead(
             point = unembed(kind, unflatten_ambient(kind, w))
             value = float(obj.fn(point))
         except ManifoldError:
-            point, value = None, np.inf
+            point, value = x0, np.inf
         n_evals += 1
-        if point is not None and value < best_value:
+        if value < best_value:
             best_point, best_value = point, value
-        record_point = best_point if best_point is not None else x0
-        trace.records.append(
-            TraceRecord(
-                iteration=n_evals,
-                point=point if point is not None else x0,
-                value=value,
-                best_value=best_value,
-                best_point=record_point,
-                err_to_oracle=_oracle_distance(obj, record_point),
-                wall_ms=(time.perf_counter() - tick) * 1e3,
-                n_evals=n_evals,
-            )
-        )
+        trace.record(obj, n_evals, point, value, best_point, best_value, n_evals, tick)
         return value
 
     w0 = flatten_ambient(kind, embed(x0))
@@ -178,7 +147,6 @@ def nelder_mead(
     values = np.array([evaluate(v) for v in simplex[: min(dim + 1, max_evals)]])
     if len(values) < dim + 1:
         # Budget did not even cover the initial simplex.
-        assert best_point is not None
         return best_point, trace
 
     def diameter() -> float:
@@ -212,5 +180,4 @@ def nelder_mead(
                         break
                     simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
                     values[i] = evaluate(simplex[i])
-    assert best_point is not None
     return best_point, trace

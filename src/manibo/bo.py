@@ -36,6 +36,7 @@ from .manifolds import (
     embed,
     exp_map,
     extrinsic_distance,
+    flatten_ambient,
     project_to_tangent,
     random_point,
 )
@@ -96,6 +97,8 @@ class BoConfig:
             raise InvalidInputError(f"n_iters must be >= 0, got {self.n_iters}")
         if self.refit_every < 0:
             raise InvalidInputError(f"refit_every must be >= 0, got {self.refit_every}")
+        if self.init_points is not None and len(self.init_points) == 0:
+            raise InvalidInputError("init_points must hold at least one point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +123,36 @@ class RunTrace:
     aborted: bool = False
     abort_reason: Optional[str] = None
 
+    def record(
+        self,
+        obj: Objective,
+        iteration: int,
+        point: ManifoldPoint,
+        value: float,
+        best_point: ManifoldPoint,
+        best_value: float,
+        n_evals: int,
+        since: float,
+    ) -> None:
+        """Append the state after an evaluation batch that began at
+        ``time.perf_counter()`` reading ``since``, with the incumbent's
+        distance to the objective's oracle point when it has one."""
+        err = None
+        if obj.oracle_point is not None:
+            err = extrinsic_distance(best_point, obj.oracle_point)
+        self.records.append(
+            TraceRecord(
+                iteration=iteration,
+                point=point,
+                value=value,
+                best_value=best_value,
+                best_point=best_point,
+                err_to_oracle=err,
+                wall_ms=(time.perf_counter() - since) * 1e3,
+                n_evals=n_evals,
+            )
+        )
+
     def best_values(self) -> np.ndarray:
         return np.array([rec.best_value for rec in self.records])
 
@@ -128,13 +161,13 @@ class RunTrace:
         return self.records[-1]
 
 
-def _data_distances(dataset: GpDataset, x: ManifoldPoint) -> list[float]:
-    """``extrinsic_distance`` from x to each datum, bit for bit, with x
-    embedded once and the data's embeddings read from the dataset."""
+def _data_distances(dataset: GpDataset, x: ManifoldPoint) -> np.ndarray:
+    """Embedded distance from x to each datum, from x's flat coordinates and
+    the dataset's flat rows (the flat norm is the Frobenius norm)."""
     if x.kind != dataset.kind:
         raise InvalidInputError(f"kind mismatch: {x.kind} vs {dataset.kind}")
-    ex = embed(x)
-    return [float(np.linalg.norm(ex - a)) for a in dataset.ambient]
+    w = flatten_ambient(x.kind, embed(x))
+    return np.linalg.norm(dataset.embedded - w, axis=1)
 
 
 def local_spacing(dataset: GpDataset, x: ManifoldPoint) -> Optional[float]:
@@ -143,8 +176,8 @@ def local_spacing(dataset: GpDataset, x: ManifoldPoint) -> Optional[float]:
     so that a step of that size clears a duplicate.  None when every datum
     lies within ``DEDUP_TOL`` of x."""
     dists = _data_distances(dataset, x)
-    separated = [d for d in dists if d >= DEDUP_TOL]
-    return max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else None
+    separated = dists[dists >= DEDUP_TOL]
+    return max(0.5 * float(separated.min()), 2.0 * DEDUP_TOL) if separated.size else None
 
 
 def proposal_dedup(
@@ -159,7 +192,7 @@ def proposal_dedup(
     at that size separates it, the size doubles after every 10 draws."""
 
     def min_dist(candidate: ManifoldPoint) -> float:
-        return min(_data_distances(dataset, candidate))
+        return float(_data_distances(dataset, candidate).min())
 
     if min_dist(x_next) >= DEDUP_TOL:
         return x_next
@@ -170,20 +203,15 @@ def proposal_dedup(
             step *= 2.0
         direction = rng.standard_normal(x_next.kind.ambient_shape)
         tangent = project_to_tangent(x_next, direction)
-        if tangent.norm < 1e-12:
+        norm = float(np.linalg.norm(tangent))
+        if norm < 1e-12:
             continue
-        candidate = exp_map(x_next, tangent.scaled(step / tangent.norm), 1.0)
+        candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
         if min_dist(candidate) >= DEDUP_TOL:
             logger.debug("perturbed duplicate proposal by %.3g", step)
             return candidate
     logger.warning("could not separate duplicate proposal after 50 perturbations")
     return candidate
-
-
-def _oracle_distance(obj: Objective, x: ManifoldPoint) -> Optional[float]:
-    if obj.oracle_point is None:
-        return None
-    return extrinsic_distance(x, obj.oracle_point)
 
 
 def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
@@ -229,17 +257,8 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     best_idx = int(np.argmin(values))
     best_point, best_value = points[best_idx], values[best_idx]
     dataset = GpDataset.from_points(points, values)
-    trace.records.append(
-        TraceRecord(
-            iteration=0,
-            point=best_point,
-            value=best_value,
-            best_value=best_value,
-            best_point=best_point,
-            err_to_oracle=_oracle_distance(obj, best_point),
-            wall_ms=(time.perf_counter() - start) * 1e3,
-            n_evals=len(points),
-        )
+    trace.record(
+        obj, 0, best_point, best_value, best_point, best_value, len(points), start
     )
     if trace.aborted:
         return best_point, best_value, trace
@@ -333,18 +352,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                     params = refit(params)
             except Exception as exc:  # any failure here keeps the trace
                 failure = exc
-        trace.records.append(
-            TraceRecord(
-                iteration=s,
-                point=x_next,
-                value=y,
-                best_value=best_value,
-                best_point=best_point,
-                err_to_oracle=_oracle_distance(obj, best_point),
-                wall_ms=(time.perf_counter() - tick) * 1e3,
-                n_evals=len(dataset),
-            )
-        )
+        trace.record(obj, s, x_next, y, best_point, best_value, len(dataset), tick)
         if failure is not None:
             abort("surrogate update failed", s, failure)
             break

@@ -93,16 +93,13 @@ class KernelBounds:
 
 @dataclass(frozen=True, eq=False)
 class GpDataset:
-    """Evaluated points with cached embeddings: the ambient values
-    ``embed(pt)``, for distances that keep ``extrinsic_distance``'s bits, and
-    their flat coordinates, for the surrogate.
+    """Evaluated points with their cached flat embedding coordinates.
 
     Immutable; ``append`` returns a new dataset.  All points must share one
     manifold kind and all values must be finite.
     """
 
     points: tuple[ManifoldPoint, ...]
-    ambient: np.ndarray  # (n, *ambient_shape) embed(pt) per point
     embedded: np.ndarray  # (n, D) flat embedding coordinates
     values: np.ndarray  # (n,)
 
@@ -124,20 +121,17 @@ class GpDataset:
         for pt in points[1:]:
             if pt.kind != kind:
                 raise InvalidInputError(f"mixed manifold kinds: {kind} vs {pt.kind}")
-        ambient = [embed(pt) for pt in points]
-        emb = np.stack([flatten_ambient(kind, a) for a in ambient])
-        return cls(points=points, ambient=np.stack(ambient), embedded=emb, values=values_arr)
+        emb = np.stack([flatten_ambient(kind, embed(pt)) for pt in points])
+        return cls(points=points, embedded=emb, values=values_arr)
 
     def append(self, point: ManifoldPoint, value: float) -> "GpDataset":
         if point.kind != self.kind:
             raise InvalidInputError(f"kind mismatch: {self.kind} vs {point.kind}")
         if not math.isfinite(value):
             raise InvalidInputError(f"non-finite value {value!r}")
-        ambient = embed(point)
-        row = flatten_ambient(point.kind, ambient)[None, :]
+        row = flatten_ambient(point.kind, embed(point))[None, :]
         return GpDataset(
             points=self.points + (point,),
-            ambient=np.concatenate([self.ambient, ambient[None]]),
             embedded=np.concatenate([self.embedded, row]),
             values=np.append(self.values, value),
         )

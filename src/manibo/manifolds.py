@@ -97,7 +97,7 @@ class ManifoldKind:
       length-D row per ambient value, in C order (``einsum`` sums in memory
       order, so the layout decides a row's bits), and its inverse
       ``unflatten_rows(w)``;
-    * ``random_coords(gen)`` and ``exp_map(x, d, t)``.
+    * ``random_coords(gen)``.
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
@@ -110,10 +110,6 @@ class ManifoldKind:
 
     def within_chart(self, e: np.ndarray) -> np.ndarray:
         return np.ones(_batch_shape(self, e), dtype=bool)
-
-    def exp_map(self, x: ManifoldPoint, d: np.ndarray, t: float) -> ManifoldPoint:
-        """The projection retraction: the ambient step, back onto the image."""
-        return unembed(self, embed(x) + t * d)
 
 
 @dataclass(frozen=True)
@@ -173,20 +169,6 @@ class Sphere(ManifoldKind):
         y = np.cos(theta) * e[moving] + np.sin(theta) * (v[moving] / speed[moving])
         out[moving] = y / ambient_norms(self, y)[:, None]
         return out
-
-    def exp_map(self, x, d, t):
-        """The geodesic for one point, computed with ``math.cos`` and
-        ``np.linalg.norm``.  It is a second copy of ``retract``'s formula
-        because the two round differently (on about one random S^2 step in
-        five they differ in the last bits), and the gradient-descent
-        baseline and proposal dedup, which step through here, must keep
-        their traces."""
-        speed = float(np.linalg.norm(d))
-        if speed < ZERO_STEP_TOL:
-            return x
-        theta = t * speed
-        y = math.cos(theta) * x.coords + math.sin(theta) * (d / speed)
-        return ManifoldPoint(self, y / np.linalg.norm(y))
 
     def random_coords(self, gen):
         v = gen.standard_normal(self.n + 1)
@@ -429,44 +411,6 @@ class ManifoldPoint:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """An ambient vector lying in the tangent space of the embedded manifold.
-
-    Construction checks tangency at the base point: orthogonality to the
-    sphere point, membership in the projector-manifold tangent space for
-    Grassmann, symmetry for Spd.
-    """
-
-    base: ManifoldPoint
-    direction: np.ndarray
-
-    def __post_init__(self):
-        direction = np.array(self.direction, dtype=float)
-        kind = self.base.kind
-        if direction.shape != kind.ambient_shape:
-            raise InvalidInputError(
-                f"direction shape {direction.shape} does not match ambient shape "
-                f"{kind.ambient_shape}"
-            )
-        if not np.all(np.isfinite(direction)):
-            raise InvalidInputError("direction contains non-finite entries")
-        tol = TANGENT_ATOL * max(1.0, float(np.linalg.norm(direction)))
-        kind.check_tangent(self.base.coords, direction, tol)
-        direction.setflags(write=False)
-        object.__setattr__(self, "direction", direction)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.direction))
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.direction)
-
-    def scaled(self, factor: float) -> "TangentVector":
-        return TangentVector(self.base, factor * self.direction)
-
-
 def _require_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != kind.ambient_shape:
@@ -489,11 +433,8 @@ def embed(x: ManifoldPoint) -> np.ndarray:
 
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
-    """Map an ambient value (near the embedded manifold) back to a point.
-
-    This is the retraction used throughout: the ambient value is projected
-    to the nearest point of the image and expressed in native coordinates.
-    """
+    """Map an ambient value (near the embedded manifold) back to a point:
+    the nearest point of the image, in native coordinates."""
     return ManifoldPoint(kind, kind.unembed(_require_ambient(kind, v)))
 
 
@@ -527,8 +468,8 @@ def retract_embedded(
     """Embedded representation of a step from the embedded point e along the
     tangent vector v: the geodesic for the sphere, the nearest-point
     retraction for the matrix manifolds (exact for Spd, whose image is
-    linear).  Equals ``embed(exp_map(x, v, t))`` for x with ``embed(x) = e``
-    up to rounding.
+    linear).  This is the one step every optimizer takes; ``exp_map`` is
+    the same step on manifold points.
 
     With a leading batch axis on e and v (and t a scalar or one step length
     per row), each row is retracted on its own, with the same bits as a
@@ -557,27 +498,31 @@ def retract_embedded(
     return out[0] if single else out
 
 
-def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> TangentVector:
+def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> np.ndarray:
     """Orthogonal projection of an ambient vector onto the tangent space at x.
 
     The projection is with respect to the Euclidean / Frobenius inner
     product of the ambient space.
     """
     g = _require_ambient(x.kind, g)
-    return TangentVector(x, tangent_project_embedded(x.kind, embed(x), g))
+    return tangent_project_embedded(x.kind, embed(x), g)
 
 
-def exp_map(x: ManifoldPoint, v: TangentVector, t: float = 1.0) -> ManifoldPoint:
-    """Step from x along the tangent vector v, scaled by t.
+def exp_map(x: ManifoldPoint, d: np.ndarray, t: float = 1.0) -> ManifoldPoint:
+    """Step from x along the tangent direction d, scaled by t: the kind's
+    retraction (``retract_embedded``) from ``embed(x)``, unembedded.
 
-    The sphere uses the exact closed-form geodesic.  Grassmann and Spd use
+    The sphere steps along the closed-form geodesic.  Grassmann and Spd use
     the projection retraction: take the ambient step and project back to the
     image, which agrees with the geodesic to first order.  For Spd the image
-    is linear, so the retraction is exact.
+    is linear, so the retraction is exact.  Raises ``InvalidInputError``
+    unless d has the ambient shape, is finite and is tangent at x (to
+    ``TANGENT_ATOL`` times ``max(1, |d|)``).
     """
-    if v.base.kind != x.kind:
-        raise InvalidInputError("tangent vector is based on a different manifold")
-    return x.kind.exp_map(x, v.direction, t)
+    kind = x.kind
+    d = _require_ambient(kind, d)
+    kind.check_tangent(x.coords, d, TANGENT_ATOL * max(1.0, float(np.linalg.norm(d))))
+    return unembed(kind, retract_embedded(kind, embed(x), d, t))
 
 
 def extrinsic_distance(x: ManifoldPoint, z: ManifoldPoint) -> float:

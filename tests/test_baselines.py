@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from manibo import (
     GradObjective,
+    InvalidInputError,
     ManifoldPoint,
     Objective,
     Sphere,
@@ -56,7 +58,7 @@ class TestGradientObjective:
                     gobj.base.fn(unembed(kind, unflatten_ambient(kind, up)))
                     - gobj.base.fn(unembed(kind, unflatten_ambient(kind, down)))
                 ) / (2.0 * h)
-            tangential = project_to_tangent(x, gobj.grad(x)).direction
+            tangential = project_to_tangent(x, gobj.grad(x))
             scale = max(np.linalg.norm(tangential), 1e-8)
             assert np.linalg.norm(tangential - fd) / scale < 1e-5
 
@@ -156,3 +158,25 @@ class TestNelderMead:
         x0 = ManifoldPoint(kind, [0.0, 1.0])
         _, trace = nelder_mead(obj, x0, max_evals=100000, tol=1e-6)
         assert trace.final.n_evals < 100000
+
+    @pytest.mark.parametrize("max_evals", [0, -3])
+    def test_rejects_budget_below_one_before_evaluating(self, rng, max_evals):
+        calls = []
+        obj = Objective(kind=Sphere(2), fn=lambda x: calls.append(x) or 0.0)
+        with pytest.raises(InvalidInputError):
+            nelder_mead(obj, random_point(obj.kind, rng), max_evals=max_evals)
+        assert calls == []
+
+    def test_every_evaluation_failing_returns_x0(self, rng):
+        # A failed evaluation counts as +inf and is recorded at x0, which
+        # stays the best point when nothing succeeds.
+        kind = Sphere(2)
+
+        def failing(x):
+            raise InvalidInputError("outside the objective's domain")
+
+        x0 = random_point(kind, rng)
+        result, trace = nelder_mead(Objective(kind=kind, fn=failing), x0, max_evals=2)
+        assert result is x0
+        assert [rec.best_point for rec in trace.records] == [x0, x0]
+        assert all(rec.value == math.inf for rec in trace.records)

@@ -11,8 +11,10 @@ from manibo import (
     Objective,
     Spd,
     Sphere,
+    embed,
     exp_map,
     extrinsic_distance,
+    flatten_ambient,
     frechet_objective,
     latitude_circle_problem,
     project_to_tangent,
@@ -285,20 +287,25 @@ class TestLocalSpacing:
         assert local_spacing(data, x) is None
 
 
+def _flat_row_distances(dataset, x):
+    """The distance from x to each datum on flat embedding coordinates, one
+    row at a time: x's flat row against each of the dataset's rows."""
+    w = flatten_ambient(x.kind, embed(x))
+    return [float(np.sqrt(np.sum((w - row) * (w - row)))) for row in dataset.embedded]
+
+
 def _reference_local_spacing(dataset, x):
-    """``local_spacing`` as it was before the dataset cached its ambient
-    embeddings: one ``extrinsic_distance`` per datum."""
-    dists = [extrinsic_distance(x, pt) for pt in dataset.points]
+    """``local_spacing`` written out on ``_flat_row_distances``."""
+    dists = _flat_row_distances(dataset, x)
     separated = [d for d in dists if d >= DEDUP_TOL]
     return max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else None
 
 
 def _reference_proposal_dedup(dataset, x_next, rng, step_scale):
-    """``proposal_dedup`` as it was before the dataset cached its ambient
-    embeddings."""
+    """``proposal_dedup`` written out on ``_flat_row_distances``."""
 
     def min_dist(candidate):
-        return min(extrinsic_distance(candidate, pt) for pt in dataset.points)
+        return min(_flat_row_distances(dataset, candidate))
 
     if min_dist(x_next) >= DEDUP_TOL:
         return x_next
@@ -309,18 +316,19 @@ def _reference_proposal_dedup(dataset, x_next, rng, step_scale):
             step *= 2.0
         direction = rng.standard_normal(x_next.kind.ambient_shape)
         tangent = project_to_tangent(x_next, direction)
-        if tangent.norm < 1e-12:
+        norm = np.linalg.norm(tangent)
+        if norm < 1e-12:
             continue
-        candidate = exp_map(x_next, tangent.scaled(step / tangent.norm), 1.0)
+        candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
         if min_dist(candidate) >= DEDUP_TOL:
             return candidate
     return candidate
 
 
 class TestCachedDistances:
-    """Distances from the dataset's cached embeddings keep the bits of
-    ``extrinsic_distance``, on datasets built at once and grown by
-    ``append``."""
+    """Distances from the dataset's flat rows keep the bits of a row-at-a-time
+    flat-row reference and agree with ``extrinsic_distance`` to 1e-12
+    relative, on datasets built at once and grown by ``append``."""
 
     @pytest.mark.parametrize("kind", [Sphere(2), Grassmann(2, 5), Spd(3)], ids=str)
     def test_equal_to_extrinsic_distance(self, kind, rng):
@@ -331,8 +339,10 @@ class TestCachedDistances:
         for data in (built, grown):
             for x in queries:
                 got = bo._data_distances(data, x)
-                expected = [extrinsic_distance(x, pt) for pt in data.points]
+                expected = _flat_row_distances(data, x)
                 assert np.array(got).tobytes() == np.array(expected).tobytes()
+                exact = [extrinsic_distance(x, pt) for pt in data.points]
+                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
                 assert local_spacing(data, x) == _reference_local_spacing(data, x)
                 for seed in range(2):
                     moved = proposal_dedup(data, x, np.random.default_rng(seed), 0.05)
@@ -364,6 +374,20 @@ class TestRefitSchedule:
         assert fits == [4, 9]  # the initial design, and after iteration 5
 
 
+class TestRunTrace:
+    def test_record_measures_the_incumbent_against_the_oracle(self, rng):
+        x, best, oracle = (random_point(KIND, rng) for _ in range(3))
+        trace = bo.RunTrace()
+        trace.record(Objective(kind=KIND, fn=float), 0, x, 2.0, best, 1.0, 4, 0.0)
+        with_oracle = Objective(kind=KIND, fn=float, oracle_point=oracle)
+        trace.record(with_oracle, 1, x, 2.0, best, 1.0, 5, 0.0)
+        first, second = trace.records
+        assert (first.iteration, first.point, first.value) == (0, x, 2.0)
+        assert (first.best_point, first.best_value, first.n_evals) == (best, 1.0, 4)
+        assert first.err_to_oracle is None
+        assert second.err_to_oracle == extrinsic_distance(best, oracle)
+
+
 class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(InvalidInputError):
@@ -372,3 +396,5 @@ class TestConfigValidation:
             BoConfig(n_iters=-1)
         with pytest.raises(InvalidInputError):
             BoConfig(refit_every=-2)
+        with pytest.raises(InvalidInputError):
+            BoConfig(init_points=())

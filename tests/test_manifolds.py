@@ -14,7 +14,6 @@ from manibo import (
     ManifoldPoint,
     Spd,
     Sphere,
-    TangentVector,
     embed,
     exp_map,
     extrinsic_distance,
@@ -28,6 +27,7 @@ from manibo import (
 )
 from manibo.manifolds import (
     SPD_LOG_NORM_MAX,
+    TANGENT_ATOL,
     retract_embedded,
     tangent_project_embedded,
 )
@@ -78,15 +78,6 @@ class TestPointValidation:
         point = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             point.coords[0] = 1.0
-
-    def test_tangent_vector_must_be_tangent(self):
-        north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
-        with pytest.raises(InvalidInputError):
-            TangentVector(north, np.array([0.0, 0.0, 1.0]))
-        eye = ManifoldPoint(Spd(2), np.eye(2))
-        with pytest.raises(InvalidInputError):
-            TangentVector(eye, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        TangentVector(north, np.array([1.0, 2.0, 0.0]))  # tangent: accepted
 
 
 class TestEmbed:
@@ -246,19 +237,19 @@ class TestProjectToTangent:
     def test_sphere_removes_normal_component(self):
         x = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
         tangent = project_to_tangent(x, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(tangent.direction, [1.0, 2.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(tangent, [1.0, 2.0, 0.0], atol=1e-14)
 
     def test_sphere_purely_normal(self):
         x = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
         tangent = project_to_tangent(x, np.array([0.0, 0.0, 5.0]))
-        np.testing.assert_allclose(tangent.direction, np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(tangent, np.zeros(3), atol=1e-14)
 
     def test_grassmann_identity_projects_to_zero(self, rng):
         # The identity matrix commutes with the projector, so its tangent
         # component vanishes; confirmed against the finite-difference basis.
         x = ManifoldPoint(Grassmann(1, 2), [[1.0], [0.0]])
         tangent = project_to_tangent(x, np.eye(2))
-        np.testing.assert_allclose(tangent.direction, np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(tangent, np.zeros((2, 2)), atol=1e-12)
         for u in _fd_tangent_basis(Grassmann(1, 2), x, rng):
             assert abs(np.sum(np.eye(2) * u)) < 1e-6
 
@@ -268,8 +259,8 @@ class TestProjectToTangent:
             x = random_point(kind, rng)
             g = rng.standard_normal(kind.ambient_shape)
             once = project_to_tangent(x, g)
-            twice = project_to_tangent(x, once.direction)
-            np.testing.assert_allclose(twice.direction, once.direction, atol=1e-10)
+            twice = project_to_tangent(x, once)
+            np.testing.assert_allclose(twice, once, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_residual_orthogonal_to_fd_tangent_basis(self, kind, rng):
@@ -278,7 +269,7 @@ class TestProjectToTangent:
             g = rng.standard_normal(kind.ambient_shape)
             if not isinstance(kind, Sphere):
                 g = 0.5 * (g + g.T)  # ambient space is Sym(k)
-            residual = g - project_to_tangent(x, g).direction
+            residual = g - project_to_tangent(x, g)
             for u in _fd_tangent_basis(kind, x, rng):
                 assert abs(np.sum(residual * u)) < 1e-6
 
@@ -286,20 +277,20 @@ class TestProjectToTangent:
 class TestExpMap:
     def test_sphere_quarter_circle(self):
         x = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
-        v = TangentVector(x, np.array([0.0, math.pi / 2.0, 0.0]))
+        v = np.array([0.0, math.pi / 2.0, 0.0])
         y = exp_map(x, v, 1.0)
         np.testing.assert_allclose(y.coords, [0.0, 1.0, 0.0], atol=1e-14)
 
     def test_sphere_full_period(self):
         x = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
-        v = TangentVector(x, np.array([0.0, 2.0 * math.pi, 0.0]))
+        v = np.array([0.0, 2.0 * math.pi, 0.0])
         y = exp_map(x, v, 1.0)
         np.testing.assert_allclose(y.coords, [1.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_vector_fixes_point(self, kind, rng):
         x = random_point(kind, rng)
-        v = TangentVector(x, np.zeros(kind.ambient_shape))
+        v = np.zeros(kind.ambient_shape)
         y = exp_map(x, v, 1.0)
         np.testing.assert_allclose(embed(y), embed(x), atol=1e-10)
 
@@ -321,18 +312,59 @@ class TestExpMap:
         for _ in range(5):
             x = random_point(kind, rng)
             v = project_to_tangent(x, rng.standard_normal(kind.ambient_shape))
-            if v.norm < 1e-6:
+            norm = np.linalg.norm(v)
+            if norm < 1e-6:
                 continue
-            v = v.scaled(1.0 / v.norm)
-            linear = embed(x) + t * v.direction
+            v = (1.0 / norm) * v
+            linear = embed(x) + t * v
             assert np.linalg.norm(embed(exp_map(x, v, t)) - linear) < 1e-6
 
     def test_kind_mismatch(self, rng):
+        # A direction shaped for another kind is rejected by its shape.
         x = random_point(Sphere(2), rng)
-        other = random_point(Spd(2), rng)
-        v = TangentVector(other, np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            exp_map(x, v, 1.0)
+            exp_map(x, np.zeros((2, 2)), 1.0)
+
+    def test_rejects_non_tangent_direction(self):
+        north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError):
+            exp_map(north, np.array([0.0, 0.0, 1.0]))
+        eye = ManifoldPoint(Spd(2), np.eye(2))
+        with pytest.raises(InvalidInputError):
+            exp_map(eye, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        exp_map(north, np.array([1.0, 2.0, 0.0]))  # tangent: accepted
+
+    def test_tangency_tolerance_scales_with_direction(self):
+        # The check allows TANGENT_ATOL * max(1, |d|) of normal component.
+        north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
+        exp_map(north, np.array([100.0, 0.0, 0.5 * TANGENT_ATOL * 100.0]), 1e-3)
+        with pytest.raises(InvalidInputError):
+            exp_map(north, np.array([100.0, 0.0, 2.0 * TANGENT_ATOL * 100.0]), 1e-3)
+
+    def test_rejects_non_finite_direction(self):
+        north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                exp_map(north, np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rejects_wrong_shape_direction(self, kind, rng):
+        x = random_point(kind, rng)
+        with pytest.raises(InvalidInputError):
+            exp_map(x, np.zeros(kind.ambient_dim + 1))
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS, ids=str)
+    def test_is_the_embedded_retraction(self, kind, rng):
+        # exp_map is retract_embedded from embed(x), unembedded: the same
+        # coordinates, bit for bit, for random and zero directions and t.
+        for _ in range(20):
+            x = random_point(kind, rng)
+            d = project_to_tangent(x, rng.standard_normal(kind.ambient_shape))
+            t = float(rng.uniform(0.01, 1.0))
+            for direction in (d, np.zeros(kind.ambient_shape)):
+                stepped = exp_map(x, direction, t)
+                reference = unembed(kind, retract_embedded(kind, embed(x), direction, t))
+                assert stepped.coords.tobytes() == reference.coords.tobytes()
 
 
 class TestDistances:
