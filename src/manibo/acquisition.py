@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -50,6 +50,11 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # acquisition flattens and the ascent would only crawl toward certainty;
 # ranking the starts needs no more than this relative precision.
 LOG_PI_RTOL = 3e-3
+# The ascent's first trial step, as a multiple of the kernel lengthscale, so
+# that its scale tracks the fitted kernel.
+ASCENT_STEP = 0.1
+# Halvings of a row's trial step before its ascent stops.
+MAX_BACKTRACKS = 20
 
 
 def inverse_mills_ratio(z):
@@ -64,8 +69,7 @@ def inverse_mills_ratio(z):
 
 @dataclass(frozen=True)
 class AcquisitionState:
-    """Frozen view of one acquisition round: surrogate, incumbent value, and
-    the floor applied to the posterior deviation before dividing.
+    """Frozen view of one acquisition round: surrogate and incumbent value.
 
     ``trust_radius`` keeps the ascent within that embedded distance of the
     incumbent (``trust_center``).  ``exploit`` makes the round climb the
@@ -75,31 +79,18 @@ class AcquisitionState:
 
     model: GpModel
     best_value: float
-    sigma_floor: float
     trust_radius: float = math.inf
     exploit: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.best_value):
             raise InvalidInputError(f"best_value must be finite, got {self.best_value}")
-        if not self.sigma_floor > 0.0:
-            raise InvalidInputError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
-    @classmethod
-    def for_model(
-        cls,
-        model: GpModel,
-        best_value: float,
-        trust_radius: float = math.inf,
-        exploit: bool = False,
-    ) -> "AcquisitionState":
-        return cls(
-            model=model,
-            best_value=best_value,
-            sigma_floor=1e-12 * math.sqrt(model.params.amplitude),
-            trust_radius=trust_radius,
-            exploit=exploit,
-        )
+    @functools.cached_property
+    def sigma_floor(self) -> float:
+        """The floor applied to the posterior deviation before dividing by
+        it: 1e-12 of the prior deviation."""
+        return 1e-12 * math.sqrt(self.model.params.amplitude)
 
     @functools.cached_property
     def trust_center(self) -> np.ndarray:
@@ -110,23 +101,16 @@ class AcquisitionState:
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Projected gradient ascent settings.
+    """Projected gradient ascent settings: the step budget, the stationarity
+    tolerance, the number of multistarts and their seed."""
 
-    ``step=None`` resolves to 0.1 x the model lengthscale at call time, so
-    the ascent scale tracks the fitted kernel.
-    """
-
-    step: Optional[float] = None
     max_steps: int = 200
     grad_tol: float = 1e-8
     n_starts: int = 10
     seed: int = 0
-    max_backtracks: int = 20
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0.0:
-            raise InvalidInputError(f"step must be positive, got {self.step}")
-        if self.max_steps < 1 or self.n_starts < 1 or self.max_backtracks < 0:
+        if self.max_steps < 1 or self.n_starts < 1:
             raise InvalidInputError("max_steps and n_starts must be positive")
         if not self.grad_tol > 0.0:
             raise InvalidInputError(f"grad_tol must be positive, got {self.grad_tol}")
@@ -209,12 +193,6 @@ def _tangents(state: AcquisitionState, e: np.ndarray, post: PosteriorRows) -> np
     return tangent_project_embedded(kind, e, grad)
 
 
-def _resolve_step(state: AcquisitionState, config: AscentConfig) -> float:
-    if config.step is not None:
-        return config.step
-    return 0.1 * state.model.params.lengthscale
-
-
 def ascend(
     state: AcquisitionState, config: AscentConfig, starts: Sequence[ManifoldPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +211,15 @@ def ascend(
     is halved; after an accepted step the next trial is 1.5 times as long,
     so the step length adapts to the scale of the acquisition.  Trial steps
     that leave the manifold's chart (``within_chart``) or the trust radius
-    count as not improving, so every iterate can be unembedded.  A row stops
-    when its projected gradient is below ``grad_tol``, no halving helps, a
-    step no longer raises the acquisition, a log-PI step gains less than
-    ``LOG_PI_RTOL`` of the distance of log PI from 0, or ``max_steps`` is
-    reached; every accepted step raises the acquisition, so a result never
-    scores below its start.  Every row is computed on its own, so its result
-    does not depend on the other starts.  Raises when every start fails.
+    count as not improving, so every iterate can be unembedded.  The first
+    trial step is ``ASCENT_STEP`` lengthscales.  A row stops when its
+    projected gradient is below ``grad_tol``, ``MAX_BACKTRACKS`` halvings do
+    not help, a step no longer raises the acquisition, a log-PI step gains
+    less than ``LOG_PI_RTOL`` of the distance of log PI from 0, or
+    ``max_steps`` is reached; every accepted step raises the acquisition, so
+    a result never scores below its start.  Every row is computed on its
+    own, so its result does not depend on the other starts.  Raises when
+    every start fails.
     """
     kind = state.model.data.kind
     for x0 in starts:
@@ -249,7 +229,7 @@ def ascend(
     post = posterior_rows(state.model, kind.flatten_rows(e))
     acq = _ascent_value(state, post)
     tangent = _tangents(state, e, post)
-    step = np.full(len(starts), _resolve_step(state, config))
+    step = np.full(len(starts), ASCENT_STEP * state.model.params.lengthscale)
     n_steps = np.ones(len(starts), dtype=int)  # gradients taken
     rejected = np.zeros(len(starts), dtype=int)  # trials of the current step
     active = ambient_norms(kind, tangent) >= config.grad_tol
@@ -291,7 +271,7 @@ def ascend(
         rejected[retry] += 1
         active[rows] = False
         active[go] = ambient_norms(kind, tangent[go]) >= config.grad_tol
-        active[retry] = rejected[retry] <= config.max_backtracks
+        active[retry] = rejected[retry] <= MAX_BACKTRACKS
     if np.all(acq == -np.inf):
         raise AmbiguousSubspaceError(
             "the retraction failed from every start (no unique dominant subspace)"

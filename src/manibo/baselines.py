@@ -40,6 +40,8 @@ NM_CONTRACT = 0.5
 NM_SHRINK = 0.5
 NM_INIT_SPREAD = 0.1
 
+# Gradient descent: the first trial step of every iteration, and its halvings.
+GD_STEP = 0.5
 GD_MAX_BACKTRACKS = 30
 
 
@@ -59,16 +61,16 @@ class GradObjective:
 def riemannian_gd(
     obj: GradObjective,
     x0: ManifoldPoint,
-    step: float = 0.5,
     max_iters: int = 100,
     tol: float = 1e-8,
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Projected gradient descent with backtracking.
 
     Each iteration projects the ambient gradient onto the tangent space and
-    retracts a step against it; the step is halved until the value strictly
-    decreases.  Stops when the projected gradient norm falls below ``tol``,
-    no halving produces a decrease, or ``max_iters`` is reached.
+    retracts a step of ``GD_STEP`` against it; the step is halved until the
+    value strictly decreases.  Stops when the projected gradient norm falls
+    below ``tol``, no halving produces a decrease, or ``max_iters`` is
+    reached.
     """
     trace = RunTrace()
     start = time.perf_counter()
@@ -81,7 +83,7 @@ def riemannian_gd(
         tangent = project_to_tangent(x, obj.grad(x))
         if np.linalg.norm(tangent) < tol:
             break
-        lam = step
+        lam = GD_STEP
         accepted = False
         for _ in range(GD_MAX_BACKTRACKS + 1):
             candidate = exp_map(x, -tangent, lam)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .egp import (
     KernelParams,
     default_bounds,
     fit_hyperparams,
-    linear_trend,
     median_heuristic_params,
 )
 from .manifolds import (
@@ -78,15 +77,15 @@ class BoConfig:
     every ``refit_every``-th iteration but the last, whose fit no proposal
     would use; ``refit_every=0`` disables hyperparameter fitting entirely.
     ``init_points`` overrides the random initial design (the design size is
-    then their count).  Per-iteration acquisition seeds are derived from
-    ``seed``; an explicit ``ascent.seed`` is overridden inside a run.
+    then their count).  Each iteration's acquisition runs the default
+    ``AscentConfig`` with a seed derived from ``seed``.  The surrogate's
+    prior mean is derived from the data (``GpDataset.trend``).
     """
 
     n_init: int = 5
     n_iters: int = 25
     refit_every: int = 5
     kernel: Optional[KernelParams] = None
-    ascent: Optional[AscentConfig] = None
     seed: int = 0
     init_points: Optional[tuple[ManifoldPoint, ...]] = None
 
@@ -170,34 +169,35 @@ def _data_distances(dataset: GpDataset, x: ManifoldPoint) -> np.ndarray:
     return np.linalg.norm(dataset.embedded - w, axis=1)
 
 
-def local_spacing(dataset: GpDataset, x: ManifoldPoint) -> Optional[float]:
-    """Half the distance from x to its nearest datum farther than
-    ``DEDUP_TOL``: the data spacing around x, floored at ``2 * DEDUP_TOL``
-    so that a step of that size clears a duplicate.  None when every datum
-    lies within ``DEDUP_TOL`` of x."""
-    dists = _data_distances(dataset, x)
-    separated = dists[dists >= DEDUP_TOL]
-    return max(0.5 * float(separated.min()), 2.0 * DEDUP_TOL) if separated.size else None
-
-
 def proposal_dedup(
     dataset: GpDataset,
     x_next: ManifoldPoint,
     rng: np.random.Generator,
-    step_scale: float,
+    lengthscale: float,
 ) -> ManifoldPoint:
-    """Replace a proposal that coincides with an existing datum by a random
-    tangent perturbation of size ``step_scale``, so the next Gram matrix
-    stays factorizable.  Where the data crowd the proposal so that no draw
-    at that size separates it, the size doubles after every 10 draws."""
+    """Replace a proposal within ``DEDUP_TOL`` of an existing datum by a
+    random tangent perturbation, so the next Gram matrix stays
+    factorizable.
+
+    The perturbation's size is the data spacing around the proposal: half
+    the distance to its nearest datum farther than ``DEDUP_TOL``, floored at
+    ``2 * DEDUP_TOL`` so that it clears a duplicate; 0.1 ``lengthscale``
+    when every datum is a duplicate.  Where the data crowd the proposal so
+    that no draw at that size separates it, the size doubles after every 10
+    draws."""
 
     def min_dist(candidate: ManifoldPoint) -> float:
         return float(_data_distances(dataset, candidate).min())
 
-    if min_dist(x_next) >= DEDUP_TOL:
+    dists = _data_distances(dataset, x_next)
+    if float(dists.min()) >= DEDUP_TOL:
         return x_next
+    separated = dists[dists >= DEDUP_TOL]
+    if separated.size:
+        step = max(0.5 * float(separated.min()), 2.0 * DEDUP_TOL)
+    else:
+        step = 0.1 * lengthscale
     candidate = x_next
-    step = step_scale
     for attempt in range(50):
         if attempt and attempt % 10 == 0:
             step *= 2.0
@@ -221,9 +221,9 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     initial design; records 1..n_iters follow the proposals.  After the
     initial design, a non-finite objective value or any exception from the
     proposal phase (surrogate build, acquisition maximization, dedup), the
-    objective, the trend update or the hyperparameter refit aborts the run
-    with the trace collected so far (``trace.aborted`` set,
-    ``trace.abort_reason`` saying why) rather than discarding it.
+    objective or the hyperparameter refit aborts the run with the trace
+    collected so far (``trace.aborted`` set, ``trace.abort_reason`` saying
+    why) rather than discarding it.
     """
     trace = RunTrace()
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -265,13 +265,8 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
 
     def refit(current: KernelParams) -> KernelParams:
         try:
-            return fit_hyperparams(
-                dataset,
-                current,
-                default_bounds(dataset, trend),
-                seed=cfg.seed,
-                trend=trend,
-            )
+            bounds = default_bounds(dataset)
+            return fit_hyperparams(dataset, current, bounds, seed=cfg.seed)
         except FittingFailedError:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current
@@ -282,24 +277,15 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         trace.abort_reason = f"{what} at iteration {s}: {type(exc).__name__}: {exc}"
 
     try:
-        # The surrogate's prior mean is the least-squares affine function of
-        # the embedded coordinates (once the data determine it), refreshed
-        # with the data, and the kernel models the residual.  With a zero
-        # mean the kernel carries the whole trend, so its amplitude, and the
-        # noise floor relative to it, grow with the spread of all values
-        # seen; that floor then hides the small value differences near the
-        # optimum.
-        trend = linear_trend(dataset)
         params = cfg.kernel
         if params is None:
-            params = median_heuristic_params(dataset, trend)
+            params = median_heuristic_params(dataset)
         if cfg.refit_every > 0 and len(dataset) >= 2:
             params = refit(params)
     except Exception as exc:  # any failure here keeps the trace
         abort("surrogate update failed", 0, exc)
         return best_point, best_value, trace
 
-    ascent_base = cfg.ascent if cfg.ascent is not None else AscentConfig()
     loop_rng = np.random.default_rng(loop_seq)
     # Proposals stay within the initial design's diameter of the incumbent:
     # on an unbounded chart (Spd) a linear prior mean keeps falling away from
@@ -309,22 +295,14 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     for s in range(1, cfg.n_iters + 1):
         tick = time.perf_counter()
         try:
-            model = GpModel.build(params, dataset, trend)
-            state = AcquisitionState.for_model(
-                model,
+            state = AcquisitionState(
+                GpModel.build(params, dataset),
                 best_value,
-                trust_radius=trust_radius,
+                trust_radius,
                 exploit=s % EXPLOIT_EVERY == 0,
             )
-            ascent_cfg = replace(ascent_base, seed=int(loop_rng.integers(2**31)))
-            x_next = maximize(state, ascent_cfg)
-            spacing = local_spacing(dataset, x_next)
-            x_next = proposal_dedup(
-                dataset,
-                x_next,
-                loop_rng,
-                spacing if spacing is not None else 0.1 * params.lengthscale,
-            )
+            x_next = maximize(state, AscentConfig(seed=int(loop_rng.integers(2**31))))
+            x_next = proposal_dedup(dataset, x_next, loop_rng, params.lengthscale)
         except Exception as exc:  # any failure here keeps the trace
             abort("proposal failed", s, exc)
             break
@@ -343,13 +321,11 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             best_point, best_value = x_next, y
         dataset = dataset.append(x_next, y)
         failure = None
-        # After the last iteration no surrogate is built, so neither the
-        # trend nor the hyperparameters are updated.
-        if s < cfg.n_iters:
+        # After the last iteration no surrogate is built, so the
+        # hyperparameters are not refitted.
+        if s < cfg.n_iters and cfg.refit_every > 0 and s % cfg.refit_every == 0:
             try:
-                trend = linear_trend(dataset)
-                if cfg.refit_every > 0 and s % cfg.refit_every == 0:
-                    params = refit(params)
+                params = refit(params)
             except Exception as exc:  # any failure here keeps the trace
                 failure = exc
         trace.record(obj, s, x_next, y, best_point, best_value, len(dataset), tick)

@@ -303,8 +303,8 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
             "the gd baseline needs an analytic gradient and is only available "
             "for frechet-sphere"
         )
-    if cfg.iters < 0 or cfg.init < 1:
-        raise ConfigError("iters must be >= 0 and init >= 1")
+    if cfg.iters < 0 or cfg.init < 1 or cfg.refit_every < 0:
+        raise ConfigError("iters must be >= 0, init >= 1 and refit-every >= 0")
     if cfg.experiment == "custom" and not cfg.objective:
         raise ConfigError("custom experiment requires objective = module:callable")
     cfg.kernel_params()  # validates pairing
@@ -382,30 +382,25 @@ def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
         },
         "optimizers": {},
     }
-    aborted = False
-
-    tick = time.perf_counter()
-    _, _, trace = run(objective, bo_cfg)
-    ebo_wall = (time.perf_counter() - tick) * 1e3
-    write_trace_csv(trace, out_dir / "ebo.csv", timings=cfg.timings)
-    summary["optimizers"]["ebo"] = _optimizer_summary(trace, "ebo.csv", ebo_wall)
-    aborted |= trace.aborted
-    x0 = trace.records[0].best_point
-
+    # The baselines start from x0, the best point of eBO's initial design.
+    optimizers = {"ebo": lambda: run(objective, bo_cfg)[2]}
     if "gd" in cfg.baselines:
-        tick = time.perf_counter()
-        _, gd_trace = riemannian_gd(grad_objective, x0, max_iters=cfg.iters)
-        gd_wall = (time.perf_counter() - tick) * 1e3
-        write_trace_csv(gd_trace, out_dir / "gd.csv", timings=cfg.timings)
-        summary["optimizers"]["gd"] = _optimizer_summary(gd_trace, "gd.csv", gd_wall)
+        optimizers["gd"] = lambda: riemannian_gd(grad_objective, x0, max_iters=cfg.iters)[1]
     if "nelder-mead" in cfg.baselines:
+        optimizers["nelder_mead"] = lambda: nelder_mead(
+            objective, x0, max_evals=cfg.init + cfg.iters
+        )[1]
+    aborted = False
+    x0 = None
+    for name, optimize in optimizers.items():
         tick = time.perf_counter()
-        _, nm_trace = nelder_mead(objective, x0, max_evals=cfg.init + cfg.iters)
-        nm_wall = (time.perf_counter() - tick) * 1e3
-        write_trace_csv(nm_trace, out_dir / "nelder_mead.csv", timings=cfg.timings)
-        summary["optimizers"]["nelder_mead"] = _optimizer_summary(
-            nm_trace, "nelder_mead.csv", nm_wall
-        )
+        trace = optimize()
+        wall_ms = (time.perf_counter() - tick) * 1e3
+        write_trace_csv(trace, out_dir / f"{name}.csv", timings=cfg.timings)
+        summary["optimizers"][name] = _optimizer_summary(trace, f"{name}.csv", wall_ms)
+        aborted |= trace.aborted
+        if x0 is None:
+            x0 = trace.records[0].best_point
 
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)

@@ -3,9 +3,11 @@
 The covariance between two manifold points is a squared-exponential kernel
 evaluated on their ambient embeddings, which restricts to a valid positive
 semi-definite kernel on the manifold.  The posterior uses the standard
-equations, around a zero or affine prior mean, backed by a Cholesky factor
-of the noise-regularized Gram matrix, with an escalating jitter fallback
-for the near-singular matrices that duplicate proposals produce.
+equations around the dataset's prior mean (zero, or the least-squares
+affine function of the embedded coordinates once the data determine it),
+backed by a Cholesky factor of the noise-regularized Gram matrix, with an
+escalating jitter fallback for the near-singular matrices that duplicate
+proposals produce.
 """
 
 from __future__ import annotations
@@ -32,8 +34,14 @@ logger = logging.getLogger(__name__)
 # Jitter escalation: start small, multiply by 10 until the Cholesky succeeds.
 JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
-# Data per coefficient before linear_trend fits the affine prior mean.
+# Data per coefficient before the dataset fits its affine prior mean.
 TREND_POINTS_PER_COEFFICIENT = 3
+# Hyperparameter fitting: multistart count, and the coordinate search's
+# initial and final log-step and sweep budget.
+FIT_RESTARTS = 5
+FIT_INITIAL_STEP = 0.5
+FIT_MIN_STEP = 1e-3
+FIT_MAX_SWEEPS = 60
 
 
 class IllConditionedModelError(RuntimeError):
@@ -93,7 +101,8 @@ class KernelBounds:
 
 @dataclass(frozen=True, eq=False)
 class GpDataset:
-    """Evaluated points with their cached flat embedding coordinates.
+    """Evaluated points with their cached flat embedding coordinates, and
+    the prior mean and residuals derived from them.
 
     Immutable; ``append`` returns a new dataset.  All points must share one
     manifold kind and all values must be finite.
@@ -151,6 +160,29 @@ class GpDataset:
         diffs = self.embedded[:, None, :] - self.embedded[None, :, :]
         return np.einsum("ijk,ijk->ij", diffs, diffs)
 
+    @functools.cached_property
+    def trend(self) -> np.ndarray:
+        """The prior mean: least-squares coefficients (c0, c) of the affine
+        function c0 + c.w of the flat embedded coordinates w that best fits
+        the values; the kernel models the residual.  With a zero mean the
+        kernel carries the whole trend, so its amplitude, and the noise floor
+        relative to it, grow with the spread of all values seen, and that
+        floor hides the small value differences near the optimum.
+
+        All zeros (the zero mean) until there are
+        ``TREND_POINTS_PER_COEFFICIENT`` data per coefficient: a fit of D + 1
+        coefficients to barely more points nearly interpolates them, and its
+        slope then sends the search far from the data."""
+        design = np.hstack([np.ones((len(self), 1)), self.embedded])
+        if len(self) < TREND_POINTS_PER_COEFFICIENT * design.shape[1]:
+            return np.zeros(design.shape[1])
+        return np.linalg.lstsq(design, self.values, rcond=None)[0]
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """The values minus the prior mean at their points."""
+        return self.values - (self.trend[0] + self.embedded @ self.trend[1:])
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -162,27 +194,6 @@ def kernel_eval(params: KernelParams, x: ManifoldPoint, z: ManifoldPoint) -> flo
         raise InvalidInputError(f"kind mismatch: {x.kind} vs {z.kind}")
     sq = float(np.sum((embed(x) - embed(z)) ** 2))
     return params.amplitude * math.exp(-sq / (2.0 * params.lengthscale**2))
-
-
-def linear_trend(data: GpDataset) -> np.ndarray:
-    """Least-squares coefficients (c0, c) of the affine function c0 + c.w of
-    the flat embedded coordinates w that best fits the data values.
-
-    All zeros (the zero mean) until there are ``TREND_POINTS_PER_COEFFICIENT``
-    data per coefficient: a fit of D + 1 coefficients to barely more points
-    nearly interpolates them, and its slope then sends the search far from
-    the data.
-    """
-    design = np.hstack([np.ones((len(data), 1)), data.embedded])
-    if len(data) < TREND_POINTS_PER_COEFFICIENT * design.shape[1]:
-        return np.zeros(design.shape[1])
-    return np.linalg.lstsq(design, data.values, rcond=None)[0]
-
-
-def _residuals(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
-    if trend is None:
-        return data.values
-    return data.values - (trend[0] + data.embedded @ trend[1:])
 
 
 def _grams(
@@ -245,11 +256,12 @@ def _solve_chol(chol: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.
 class GpModel:
     """Immutable fitted surrogate: hyperparameters, data, and solver state.
 
-    The prior mean is the affine function ``trend`` = (c0, c) of the flat
-    embedded coordinates, c0 + c.w; all zeros for the zero-mean GP.  A
-    linear mean in the ambient coordinates is the explicit-basis GP of
-    Rasmussen & Williams (2006), Section 2.7, with the coefficients fixed at
-    their least-squares values; the kernel then models the residual.
+    The prior mean is the data's: the affine function ``data.trend`` =
+    (c0, c) of the flat embedded coordinates, c0 + c.w, all zeros while the
+    data are too few to fit it.  A linear mean in the ambient coordinates is
+    the explicit-basis GP of Rasmussen & Williams (2006), Section 2.7, with
+    the coefficients fixed at their least-squares values; the kernel then
+    models the residual.
 
     ``chol_inv`` caches the inverse of the Cholesky factor L, so that the
     acquisition's inner loop forms v = L^{-1} k with one matrix-vector
@@ -266,7 +278,6 @@ class GpModel:
     chol: np.ndarray  # lower triangular
     whitened: np.ndarray  # L^{-1} (y - prior mean)
     jitter: float
-    trend: np.ndarray  # (D + 1,) prior-mean coefficients (c0, c)
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
@@ -279,33 +290,18 @@ class GpModel:
         return _solve_chol(self.chol, np.eye(self.chol.shape[0]))
 
     @classmethod
-    def build(
-        cls, params: KernelParams, data: GpDataset, trend: Optional[np.ndarray] = None
-    ) -> "GpModel":
+    def build(cls, params: KernelParams, data: GpDataset) -> "GpModel":
         factor = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
-        return _factorized(
-            params, data, _residuals(data, trend), _trend_or_zero(data, trend), factor
-        )
-
-
-def _trend_or_zero(data: GpDataset, trend: Optional[np.ndarray]) -> np.ndarray:
-    return np.zeros(data.embedded.shape[1] + 1) if trend is None else trend
+        return _factorized(params, data, factor)
 
 
 def _factorized(
-    params: KernelParams,
-    data: GpDataset,
-    residuals: np.ndarray,
-    trend: np.ndarray,
-    factor: tuple[np.ndarray, float],
+    params: KernelParams, data: GpDataset, factor: tuple[np.ndarray, float]
 ) -> GpModel:
-    """The model for ``params`` from its Gram matrix's factor (L, jitter)
-    and the residuals of the data about ``trend``."""
+    """The model for ``params`` from its Gram matrix's factor (L, jitter)."""
     chol, jitter = factor
-    whitened = _solve_chol(chol, residuals)
-    return GpModel(
-        params=params, data=data, chol=chol, whitened=whitened, jitter=jitter, trend=trend
-    )
+    whitened = _solve_chol(chol, data.residuals)
+    return GpModel(params=params, data=data, chol=chol, whitened=whitened, jitter=jitter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +345,7 @@ class PosteriorRows:
         alpha = np.broadcast_to(model.alpha, beta.shape)
         weights = self.k[:, None, :] * np.stack([alpha, beta], axis=1)
         sums = np.matmul(weights, self.diff) / model.params.lengthscale**2
-        return model.trend[1:] + sums[:, 0], -2.0 * sums[:, 1]
+        return model.data.trend[1:] + sums[:, 0], -2.0 * sums[:, 1]
 
 
 def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
@@ -360,9 +356,10 @@ def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
     diff = np.subtract(model.data.embedded, w[:, None, :], order="C")
     sq = np.einsum("snd,snd->sn", diff, diff)
     k = params.amplitude * np.exp(-sq / (2.0 * params.lengthscale**2))
+    trend = model.data.trend
     mean = (
-        model.trend[0]
-        + np.einsum("sd,d->s", w, model.trend[1:])
+        trend[0]
+        + np.einsum("sd,d->s", w, trend[1:])
         + np.einsum("sn,n->s", k, model.alpha)
     )
     v = np.matmul(model.chol_inv, k[:, :, None])[..., 0]
@@ -391,23 +388,21 @@ def log_marginal_likelihood(model: GpModel) -> float:
     return data_fit - log_det - 0.5 * n * math.log(2.0 * math.pi)
 
 
-def median_heuristic_params(
-    data: GpDataset, trend: Optional[np.ndarray] = None
-) -> KernelParams:
+def median_heuristic_params(data: GpDataset) -> KernelParams:
     """Scale-free defaults: lengthscale from the median pairwise embedded
     distance, amplitude from the variance of the values about the prior mean
-    ``trend`` (floored), small noise."""
+    (floored), small noise."""
     n = len(data)
     if n >= 2:
         med = float(np.median(np.sqrt(data.sq_dists[np.triu_indices(n, k=1)])))
     else:
         med = 0.0
     lengthscale = med if med > 1e-12 else 1.0
-    amplitude = max(float(np.var(_residuals(data, trend))), 1e-6)
+    amplitude = max(float(np.var(data.residuals)), 1e-6)
     return KernelParams(lengthscale=lengthscale, amplitude=amplitude, noise=1e-6 * amplitude)
 
 
-def default_bounds(data: GpDataset, trend: Optional[np.ndarray] = None) -> KernelBounds:
+def default_bounds(data: GpDataset) -> KernelBounds:
     """Box around the median-heuristic defaults.
 
     The noise ceiling is kept low: these surrogates serve deterministic
@@ -416,7 +411,7 @@ def default_bounds(data: GpDataset, trend: Optional[np.ndarray] = None) -> Kerne
     magnitude of the data spread so acquisition steps (which scale with the
     lengthscale) cannot run far outside the sampled region.
     """
-    base = median_heuristic_params(data, trend)
+    base = median_heuristic_params(data)
     return KernelBounds(
         lengthscale=(1e-2 * base.lengthscale, 1e1 * base.lengthscale),
         amplitude=(1e-2 * base.amplitude, 1e2 * base.amplitude),
@@ -425,24 +420,22 @@ def default_bounds(data: GpDataset, trend: Optional[np.ndarray] = None) -> Kerne
 
 
 def _log_evidence(
-    data: GpDataset, trend: Optional[np.ndarray]
+    data: GpDataset,
 ) -> Callable[[Sequence[np.ndarray]], list[Optional[float]]]:
     """The log marginal likelihood as a function of a round of log-parameter
     candidates theta: their scores, None where the Gram matrix cannot be
     factorized.
 
-    The residuals and the identity are computed once, and each distinct
-    theta is scored once: the coordinate search revisits
-    points (the opposite move after an accepted one returns to the old
-    point, and restarts meet), and those revisits read the cache.  A round's
+    The identity is formed once, and each distinct theta is scored once:
+    the coordinate search revisits points (the opposite move after an
+    accepted one returns to the old point, and restarts meet), and those
+    revisits read the cache.  A round's
     distinct uncached candidates are scored together: one stacked Gram
     matrix and one stacked Cholesky factorization, whose rows equal the
     single ones bit for bit.  When the stack cannot be factorized, every
     candidate of the round goes through the jitter escalation on its own.
     Each factor is whitened by ``_solve_chol`` and scored by
     ``log_marginal_likelihood``, once per distinct theta."""
-    residuals = _residuals(data, trend)
-    trend = _trend_or_zero(data, trend)
     eye = np.eye(len(data))
     scores: dict[bytes, Optional[float]] = {}
 
@@ -460,7 +453,7 @@ def _log_evidence(
                     factors.append(None)
         for theta, p, factor in zip(thetas, params, factors):
             scores[theta.tobytes()] = None if factor is None else log_marginal_likelihood(
-                _factorized(p, data, residuals, trend, factor)
+                _factorized(p, data, factor)
             )
 
     def evaluate(thetas: Sequence[np.ndarray]) -> list[Optional[float]]:
@@ -477,12 +470,7 @@ def _log_evidence(
 
 
 def _coordinate_search(
-    theta0: np.ndarray,
-    log_lo: np.ndarray,
-    log_hi: np.ndarray,
-    initial_step: float = 0.5,
-    min_step: float = 1e-3,
-    max_sweeps: int = 60,
+    theta0: np.ndarray, log_lo: np.ndarray, log_hi: np.ndarray
 ) -> Generator[np.ndarray, Optional[float], tuple[np.ndarray, Optional[float]]]:
     """Maximize a score over log-parameters by coordinate moves with
     shrinking step, accepting each improving move at once.
@@ -493,9 +481,9 @@ def _coordinate_search(
     None if no candidate could be scored."""
     theta = np.clip(theta0, log_lo, log_hi)
     best = yield theta
-    step = initial_step
-    for _ in range(max_sweeps):
-        if step < min_step:
+    step = FIT_INITIAL_STEP
+    for _ in range(FIT_MAX_SWEEPS):
+        if step < FIT_MIN_STEP:
             break
         improved = False
         for axis in range(theta.size):
@@ -516,15 +504,11 @@ def _coordinate_search(
 
 
 def fit_hyperparams(
-    data: GpDataset,
-    init: KernelParams,
-    bounds: KernelBounds,
-    n_restarts: int = 5,
-    seed: int = 0,
-    trend: Optional[np.ndarray] = None,
+    data: GpDataset, init: KernelParams, bounds: KernelBounds, seed: int = 0
 ) -> KernelParams:
-    """Maximize the log marginal likelihood by multistart coordinate search,
-    for the prior mean ``trend`` (zero when None).
+    """Maximize the log marginal likelihood around the data's prior mean by
+    coordinate search from ``FIT_RESTARTS`` starts: ``init`` and uniform
+    draws from the box.
 
     The restarts advance in lockstep: each round, every live restart
     proposes its next candidate, and one evaluator scores the round's
@@ -542,9 +526,9 @@ def fit_hyperparams(
     init = bounds.clip(init)
     starts = [np.log([init.lengthscale, init.amplitude, init.noise])]
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, n_restarts - 1)):
+    for _ in range(FIT_RESTARTS - 1):
         starts.append(rng.uniform(log_lo, log_hi))
-    evaluate = _log_evidence(data, trend)
+    evaluate = _log_evidence(data)
     searches = [_coordinate_search(theta0, log_lo, log_hi) for theta0 in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
     results: list = [None] * len(searches)

@@ -347,10 +347,6 @@ class Spd(_SymKind):
                 f"chart (at most {SPD_LOG_NORM_MAX:g})"
             )
         w, vecs = np.linalg.eigh(_sym(v))
-        if w[-1] > 700.0:
-            raise InvalidInputError(
-                f"log-coordinate eigenvalue {w[-1]:g} too large to exponentiate"
-            )
         return _sym((vecs * np.exp(w)) @ vecs.T)
 
     def project_to_image(self, v):

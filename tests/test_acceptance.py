@@ -278,7 +278,7 @@ def test_acquisition_gradient_finite_differences():
                 noise=1e-6,
             )
             model = GpModel.build(params, GpDataset.from_points(points, values))
-            state = AcquisitionState.for_model(model, float(values.min()))
+            state = AcquisitionState(model, float(values.min()))
             x = random_point(kind, rng)
             w = flatten_ambient(kind, embed(x))
             analytic = flatten_ambient(kind, pi_gradient_ambient(state, x))

@@ -26,13 +26,14 @@ from manibo import (
 )
 from manibo import acquisition, manifolds
 from manibo.acquisition import (
+    ASCENT_STEP,
     LOG_PI_RTOL,
+    MAX_BACKTRACKS,
     _ascent_gradient,
     _ascent_value,
     _at,
     _improvement,
     _into_trust,
-    _resolve_step,
     _within_trust,
     inverse_mills_ratio,
 )
@@ -55,7 +56,7 @@ def _state(kind, n, rng, params=None, best=None):
     points = [random_point(kind, rng) for _ in range(n)]
     values = rng.standard_normal(n)
     model = GpModel.build(params, GpDataset.from_points(points, values))
-    return AcquisitionState.for_model(model, float(values.min()) if best is None else best)
+    return AcquisitionState(model, float(values.min()) if best is None else best)
 
 
 def _pi_at(state, w):
@@ -81,7 +82,7 @@ class TestPiValue:
         x = random_point(Sphere(2), rng)
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
         model = GpModel.build(params, GpDataset.from_points([x], [0.7]))
-        state = AcquisitionState.for_model(model, 0.7)
+        state = AcquisitionState(model, 0.7)
         assert pi_value(state, x) == pytest.approx(0.5, abs=1e-3)
 
     def test_cdf_table_value(self, rng):
@@ -91,14 +92,14 @@ class TestPiValue:
         north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
         south = ManifoldPoint(Sphere(2), [0.0, 0.0, -1.0])
         model = GpModel.build(params, GpDataset.from_points([north], [0.0]))
-        state = AcquisitionState.for_model(model, 1.96)
+        state = AcquisitionState(model, 1.96)
         assert pi_value(state, south) == pytest.approx(0.9750021048517795, abs=1e-9)
 
     def test_interpolated_bad_point_scores_zero(self, rng):
         x = random_point(Sphere(2), rng)
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
         model = GpModel.build(params, GpDataset.from_points([x], [10.0]))
-        state = AcquisitionState.for_model(model, 0.0)
+        state = AcquisitionState(model, 0.0)
         assert pi_value(state, x) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -144,7 +145,7 @@ class TestPiGradient:
         mid = ManifoldPoint(kind, [0.0, 0.0, 1.0])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
-        state = AcquisitionState.for_model(model, 0.4)
+        state = AcquisitionState(model, 0.4)
         grad = pi_gradient_ambient(state, mid)
         projected = project_to_tangent(mid, grad)
         assert np.linalg.norm(projected) < 1e-6
@@ -156,7 +157,7 @@ class TestPiGradient:
         x = random_point(Sphere(2), rng)
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
         model = GpModel.build(params, GpDataset.from_points([x], [10.0]))
-        state = AcquisitionState.for_model(model, 0.0)
+        state = AcquisitionState(model, 0.0)
         np.testing.assert_array_equal(pi_gradient_ambient(state, x), np.zeros(3))
 
 
@@ -214,7 +215,7 @@ class TestLogPi:
         b = ManifoldPoint(kind, [math.sin(0.5), 0.0, math.cos(0.5)])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [1.0, -1.0]))
-        state = AcquisitionState.for_model(model, 1.0)
+        state = AcquisitionState(model, 1.0)
         arc = [np.array([math.sin(t), 0.0, math.cos(t)]) for t in np.linspace(0.025, 0.3, 12)]
         assert all(_pi_at(state, w) == 1.0 for w in arc)
         logs = [_log_pi_at(state, w) for w in arc]
@@ -253,7 +254,7 @@ class TestAscend:
         mid = ManifoldPoint(kind, [0.0, 0.0, 1.0])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
-        state = AcquisitionState.for_model(model, 0.4)
+        state = AcquisitionState(model, 0.4)
         e, _ = ascend(state, AscentConfig(grad_tol=1e-5), [mid])
         np.testing.assert_allclose(e[0], embed(mid), atol=1e-12)
 
@@ -275,7 +276,7 @@ class TestAscend:
         datum = ManifoldPoint(kind, [0.0, 0.0, 1.0])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([datum], [1.0]))
-        state = AcquisitionState.for_model(model, 1.0)
+        state = AcquisitionState(model, 1.0)
         start = ManifoldPoint(kind, [1.0, 0.0, 0.0])
         # A quarter-sphere traverse needs more than the default step budget.
         _, acq = ascend(state, AscentConfig(max_steps=2000), [start])
@@ -361,7 +362,7 @@ class TestMaximize:
     def test_ranks_eligible_rows_only(self, radius, offsets, acq, winner, monkeypatch, rng):
         kind = Spd(3)
         base = _state(kind, 5, rng)
-        state = AcquisitionState.for_model(base.model, base.best_value, trust_radius=radius)
+        state = AcquisitionState(base.model, base.best_value, trust_radius=radius)
         center = unflatten_ambient(kind, state.trust_center)
         e = np.stack([center + t * np.diag([1.0, 0.0, 0.0]) for t in offsets])
         fake = lambda state, config, starts: (e.copy(), np.array(acq))
@@ -375,9 +376,7 @@ class TestTrustAndExploit:
         kind = Spd(3)
         state = _state(kind, 5, rng)
         radius = 0.05
-        bounded = AcquisitionState.for_model(
-            state.model, state.best_value, trust_radius=radius
-        )
+        bounded = AcquisitionState(state.model, state.best_value, trust_radius=radius)
         for seed in range(3):
             x = maximize(bounded, AscentConfig(seed=seed))
             center = bounded.trust_center
@@ -386,7 +385,7 @@ class TestTrustAndExploit:
     def test_exploit_round_descends_posterior_mean(self, rng):
         kind = Sphere(2)
         state = _state(kind, 5, rng)
-        greedy = AcquisitionState.for_model(state.model, state.best_value, exploit=True)
+        greedy = AcquisitionState(state.model, state.best_value, exploit=True)
         x = maximize(greedy, AscentConfig(seed=4))
         mean_x, _ = posterior(state.model, x)
         probe_rng = np.random.default_rng(5)
@@ -401,14 +400,14 @@ def _reference_ascend(state, config, x0):
     e = embed(x0)
     w = flatten_ambient(kind, e)
     acq = _ascent_value(state, _at(state, w))[0]
-    step = _resolve_step(state, config)
+    step = ASCENT_STEP * state.model.params.lengthscale
     for _ in range(config.max_steps):
         grad = unflatten_ambient(kind, _ascent_gradient(state, _at(state, w))[0])
         tangent = tangent_project_embedded(kind, e, grad)
         if ambient_norms(kind, tangent) < config.grad_tol:
             break
         accepted = False
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             e_cand = retract_embedded(kind, e, tangent, step)
             if kind.within_chart(e_cand):
                 w_cand = flatten_ambient(kind, e_cand)
@@ -435,7 +434,7 @@ class TestBatchedAscent:
     )
     def test_rows_equal_single_start_ascents(self, kind, trust_radius, exploit, rng):
         base = _state(kind, 8, rng)
-        state = AcquisitionState.for_model(
+        state = AcquisitionState(
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
         )
         config = AscentConfig(seed=0)
@@ -484,10 +483,8 @@ class TestBatchedAscent:
 class TestConfigValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            AscentConfig(step=0.0)
-        with pytest.raises(InvalidInputError):
             AscentConfig(max_steps=0)
         with pytest.raises(InvalidInputError):
             AscentConfig(grad_tol=0.0)
         with pytest.raises(InvalidInputError):
-            AcquisitionState(model=None, best_value=np.nan, sigma_floor=1.0)
+            AcquisitionState(model=None, best_value=np.nan)

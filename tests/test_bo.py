@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from manibo import (
     run,
 )
 from manibo import bo
-from manibo.bo import DEDUP_TOL, local_spacing
+from manibo.bo import DEDUP_TOL
 
 KIND = Sphere(2)
 
@@ -217,6 +219,21 @@ class TestAbort:
         assert trace.final.n_evals == 8
         assert np.isfinite(value)
 
+    def test_failed_trend_fit_aborts_with_trace(self, monkeypatch):
+        # Sphere(2) fits its affine prior mean from 12 data: after iteration
+        # 8 here.  The next surrogate build reads it and fails.
+        def failing_lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        obj = frechet_objective(latitude_circle_problem())
+        _, value, trace = run(obj, BoConfig(n_init=4, n_iters=12, seed=3))
+        assert trace.aborted
+        assert trace.abort_reason.startswith("proposal failed at iteration 9: LinAlgError")
+        assert [r.iteration for r in trace.records] == list(range(9))
+        assert trace.final.n_evals == 12
+        assert np.isfinite(value)
+
     def test_failed_initial_fit_aborts_with_trace(self):
         calls = {"n": 0}
 
@@ -260,31 +277,45 @@ class TestProposalDedup:
         assert abs(np.linalg.norm(result.coords) - 1.0) < 1e-10
 
 
+def _chord(step):
+    """The embedded distance a unit-sphere geodesic step of that length
+    covers."""
+    return 2.0 * math.sin(0.5 * step)
+
+
 class TestLocalSpacing:
+    """``proposal_dedup`` moves a duplicate by the data spacing around it."""
+
     def test_duplicate_of_incumbent_moves_within_spacing(self, rng):
         obj = frechet_objective(latitude_circle_problem())
         points = [random_point(KIND, rng) for _ in range(6)]
         data = GpDataset.from_points(points, [obj.fn(p) for p in points])
         incumbent = points[int(np.argmin(data.values))]
-        spacing = local_spacing(data, incumbent)
         others = [extrinsic_distance(incumbent, p) for p in points if p is not incumbent]
-        assert spacing == 0.5 * min(others)
+        spacing = 0.5 * min(others)
         for seed in range(5):
-            moved = proposal_dedup(data, incumbent, np.random.default_rng(seed), spacing)
+            moved = proposal_dedup(data, incumbent, np.random.default_rng(seed), 1.0)
             assert moved is not incumbent
             assert extrinsic_distance(moved, incumbent) <= spacing + 1e-12
+            assert extrinsic_distance(moved, incumbent) == pytest.approx(
+                _chord(spacing), abs=1e-12
+            )
             assert min(extrinsic_distance(moved, p) for p in points) >= DEDUP_TOL
 
     def test_floor_clears_duplicates(self):
         x = ManifoldPoint(KIND, [0.0, 0.0, 1.0])
         near = ManifoldPoint(KIND, [1.5e-8, 0.0, 1.0])
         data = GpDataset.from_points([x, near], [0.0, 0.0])
-        assert local_spacing(data, x) == 2.0 * DEDUP_TOL
+        for seed in range(5):
+            moved = proposal_dedup(data, x, np.random.default_rng(seed), 1.0)
+            assert extrinsic_distance(moved, x) == pytest.approx(2.0 * DEDUP_TOL, rel=1e-6)
+            assert extrinsic_distance(moved, near) >= DEDUP_TOL
 
     def test_all_duplicates(self):
         x = ManifoldPoint(KIND, [0.0, 0.0, 1.0])
         data = GpDataset.from_points([x, x], [0.0, 0.0])
-        assert local_spacing(data, x) is None
+        moved = proposal_dedup(data, x, np.random.default_rng(0), 0.5)
+        assert extrinsic_distance(moved, x) == pytest.approx(_chord(0.1 * 0.5), abs=1e-12)
 
 
 def _flat_row_distances(dataset, x):
@@ -294,14 +325,7 @@ def _flat_row_distances(dataset, x):
     return [float(np.sqrt(np.sum((w - row) * (w - row)))) for row in dataset.embedded]
 
 
-def _reference_local_spacing(dataset, x):
-    """``local_spacing`` written out on ``_flat_row_distances``."""
-    dists = _flat_row_distances(dataset, x)
-    separated = [d for d in dists if d >= DEDUP_TOL]
-    return max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else None
-
-
-def _reference_proposal_dedup(dataset, x_next, rng, step_scale):
+def _reference_proposal_dedup(dataset, x_next, rng, lengthscale):
     """``proposal_dedup`` written out on ``_flat_row_distances``."""
 
     def min_dist(candidate):
@@ -309,8 +333,9 @@ def _reference_proposal_dedup(dataset, x_next, rng, step_scale):
 
     if min_dist(x_next) >= DEDUP_TOL:
         return x_next
+    separated = [d for d in _flat_row_distances(dataset, x_next) if d >= DEDUP_TOL]
+    step = max(0.5 * min(separated), 2.0 * DEDUP_TOL) if separated else 0.1 * lengthscale
     candidate = x_next
-    step = step_scale
     for attempt in range(50):
         if attempt and attempt % 10 == 0:
             step *= 2.0
@@ -343,7 +368,6 @@ class TestCachedDistances:
                 assert np.array(got).tobytes() == np.array(expected).tobytes()
                 exact = [extrinsic_distance(x, pt) for pt in data.points]
                 np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
-                assert local_spacing(data, x) == _reference_local_spacing(data, x)
                 for seed in range(2):
                     moved = proposal_dedup(data, x, np.random.default_rng(seed), 0.05)
                     reference = _reference_proposal_dedup(
@@ -355,7 +379,7 @@ class TestCachedDistances:
     def test_kind_mismatch(self, rng):
         data = GpDataset.from_points([random_point(KIND, rng)], [0.0])
         with pytest.raises(InvalidInputError):
-            local_spacing(data, random_point(Spd(3), rng))
+            proposal_dedup(data, random_point(Spd(3), rng), np.random.default_rng(0), 1.0)
 
 
 class TestRefitSchedule:

@@ -304,6 +304,19 @@ def test_setting_the_problem_rejects_is_a_usage_error(runner, tmp_path, command,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_refit_cadence_is_a_usage_error(runner, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        [command, "--experiment", "frechet-sphere", "--seed", "1", "--iters", "1",
+         "--refit-every", "-1", "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "refit-every >= 0" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_failing_objective_factory_is_a_usage_error(runner, tmp_path, command):
     # json.loads(3) raises TypeError: the factory rejects the seed.
     result = runner.invoke(

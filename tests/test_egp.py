@@ -29,7 +29,7 @@ from manibo import (
     random_point,
 )
 from manibo import egp
-from manibo.egp import linear_trend, posterior_rows
+from manibo.egp import TREND_POINTS_PER_COEFFICIENT, posterior_rows
 
 from conftest import FAMILY_KINDS
 
@@ -242,7 +242,7 @@ def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
     # whatever the batch size and the memory layout of the query stack.
     rng = np.random.default_rng(seed)
     data = _dataset(kind, 7, rng)
-    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), data, linear_trend(data))
+    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), data)
     points = [random_point(kind, rng) for _ in range(n_rows)]
     w = kind.flatten_rows(np.stack([embed(p) for p in points]))
     stacked = posterior_rows(model, np.asfortranarray(w) if fortran else w)
@@ -306,35 +306,41 @@ class TestIllConditionedVariance:
             assert var == pytest.approx(expected, rel=1e-3)
 
 
+def _affine(p):
+    return 2.0 + p.coords @ [0.5, -1.0, 0.25]
+
+
 class TestLinearTrend:
+    """The dataset's prior mean, ``GpDataset.trend``."""
+
     def test_affine_values_fit_exactly(self, rng):
-        data = _dataset(Sphere(2), 12, rng, fn=lambda p: 2.0 + p.coords @ [0.5, -1.0, 0.25])
-        np.testing.assert_allclose(linear_trend(data), [2.0, 0.5, -1.0, 0.25], atol=1e-12)
+        data = _dataset(Sphere(2), 12, rng, fn=_affine)
+        np.testing.assert_allclose(data.trend, [2.0, 0.5, -1.0, 0.25], atol=1e-12)
 
     def test_zero_until_three_points_per_coefficient(self, rng):
-        fn = lambda p: 2.0 + p.coords @ [0.5, -1.0, 0.25]  # noqa: E731
-        np.testing.assert_array_equal(linear_trend(_dataset(Sphere(2), 11, rng, fn=fn)), 0.0)
-        assert linear_trend(_dataset(Sphere(2), 12, rng, fn=fn))[0] == pytest.approx(2.0)
+        np.testing.assert_array_equal(_dataset(Sphere(2), 11, rng, fn=_affine).trend, 0.0)
+        assert _dataset(Sphere(2), 12, rng, fn=_affine).trend[0] == pytest.approx(2.0)
+
+    def test_append_refits_the_trend_and_leaves_the_parent(self, rng):
+        parent = _dataset(Sphere(2), 11, rng, fn=_affine)
+        np.testing.assert_array_equal(parent.trend, 0.0)
+        x = random_point(Sphere(2), rng)
+        grown = parent.append(x, _affine(x))
+        np.testing.assert_allclose(grown.trend, [2.0, 0.5, -1.0, 0.25], atol=1e-12)
+        np.testing.assert_array_equal(parent.trend, 0.0)
 
     def test_model_mean_follows_trend_away_from_data(self, rng):
         # Far from the data the kernel part reverts to 0 and the posterior
         # mean to the affine prior mean.
-        data = _dataset(Sphere(2), 5, rng)
         trend = np.array([1.5, 0.2, -0.3, 0.4])
+        data = _dataset(Sphere(2), 12, rng, fn=lambda p: trend[0] + p.coords @ trend[1:])
+        np.testing.assert_allclose(data.trend, trend, atol=1e-12)
         params = KernelParams(lengthscale=0.05, amplitude=1.0, noise=1e-6)
-        model = GpModel.build(params, data, trend)
+        model = GpModel.build(params, data)
         query = random_point(Sphere(2), np.random.default_rng(3))
         mean, var = posterior(model, query)
         assert mean == pytest.approx(1.5 + query.coords @ trend[1:], abs=1e-6)
         assert var == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_trend_is_zero_mean_model(self, rng):
-        data = _dataset(Spd(3), 5, rng)
-        params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-4)
-        query = random_point(Spd(3), rng)
-        plain = posterior(GpModel.build(params, data), query)
-        zero = posterior(GpModel.build(params, data, np.zeros(7)), query)
-        assert plain == zero
 
 
 class TestLogMarginalLikelihood:
@@ -389,14 +395,14 @@ class TestFitHyperparams:
         assert a == b
 
 
-def _reference_fit(data, init, bounds, seed=0, trend=None):
+def _reference_fit(data, init, bounds, seed=0):
     """Plain multistart coordinate search: a fresh ``GpModel.build`` and
     ``log_marginal_likelihood`` for every candidate it visits, revisits
     included, with the start points and move rules of ``fit_hyperparams``."""
 
     def objective(theta):
         try:
-            model = GpModel.build(KernelParams(*np.exp(theta)), data, trend)
+            model = GpModel.build(KernelParams(*np.exp(theta)), data)
         except IllConditionedModelError:
             return None
         return log_marginal_likelihood(model)
@@ -437,21 +443,27 @@ def _reference_fit(data, init, bounds, seed=0, trend=None):
 
 def _fit_case(kind, with_trend, duplicated, seed):
     """A dataset, starting values and bounds for one pinned fit.  Values are
-    a smooth function of the embedding.  The duplicated case repeats three
-    of the points and lowers the noise floor, so that candidates with
-    little noise need jitter."""
+    a smooth function of the embedding.  With a trend there are enough
+    points for the dataset to fit its affine prior mean; without, 8 points
+    and the zero mean.  The duplicated case repeats three of the points and
+    lowers the noise floor, so that candidates with little noise need
+    jitter."""
     gen = np.random.default_rng(seed)
-    points = [random_point(kind, gen) for _ in range(8)]
+    n = TREND_POINTS_PER_COEFFICIENT * (kind.ambient_dim + 1) if with_trend else 8
+    points = [random_point(kind, gen) for _ in range(n)]
     if duplicated:
-        points = points[:5] + points[:3]
-    emb = GpDataset.from_points(points, np.zeros(len(points))).embedded
+        points = points[: n - 3] + points[:3]
+    emb = GpDataset.from_points(points, np.zeros(n)).embedded
     data = GpDataset.from_points(points, emb[:, 0] + 0.5 * emb[:, 1] ** 2)
-    trend = 0.3 * gen.standard_normal(emb.shape[1] + 1) if with_trend else None
-    bounds = default_bounds(data, trend)
+    if with_trend:
+        assert np.any(data.trend != 0.0)
+    else:
+        np.testing.assert_array_equal(data.trend, 0.0)
+    bounds = default_bounds(data)
     if duplicated:
         noise = (1e-18 * bounds.amplitude[0], bounds.noise[1])
         bounds = KernelBounds(bounds.lengthscale, bounds.amplitude, noise)
-    return data, trend, median_heuristic_params(data, trend), bounds
+    return data, median_heuristic_params(data), bounds
 
 
 PIN_KINDS = [Sphere(2), Grassmann(2, 5), Spd(3)]
@@ -489,14 +501,14 @@ class TestFitPinned:
         if case == "unfactorizable":
             monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
         duplicated = case != "distinct"
-        data, trend, init, bounds = _fit_case(kind, with_trend, duplicated, seed=7)
+        data, init, bounds = _fit_case(kind, with_trend, duplicated, seed=7)
         jitters = _recording_cholesky(monkeypatch)
-        fitted = fit_hyperparams(data, init, bounds, seed=3, trend=trend)
+        fitted = fit_hyperparams(data, init, bounds, seed=3)
         if case == "duplicated":
             assert any(j is not None and j > 0.0 for j in jitters)
         if case == "unfactorizable":
             assert None in jitters
-        expected = _reference_fit(data, init, bounds, seed=3, trend=trend)
+        expected = _reference_fit(data, init, bounds, seed=3)
         assert np.array(dataclasses.astuple(fitted)).tobytes() == (
             np.array(dataclasses.astuple(expected)).tobytes()
         )
@@ -512,8 +524,8 @@ class TestFitPinned:
             scored.append(model)
             return original_lml(model)
 
-        def recording_evidence(data, trend):
-            evaluate = original_evidence(data, trend)
+        def recording_evidence(data):
+            evaluate = original_evidence(data)
 
             def recorded(thetas):
                 values = evaluate(thetas)
@@ -526,8 +538,8 @@ class TestFitPinned:
         rounds = []
         monkeypatch.setattr(egp, "log_marginal_likelihood", counting_lml)
         monkeypatch.setattr(egp, "_log_evidence", recording_evidence)
-        data, trend, init, bounds = _fit_case(kind, True, True, seed=11)
-        fit_hyperparams(data, init, bounds, seed=2, trend=trend)
+        data, init, bounds = _fit_case(kind, True, True, seed=11)
+        fit_hyperparams(data, init, bounds, seed=2)
         distinct = {key for key, value in visits if value is not None}
         assert len(scored) == len(distinct)
         assert len(visits) > len({key for key, _ in visits})  # revisits happen
@@ -541,14 +553,14 @@ class TestFitPinned:
         stacked Cholesky raises and every row takes the jitter path."""
         if case == "unfactorizable":
             monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
-        data, trend, init, _ = _fit_case(kind, True, True, seed=11)
+        data, init, _ = _fit_case(kind, True, True, seed=11)
         good = np.log([init.lengthscale, init.amplitude, init.noise])
         thetas = [good, good + [0.3, -0.2, 0.5], good + [-0.4, 0.1, 0.0]]
         if case != "factorizable":
             # Three duplicated points and a noise floor far below round-off.
             thetas.insert(1, good + [0.0, 0.0, -40.0])
         jitters = _recording_cholesky(monkeypatch)
-        together = egp._log_evidence(data, trend)(thetas)
+        together = egp._log_evidence(data)(thetas)
         if case == "factorizable":
             assert jitters == []
         else:
@@ -557,7 +569,7 @@ class TestFitPinned:
                 assert jitters[1] is None
             else:
                 assert jitters[1] > 0.0
-        alone = [egp._log_evidence(data, trend)([theta])[0] for theta in thetas]
+        alone = [egp._log_evidence(data)([theta])[0] for theta in thetas]
         assert [np.float64(v).tobytes() if v is not None else None for v in together] == [
             np.float64(v).tobytes() if v is not None else None for v in alone
         ]
