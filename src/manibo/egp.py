@@ -7,7 +7,9 @@ equations around the dataset's prior mean (zero, or the least-squares
 affine function of the embedded coordinates once the data determine it),
 backed by a Cholesky factor of the noise-regularized Gram matrix, with an
 escalating jitter fallback for the near-singular matrices that duplicate
-proposals produce.
+proposals produce.  The hyperparameters maximize the log marginal
+likelihood by damped Newton ascent in the log-parameters, on its closed-form
+gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -36,12 +38,12 @@ JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
 # Data per coefficient before the dataset fits its affine prior mean.
 TREND_POINTS_PER_COEFFICIENT = 3
-# Hyperparameter fitting: multistart count, and the coordinate search's
-# initial and final log-step and sweep budget.
+# Hyperparameter fitting: multistart count, and each start's Newton step
+# budget, halvings per step, and stopping Newton decrement.
 FIT_RESTARTS = 5
-FIT_INITIAL_STEP = 0.5
-FIT_MIN_STEP = 1e-3
-FIT_MAX_SWEEPS = 60
+FIT_MAX_STEPS = 30
+FIT_BACKTRACKS = 10
+FIT_TOL = 1e-6
 
 
 class IllConditionedModelError(RuntimeError):
@@ -88,7 +90,7 @@ class KernelBounds:
             ("amplitude", self.amplitude),
             ("noise", self.noise),
         ):
-            if not (0.0 < lo <= hi):
+            if not (0.0 < lo <= hi < math.inf):
                 raise InvalidInputError(f"invalid {name} bounds ({lo}, {hi})")
 
     def clip(self, params: KernelParams) -> KernelParams:
@@ -196,39 +198,32 @@ def kernel_eval(params: KernelParams, x: ManifoldPoint, z: ManifoldPoint) -> flo
     return params.amplitude * math.exp(-sq / (2.0 * params.lengthscale**2))
 
 
-def _grams(
-    params: Sequence[KernelParams], sq_dists: np.ndarray, eye: np.ndarray
-) -> np.ndarray:
-    """Kernel matrices plus noise on the diagonal, one per parameter set,
-    stacked (m, n, n).  Each matrix is formed elementwise from its own
-    scalars, so its bits do not depend on the stack it is built in."""
-    scalars = np.array([(p.amplitude, 2.0 * p.lengthscale**2, p.noise) for p in params])
-    amplitude, two_l2, noise = scalars.T[:, :, None, None]
-    k = amplitude * np.exp(-sq_dists / two_l2)
-    k = 0.5 * (k + k.transpose(0, 2, 1))
-    return k + noise * eye
-
-
 def gram_matrix(params: KernelParams, data: GpDataset) -> np.ndarray:
-    """Kernel matrix of the dataset plus noise on the diagonal."""
-    return _grams([params], data.sq_dists, np.eye(len(data)))[0]
+    """Kernel matrix of the dataset plus noise on the diagonal, from the
+    dataset's cached squared distances; symmetric bit for bit."""
+    k = params.amplitude * np.exp(-data.sq_dists / (2.0 * params.lengthscale**2))
+    return 0.5 * (k + k.T) + params.noise * np.eye(len(data))
 
 
 def _cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter on failure."""
+    """Lower Cholesky factor, escalating diagonal jitter on failure: each
+    decade from ``JITTER_INITIAL`` up to ``JITTER_MAX``, times the amplitude,
+    both ends included (none when ``JITTER_MAX`` is below the start).  The
+    levels are counted, not accumulated, so round-off cannot drop the last."""
     try:
         return np.linalg.cholesky(gram), 0.0
     except np.linalg.LinAlgError:
         pass
-    jitter = JITTER_INITIAL * amplitude
+    levels = round(math.log10(JITTER_MAX / JITTER_INITIAL)) + 1 if JITTER_MAX > 0.0 else 0
     eye = np.eye(gram.shape[0])
-    while jitter <= JITTER_MAX * amplitude:
+    for level in reversed(range(levels)):
+        jitter = JITTER_MAX * amplitude / 10.0**level
         try:
             chol = np.linalg.cholesky(gram + jitter * eye)
             logger.debug("Gram factorization needed jitter %.3g", jitter)
             return chol, jitter
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            pass
     raise IllConditionedModelError(
         f"Cholesky failed up to jitter {JITTER_MAX * amplitude:g}"
     )
@@ -419,105 +414,69 @@ def default_bounds(data: GpDataset) -> KernelBounds:
     )
 
 
-def _log_evidence(
-    data: GpDataset,
-) -> Callable[[Sequence[np.ndarray]], list[Optional[float]]]:
-    """The log marginal likelihood as a function of a round of log-parameter
-    candidates theta: their scores, None where the Gram matrix cannot be
-    factorized.
+def _lml_derivatives(
+    data: GpDataset, theta: np.ndarray
+) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+    """The log marginal likelihood at the log-parameters theta =
+    log(lengthscale, amplitude, noise), with its gradient and its exact 3x3
+    Hessian in theta; None where the Gram matrix cannot be factorized.
 
-    The identity is formed once, and each distinct theta is scored once:
-    the coordinate search revisits points (the opposite move after an
-    accepted one returns to the old point, and restarts meet), and those
-    revisits read the cache.  A round's
-    distinct uncached candidates are scored together: one stacked Gram
-    matrix and one stacked Cholesky factorization, whose rows equal the
-    single ones bit for bit.  When the stack cannot be factorized, every
-    candidate of the round goes through the jitter escalation on its own.
-    Each factor is whitened by ``_solve_chol`` and scored by
-    ``log_marginal_likelihood``, once per distinct theta."""
-    eye = np.eye(len(data))
-    scores: dict[bytes, Optional[float]] = {}
+    With K = a E + s I, E = exp(-D / 2 l^2) and R = D / l^2, the first
+    derivatives of K are K_l = a E R, K_a = a E and K_s = s I.  The second
+    derivatives repeat them (K_la = K_l, K_aa = K_a, K_ss = K_s), except
+    K_ll = K_l (R - 2) and K_ls = K_as = 0.  With alpha = K^{-1} (y - prior
+    mean) (Rasmussen & Williams 2006, Section 5.4.1):
 
-    def score(thetas: list[np.ndarray]) -> None:
-        params = [KernelParams(*np.exp(theta)) for theta in thetas]
-        grams = _grams(params, data.sq_dists, eye)
-        try:
-            factors = [(chol, 0.0) for chol in np.linalg.cholesky(grams)]
-        except np.linalg.LinAlgError:
-            factors = []
-            for p, gram in zip(params, grams):
-                try:
-                    factors.append(_cholesky_with_jitter(gram, p.amplitude))
-                except IllConditionedModelError:
-                    factors.append(None)
-        for theta, p, factor in zip(thetas, params, factors):
-            scores[theta.tobytes()] = None if factor is None else log_marginal_likelihood(
-                _factorized(p, data, factor)
-            )
+        g_i  = alpha' K_i alpha / 2 - tr(K^{-1} K_i) / 2
+        H_ij = alpha' K_ij alpha / 2 - tr(K^{-1} K_ij) / 2
+               - alpha' K_i K^{-1} K_j alpha + tr(K^{-1} K_i K^{-1} K_j) / 2
 
-    def evaluate(thetas: Sequence[np.ndarray]) -> list[Optional[float]]:
-        fresh = {}
-        for theta in thetas:
-            key = theta.tobytes()
-            if key not in scores:
-                fresh.setdefault(key, theta)
-        if fresh:
-            score(list(fresh.values()))
-        return [scores[theta.tobytes()] for theta in thetas]
-
-    return evaluate
-
-
-def _coordinate_search(
-    theta0: np.ndarray, log_lo: np.ndarray, log_hi: np.ndarray
-) -> Generator[np.ndarray, Optional[float], tuple[np.ndarray, Optional[float]]]:
-    """Maximize a score over log-parameters by coordinate moves with
-    shrinking step, accepting each improving move at once.
-
-    A generator: it yields each candidate theta and is sent its score (None
-    where it cannot be scored), so that the caller can score the candidates
-    of several searches together.  It returns (theta, value), with value
-    None if no candidate could be scored."""
-    theta = np.clip(theta0, log_lo, log_hi)
-    best = yield theta
-    step = FIT_INITIAL_STEP
-    for _ in range(FIT_MAX_SWEEPS):
-        if step < FIT_MIN_STEP:
-            break
-        improved = False
-        for axis in range(theta.size):
-            for sign in (1.0, -1.0):
-                # Scalar min/max: the bits of np.clip, at a fraction of its cost.
-                moved = min(max(theta[axis] + sign * step, log_lo[axis]), log_hi[axis])
-                if moved == theta[axis]:
-                    continue
-                cand = theta.copy()
-                cand[axis] = moved
-                val = yield cand
-                if val is not None and (best is None or val > best):
-                    theta, best = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return theta, best
+    The first two terms of H_ij have the form of g with K_ij for K_i.  Any
+    jitter the factorization needed is held fixed."""
+    params = KernelParams(*np.exp(theta))
+    try:
+        factor = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
+    except IllConditionedModelError:
+        return None
+    model = _factorized(params, data, factor)
+    ratio = data.sq_dists / params.lengthscale**2
+    kernel = params.amplitude * np.exp(-0.5 * ratio)
+    # K_l, K_a, K_s, then K_ll.
+    dk = np.stack([
+        kernel * ratio, kernel, params.noise * np.eye(len(data)),
+        kernel * ratio * (ratio - 2.0),
+    ])
+    k_inv = model.chol_inv.T @ model.chol_inv
+    dk_alpha = dk @ model.alpha
+    k_inv_dk = k_inv @ dk
+    halves = 0.5 * (dk_alpha @ model.alpha - np.trace(k_inv_dk, axis1=1, axis2=2))
+    grad = halves[:3]
+    hess = (
+        0.5 * np.einsum("iab,jba->ij", k_inv_dk[:3], k_inv_dk[:3])
+        - dk_alpha[:3] @ k_inv @ dk_alpha[:3].T
+    )
+    hess += [[halves[3], grad[0], 0.0], [grad[0], grad[1], 0.0], [0.0, 0.0, grad[2]]]
+    return log_marginal_likelihood(model), grad, hess
 
 
 def fit_hyperparams(
     data: GpDataset, init: KernelParams, bounds: KernelBounds, seed: int = 0
 ) -> KernelParams:
-    """Maximize the log marginal likelihood around the data's prior mean by
-    coordinate search from ``FIT_RESTARTS`` starts: ``init`` and uniform
-    draws from the box.
+    """Maximize the log marginal likelihood around the data's prior mean
+    over theta = log(lengthscale, amplitude, noise) in the box, by damped
+    Newton ascent from ``FIT_RESTARTS`` starts: ``init`` clipped to the box,
+    and uniform draws from it.
 
-    The restarts advance in lockstep: each round, every live restart
-    proposes its next candidate, and one evaluator scores the round's
-    distinct new candidates together (see ``_log_evidence``); each distinct
-    candidate is scored once, and no ``GpModel.build`` runs.  Each restart
-    keeps its own greedy accept order, so it visits the same candidates as
-    it would alone.  Deterministic given the seed.  Raises
-    FittingFailedError when every candidate in every restart fails to
-    factorize.
+    Each step works on the free coordinates, those not at a bound with the
+    gradient pointing out of the box.  On them it takes d = V |lam|^{-1} V' g,
+    with (lam, V) = eigh(H) of the exact Hessian (``_lml_derivatives``):
+    Newton where H is negative definite, and still an ascent direction where
+    it is indefinite.  It clips theta + d to the box and halves d, up to
+    ``FIT_BACKTRACKS`` times, until the log marginal likelihood rises.  A
+    start stops when the Newton decrement g'd / 2 falls below ``FIT_TOL``,
+    when no halving helps, or after ``FIT_MAX_STEPS`` steps.  A start or
+    trial whose Gram matrix cannot be factorized is skipped.  Deterministic
+    given the seed.  Raises FittingFailedError when no start can be scored.
     """
     if len(data) < 2:
         raise InvalidInputError("hyperparameter fitting requires at least 2 points")
@@ -528,22 +487,37 @@ def fit_hyperparams(
     rng = np.random.default_rng(seed)
     for _ in range(FIT_RESTARTS - 1):
         starts.append(rng.uniform(log_lo, log_hi))
-    evaluate = _log_evidence(data)
-    searches = [_coordinate_search(theta0, log_lo, log_hi) for theta0 in starts]
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    results: list = [None] * len(searches)
-    while pending:
-        for i, val in zip(list(pending), evaluate(list(pending.values()))):
-            try:
-                pending[i] = searches[i].send(val)
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
     best_theta, best_val = None, None
-    for theta, val in results:
-        if val is not None and (best_val is None or val > best_val):
-            best_theta, best_val = theta, val
+    for theta in starts:
+        theta = np.clip(theta, log_lo, log_hi)
+        scored = _lml_derivatives(data, theta)
+        if scored is None:
+            continue
+        for _ in range(FIT_MAX_STEPS):
+            value, grad, hess = scored
+            free = ~((theta <= log_lo) & (grad < 0.0) | (theta >= log_hi) & (grad > 0.0))
+            eigvals, eigvecs = np.linalg.eigh(hess[np.ix_(free, free)])
+            # The pseudo-inverse of |H|: a flat direction takes no step, as
+            # the lengthscale's does once every off-diagonal kernel value
+            # underflows.
+            curvature = np.abs(eigvals)
+            keep = curvature > np.finfo(float).eps * curvature.max(initial=0.0)
+            step = np.zeros_like(theta)
+            step[free] = eigvecs[:, keep] @ (eigvecs[:, keep].T @ grad[free] / curvature[keep])
+            if 0.5 * (grad @ step) <= FIT_TOL:
+                break
+            for _ in range(FIT_BACKTRACKS + 1):
+                trial = np.clip(theta + step, log_lo, log_hi)
+                trial_scored = _lml_derivatives(data, trial)
+                if trial_scored is not None and trial_scored[0] > value:
+                    break
+                step *= 0.5
+            else:
+                break
+            theta, scored = trial, trial_scored
+        if best_val is None or scored[0] > best_val:
+            best_theta, best_val = theta, scored[0]
     if best_theta is None:
-        raise FittingFailedError("all hyperparameter candidates failed to factorize")
+        raise FittingFailedError("no hyperparameter start could be factorized")
     # The log/exp roundtrip can land an ulp outside the box; clip it back.
     return bounds.clip(KernelParams(*np.exp(best_theta)))
