@@ -6,8 +6,9 @@ projected gradient ascent in the embedding space: the analytic ambient
 gradient is projected onto the tangent space of the embedded manifold and
 a step is taken with the manifold's retraction (``retract_embedded``), so
 every iterate stays on the manifold.  Multistart makes the search global: the
-starts climb in embedded coordinates, are ranked there on the values their
-ascent reached, and only the winner is mapped back to a manifold point.
+starts are drawn as embedded rows, climb there, are ranked on the values
+their ascent reached, and only the winner is mapped back to a manifold
+point.
 
 The ascent climbs log Phi, which has the same maximizer.  PI rounds to
 exactly 1.0 once the standardized improvement passes about 8.3, so an
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -35,7 +35,6 @@ from .manifolds import (
     ambient_norms,
     embed,
     flatten_ambient,
-    random_point,
     retract_embedded,
     tangent_project_embedded,
     unembed,
@@ -55,6 +54,12 @@ LOG_PI_RTOL = 3e-3
 ASCENT_STEP = 0.1
 # Halvings of a row's trial step before its ascent stops.
 MAX_BACKTRACKS = 20
+# Gradients a row takes before its ascent stops.
+ASCENT_MAX_STEPS = 200
+# A row whose projected gradient is shorter than this is stationary.
+ASCENT_GRAD_TOL = 1e-8
+# Starts per maximization: the incumbent and this many less one random points.
+ASCENT_STARTS = 10
 
 
 def inverse_mills_ratio(z):
@@ -97,23 +102,6 @@ class AcquisitionState:
         """Flat embedding of the incumbent, the best observed point."""
         data = self.model.data
         return data.embedded[int(np.argmin(data.values))]
-
-
-@dataclass(frozen=True)
-class AscentConfig:
-    """Projected gradient ascent settings: the step budget, the stationarity
-    tolerance, the number of multistarts and their seed."""
-
-    max_steps: int = 200
-    grad_tol: float = 1e-8
-    n_starts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_steps < 1 or self.n_starts < 1:
-            raise InvalidInputError("max_steps and n_starts must be positive")
-        if not self.grad_tol > 0.0:
-            raise InvalidInputError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 def _improvement(
@@ -193,13 +181,12 @@ def _tangents(state: AcquisitionState, e: np.ndarray, post: PosteriorRows) -> np
     return tangent_project_embedded(kind, e, grad)
 
 
-def ascend(
-    state: AcquisitionState, config: AscentConfig, starts: Sequence[ManifoldPoint]
-) -> tuple[np.ndarray, np.ndarray]:
+def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent of the acquisition from every start at
-    once; returns the last iterate of every start, embedded and stacked
-    along a leading axis, and the value the ascent reached there (``-inf``
-    for a start whose retraction failed).
+    once.  ``e`` stacks the embedded starts along a leading axis; returns
+    the last iterate of every start, stacked the same way, and the value
+    the ascent reached there (``-inf`` for a start whose retraction
+    failed).  ``e`` itself is not modified.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set.  All starts
@@ -213,26 +200,28 @@ def ascend(
     that leave the manifold's chart (``within_chart``) or the trust radius
     count as not improving, so every iterate can be unembedded.  The first
     trial step is ``ASCENT_STEP`` lengthscales.  A row stops when its
-    projected gradient is below ``grad_tol``, ``MAX_BACKTRACKS`` halvings do
-    not help, a step no longer raises the acquisition, a log-PI step gains
-    less than ``LOG_PI_RTOL`` of the distance of log PI from 0, or
-    ``max_steps`` is reached; every accepted step raises the acquisition, so
-    a result never scores below its start.  Every row is computed on its
-    own, so its result does not depend on the other starts.  Raises when
-    every start fails.
+    projected gradient is below ``ASCENT_GRAD_TOL``, ``MAX_BACKTRACKS``
+    halvings do not help, a step no longer raises the acquisition, a log-PI
+    step gains less than ``LOG_PI_RTOL`` of the distance of log PI from 0,
+    or ``ASCENT_MAX_STEPS`` gradients have been taken; every accepted step
+    raises the acquisition, so a result never scores below its start.
+    Every row is computed on its own, so its result does not depend on the
+    other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
+    stack of the kind's ambient shape, and raises when every start fails.
     """
     kind = state.model.data.kind
-    for x0 in starts:
-        if x0.kind != kind:
-            raise InvalidInputError(f"start kind {x0.kind} does not match model")
-    e = np.stack([embed(x0) for x0 in starts])
+    e = np.array(e, dtype=float, order="C")
+    if e.shape[1:] != kind.ambient_shape or len(e) == 0:
+        raise InvalidInputError(
+            f"starts have shape {e.shape}, expected (n >= 1,) + {kind.ambient_shape}"
+        )
     post = posterior_rows(state.model, kind.flatten_rows(e))
     acq = _ascent_value(state, post)
     tangent = _tangents(state, e, post)
-    step = np.full(len(starts), ASCENT_STEP * state.model.params.lengthscale)
-    n_steps = np.ones(len(starts), dtype=int)  # gradients taken
-    rejected = np.zeros(len(starts), dtype=int)  # trials of the current step
-    active = ambient_norms(kind, tangent) >= config.grad_tol
+    step = np.full(len(e), ASCENT_STEP * state.model.params.lengthscale)
+    n_steps = np.ones(len(e), dtype=int)  # gradients taken
+    rejected = np.zeros(len(e), dtype=int)  # trials of the current step
+    active = ambient_norms(kind, tangent) >= ASCENT_GRAD_TOL
     # Each round, every active row tries one step; a row never waits for
     # another's backtracking.
     while True:
@@ -256,7 +245,7 @@ def ascend(
         gain = acq_cand[moved] - acq[new]
         e[new], acq[new] = e_cand[trial[moved]], acq_cand[moved]
         step[new] *= 1.5
-        going = n_steps[new] < config.max_steps
+        going = n_steps[new] < ASCENT_MAX_STEPS
         if not state.exploit:
             going &= ~(gain <= LOG_PI_RTOL * -acq[new])
         go = new[going]
@@ -270,7 +259,7 @@ def ascend(
         step[retry] *= 0.5
         rejected[retry] += 1
         active[rows] = False
-        active[go] = ambient_norms(kind, tangent[go]) >= config.grad_tol
+        active[go] = ambient_norms(kind, tangent[go]) >= ASCENT_GRAD_TOL
         active[retry] = rejected[retry] <= MAX_BACKTRACKS
     if np.all(acq == -np.inf):
         raise AmbiguousSubspaceError(
@@ -279,31 +268,33 @@ def ascend(
     return e, acq
 
 
-def _into_trust(state: AcquisitionState, x: ManifoldPoint) -> ManifoldPoint:
-    """A random start moved, in embedded coordinates, toward the incumbent
-    until it lies within the trust radius, then back onto the manifold."""
-    kind = x.kind
-    w = flatten_ambient(kind, embed(x))
+def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
+    """A random embedded start, pulled toward the incumbent in flat
+    coordinates into the trust radius, then back onto the embedded image."""
+    kind = state.model.data.kind
+    e = kind.embed(kind.random_coords(rng))
+    w = kind.flatten_rows(e)
     if _within_trust(state, w[None])[0]:
-        return x
+        return e
     diff = w - state.trust_center
     pulled = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
-    return unembed(kind, unflatten_ambient(kind, pulled))
+    return kind.embed(kind.unembed(kind.unflatten_rows(pulled)))
 
 
-def maximize(state: AcquisitionState, config: AscentConfig) -> ManifoldPoint:
+def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     """Best acquisition point across multistart ascents.
 
-    Starts from the best observed point plus ``n_starts - 1`` random points,
+    Starts from the best observed point plus ``ASCENT_STARTS - 1`` random
+    points drawn from ``seed`` (one whose draw or pull raises is skipped),
     each pulled within the trust radius, and ascends them all in one
-    ``ascend`` call; deterministic given the config seed.  Starts are
-    ranked on the values their ascent reached (log PI, so candidates whose
-    PI rounds to 1.0 still rank), at their embedded last iterates; ties
-    keep the earliest start.  A start is skipped if its retraction failed,
-    or if its last iterate lies outside the chart or, unless it is the
-    incumbent's, outside the trust radius (a pulled-in start can land just
-    outside it on a curved manifold); if every start is skipped, this
-    raises.  Only the winner is unembedded.
+    ``ascend`` call; deterministic given the seed.  Starts are ranked on
+    the values their ascent reached (log PI, so candidates whose PI rounds
+    to 1.0 still rank), at their embedded last iterates; ties keep the
+    earliest start.  A start is skipped if its retraction failed, or if its
+    last iterate lies outside the chart or, unless it is the incumbent's,
+    outside the trust radius (a pulled-in start can land just outside it on
+    a curved manifold); if every start is skipped, this raises.  Only the
+    winner is unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -312,15 +303,14 @@ def maximize(state: AcquisitionState, config: AscentConfig) -> ManifoldPoint:
     """
     data = state.model.data
     kind = data.kind
-    incumbent = data.points[int(np.argmin(data.values))]
-    rng = np.random.default_rng(config.seed)
-    starts = [incumbent]
-    for _ in range(config.n_starts - 1):
+    rng = np.random.default_rng(seed)
+    starts = [embed(data.points[int(np.argmin(data.values))])]
+    for _ in range(ASCENT_STARTS - 1):
         try:
-            starts.append(_into_trust(state, random_point(kind, rng)))
+            starts.append(_random_start(state, rng))
         except ManifoldError:
             continue
-    e, acq = ascend(state, config, starts)
+    e, acq = ascend(state, np.stack(starts))
     in_trust = _within_trust(state, kind.flatten_rows(e))
     in_trust[0] = True
     eligible = np.isfinite(acq) & kind.within_chart(e) & in_trust

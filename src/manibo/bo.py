@@ -2,10 +2,10 @@
 
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
-refitting.  The incumbent is the best observed value.  Failures mid-run
-(a non-finite objective value, or an exception from the proposal, the
-objective or the refit) abort the run but keep the trace collected so far,
-since traces are the primary artifact.
+refitting.  The incumbent is the best observed value.  Failures after the
+first evaluation (a non-finite objective value, or an exception from the
+objective, the proposal or the refit) abort the run but keep the trace
+collected so far, since traces are the primary artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .acquisition import AcquisitionState, AscentConfig, maximize
+from .acquisition import AcquisitionState, maximize
 from .egp import (
     FittingFailedError,
     GpDataset,
@@ -77,8 +77,8 @@ class BoConfig:
     every ``refit_every``-th iteration but the last, whose fit no proposal
     would use; ``refit_every=0`` disables hyperparameter fitting entirely.
     ``init_points`` overrides the random initial design (the design size is
-    then their count).  Each iteration's acquisition runs the default
-    ``AscentConfig`` with a seed derived from ``seed``.  The surrogate's
+    then their count).  Each iteration's ``maximize`` gets a seed derived
+    from ``seed``; the ascent's settings are constants.  The surrogate's
     prior mean is derived from the data (``GpDataset.trend``).
     """
 
@@ -218,12 +218,13 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     """Run the optimization loop; returns (best point, best value, trace).
 
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
-    initial design; records 1..n_iters follow the proposals.  After the
-    initial design, a non-finite objective value or any exception from the
-    proposal phase (surrogate build, acquisition maximization, dedup), the
-    objective or the hyperparameter refit aborts the run with the trace
-    collected so far (``trace.aborted`` set, ``trace.abort_reason`` saying
-    why) rather than discarding it.
+    initial design (or the part of it evaluated before a failure); records
+    1..n_iters follow the proposals.  After the first evaluation, a
+    non-finite objective value or any exception from the objective, the
+    proposal phase (surrogate build, acquisition maximization, dedup) or
+    the hyperparameter refit aborts the run with the trace collected so far
+    (``trace.aborted`` set, ``trace.abort_reason`` saying why) rather than
+    discarding it.  A failure on the first evaluation raises.
     """
     trace = RunTrace()
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -239,17 +240,29 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         init_rng = np.random.default_rng(init_seq)
         init_points = [random_point(obj.kind, init_rng) for _ in range(cfg.n_init)]
 
+    def abort(reason: str, exc: Optional[Exception] = None) -> None:
+        if exc is not None:
+            reason = f"{reason}: {type(exc).__name__}: {exc}"
+        logger.warning("%s", reason, exc_info=exc)
+        trace.aborted = True
+        trace.abort_reason = reason
+
     points: list[ManifoldPoint] = []
     values: list[float] = []
     for pt in init_points:
-        y = float(obj.fn(pt))
+        try:
+            y = float(obj.fn(pt))
+        except Exception as exc:  # a user objective may raise anything
+            if not values:
+                raise
+            abort("objective raised during init", exc)
+            break
         if not math.isfinite(y):
             if not values:
                 raise InvalidInputError(
                     f"objective returned non-finite value {y!r} on the first evaluation"
                 )
-            trace.aborted = True
-            trace.abort_reason = f"objective returned non-finite value {y!r} during init"
+            abort(f"objective returned non-finite value {y!r} during init")
             break
         points.append(pt)
         values.append(y)
@@ -271,11 +284,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current
 
-    def abort(what: str, s: int, exc: Exception) -> None:
-        logger.warning("%s at iteration %d", what, s, exc_info=True)
-        trace.aborted = True
-        trace.abort_reason = f"{what} at iteration {s}: {type(exc).__name__}: {exc}"
-
     try:
         params = cfg.kernel
         if params is None:
@@ -283,7 +291,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         if cfg.refit_every > 0 and len(dataset) >= 2:
             params = refit(params)
     except Exception as exc:  # any failure here keeps the trace
-        abort("surrogate update failed", 0, exc)
+        abort("surrogate update failed at iteration 0", exc)
         return best_point, best_value, trace
 
     loop_rng = np.random.default_rng(loop_seq)
@@ -301,21 +309,18 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 trust_radius,
                 exploit=s % EXPLOIT_EVERY == 0,
             )
-            x_next = maximize(state, AscentConfig(seed=int(loop_rng.integers(2**31))))
+            x_next = maximize(state, int(loop_rng.integers(2**31)))
             x_next = proposal_dedup(dataset, x_next, loop_rng, params.lengthscale)
         except Exception as exc:  # any failure here keeps the trace
-            abort("proposal failed", s, exc)
+            abort(f"proposal failed at iteration {s}", exc)
             break
         try:
             y = float(obj.fn(x_next))
         except Exception as exc:  # a user objective may raise anything
-            abort("objective raised", s, exc)
+            abort(f"objective raised at iteration {s}", exc)
             break
         if not math.isfinite(y):
-            trace.aborted = True
-            trace.abort_reason = (
-                f"objective returned non-finite value {y!r} at iteration {s}"
-            )
+            abort(f"objective returned non-finite value {y!r} at iteration {s}")
             break
         if y < best_value:
             best_point, best_value = x_next, y
@@ -330,6 +335,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 failure = exc
         trace.record(obj, s, x_next, y, best_point, best_value, len(dataset), tick)
         if failure is not None:
-            abort("surrogate update failed", s, failure)
+            abort(f"surrogate update failed at iteration {s}", failure)
             break
     return best_point, best_value, trace

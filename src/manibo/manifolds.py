@@ -51,8 +51,11 @@ ZERO_STEP_TOL = 1e-14
 # The Spd chart: log-Euclidean coordinates of Frobenius norm at most this.
 # Beyond it the exp/log round trip loses precision (its error passes 1e-8
 # near norm 15 for 3 x 3 matrices) and, further out, definiteness itself.
-# ManifoldPoint validation and unembed both enforce it.
 SPD_LOG_NORM_MAX = 10.0
+# At the bound that round trip moves the log-norm by up to 2.8e-10: points
+# are validated up to one slack beyond it, and unembed scales log-norms up
+# to two beyond it back onto it, so every accepted point round-trips.
+SPD_CHART_SLACK = 1e-8
 
 
 class ManifoldError(ValueError):
@@ -324,9 +327,7 @@ class Spd(_SymKind):
         if eigs[0] <= 0.0:
             raise DomainError("Spd point is not positive definite")
         log_norm = float(np.linalg.norm(np.log(eigs)))
-        # POINT_ATOL of slack absorbs the exp/log round-off of points that
-        # unembed builds right at the bound.
-        if log_norm > SPD_LOG_NORM_MAX + POINT_ATOL:
+        if log_norm > SPD_LOG_NORM_MAX + SPD_CHART_SLACK:
             raise DomainError(
                 f"Spd point has log-norm {log_norm:g}, outside the chart "
                 f"(at most {SPD_LOG_NORM_MAX:g})"
@@ -340,12 +341,16 @@ class Spd(_SymKind):
         return _sym((v * np.log(w)) @ v.T)
 
     def unembed(self, v):
-        """The matrix exponential, within the chart."""
-        if not self.within_chart(v):
+        """The matrix exponential, within the chart; log-norms up to two
+        ``SPD_CHART_SLACK`` beyond it are first scaled back onto it."""
+        norm = float(ambient_norms(self, v))
+        if not norm <= SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK:
             raise DomainError(
-                f"log-coordinates of norm {np.linalg.norm(v):g} lie outside the Spd "
+                f"log-coordinates of norm {norm:g} lie outside the Spd "
                 f"chart (at most {SPD_LOG_NORM_MAX:g})"
             )
+        if norm > SPD_LOG_NORM_MAX:
+            v = v * (SPD_LOG_NORM_MAX / norm)
         w, vecs = np.linalg.eigh(_sym(v))
         return _sym((vecs * np.exp(w)) @ vecs.T)
 

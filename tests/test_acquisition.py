@@ -6,7 +6,6 @@ from scipy.special import ndtr
 
 from manibo import (
     AcquisitionState,
-    AscentConfig,
     GpDataset,
     GpModel,
     Grassmann,
@@ -26,6 +25,7 @@ from manibo import (
 )
 from manibo import acquisition, manifolds
 from manibo.acquisition import (
+    ASCENT_STARTS,
     ASCENT_STEP,
     LOG_PI_RTOL,
     MAX_BACKTRACKS,
@@ -33,7 +33,7 @@ from manibo.acquisition import (
     _ascent_value,
     _at,
     _improvement,
-    _into_trust,
+    _random_start,
     _within_trust,
     inverse_mills_ratio,
 )
@@ -246,7 +246,7 @@ class TestRetractionStaysOnImage:
 
 
 class TestAscend:
-    def test_stationary_start_returns_start(self):
+    def test_stationary_start_returns_start(self, monkeypatch):
         kind = Sphere(2)
         theta = 0.6
         a = ManifoldPoint(kind, [math.sin(theta), 0.0, math.cos(theta)])
@@ -255,22 +255,22 @@ class TestAscend:
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
         state = AcquisitionState(model, 0.4)
-        e, _ = ascend(state, AscentConfig(grad_tol=1e-5), [mid])
+        monkeypatch.setattr(acquisition, "ASCENT_GRAD_TOL", 1e-5)
+        e, _ = ascend(state, embed(mid)[None])
         np.testing.assert_allclose(e[0], embed(mid), atol=1e-12)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_never_below_start(self, kind, rng):
         state = _state(kind, 4, rng)
-        config = AscentConfig(seed=0)
         for _ in range(5):
             x0 = random_point(kind, rng)
-            e, acq = ascend(state, config, [x0])
+            e, acq = ascend(state, embed(x0)[None])
             assert acq[0] >= _log_pi_at(state, flatten_ambient(kind, embed(x0)))
             # The value is the log PI at the returned embedded iterate, bit
             # for bit.
             assert acq[0] == _log_pi_at(state, flatten_ambient(kind, e[0]))
 
-    def test_beats_random_probes_single_datum(self, rng):
+    def test_beats_random_probes_single_datum(self, monkeypatch, rng):
         # Oracle: dense random probing of the sphere.
         kind = Sphere(2)
         datum = ManifoldPoint(kind, [0.0, 0.0, 1.0])
@@ -279,7 +279,8 @@ class TestAscend:
         state = AcquisitionState(model, 1.0)
         start = ManifoldPoint(kind, [1.0, 0.0, 0.0])
         # A quarter-sphere traverse needs more than the default step budget.
-        _, acq = ascend(state, AscentConfig(max_steps=2000), [start])
+        monkeypatch.setattr(acquisition, "ASCENT_MAX_STEPS", 2000)
+        _, acq = ascend(state, embed(start)[None])
         probe_rng = np.random.default_rng(11)
         probe_best = max(
             pi_value(state, random_point(kind, probe_rng)) for _ in range(100)
@@ -295,52 +296,102 @@ class TestAscend:
             assert abs(np.dot(x.coords, tangent)) < 1e-10
 
     def test_kind_mismatch(self, rng):
+        # Starts must be a non-empty stack of the model kind's embedded
+        # shape: rows of another kind, one unstacked row and an empty stack
+        # are all rejected.
         state = _state(Sphere(2), 3, rng)
-        with pytest.raises(InvalidInputError):
-            ascend(state, AscentConfig(), [random_point(Spd(2), rng)])
+        row = embed(random_point(Sphere(2), rng))
+        for starts in (embed(random_point(Spd(2), rng))[None], row, row[None][:0]):
+            with pytest.raises(InvalidInputError):
+                ascend(state, starts)
+
+
+def _reference_starts(state, seed):
+    """The start rows of ``maximize``, built through manifold points: the
+    incumbent, then each ``random_point`` pulled toward the incumbent in
+    flat coordinates where it lies outside the trust radius, unembedded
+    and embedded again.  Also returns how many starts were pulled."""
+    data = state.model.data
+    kind = data.kind
+    rng = np.random.default_rng(seed)
+    starts, pulled = [data.points[int(np.argmin(data.values))]], 0
+    for _ in range(ASCENT_STARTS - 1):
+        try:
+            x = random_point(kind, rng)
+            w = flatten_ambient(kind, embed(x))
+            if not _within_trust(state, w[None])[0]:
+                diff = w - state.trust_center
+                w = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
+                x = unembed(kind, unflatten_ambient(kind, w))
+                pulled += 1
+        except ManifoldError:
+            continue
+        starts.append(x)
+    return np.stack([embed(x) for x in starts]), pulled
 
 
 class TestMaximize:
-    def test_single_start_reduces_to_ascend_from_incumbent(self, rng):
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("trust_radius", [math.inf, 0.8])
+    def test_start_rows_match_manifold_point_path(
+        self, kind, trust_radius, monkeypatch, rng
+    ):
+        base = _state(kind, 8, rng)
+        state = AcquisitionState(base.model, base.best_value, trust_radius=trust_radius)
+        seen = []
+        real_ascend = acquisition.ascend
+
+        def spy(state, e):
+            seen.append(np.array(e))
+            return real_ascend(state, e)
+
+        monkeypatch.setattr(acquisition, "ascend", spy)
+        for seed in range(3):
+            maximize(state, seed)
+            reference, pulled = _reference_starts(state, seed)
+            assert pulled > 0 if math.isfinite(trust_radius) else pulled == 0
+            np.testing.assert_array_equal(seen[-1], reference)
+
+    def test_single_start_reduces_to_ascend_from_incumbent(self, monkeypatch, rng):
         kind = Sphere(2)
         state = _state(kind, 5, rng)
-        config = AscentConfig(n_starts=1, seed=3)
+        monkeypatch.setattr(acquisition, "ASCENT_STARTS", 1)
         incumbent = state.model.data.points[int(np.argmin(state.model.data.values))]
-        e, _ = ascend(state, config, [incumbent])
-        result = maximize(state, config)
+        e, _ = ascend(state, embed(incumbent)[None])
+        result = maximize(state, 3)
         np.testing.assert_array_equal(result.coords, unembed(kind, e[0]).coords)
 
-    def test_argmax_over_starts(self, rng):
+    def test_argmax_over_starts(self, monkeypatch, rng):
         kind = Sphere(2)
         state = _state(kind, 4, rng)
-        config = AscentConfig(n_starts=6, seed=9)
+        monkeypatch.setattr(acquisition, "ASCENT_STARTS", 6)
         # Replay the deterministic start list and take the first-best ascent.
-        start_rng = np.random.default_rng(config.seed)
+        start_rng = np.random.default_rng(9)
         starts = [state.model.data.points[int(np.argmin(state.model.data.values))]]
-        starts += [random_point(kind, start_rng) for _ in range(config.n_starts - 1)]
+        starts += [random_point(kind, start_rng) for _ in range(5)]
+        starts = np.stack([embed(s) for s in starts])
         best_e, best_acq = None, -np.inf
         for s in starts:
-            e, acq = ascend(state, config, [s])
+            e, acq = ascend(state, s[None])
             if acq[0] > best_acq:
                 best_e, best_acq = e[0], acq[0]
-        result = maximize(state, config)
+        result = maximize(state, 9)
         np.testing.assert_array_equal(result.coords, unembed(kind, best_e).coords)
-        e, acq = ascend(state, config, starts)
+        e, acq = ascend(state, starts)
         np.testing.assert_array_equal(e[int(np.argmax(acq))], best_e)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_bit_reproducible(self, kind, rng):
         state = _state(kind, 4, rng)
-        config = AscentConfig(seed=21)
-        a = maximize(state, config)
-        b = maximize(state, config)
+        a = maximize(state, 21)
+        b = maximize(state, 21)
         np.testing.assert_array_equal(a.coords, b.coords)
 
     def test_beats_dense_random_search(self, rng):
         # Oracle: 500 uniform random probes of the acquisition surface.
         kind = Sphere(2)
         state = _state(kind, 3, rng)
-        result = maximize(state, AscentConfig(seed=2))
+        result = maximize(state, 2)
         result_acq = pi_value(state, result)
         probe_rng = np.random.default_rng(17)
         probe_best = max(
@@ -365,9 +416,10 @@ class TestMaximize:
         state = AcquisitionState(base.model, base.best_value, trust_radius=radius)
         center = unflatten_ambient(kind, state.trust_center)
         e = np.stack([center + t * np.diag([1.0, 0.0, 0.0]) for t in offsets])
-        fake = lambda state, config, starts: (e.copy(), np.array(acq))
+        fake = lambda state, starts: (e.copy(), np.array(acq))
         monkeypatch.setattr(acquisition, "ascend", fake)
-        result = maximize(state, AscentConfig(n_starts=3, seed=0))
+        monkeypatch.setattr(acquisition, "ASCENT_STARTS", 3)
+        result = maximize(state, 0)
         np.testing.assert_array_equal(result.coords, unembed(kind, e[winner]).coords)
 
 
@@ -378,7 +430,7 @@ class TestTrustAndExploit:
         radius = 0.05
         bounded = AcquisitionState(state.model, state.best_value, trust_radius=radius)
         for seed in range(3):
-            x = maximize(bounded, AscentConfig(seed=seed))
+            x = maximize(bounded, seed)
             center = bounded.trust_center
             assert np.linalg.norm(flatten_ambient(kind, embed(x)) - center) <= radius + 1e-12
 
@@ -386,25 +438,24 @@ class TestTrustAndExploit:
         kind = Sphere(2)
         state = _state(kind, 5, rng)
         greedy = AcquisitionState(state.model, state.best_value, exploit=True)
-        x = maximize(greedy, AscentConfig(seed=4))
+        x = maximize(greedy, 4)
         mean_x, _ = posterior(state.model, x)
         probe_rng = np.random.default_rng(5)
         probes = [posterior(state.model, random_point(kind, probe_rng))[0] for _ in range(200)]
         assert mean_x <= min(probes) + 1e-6
 
 
-def _reference_ascend(state, config, x0):
-    """The ascent of one start, step by step: the rules ``ascend`` applies
-    to every row, written as a plain loop over 1-row evaluations."""
+def _reference_ascend(state, e):
+    """The ascent of one embedded start, step by step: the rules ``ascend``
+    applies to every row, written as a plain loop over 1-row evaluations."""
     kind = state.model.data.kind
-    e = embed(x0)
     w = flatten_ambient(kind, e)
     acq = _ascent_value(state, _at(state, w))[0]
     step = ASCENT_STEP * state.model.params.lengthscale
-    for _ in range(config.max_steps):
+    for _ in range(acquisition.ASCENT_MAX_STEPS):
         grad = unflatten_ambient(kind, _ascent_gradient(state, _at(state, w))[0])
         tangent = tangent_project_embedded(kind, e, grad)
-        if ambient_norms(kind, tangent) < config.grad_tol:
+        if ambient_norms(kind, tangent) < acquisition.ASCENT_GRAD_TOL:
             break
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
@@ -437,12 +488,13 @@ class TestBatchedAscent:
         state = AcquisitionState(
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
         )
-        config = AscentConfig(seed=0)
-        starts = [_into_trust(state, random_point(kind, rng)) for _ in range(10)]
-        e, acq = ascend(state, config, starts)
+        starts = np.stack([_random_start(state, rng) for _ in range(10)])
+        given = starts.copy()
+        e, acq = ascend(state, starts)
+        np.testing.assert_array_equal(starts, given)  # the starts are not moved
         for row, start in enumerate(starts):
-            alone, alone_acq = ascend(state, config, [start])
-            reference, reference_acq = _reference_ascend(state, config, start)
+            alone, alone_acq = ascend(state, start[None])
+            reference, reference_acq = _reference_ascend(state, start)
             np.testing.assert_array_equal(e[row], alone[0])
             np.testing.assert_array_equal(e[row], reference)
             assert acq[row] == alone_acq[0] == reference_acq
@@ -450,10 +502,9 @@ class TestBatchedAscent:
     def test_failed_row_leaves_other_rows_unchanged(self, monkeypatch, rng):
         kind = Grassmann(2, 3)
         state = _state(kind, 6, rng)
-        config = AscentConfig(seed=0)
-        starts = [random_point(kind, rng) for _ in range(5)]
-        clean_e, clean_acq = ascend(state, config, starts)
-        doomed = embed(starts[2])
+        starts = np.stack([embed(random_point(kind, rng)) for _ in range(5)])
+        clean_e, clean_acq = ascend(state, starts)
+        doomed = starts[2]
         retract = acquisition.retract_embedded
 
         def fail_from_start_2(kind, e, v, t):
@@ -463,7 +514,7 @@ class TestBatchedAscent:
             return out
 
         monkeypatch.setattr(acquisition, "retract_embedded", fail_from_start_2)
-        e, acq = ascend(state, config, starts)
+        e, acq = ascend(state, starts)
         assert acq[2] == -np.inf
         for row in (0, 1, 3, 4):
             np.testing.assert_array_equal(e[row], clean_e[row])
@@ -475,16 +526,12 @@ class TestBatchedAscent:
         # No eigenvalue gap is wide enough: every retraction is ambiguous.
         monkeypatch.setattr(manifolds, "EIGENGAP_TOL", math.inf)
         with pytest.raises(AmbiguousSubspaceError):
-            ascend(state, AscentConfig(), [random_point(kind, rng) for _ in range(3)])
+            ascend(state, np.stack([embed(random_point(kind, rng)) for _ in range(3)]))
         with pytest.raises(ManifoldError):
-            maximize(state, AscentConfig(seed=1))
+            maximize(state, 1)
 
 
 class TestConfigValidation:
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            AscentConfig(max_steps=0)
-        with pytest.raises(InvalidInputError):
-            AscentConfig(grad_tol=0.0)
         with pytest.raises(InvalidInputError):
             AcquisitionState(model=None, best_value=np.nan)

@@ -179,11 +179,11 @@ class TestAbort:
         calls = {"n": 0}
         maximize = bo.maximize
 
-        def failing_third(state, config):
+        def failing_third(state, seed):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return maximize(state, config)
+            return maximize(state, seed)
 
         monkeypatch.setattr(bo, "maximize", failing_third)
         obj = frechet_objective(latitude_circle_problem())
@@ -248,6 +248,39 @@ class TestAbort:
         assert "iteration 0" in trace.abort_reason
         assert [r.iteration for r in trace.records] == [0]
         assert value == 0.0
+
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_init_failure_aborts_with_trace(self, failure):
+        # The 3rd of 5 initial points fails: a NaN and an exception both
+        # abort the run and keep record 0 over the first two points.
+        calls = {"n": 0}
+        base = frechet_objective(latitude_circle_problem()).fn
+
+        def failing_third(x):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                if failure == "raise":
+                    raise RuntimeError("simulator crashed")
+                return np.nan
+            return base(x)
+
+        obj = Objective(kind=KIND, fn=failing_third)
+        _, value, trace = run(obj, BoConfig(n_init=5, n_iters=4, seed=0))
+        assert trace.aborted
+        assert trace.abort_reason == {
+            "nan": "objective returned non-finite value nan during init",
+            "raise": "objective raised during init: RuntimeError: simulator crashed",
+        }[failure]
+        assert [r.iteration for r in trace.records] == [0]
+        assert trace.final.n_evals == 2
+        assert np.isfinite(value)
+
+    def test_exception_on_first_evaluation_raises(self):
+        def broken(x):
+            raise RuntimeError("simulator crashed")
+
+        with pytest.raises(RuntimeError):
+            run(Objective(kind=KIND, fn=broken), BoConfig(n_init=3, n_iters=2, seed=0))
 
     def test_nonfinite_first_evaluation_raises(self):
         obj = Objective(kind=KIND, fn=lambda x: np.inf)

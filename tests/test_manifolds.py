@@ -172,6 +172,19 @@ class TestSpdChart:
             again = unembed(kind, embed(x))
             assert np.linalg.norm(embed(again) - embed(x)) <= 1e-8
 
+    def test_chart_holds_at_exactly_the_bound(self, rng):
+        # At the bound the exp/log round-off moves the log-norm by up to a
+        # few 1e-10: every log-coordinate the chart accepts still unembeds,
+        # and every point that builds still round-trips.
+        kind = Spd(3)
+        for _ in range(200):
+            v = self._log_coords(rng, SPD_LOG_NORM_MAX)
+            if not kind.within_chart(v):
+                continue
+            x = unembed(kind, v)
+            again = unembed(kind, embed(x))
+            assert np.linalg.norm(embed(again) - v) <= 1e-7
+
     def test_compact_kinds_always_in_chart(self, rng):
         for kind in (Sphere(2), Grassmann(2, 3)):
             assert kind.within_chart(1e6 * np.ones(kind.ambient_shape))
