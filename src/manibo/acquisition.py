@@ -54,6 +54,9 @@ LOG_PI_RTOL = 3e-3
 ASCENT_STEP = 0.1
 # Halvings of a row's trial step before its ascent stops.
 MAX_BACKTRACKS = 20
+# Trial steps a row tries per round: its step and its next halvings, scored
+# in one stack; it takes the first that is not rejected.
+ASCENT_LOOKAHEAD = 4
 # Gradients a row takes before its ascent stops.
 ASCENT_MAX_STEPS = 200
 # A row whose projected gradient is shorter than this is stationary.
@@ -205,9 +208,18 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step gains less than ``LOG_PI_RTOL`` of the distance of log PI from 0,
     or ``ASCENT_MAX_STEPS`` gradients have been taken; every accepted step
     raises the acquisition, so a result never scores below its start.
-    Every row is computed on its own, so its result does not depend on the
-    other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
-    stack of the kind's ambient shape, and raises when every start fails.
+
+    The ascent runs in rounds.  Each round, every active row tries its
+    trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
+    trials and no more than its halvings left, in one stacked retraction
+    and one stacked posterior.  The row takes the first trial that fails,
+    or that does not lower the acquisition, and discards the trials after
+    it; when every trial is rejected, its step is halved once per trial.
+    So every row reaches the iterates that trying one trial per round
+    would, in fewer rounds.  Every row is computed on its own, so its
+    result does not depend on the other starts.  Raises
+    ``InvalidInputError`` unless ``e`` is a non-empty stack of the kind's
+    ambient shape, and raises when every start fails.
     """
     kind = state.model.data.kind
     e = np.array(e, dtype=float, order="C")
@@ -222,42 +234,55 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n_steps = np.ones(len(e), dtype=int)  # gradients taken
     rejected = np.zeros(len(e), dtype=int)  # trials of the current step
     active = ambient_norms(kind, tangent) >= ASCENT_GRAD_TOL
-    # Each round, every active row tries one step; a row never waits for
-    # another's backtracking.
+    # Each round, every active row tries its step and its next halvings at
+    # once; a row never waits for another's backtracking.
     while True:
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        e_cand = retract_embedded(kind, e[rows], tangent[rows], step[rows])
+        budget = np.minimum(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[rows])
+        at = np.repeat(np.arange(rows.size), budget)  # each trial's position in rows
+        src = rows[at]
+        # Trial j of a row halves its step j times; scaling by 0.5**j is
+        # exact, so it is the step that j rejections would leave.
+        halvings = np.arange(src.size) - np.repeat(np.cumsum(budget) - budget, budget)
+        trial_step = step[src] * 0.5**halvings
+        e_cand = retract_embedded(kind, e[src], tangent[src], trial_step)
         w_cand = kind.flatten_rows(e_cand)
         failed = np.isnan(w_cand[:, 0])
-        acq[rows[failed]] = -np.inf
-        trial = np.flatnonzero(
+        scored = np.flatnonzero(
             ~failed & kind.within_chart(e_cand) & _within_trust(state, w_cand)
         )
-        post_cand = posterior_rows(state.model, w_cand[trial])
-        acq_cand = _ascent_value(state, post_cand)
-        accepted = acq_cand >= acq[rows[trial]]
-        # An accepted step that does not raise the acquisition ends the row
+        post_cand = posterior_rows(state.model, w_cand[scored])
+        acq_cand = np.full(src.size, np.nan)
+        acq_cand[scored] = _ascent_value(state, post_cand)
+        # A trial that fails or does not lower the acquisition decides its
+        # row; the rows' first such trials are the ones that trying one
+        # trial per round would reach, and later trials are discarded.
+        deciding = np.flatnonzero(failed | (acq_cand >= acq[src]))
+        deciding = deciding[np.unique(at[deciding], return_index=True)[1]]
+        acq[src[deciding[failed[deciding]]]] = -np.inf
+        # A deciding step that does not raise the acquisition ends the row
         # where it is; one that raises it moves the row.
-        moved = np.flatnonzero(accepted & (acq_cand != acq[rows[trial]]))
-        new = rows[trial[moved]]
+        moved = deciding[acq_cand[deciding] > acq[src[deciding]]]
+        new = src[moved]
         gain = acq_cand[moved] - acq[new]
-        e[new], acq[new] = e_cand[trial[moved]], acq_cand[moved]
-        step[new] *= 1.5
+        e[new], acq[new] = e_cand[moved], acq_cand[moved]
+        step[new] = trial_step[moved] * 1.5
         going = n_steps[new] < ASCENT_MAX_STEPS
         if not state.exploit:
             going &= ~(gain <= LOG_PI_RTOL * -acq[new])
         go = new[going]
         if go.size:
-            tangent[go] = _tangents(state, e[go], post_cand.take(moved[going]))
+            post_go = post_cand.take(np.searchsorted(scored, moved[going]))
+            tangent[go] = _tangents(state, e[go], post_go)
             n_steps[go] += 1
             rejected[go] = 0
-        retry = ~failed
-        retry[trial[accepted]] = False
-        retry = rows[retry]
-        step[retry] *= 0.5
-        rejected[retry] += 1
+        undecided = np.ones(rows.size, dtype=bool)
+        undecided[at[deciding]] = False
+        retry = rows[undecided]
+        step[retry] *= 0.5 ** budget[undecided]
+        rejected[retry] += budget[undecided]
         active[rows] = False
         active[go] = ambient_norms(kind, tangent[go]) >= ASCENT_GRAD_TOL
         active[retry] = rejected[retry] <= MAX_BACKTRACKS

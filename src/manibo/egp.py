@@ -286,17 +286,9 @@ class GpModel:
 
     @classmethod
     def build(cls, params: KernelParams, data: GpDataset) -> "GpModel":
-        factor = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
-        return _factorized(params, data, factor)
-
-
-def _factorized(
-    params: KernelParams, data: GpDataset, factor: tuple[np.ndarray, float]
-) -> GpModel:
-    """The model for ``params`` from its Gram matrix's factor (L, jitter)."""
-    chol, jitter = factor
-    whitened = _solve_chol(chol, data.residuals)
-    return GpModel(params=params, data=data, chol=chol, whitened=whitened, jitter=jitter)
+        chol, jitter = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
+        whitened = _solve_chol(chol, data.residuals)
+        return cls(params=params, data=data, chol=chol, whitened=whitened, jitter=jitter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,12 +406,19 @@ def default_bounds(data: GpDataset) -> KernelBounds:
     )
 
 
-def _lml_derivatives(
-    data: GpDataset, theta: np.ndarray
-) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-    """The log marginal likelihood at the log-parameters theta =
-    log(lengthscale, amplitude, noise), with its gradient and its exact 3x3
-    Hessian in theta; None where the Gram matrix cannot be factorized.
+def _model_at(data: GpDataset, theta: np.ndarray) -> Optional[GpModel]:
+    """The model at the log-parameters theta = log(lengthscale, amplitude,
+    noise); None where the Gram matrix cannot be factorized."""
+    try:
+        return GpModel.build(KernelParams(*np.exp(theta)), data)
+    except IllConditionedModelError:
+        return None
+
+
+def _lml_derivatives(model: GpModel) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and the exact 3x3 Hessian of the log marginal
+    likelihood in the log-parameters theta = log(lengthscale, amplitude,
+    noise), at the model's parameters.
 
     With K = a E + s I, E = exp(-D / 2 l^2) and R = D / l^2, the first
     derivatives of K are K_l = a E R, K_a = a E and K_s = s I.  The second
@@ -433,12 +432,7 @@ def _lml_derivatives(
 
     The first two terms of H_ij have the form of g with K_ij for K_i.  Any
     jitter the factorization needed is held fixed."""
-    params = KernelParams(*np.exp(theta))
-    try:
-        factor = _cholesky_with_jitter(gram_matrix(params, data), params.amplitude)
-    except IllConditionedModelError:
-        return None
-    model = _factorized(params, data, factor)
+    params, data = model.params, model.data
     ratio = data.sq_dists / params.lengthscale**2
     kernel = params.amplitude * np.exp(-0.5 * ratio)
     # K_l, K_a, K_s, then K_ll.
@@ -456,7 +450,7 @@ def _lml_derivatives(
         - dk_alpha[:3] @ k_inv @ dk_alpha[:3].T
     )
     hess += [[halves[3], grad[0], 0.0], [grad[0], grad[1], 0.0], [0.0, 0.0, grad[2]]]
-    return log_marginal_likelihood(model), grad, hess
+    return grad, hess
 
 
 def fit_hyperparams(
@@ -490,11 +484,12 @@ def fit_hyperparams(
     best_theta, best_val = None, None
     for theta in starts:
         theta = np.clip(theta, log_lo, log_hi)
-        scored = _lml_derivatives(data, theta)
-        if scored is None:
+        model = _model_at(data, theta)
+        if model is None:
             continue
+        value = log_marginal_likelihood(model)
         for _ in range(FIT_MAX_STEPS):
-            value, grad, hess = scored
+            grad, hess = _lml_derivatives(model)
             free = ~((theta <= log_lo) & (grad < 0.0) | (theta >= log_hi) & (grad > 0.0))
             eigvals, eigvecs = np.linalg.eigh(hess[np.ix_(free, free)])
             # The pseudo-inverse of |H|: a flat direction takes no step, as
@@ -506,17 +501,21 @@ def fit_hyperparams(
             step[free] = eigvecs[:, keep] @ (eigvecs[:, keep].T @ grad[free] / curvature[keep])
             if 0.5 * (grad @ step) <= FIT_TOL:
                 break
+            # A trial is scored by its likelihood alone; only the accepted
+            # one pays for derivatives, at the next step.
             for _ in range(FIT_BACKTRACKS + 1):
                 trial = np.clip(theta + step, log_lo, log_hi)
-                trial_scored = _lml_derivatives(data, trial)
-                if trial_scored is not None and trial_scored[0] > value:
-                    break
+                trial_model = _model_at(data, trial)
+                if trial_model is not None:
+                    trial_value = log_marginal_likelihood(trial_model)
+                    if trial_value > value:
+                        break
                 step *= 0.5
             else:
                 break
-            theta, scored = trial, trial_scored
-        if best_val is None or scored[0] > best_val:
-            best_theta, best_val = theta, scored[0]
+            theta, model, value = trial, trial_model, trial_value
+        if best_val is None or value > best_val:
+            best_theta, best_val = theta, value
     if best_theta is None:
         raise FittingFailedError("no hyperparameter start could be factorized")
     # The log/exp roundtrip can land an ulp outside the box; clip it back.

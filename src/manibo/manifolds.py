@@ -201,7 +201,10 @@ class _SymKind(ManifoldKind):
         k = self.ambient_shape[0]
         upper, lower, factors, _ = _sym_flat_layout(k)
         entries = v.reshape(v.shape[:-2] + (k * k,))
-        return 0.5 * (entries[..., upper] + entries[..., lower]) * factors
+        # np.take gives a stack in C order, as the protocol promises; the
+        # index entries[..., upper] would give it in F order.
+        pairs = np.take(entries, upper, axis=-1) + np.take(entries, lower, axis=-1)
+        return 0.5 * pairs * factors
 
     def unflatten_rows(self, w):
         _, _, factors, entry = _sym_flat_layout(self.ambient_shape[0])

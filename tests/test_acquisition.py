@@ -25,6 +25,7 @@ from manibo import (
 )
 from manibo import acquisition, manifolds
 from manibo.acquisition import (
+    ASCENT_LOOKAHEAD,
     ASCENT_STARTS,
     ASCENT_STEP,
     LOG_PI_RTOL,
@@ -478,10 +479,48 @@ def _reference_ascend(state, e):
     return e, acq
 
 
+def _first_tangent(state, e):
+    """The ascent direction at the embedded point e, as ``_reference_ascend``
+    computes it."""
+    kind = state.model.data.kind
+    post = _at(state, flatten_ambient(kind, e))
+    grad = unflatten_ambient(kind, _ascent_gradient(state, post)[0])
+    return tangent_project_embedded(kind, e, grad)
+
+
+def _first_trial_gain(state, e):
+    """What the first trial step of an ascent from the embedded point e
+    adds to the acquisition (the first step of ``_reference_ascend``); 0 at
+    a stationary start, which tries no step."""
+    kind = state.model.data.kind
+    tangent = _first_tangent(state, e)
+    if ambient_norms(kind, tangent) < acquisition.ASCENT_GRAD_TOL:
+        return 0.0
+    step = ASCENT_STEP * state.model.params.lengthscale
+    w_cand = flatten_ambient(kind, retract_embedded(kind, e, tangent, step))
+    w = flatten_ambient(kind, e)
+    return _ascent_value(state, _at(state, w_cand))[0] - _ascent_value(state, _at(state, w))[0]
+
+
+def _incumbent_start(kind, rng, fits):
+    """A state and a start at its incumbent, with a trust radius that only
+    trial steps halved at least ``fits`` times stay within: the radius is
+    1.5 times the displacement of the step halved ``fits`` times, and each
+    halving halves the displacement (to first order, at these tiny steps)."""
+    base = _state(kind, 6, rng)
+    start = embed(base.model.data.points[int(np.argmin(base.model.data.values))])
+    speed = ambient_norms(kind, _first_tangent(base, start))
+    step = ASCENT_STEP * base.model.params.lengthscale * 0.5**fits
+    state = AcquisitionState(base.model, base.best_value, trust_radius=1.5 * step * speed)
+    return state, start
+
+
 class TestBatchedAscent:
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     @pytest.mark.parametrize(
-        "trust_radius, exploit", [(math.inf, False), (math.inf, True), (0.8, False)]
+        "trust_radius, exploit",
+        # At 0.3 the radius binds: rows crawl along its boundary.
+        [(math.inf, False), (math.inf, True), (0.8, False), (0.3, False)],
     )
     def test_rows_equal_single_start_ascents(self, kind, trust_radius, exploit, rng):
         base = _state(kind, 8, rng)
@@ -499,26 +538,108 @@ class TestBatchedAscent:
             np.testing.assert_array_equal(e[row], reference)
             assert acq[row] == alone_acq[0] == reference_acq
 
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_trust_distance_independent_of_stack_position(self, kind, rng):
+        # ``_within_trust`` sums each flat row's squared distance with one
+        # einsum, in memory order, so ``flatten_rows`` must give C-ordered
+        # stacks for a row's distance to be the one it has alone.
+        state = _state(kind, 6, rng)
+        rows = np.stack([embed(random_point(kind, rng)) for _ in range(8)])
+
+        def sq_dists(w):  # as _within_trust computes them
+            diff = w - state.trust_center
+            return np.einsum("sd,sd->s", diff, diff)
+
+        for row in rows:
+            alone = sq_dists(kind.flatten_rows(row[None]))[0]
+            bound = AcquisitionState(state.model, state.best_value, math.sqrt(alone))
+            inside = _within_trust(bound, kind.flatten_rows(row[None]))[0]
+            for position in range(len(rows)):
+                stack = rows.copy()
+                stack[position] = row
+                w = kind.flatten_rows(stack)
+                assert w.flags.c_contiguous
+                assert sq_dists(w)[position] == alone
+                assert _within_trust(bound, w)[position] == inside
+
     def test_failed_row_leaves_other_rows_unchanged(self, monkeypatch, rng):
         kind = Grassmann(2, 3)
         state = _state(kind, 6, rng)
-        starts = np.stack([embed(random_point(kind, rng)) for _ in range(5)])
+        starts = [embed(random_point(kind, rng)) for _ in range(4)]
+        # Two more starts: one whose first trial moves it, one whose first
+        # trial is rejected.
+        moves, rejected = None, None
+        while moves is None or rejected is None:
+            start = embed(random_point(kind, rng))
+            gain = _first_trial_gain(state, start)
+            if gain > 0.0 and moves is None:
+                moves = start
+            elif gain < 0.0 and rejected is None:
+                rejected = start
+        starts = np.stack(starts + [moves, rejected])
         clean_e, clean_acq = ascend(state, starts)
-        doomed = starts[2]
         retract = acquisition.retract_embedded
 
-        def fail_from_start_2(kind, e, v, t):
-            # A batched retraction marks a failed row with NaN.
-            out = retract(kind, e, v, t)
-            out[np.all(e == doomed, axis=(1, 2))] = np.nan
-            return out
+        first_step = ASCENT_STEP * state.model.params.lengthscale
 
-        monkeypatch.setattr(acquisition, "retract_embedded", fail_from_start_2)
-        e, acq = ascend(state, starts)
-        assert acq[2] == -np.inf
-        for row in (0, 1, 3, 4):
-            np.testing.assert_array_equal(e[row], clean_e[row])
-            assert acq[row] == clean_acq[row]
+        def failing(doomed, halvings_only):
+            # A batched retraction marks a failed row with NaN: every trial
+            # from the doomed start, or only those with a halved step.
+            def retract_failing(kind, e, v, t):
+                out = retract(kind, e, v, t)
+                hit = np.all(e == doomed, axis=(1, 2))
+                out[hit & (t < first_step) if halvings_only else hit] = np.nan
+                return out
+            return retract_failing
+
+        # (failing start, only its halvings fail, whether the row fails)
+        for row, halvings_only, fails in [(2, False, True), (5, True, True), (4, True, False)]:
+            monkeypatch.setattr(
+                acquisition, "retract_embedded", failing(starts[row], halvings_only)
+            )
+            e, acq = ascend(state, starts)
+            # A halving that fails after an accepted first trial is never
+            # reached, so it changes nothing.
+            assert (acq[row] == -np.inf) == fails
+            for other in range(len(starts)):
+                if other != row or not fails:
+                    np.testing.assert_array_equal(e[other], clean_e[other])
+                    assert acq[other] == clean_acq[other]
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("fits", [MAX_BACKTRACKS, MAX_BACKTRACKS + 1])
+    def test_last_halving_is_the_last_trial(self, kind, fits, rng):
+        # Only the steps halved at least ``fits`` times fit in the trust
+        # radius.  At MAX_BACKTRACKS the row's last trial moves it; one
+        # halving later every trial is rejected (21 = 5 * 4 + 1 trials), and
+        # the lookahead must not try the step halved once more.
+        state, start = _incumbent_start(kind, rng, fits)
+        e, acq = ascend(state, start[None])
+        reference, reference_acq = _reference_ascend(state, start)
+        np.testing.assert_array_equal(e[0], reference)
+        assert acq[0] == reference_acq
+        assert np.array_equal(e[0], start) == (fits > MAX_BACKTRACKS)
+
+    def test_rejected_row_tries_its_halvings_together(self, monkeypatch, rng):
+        # A row rejected at every trial makes ceil(21 / 4) = 6 rounds of
+        # retractions, not 21: its step and its next halvings at once, and
+        # the last round only the one trial left.
+        state, start = _incumbent_start(Spd(3), rng, MAX_BACKTRACKS + 1)
+        sizes = []
+        retract = acquisition.retract_embedded
+
+        def counting(kind, e, v, t):
+            sizes.append(len(e))
+            return retract(kind, e, v, t)
+
+        monkeypatch.setattr(acquisition, "retract_embedded", counting)
+        e, _ = ascend(state, start[None])
+        np.testing.assert_array_equal(e[0], start)
+        trials = MAX_BACKTRACKS + 1
+        assert sizes == [ASCENT_LOOKAHEAD] * (trials // ASCENT_LOOKAHEAD) + [
+            trials % ASCENT_LOOKAHEAD
+        ]
+        assert len(sizes) == 6
 
     def test_every_row_failing_raises(self, monkeypatch, rng):
         kind = Grassmann(2, 3)
