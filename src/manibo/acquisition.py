@@ -118,30 +118,37 @@ def _improvement(
 
 
 def _improvement_gradient(
-    state: AcquisitionState, post: PosteriorRows
-) -> tuple[np.ndarray, np.ndarray]:
-    """r and its gradient in flat coordinates, per row."""
-    r, sigma, free = _improvement(state, post)
+    post: PosteriorRows, r: np.ndarray, sigma: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """The gradient of r in flat coordinates, per row, from the posterior
+    and the terms ``_improvement`` computed from it."""
     dmean, dvar = post.gradients()
     sigma_col = sigma[:, None]
     # Where the floor is active, sigma is locally constant.
     dsigma = np.where(free[:, None], dvar / (2.0 * sigma_col), 0.0)
-    return r, -dmean / sigma_col - (r / sigma)[:, None] * dsigma
+    return -dmean / sigma_col - (r / sigma)[:, None] * dsigma
 
 
-def _ascent_value(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+def _ascent_value(
+    state: AcquisitionState, post: PosteriorRows
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """What the ascent climbs, per row: log PI, or the negated posterior
-    mean when the round exploits."""
+    mean when the round exploits; with the terms of ``_improvement`` that
+    its gradient reuses (none when the round exploits)."""
     if state.exploit:
-        return -post.mean
-    return log_ndtr(_improvement(state, post)[0])
+        return -post.mean, ()
+    terms = _improvement(state, post)
+    return log_ndtr(terms[0]), terms
 
 
-def _ascent_gradient(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+def _ascent_gradient(
+    state: AcquisitionState, post: PosteriorRows, terms: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The gradient of ``_ascent_value`` per row, from the posterior and the
+    terms its value pass returned."""
     if state.exploit:
         return -post.gradients()[0]
-    r, dr = _improvement_gradient(state, post)
-    return inverse_mills_ratio(r)[:, None] * dr
+    return inverse_mills_ratio(terms[0])[:, None] * _improvement_gradient(post, *terms)
 
 
 def _at(state: AcquisitionState, w: np.ndarray) -> PosteriorRows:
@@ -162,7 +169,9 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
     Matches central finite differences of the acquisition in flat ambient
     coordinates; project onto the tangent space before stepping.
     """
-    r, dr = _improvement_gradient(state, _at(state, flatten_ambient(x.kind, embed(x))))
+    post = _at(state, flatten_ambient(x.kind, embed(x)))
+    r, sigma, free = _improvement(state, post)
+    dr = _improvement_gradient(post, r, sigma, free)
     density = INV_SQRT_2PI * math.exp(-0.5 * float(r[0]) ** 2)
     return unflatten_ambient(x.kind, density * dr[0])
 
@@ -170,17 +179,21 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
 def _within_trust(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
     """Per row of flat points w, whether it lies within the trust radius."""
     if math.isinf(state.trust_radius):
-        return np.ones(len(w), dtype=bool)
+        inside = np.empty(len(w), dtype=bool)
+        inside.fill(True)  # np.ones minus its Python wrapper: called every ascent round
+        return inside
     diff = w - state.trust_center
     return np.einsum("sd,sd->s", diff, diff) <= state.trust_radius**2
 
 
-def _tangents(state: AcquisitionState, e: np.ndarray, post: PosteriorRows) -> np.ndarray:
+def _tangents(
+    state: AcquisitionState, e: np.ndarray, post: PosteriorRows, terms: tuple[np.ndarray, ...]
+) -> np.ndarray:
     """The ascent direction at each row of the embedded points e: the
-    gradient of what the ascent climbs, from the posterior there, projected
-    onto the tangent space."""
+    gradient of what the ascent climbs, from the posterior there and the
+    terms of its value pass, projected onto the tangent space."""
     kind = state.model.data.kind
-    grad = kind.unflatten_rows(_ascent_gradient(state, post))
+    grad = kind.unflatten_rows(_ascent_gradient(state, post, terms))
     return tangent_project_embedded(kind, e, grad)
 
 
@@ -195,7 +208,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the negated posterior mean when ``state.exploit`` is set.  All starts
     ascend together as one stack of embedded points: every iterate stays
     exactly on the embedded image via the geodesic / retraction, and the
-    posterior terms computed for an accepted trial point feed its gradient.
+    posterior terms and the improvement r, sigma computed for an accepted
+    trial point feed its gradient.
     Each row keeps its own step length and stops on its own; a stopped row
     does no further work.  A trial step that would decrease the acquisition
     is halved; after an accepted step the next trial is 1.5 times as long,
@@ -228,39 +242,49 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"starts have shape {e.shape}, expected (n >= 1,) + {kind.ambient_shape}"
         )
     post = posterior_rows(state.model, kind.flatten_rows(e))
-    acq = _ascent_value(state, post)
-    tangent = _tangents(state, e, post)
+    acq, terms = _ascent_value(state, post)
+    tangent = _tangents(state, e, post, terms)
     step = np.full(len(e), ASCENT_STEP * state.model.params.lengthscale)
     n_steps = np.ones(len(e), dtype=int)  # gradients taken
     rejected = np.zeros(len(e), dtype=int)  # trials of the current step
     active = ambient_norms(kind, tangent) >= ASCENT_GRAD_TOL
     # Each round, every active row tries its step and its next halvings at
-    # once; a row never waits for another's backtracking.
+    # once; a row never waits for another's backtracking.  The round calls
+    # array methods, not their np.* wrappers, which cost as much as the
+    # arithmetic on these few rows.
     while True:
-        rows = np.flatnonzero(active)
+        rows = active.nonzero()[0]
         if rows.size == 0:
             break
         budget = np.minimum(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[rows])
-        at = np.repeat(np.arange(rows.size), budget)  # each trial's position in rows
+        at = np.arange(rows.size).repeat(budget)  # each trial's position in rows
         src = rows[at]
         # Trial j of a row halves its step j times; scaling by 0.5**j is
         # exact, so it is the step that j rejections would leave.
-        halvings = np.arange(src.size) - np.repeat(np.cumsum(budget) - budget, budget)
+        halvings = np.arange(src.size) - (budget.cumsum() - budget).repeat(budget)
         trial_step = step[src] * 0.5**halvings
         e_cand = retract_embedded(kind, e[src], tangent[src], trial_step)
         w_cand = kind.flatten_rows(e_cand)
         failed = np.isnan(w_cand[:, 0])
-        scored = np.flatnonzero(
+        scored = (
             ~failed & kind.within_chart(e_cand) & _within_trust(state, w_cand)
-        )
+        ).nonzero()[0]
         post_cand = posterior_rows(state.model, w_cand[scored])
-        acq_cand = np.full(src.size, np.nan)
-        acq_cand[scored] = _ascent_value(state, post_cand)
+        acq_cand = np.empty(src.size)
+        acq_cand.fill(np.nan)
+        acq_scored, terms_cand = _ascent_value(state, post_cand)
+        acq_cand[scored] = acq_scored
         # A trial that fails or does not lower the acquisition decides its
         # row; the rows' first such trials are the ones that trying one
         # trial per round would reach, and later trials are discarded.
-        deciding = np.flatnonzero(failed | (acq_cand >= acq[src]))
-        deciding = deciding[np.unique(at[deciding], return_index=True)[1]]
+        # Trials are grouped by row, so a row's first is where ``at``
+        # changes.
+        deciding = (failed | (acq_cand >= acq[src])).nonzero()[0]
+        owner = at[deciding]
+        first = np.empty(deciding.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        deciding, owner = deciding[first], owner[first]
         acq[src[deciding[failed[deciding]]]] = -np.inf
         # A deciding step that does not raise the acquisition ends the row
         # where it is; one that raises it moves the row.
@@ -273,18 +297,24 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if not state.exploit:
             going &= ~(gain <= LOG_PI_RTOL * -acq[new])
         go = new[going]
+        # Only the rows that move on, and those that halve their step again
+        # below, stay active.
+        active[rows] = False
         if go.size:
-            post_go = post_cand.take(np.searchsorted(scored, moved[going]))
-            tangent[go] = _tangents(state, e[go], post_go)
+            # The trial's posterior and value terms feed its gradient.
+            pick = scored.searchsorted(moved[going])
+            tangent[go] = _tangents(
+                state, e[go], post_cand.take(pick), tuple(term[pick] for term in terms_cand)
+            )
             n_steps[go] += 1
             rejected[go] = 0
-        undecided = np.ones(rows.size, dtype=bool)
-        undecided[at[deciding]] = False
+            active[go] = ambient_norms(kind, tangent[go]) >= ASCENT_GRAD_TOL
+        decided = np.zeros(rows.size, dtype=bool)
+        decided[owner] = True
+        undecided = ~decided
         retry = rows[undecided]
         step[retry] *= 0.5 ** budget[undecided]
         rejected[retry] += budget[undecided]
-        active[rows] = False
-        active[go] = ambient_norms(kind, tangent[go]) >= ASCENT_GRAD_TOL
         active[retry] = rejected[retry] <= MAX_BACKTRACKS
     if np.all(acq == -np.inf):
         raise AmbiguousSubspaceError(

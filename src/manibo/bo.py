@@ -30,6 +30,7 @@ from .egp import (
 )
 from .manifolds import (
     InvalidInputError,
+    ManifoldError,
     ManifoldKind,
     ManifoldPoint,
     embed,
@@ -184,7 +185,9 @@ def proposal_dedup(
     ``2 * DEDUP_TOL`` so that it clears a duplicate; 0.1 ``lengthscale``
     when every datum is a duplicate.  Where the data crowd the proposal so
     that no draw at that size separates it, the size doubles after every 10
-    draws."""
+    draws.  A draw whose tangent is degenerate, or whose step cannot be
+    taken (it leaves the Spd chart, say), fails, and counts toward the 50
+    draws and the doubling like any draw that stays too close."""
 
     def min_dist(candidate: ManifoldPoint) -> float:
         return float(_data_distances(dataset, candidate).min())
@@ -206,7 +209,10 @@ def proposal_dedup(
         norm = float(np.linalg.norm(tangent))
         if norm < 1e-12:
             continue
-        candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
+        try:
+            candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
+        except ManifoldError:  # e.g. a step off the Spd chart
+            continue
         if min_dist(candidate) >= DEDUP_TOL:
             logger.debug("perturbed duplicate proposal by %.3g", step)
             return candidate

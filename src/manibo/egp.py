@@ -329,8 +329,11 @@ class PosteriorRows:
         """
         model = self.model
         beta = np.matmul(model.chol_inv.T, self.v[:, :, None])[..., 0]
-        alpha = np.broadcast_to(model.alpha, beta.shape)
-        weights = self.k[:, None, :] * np.stack([alpha, beta], axis=1)
+        # Both weights go into one preallocated (S, 2, n) stack, so that one
+        # stacked product forms both sums.
+        weights = np.empty((len(beta), 2, beta.shape[1]))
+        np.multiply(self.k, model.alpha, out=weights[:, 0])
+        np.multiply(self.k, beta, out=weights[:, 1])
         sums = np.matmul(weights, self.diff) / model.params.lengthscale**2
         return model.data.trend[1:] + sums[:, 0], -2.0 * sums[:, 1]
 
@@ -351,7 +354,7 @@ def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
     )
     v = np.matmul(model.chol_inv, k[:, :, None])[..., 0]
     var = params.amplitude - np.einsum("si,si->s", v, v)
-    if np.any(var < 0.0):
+    if (var < 0.0).any():
         # Round-off near (near-)duplicate data; routine once the search
         # concentrates, so logged quietly rather than warned per query.
         logger.debug("posterior variance %.3g clamped to 0", var.min())

@@ -79,7 +79,7 @@ class AmbiguousSubspaceError(ManifoldError):
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 class ManifoldKind:
@@ -112,7 +112,9 @@ class ManifoldKind:
         return self.embed(self.unembed(v))
 
     def within_chart(self, e: np.ndarray) -> np.ndarray:
-        return np.ones(_batch_shape(self, e), dtype=bool)
+        inside = np.empty(_batch_shape(self, e), dtype=bool)
+        inside.fill(True)  # np.ones minus its Python wrapper: called every ascent round
+        return inside
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,9 @@ class _SymKind(ManifoldKind):
         k = self.ambient_shape[0]
         upper, lower, factors, _ = _sym_flat_layout(k)
         entries = v.reshape(v.shape[:-2] + (k * k,))
-        # np.take gives a stack in C order, as the protocol promises; the
+        # take gives a stack in C order, as the protocol promises; the
         # index entries[..., upper] would give it in F order.
-        pairs = np.take(entries, upper, axis=-1) + np.take(entries, lower, axis=-1)
+        pairs = entries.take(upper, axis=-1) + entries.take(lower, axis=-1)
         return 0.5 * pairs * factors
 
     def unflatten_rows(self, w):
@@ -286,13 +288,13 @@ class Grassmann(_SymKind):
 
     def tangent_project(self, e, g):
         pg = e @ _sym(g)
-        return pg + np.swapaxes(pg, -1, -2) - 2.0 * (pg @ e)
+        return pg + pg.swapaxes(-1, -2) - 2.0 * (pg @ e)
 
     def retract(self, e, v, t, single):
         """The nearest-point retraction: the dominant p-eigenspace of the
         ambient step."""
         frames, gaps = self._top_frames(_sym(e + t * v))
-        out = frames @ np.swapaxes(frames, -1, -2)
+        out = frames @ frames.swapaxes(-1, -2)
         ambiguous = ~(gaps >= EIGENGAP_TOL)
         if single and ambiguous[0]:
             raise self._ambiguous(gaps[0])
@@ -488,7 +490,9 @@ def retract_embedded(
     single = e.ndim == len(kind.ambient_shape)
     if single:
         e, v = e[None], v[None]
-    t = np.broadcast_to(np.asarray(t, dtype=float), e.shape[:1])
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = t.repeat(len(e))
     t = t.reshape(t.shape + (1,) * len(kind.ambient_shape))
     finite = np.isfinite(e + t * v)
     if finite.all():

@@ -133,7 +133,7 @@ class TestPiGradient:
         x = random_point(kind, rng)
         ambient = pi_gradient_ambient(state, x)
         w = flatten_ambient(kind, embed(x))
-        flat = pi_value(state, x) * _log_pi_gradient_at(state, w)
+        flat = pi_value(state, x) * _ascent_gradient_at(state, w)
         np.testing.assert_allclose(flatten_ambient(kind, ambient), flat, atol=1e-12)
 
     def test_symmetric_pair_midpoint_is_stationary(self):
@@ -165,11 +165,14 @@ class TestPiGradient:
 def _log_pi_at(state, w):
     """log PI at one flat point, as the ascent computes it: ``_ascent_value``
     on a 1-row posterior."""
-    return float(_ascent_value(state, _at(state, w))[0])
+    return float(_ascent_value(state, _at(state, w))[0][0])
 
 
-def _log_pi_gradient_at(state, w):
-    return _ascent_gradient(state, _at(state, w))[0]
+def _ascent_gradient_at(state, w):
+    """The ascent's gradient at one flat point, from a value pass of its
+    own on a 1-row posterior there."""
+    post = _at(state, w)
+    return _ascent_gradient(state, post, _ascent_value(state, post)[1])[0]
 
 
 class TestLogPi:
@@ -179,7 +182,7 @@ class TestLogPi:
         state = _state(kind, 5, rng)
         for _ in range(10):
             w = flatten_ambient(kind, embed(random_point(kind, rng)))
-            analytic = _log_pi_gradient_at(state, w)
+            analytic = _ascent_gradient_at(state, w)
             numeric = np.zeros_like(w)
             for j in range(w.size):
                 up, down = w.copy(), w.copy()
@@ -222,7 +225,7 @@ class TestLogPi:
         logs = [_log_pi_at(state, w) for w in arc]
         assert all(lo < hi < 0.0 for lo, hi in zip(logs, logs[1:]))
         for w in arc:
-            grad = _log_pi_gradient_at(state, w)
+            grad = _ascent_gradient_at(state, w)
             assert np.linalg.norm(tangent_project_embedded(kind, w, grad)) > 0.0
 
 
@@ -451,10 +454,10 @@ def _reference_ascend(state, e):
     applies to every row, written as a plain loop over 1-row evaluations."""
     kind = state.model.data.kind
     w = flatten_ambient(kind, e)
-    acq = _ascent_value(state, _at(state, w))[0]
+    acq = _ascent_value(state, _at(state, w))[0][0]
     step = ASCENT_STEP * state.model.params.lengthscale
     for _ in range(acquisition.ASCENT_MAX_STEPS):
-        grad = unflatten_ambient(kind, _ascent_gradient(state, _at(state, w))[0])
+        grad = unflatten_ambient(kind, _ascent_gradient_at(state, w))
         tangent = tangent_project_embedded(kind, e, grad)
         if ambient_norms(kind, tangent) < acquisition.ASCENT_GRAD_TOL:
             break
@@ -464,7 +467,7 @@ def _reference_ascend(state, e):
             if kind.within_chart(e_cand):
                 w_cand = flatten_ambient(kind, e_cand)
                 if _within_trust(state, w_cand[None])[0]:
-                    acq_cand = _ascent_value(state, _at(state, w_cand))[0]
+                    acq_cand = _ascent_value(state, _at(state, w_cand))[0][0]
                     if acq_cand >= acq:
                         accepted = True
                         break
@@ -483,8 +486,7 @@ def _first_tangent(state, e):
     """The ascent direction at the embedded point e, as ``_reference_ascend``
     computes it."""
     kind = state.model.data.kind
-    post = _at(state, flatten_ambient(kind, e))
-    grad = unflatten_ambient(kind, _ascent_gradient(state, post)[0])
+    grad = unflatten_ambient(kind, _ascent_gradient_at(state, flatten_ambient(kind, e)))
     return tangent_project_embedded(kind, e, grad)
 
 
@@ -499,7 +501,10 @@ def _first_trial_gain(state, e):
     step = ASCENT_STEP * state.model.params.lengthscale
     w_cand = flatten_ambient(kind, retract_embedded(kind, e, tangent, step))
     w = flatten_ambient(kind, e)
-    return _ascent_value(state, _at(state, w_cand))[0] - _ascent_value(state, _at(state, w))[0]
+    return (
+        _ascent_value(state, _at(state, w_cand))[0][0]
+        - _ascent_value(state, _at(state, w))[0][0]
+    )
 
 
 def _incumbent_start(kind, rng, fits):

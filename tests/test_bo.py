@@ -9,6 +9,7 @@ from manibo import (
     GpDataset,
     Grassmann,
     InvalidInputError,
+    ManifoldError,
     ManifoldPoint,
     Objective,
     Spd,
@@ -23,9 +24,11 @@ from manibo import (
     proposal_dedup,
     random_point,
     run,
+    unembed,
 )
 from manibo import bo
 from manibo.bo import DEDUP_TOL
+from manibo.manifolds import SPD_CHART_SLACK, SPD_LOG_NORM_MAX, ambient_norms
 
 KIND = Sphere(2)
 
@@ -310,6 +313,20 @@ class TestProposalDedup:
         assert abs(np.linalg.norm(result.coords) - 1.0) < 1e-10
 
 
+    def test_duplicate_at_the_spd_chart_bound_is_separated(self):
+        # A datum with log-norm exactly SPD_LOG_NORM_MAX: about half of the
+        # random perturbations step off the chart.  Such a draw fails and
+        # the next is tried, instead of aborting the run.
+        kind = Spd(2)
+        x = unembed(kind, np.diag([SPD_LOG_NORM_MAX, 0.0]))
+        others = [random_point(kind, np.random.default_rng(7)) for _ in range(3)]
+        data = GpDataset.from_points([x] + others, np.arange(4.0))
+        for seed in range(20):
+            moved = proposal_dedup(data, x, np.random.default_rng(seed), 0.5)
+            assert ambient_norms(kind, embed(moved)) <= SPD_LOG_NORM_MAX + SPD_CHART_SLACK
+            assert min(extrinsic_distance(moved, p) for p in data.points) >= DEDUP_TOL
+
+
 def _chord(step):
     """The embedded distance a unit-sphere geodesic step of that length
     covers."""
@@ -377,7 +394,10 @@ def _reference_proposal_dedup(dataset, x_next, rng, lengthscale):
         norm = np.linalg.norm(tangent)
         if norm < 1e-12:
             continue
-        candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
+        try:
+            candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
+        except ManifoldError:
+            continue
         if min_dist(candidate) >= DEDUP_TOL:
             return candidate
     return candidate

@@ -31,7 +31,7 @@ from manibo import (
 from manibo import egp
 from manibo.egp import TREND_POINTS_PER_COEFFICIENT, posterior_rows
 
-from conftest import FAMILY_KINDS
+from conftest import BATCH_KINDS, FAMILY_KINDS
 
 
 def _dataset(kind, n, rng, fn=None):
@@ -284,6 +284,26 @@ def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
         for stacked_grad, single_grad in zip(grads, single.gradients()):
             np.testing.assert_array_equal(stacked_grad[row], single_grad[0])
         assert posterior(model, points[row]) == (stacked.mean[row], stacked.var[row])
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@pytest.mark.parametrize("n_rows", [1, 7])
+def test_gradients_keep_the_bits_of_the_stacked_weights(kind, n_rows, rng):
+    # ``gradients`` fills its (S, 2, n) weights in place; the bits must be
+    # those of the weights built by broadcasting and stacking, with the
+    # prior mean's slope active.
+    n = TREND_POINTS_PER_COEFFICIENT * (kind.ambient_dim + 1) + 2
+    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), _dataset(kind, n, rng))
+    assert np.any(model.data.trend != 0.0)
+    w = kind.flatten_rows(np.stack([embed(random_point(kind, rng)) for _ in range(n_rows)]))
+    post = posterior_rows(model, w)
+    beta = np.matmul(model.chol_inv.T, post.v[:, :, None])[..., 0]
+    alpha = np.broadcast_to(model.alpha, beta.shape)
+    weights = post.k[:, None, :] * np.stack([alpha, beta], axis=1)
+    sums = np.matmul(weights, post.diff) / model.params.lengthscale**2
+    dmean, dvar = post.gradients()
+    assert dmean.tobytes() == (model.data.trend[1:] + sums[:, 0]).tobytes()
+    assert dvar.tobytes() == (-2.0 * sums[:, 1]).tobytes()
 
 
 def _mp_posterior_variance(params, embedded, w):

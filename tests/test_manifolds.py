@@ -524,6 +524,15 @@ class TestStackedGeometry:
                 stepped[row], retract_embedded(kind, e[row], v[row], t_row)
             )
 
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    def test_scalar_step_equals_one_step_per_row(self, kind, n_rows, rng):
+        # A scalar t is expanded to one step per row; the bits must be those
+        # of the same call with that array.
+        e, _, v = _stack(kind, rng, n_rows)
+        stepped = retract_embedded(kind, e, v, 0.3)
+        assert stepped.tobytes() == retract_embedded(kind, e, v, np.full(n_rows, 0.3)).tobytes()
+
     def test_ambiguous_row_is_nan_and_spares_the_others(self, rng):
         kind = Grassmann(2, 3)
         e, _, v = _stack(kind, rng, 4)
