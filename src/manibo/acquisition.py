@@ -177,11 +177,8 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
 
 
 def _within_trust(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Per row of flat points w, whether it lies within the trust radius."""
-    if math.isinf(state.trust_radius):
-        inside = np.empty(len(w), dtype=bool)
-        inside.fill(True)  # np.ones minus its Python wrapper: called every ascent round
-        return inside
+    """Per row of flat points w, whether it lies within the trust radius
+    (every finite row, at an infinite radius)."""
     diff = w - state.trust_center
     return np.einsum("sd,sd->s", diff, diff) <= state.trust_radius**2
 
@@ -207,7 +204,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set.  All starts
     ascend together as one stack of embedded points: every iterate stays
-    exactly on the embedded image via the geodesic / retraction, and the
+    exactly on the embedded image via the retraction, and the
     posterior terms and the improvement r, sigma computed for an accepted
     trial point feed its gradient.
     Each row keeps its own step length and stops on its own; a stopped row

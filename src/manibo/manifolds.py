@@ -13,11 +13,13 @@ steps are computed:
 
 Each kind is one class holding everything that differs between manifolds,
 behind the small protocol that ``ManifoldKind`` declares: point and
-tangency checks, embed / unembed / project-to-image, the stacked tangent
-projection and retraction, the chart check, random coordinates, and the
-flat layout.  Grassmann and Spd share the Sym(k) parts.  The free functions
-below are the public entry points; they validate their arguments and
-delegate to the kind.  Adding a manifold means adding one such class.
+tangency checks, embed / unembed, the stacked tangent projection and
+nearest-point projection onto the image, the chart check, random
+coordinates, and the flat layout.  Every step is that projection of the
+ambient step, a retraction on every embedded submanifold (Absil & Malick,
+SIAM J. Optim. 2012).  Grassmann and Spd share the Sym(k) parts.  The free
+functions below are the public entry points; they validate their arguments
+and delegate to the kind.  Adding a manifold means adding one such class.
 
 Ambient values for the matrix manifolds are full symmetric matrices under
 the Frobenius inner product.  ``flatten_ambient`` / ``unflatten_ambient``
@@ -46,8 +48,6 @@ TANGENT_ATOL = 1e-8
 EIGENGAP_TOL = 1e-10
 # Below this norm a radial projection to the sphere is undefined.
 DEGENERATE_NORM_TOL = 1e-12
-# Tangent steps shorter than this are treated as zero by the sphere map.
-ZERO_STEP_TOL = 1e-14
 # The Spd chart: log-Euclidean coordinates of Frobenius norm at most this.
 # Beyond it the exp/log round trip loses precision (its error passes 1e-8
 # near norm 15 for 3 x 3 matrices) and, further out, definiteness itself.
@@ -90,10 +90,10 @@ class ManifoldKind:
     * ``check_point(coords)`` and ``check_tangent(coords, d, tol)`` raise
       unless the coordinates, or d at that point, are valid;
     * ``embed(coords)``; ``unembed(v)``, the coordinates of the image point
-      nearest to v; ``project_to_image(v)``;
-    * ``tangent_project(e, g)`` and ``retract(e, v, t, single)``, which gets
-      only finite steps: a row that cannot be retracted comes back NaN, or
-      raises when ``single``;
+      nearest to v, which raises where that point is undefined or not
+      unique;
+    * ``tangent_project(e, g)`` and ``project(a)``, the image point nearest
+      to each finite ambient row of a, NaN where ``unembed`` would raise;
     * ``within_chart(e)``, whether an embedded value lies where ``unembed``
       accepts it;
     * ``flatten_rows(v)``, ``flatten_ambient`` without validation: one
@@ -104,12 +104,9 @@ class ManifoldKind:
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
-    bits do not depend on the other rows.  A kind overrides the defaults
-    below where it has an exact or cheaper form.
+    bits do not depend on the other rows.  A kind overrides the default
+    below where its image has a chart bound.
     """
-
-    def project_to_image(self, v: np.ndarray) -> np.ndarray:
-        return self.embed(self.unembed(v))
 
     def within_chart(self, e: np.ndarray) -> np.ndarray:
         inside = np.empty(_batch_shape(self, e), dtype=bool)
@@ -164,16 +161,12 @@ class Sphere(ManifoldKind):
     def tangent_project(self, e, g):
         return g - np.einsum("...i,...i->...", e, g)[..., None] * e
 
-    def retract(self, e, v, t, single):
-        """The geodesic, computed with numpy's elementwise cos/sin and an
-        einsum norm per row."""
-        speed = ambient_norms(self, v)[:, None]
-        moving = speed[:, 0] >= ZERO_STEP_TOL
-        out = np.array(e)
-        theta = t[moving] * speed[moving]
-        y = np.cos(theta) * e[moving] + np.sin(theta) * (v[moving] / speed[moving])
-        out[moving] = y / ambient_norms(self, y)[:, None]
-        return out
+    def project(self, a):
+        """Radial: a / |a|, with an einsum norm per row."""
+        norms = ambient_norms(self, a)[..., None]
+        out = np.empty_like(a)
+        out.fill(np.nan)  # np.full_like minus its Python wrapper: called every ascent round
+        return np.divide(a, norms, out=out, where=norms >= DEGENERATE_NORM_TOL)
 
     def random_coords(self, gen):
         v = gen.standard_normal(self.n + 1)
@@ -274,31 +267,24 @@ class Grassmann(_SymKind):
         gaps = w[..., self.n - self.p] - w[..., self.n - self.p - 1]
         return vecs[..., self.n - self.p:][..., ::-1], gaps
 
-    def _ambiguous(self, gap: float) -> AmbiguousSubspaceError:
-        return AmbiguousSubspaceError(
-            f"eigenvalue gap {gap:g} below {EIGENGAP_TOL:g}: dominant "
-            f"{self.p}-subspace is not unique"
-        )
-
     def unembed(self, v):
         frames, gaps = self._top_frames(_sym(v)[None])
         if not gaps[0] >= EIGENGAP_TOL:
-            raise self._ambiguous(gaps[0])
+            raise AmbiguousSubspaceError(
+                f"eigenvalue gap {gaps[0]:g} below {EIGENGAP_TOL:g}: dominant "
+                f"{self.p}-subspace is not unique"
+            )
         return frames[0]
 
     def tangent_project(self, e, g):
         pg = e @ _sym(g)
         return pg + pg.swapaxes(-1, -2) - 2.0 * (pg @ e)
 
-    def retract(self, e, v, t, single):
-        """The nearest-point retraction: the dominant p-eigenspace of the
-        ambient step."""
-        frames, gaps = self._top_frames(_sym(e + t * v))
+    def project(self, a):
+        """The projector onto the dominant p-eigenspace of each row."""
+        frames, gaps = self._top_frames(_sym(a))
         out = frames @ frames.swapaxes(-1, -2)
-        ambiguous = ~(gaps >= EIGENGAP_TOL)
-        if single and ambiguous[0]:
-            raise self._ambiguous(gaps[0])
-        out[ambiguous] = np.nan
+        out[~(gaps >= EIGENGAP_TOL)] = np.nan
         return out
 
     def random_coords(self, gen):
@@ -359,16 +345,12 @@ class Spd(_SymKind):
         w, vecs = np.linalg.eigh(_sym(v))
         return _sym((vecs * np.exp(w)) @ vecs.T)
 
-    def project_to_image(self, v):
-        """The image is all of Sym(p): symmetrization."""
-        return _sym(v)
-
     def tangent_project(self, e, g):
         return _sym(g)
 
-    def retract(self, e, v, t, single):
-        """Exact: the image is linear."""
-        return _sym(e + t * v)
+    def project(self, a):
+        """The image is all of Sym(p): symmetrization."""
+        return _sym(a)
 
     def within_chart(self, e):
         return ambient_norms(self, e) <= SPD_LOG_NORM_MAX
@@ -445,12 +427,20 @@ def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
 
 
 def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
-    """Nearest point of the embedded manifold to an ambient value.
+    """Nearest point of the embedded manifold to an ambient value
+    (``kind.project``).
 
     Idempotent.  For Spd the embedded image is all of Sym(p), so this is
-    just symmetrization.
+    just symmetrization.  Where that point is undefined or not unique,
+    raises what ``unembed`` raises there: ``DegenerateProjectionError`` on
+    the sphere, ``AmbiguousSubspaceError`` on the Grassmannian.
     """
-    return kind.project_to_image(_require_ambient(kind, v))
+    v = _require_ambient(kind, v)
+    out = kind.project(v[None])[0]
+    if np.isnan(out.flat[0]):
+        kind.unembed(v)
+        raise DegenerateProjectionError("no unique nearest point of the image")
+    return out
 
 
 def tangent_project_embedded(
@@ -472,38 +462,33 @@ def retract_embedded(
     kind: ManifoldKind, e: np.ndarray, v: np.ndarray, t
 ) -> np.ndarray:
     """Embedded representation of a step from the embedded point e along the
-    tangent vector v: the geodesic for the sphere, the nearest-point
-    retraction for the matrix manifolds (exact for Spd, whose image is
-    linear).  This is the one step every optimizer takes; ``exp_map`` is
-    the same step on manifold points.
+    tangent vector v: the image point nearest to the ambient step
+    ``e + t * v`` (``kind.project``), on every kind.  This is the one step
+    every optimizer takes; ``exp_map`` is the same step on manifold points.
 
     With a leading batch axis on e and v (and t a scalar or one step length
     per row), each row is retracted on its own, with the same bits as a
     single call.  A step whose ``e + t * v`` has a non-finite entry raises
-    ``InvalidInputError``, on every kind, and a single Grassmann step whose
-    dominant subspace is not unique raises ``AmbiguousSubspaceError``; in a
-    batch, such a row comes back all NaN and the other rows are unaffected
-    (a non-finite row never reaches the kind's retraction, where one NaN
-    would fail a stacked ``eigh``).
+    ``InvalidInputError``, on every kind, and a single step whose nearest
+    point is undefined or not unique raises what ``project_to_image``
+    raises; in a batch, such a row comes back all NaN and the other rows
+    are unaffected (a non-finite row never reaches ``kind.project``, where
+    one NaN would fail a stacked ``eigh``).
     """
     e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
-    single = e.ndim == len(kind.ambient_shape)
-    if single:
-        e, v = e[None], v[None]
     t = np.asarray(t, dtype=float)
+    if e.ndim == len(kind.ambient_shape):
+        return project_to_image(kind, e + t * v)
     if t.ndim == 0:
         t = t.repeat(len(e))
-    t = t.reshape(t.shape + (1,) * len(kind.ambient_shape))
-    finite = np.isfinite(e + t * v)
+    a = e + t.reshape(t.shape + (1,) * len(kind.ambient_shape)) * v
+    finite = np.isfinite(a)
     if finite.all():
-        out = kind.retract(e, v, t, single)
-    elif single:
-        raise InvalidInputError("retraction step has non-finite entries")
-    else:
-        rows = finite.reshape(len(e), -1).all(axis=1)
-        out = np.full_like(e, np.nan)
-        out[rows] = kind.retract(e[rows], v[rows], t[rows], single)
-    return out[0] if single else out
+        return kind.project(a)
+    rows = finite.reshape(len(a), -1).all(axis=1)
+    out = np.full_like(a, np.nan)
+    out[rows] = kind.project(a[rows])
+    return out
 
 
 def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> np.ndarray:
@@ -517,13 +502,12 @@ def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> np.ndarray:
 
 
 def exp_map(x: ManifoldPoint, d: np.ndarray, t: float = 1.0) -> ManifoldPoint:
-    """Step from x along the tangent direction d, scaled by t: the kind's
-    retraction (``retract_embedded``) from ``embed(x)``, unembedded.
+    """Step from x along the tangent direction d, scaled by t: the nearest
+    image point to ``embed(x) + t * d`` (``retract_embedded``), unembedded.
 
-    The sphere steps along the closed-form geodesic.  Grassmann and Spd use
-    the projection retraction: take the ambient step and project back to the
-    image, which agrees with the geodesic to first order.  For Spd the image
-    is linear, so the retraction is exact.  Raises ``InvalidInputError``
+    This projection retraction agrees with the geodesic to first order on
+    every kind; on the sphere it is ``(x + t d) / |x + t d|``, and for Spd,
+    whose image is linear, it is exact.  Raises ``InvalidInputError``
     unless d has the ambient shape, is finite and is tangent at x (to
     ``TANGENT_ATOL`` times ``max(1, |d|)``).
     """

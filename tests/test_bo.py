@@ -328,9 +328,9 @@ class TestProposalDedup:
 
 
 def _chord(step):
-    """The embedded distance a unit-sphere geodesic step of that length
-    covers."""
-    return 2.0 * math.sin(0.5 * step)
+    """The embedded distance a unit-sphere step of that tangent length
+    covers: the projection (x + s u) / |x + s u| turns by atan(s)."""
+    return 2.0 * math.sin(0.5 * math.atan(step))
 
 
 class TestLocalSpacing:

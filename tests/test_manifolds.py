@@ -289,16 +289,29 @@ class TestProjectToTangent:
 
 class TestExpMap:
     def test_sphere_quarter_circle(self):
+        # A tangent step of length pi/2, which the geodesic would take a
+        # quarter circle, lands at (x + t d) / |x + t d|: the angle atan(pi/2)
+        # from x, short of the quarter circle that no finite step reaches.
         x = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
         v = np.array([0.0, math.pi / 2.0, 0.0])
         y = exp_map(x, v, 1.0)
-        np.testing.assert_allclose(y.coords, [0.0, 1.0, 0.0], atol=1e-14)
+        norm = math.hypot(1.0, math.pi / 2.0)
+        np.testing.assert_allclose(y.coords, [1.0 / norm, 0.5 * math.pi / norm, 0.0],
+                                   rtol=0.0, atol=1e-15)
+        assert math.atan2(y.coords[1], y.coords[0]) == pytest.approx(math.atan(math.pi / 2.0))
+        far = exp_map(x, v, 1e8)
+        np.testing.assert_allclose(far.coords, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-8)
 
     def test_sphere_full_period(self):
+        # A step of length 2 pi does not wrap around to x, as the geodesic's
+        # does: the projection (x + t d) / |x + t d| is not periodic in t.
         x = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
         v = np.array([0.0, 2.0 * math.pi, 0.0])
-        y = exp_map(x, v, 1.0)
-        np.testing.assert_allclose(y.coords, [1.0, 0.0, 0.0], atol=1e-12)
+        for t in (0.5, 1.0, 2.0):
+            y = exp_map(x, v, t)
+            norm = math.hypot(1.0, 2.0 * math.pi * t)
+            np.testing.assert_allclose(y.coords, [1.0 / norm, 2.0 * math.pi * t / norm, 0.0],
+                                       rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_vector_fixes_point(self, kind, rng):
@@ -368,16 +381,19 @@ class TestExpMap:
 
     @pytest.mark.parametrize("kind", BATCH_KINDS, ids=str)
     def test_is_the_embedded_retraction(self, kind, rng):
-        # exp_map is retract_embedded from embed(x), unembedded: the same
-        # coordinates, bit for bit, for random and zero directions and t.
+        # exp_map is retract_embedded from embed(x), unembedded, and that is
+        # project_to_image of the ambient step: the same bits, for random
+        # and zero directions and t.
         for _ in range(20):
             x = random_point(kind, rng)
             d = project_to_tangent(x, rng.standard_normal(kind.ambient_shape))
             t = float(rng.uniform(0.01, 1.0))
             for direction in (d, np.zeros(kind.ambient_shape)):
+                e = embed(x)
+                retracted = retract_embedded(kind, e, direction, t)
+                assert retracted.tobytes() == project_to_image(kind, e + t * direction).tobytes()
                 stepped = exp_map(x, direction, t)
-                reference = unembed(kind, retract_embedded(kind, embed(x), direction, t))
-                assert stepped.coords.tobytes() == reference.coords.tobytes()
+                assert stepped.coords.tobytes() == unembed(kind, retracted).coords.tobytes()
 
 
 class TestDistances:
@@ -547,6 +563,32 @@ class TestStackedGeometry:
             )
         with pytest.raises(AmbiguousSubspaceError):
             retract_embedded(kind, e[1], v[1], 0.5)
+
+    def test_degenerate_sphere_row_is_nan_and_raises_alone(self, rng):
+        # The zero vector has no nearest point on the sphere.
+        kind = Sphere(2)
+        e, _, v = _stack(kind, rng, 3)
+        e[1], v[1] = 0.0, 0.0
+        stepped = retract_embedded(kind, e, v, 0.5)
+        assert np.all(np.isnan(stepped[1]))
+        for row in (0, 2):
+            np.testing.assert_array_equal(
+                stepped[row], retract_embedded(kind, e[row], v[row], 0.5)
+            )
+        with pytest.raises(DegenerateProjectionError):
+            retract_embedded(kind, e[1], v[1], 0.5)
+
+    @pytest.mark.parametrize(
+        "kind, value, error",
+        [(Sphere(2), np.zeros(3), DegenerateProjectionError),
+         (Grassmann(2, 3), np.diag([1.0, 0.5, 0.5]), AmbiguousSubspaceError)],
+        ids=str,
+    )
+    def test_project_to_image_raises_where_the_nearest_point_is_not_unique(
+        self, kind, value, error
+    ):
+        with pytest.raises(error):
+            project_to_image(kind, value)
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -8,7 +8,9 @@ once from each tree, each run in its own interpreter with
 ``PYTHONPATH=<tree>/src`` and one BLAS thread.  Every CSV must match byte
 for byte, and every ``summary.json`` once its ``wall_ms`` and ``out`` entries
 are set aside.  Prints each file that differs and exits 1 if any does, 0
-if every file is identical.
+if every file is identical.  For each workload with a differing
+``summary.json`` it also prints every seed's eBO ``log10_err`` in both
+trees and the two medians.
 
 ``--seeds N`` runs only the first N seeds of each measured set and
 ``--iters N`` overrides each experiment's iteration budget, for a quick
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -63,16 +66,57 @@ def _without_volatile(value):
     return value
 
 
+def _load_summary(path: Path):
+    """The parsed ``summary.json`` at path, or None if it is missing or
+    not JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+
+
 def _same_file(a: Path, b: Path) -> bool:
     if not (a.is_file() and b.is_file()):
         return False
     if a.name == "summary.json":
-        try:
-            loaded = [json.loads(path.read_text(encoding="utf-8")) for path in (a, b)]
-        except ValueError:
+        loaded = [_load_summary(path) for path in (a, b)]
+        if None in loaded:
             return False
         return _without_volatile(loaded[0]) == _without_volatile(loaded[1])
     return a.read_bytes() == b.read_bytes()
+
+
+def _ebo_log10_err(path: Path):
+    """The eBO ``log10_err`` of the summary at path, or None if it has none."""
+    try:
+        return float(_load_summary(path)["optimizers"]["ebo"]["log10_err"])
+    except (TypeError, KeyError, ValueError):
+        return None
+
+
+def _shown(err) -> str:
+    return "none" if err is None else f"{err:.4f}"
+
+
+def error_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
+    """For each workload (a top-level directory) with a differing
+    ``summary.json``: each seed's eBO ``log10_err`` under a and b, then the
+    two medians over the seeds that have one."""
+    lines = []
+    workloads = sorted({name.split("/")[0] for name in differ
+                        if name.endswith("/summary.json")})
+    for workload in workloads:
+        seeds = sorted({path.parent.name for root in (a, b)
+                        for path in (root / workload).glob("*/summary.json")},
+                       key=lambda label: int(label.rpartition("-")[2]))
+        errs = [[_ebo_log10_err(root / workload / seed / "summary.json") for seed in seeds]
+                for root in (a, b)]
+        for seed, err_a, err_b in zip(seeds, *errs):
+            lines.append(f"{workload}/{seed}: ebo log10_err {_shown(err_a)} -> {_shown(err_b)}")
+        medians = [_shown(statistics.median(found) if found else None)
+                   for found in ([err for err in side if err is not None] for side in errs)]
+        lines.append(f"{workload}: median ebo log10_err {medians[0]} -> {medians[1]}")
+    return lines
 
 
 def compare_dirs(a: Path, b: Path) -> tuple[list[str], int]:
@@ -120,9 +164,12 @@ def main(argv=None) -> int:
                 if codes[0] != codes[1]:
                     differ.append(f"{label}: exit codes {codes[0]} and {codes[1]}")
         files, compared = compare_dirs(*outs)
+        errors = error_lines(*outs, files)
     differ += files
     for line in differ:
         print(f"differs: {line}")
+    for line in errors:
+        print(line)
     print(f"{compared - len(files)} of {compared} files identical over {len(runs)} seed runs")
     return 1 if differ else 0
 
