@@ -30,15 +30,14 @@ from .egp import (
 )
 from .manifolds import (
     InvalidInputError,
-    ManifoldError,
     ManifoldKind,
     ManifoldPoint,
     embed,
-    exp_map,
     extrinsic_distance,
-    flatten_ambient,
-    project_to_tangent,
     random_point,
+    retract_embedded,
+    tangent_project_embedded,
+    unembed,
 )
 
 logger = logging.getLogger(__name__)
@@ -153,21 +152,9 @@ class RunTrace:
             )
         )
 
-    def best_values(self) -> np.ndarray:
-        return np.array([rec.best_value for rec in self.records])
-
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-
-def _data_distances(dataset: GpDataset, x: ManifoldPoint) -> np.ndarray:
-    """Embedded distance from x to each datum, from x's flat coordinates and
-    the dataset's flat rows (the flat norm is the Frobenius norm)."""
-    if x.kind != dataset.kind:
-        raise InvalidInputError(f"kind mismatch: {x.kind} vs {dataset.kind}")
-    w = flatten_ambient(x.kind, embed(x))
-    return np.linalg.norm(dataset.embedded - w, axis=1)
 
 
 def proposal_dedup(
@@ -185,14 +172,25 @@ def proposal_dedup(
     ``2 * DEDUP_TOL`` so that it clears a duplicate; 0.1 ``lengthscale``
     when every datum is a duplicate.  Where the data crowd the proposal so
     that no draw at that size separates it, the size doubles after every 10
-    draws.  A draw whose tangent is degenerate, or whose step cannot be
-    taken (it leaves the Spd chart, say), fails, and counts toward the 50
-    draws and the doubling like any draw that stays too close."""
+    draws.  The draws stay on embedded rows: each projects a Gaussian
+    ambient direction onto the tangent space at the proposal's embedding,
+    takes one ``retract_embedded`` step of the current size along it, and
+    measures the flat distances from the stepped row to the dataset's rows.
+    A draw whose tangent is degenerate, whose step has no nearest image
+    point, or whose step leaves the chart (``within_chart``) fails, and
+    counts toward the 50 draws and the doubling like any draw that stays
+    too close.  Only the returned row is unembedded."""
+    kind = x_next.kind
+    if kind != dataset.kind:
+        raise InvalidInputError(f"kind mismatch: {kind} vs {dataset.kind}")
+    e = embed(x_next)
 
-    def min_dist(candidate: ManifoldPoint) -> float:
-        return float(_data_distances(dataset, candidate).min())
+    def distances(row: np.ndarray) -> np.ndarray:
+        """Embedded distance from row to each datum (the flat norm is the
+        Frobenius norm)."""
+        return np.linalg.norm(dataset.embedded - kind.flatten_rows(row), axis=1)
 
-    dists = _data_distances(dataset, x_next)
+    dists = distances(e)
     if float(dists.min()) >= DEDUP_TOL:
         return x_next
     separated = dists[dists >= DEDUP_TOL]
@@ -200,24 +198,24 @@ def proposal_dedup(
         step = max(0.5 * float(separated.min()), 2.0 * DEDUP_TOL)
     else:
         step = 0.1 * lengthscale
-    candidate = x_next
+    row = None  # the last draw that could be taken
     for attempt in range(50):
         if attempt and attempt % 10 == 0:
             step *= 2.0
-        direction = rng.standard_normal(x_next.kind.ambient_shape)
-        tangent = project_to_tangent(x_next, direction)
+        direction = rng.standard_normal(kind.ambient_shape)
+        tangent = tangent_project_embedded(kind, e, direction)
         norm = float(np.linalg.norm(tangent))
         if norm < 1e-12:
             continue
-        try:
-            candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
-        except ManifoldError:  # e.g. a step off the Spd chart
+        stepped = retract_embedded(kind, e[None], ((step / norm) * tangent)[None], 1.0)
+        if np.isnan(stepped.flat[0]) or not kind.within_chart(stepped)[0]:
             continue
-        if min_dist(candidate) >= DEDUP_TOL:
+        row = stepped[0]
+        if float(distances(row).min()) >= DEDUP_TOL:
             logger.debug("perturbed duplicate proposal by %.3g", step)
-            return candidate
+            return unembed(kind, row)
     logger.warning("could not separate duplicate proposal after 50 perturbations")
-    return candidate
+    return x_next if row is None else unembed(kind, row)
 
 
 def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:

@@ -189,15 +189,6 @@ class GpDataset:
         return len(self.points)
 
 
-def kernel_eval(params: KernelParams, x: ManifoldPoint, z: ManifoldPoint) -> float:
-    """Covariance between two points: amplitude * exp(-d(x,z)^2 / (2 l^2))
-    with d the embedded Euclidean distance."""
-    if x.kind != z.kind:
-        raise InvalidInputError(f"kind mismatch: {x.kind} vs {z.kind}")
-    sq = float(np.sum((embed(x) - embed(z)) ** 2))
-    return params.amplitude * math.exp(-sq / (2.0 * params.lengthscale**2))
-
-
 def gram_matrix(params: KernelParams, data: GpDataset) -> np.ndarray:
     """Kernel matrix of the dataset plus noise on the diagonal, from the
     dataset's cached squared distances; symmetric bit for bit."""

@@ -89,14 +89,15 @@ def _problem_embeddings(problem: FrechetProblem) -> np.ndarray:
 
 
 def extrinsic_mean_oracle(problem: FrechetProblem) -> ManifoldPoint:
-    """Closed-form minimizer: project the embedded average onto the manifold.
+    """Closed-form minimizer: the embedded average's nearest point on the
+    manifold (``unembed``).
 
     Raises DegenerateProjectionError when the average has no nearest point
     (e.g. balanced antipodal data on a sphere averaging to the origin).
     """
     kind = problem.kind
     mean_flat = _problem_embeddings(problem).mean(axis=0)
-    return unembed(kind, project_to_image(kind, unflatten_ambient(kind, mean_flat)))
+    return unembed(kind, unflatten_ambient(kind, mean_flat))
 
 
 def frechet_objective(problem: FrechetProblem) -> Objective:

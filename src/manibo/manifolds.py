@@ -524,15 +524,6 @@ def extrinsic_distance(x: ManifoldPoint, z: ManifoldPoint) -> float:
     return float(np.linalg.norm(embed(x) - embed(z)))
 
 
-def spd_intrinsic_distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
-    """Log-Euclidean distance ||log a - log b||_F between SPD matrices."""
-    if not isinstance(a.kind, Spd) or not isinstance(b.kind, Spd):
-        raise DomainError("log-Euclidean distance requires Spd points")
-    if a.kind != b.kind:
-        raise DomainError(f"size mismatch: {a.kind} vs {b.kind}")
-    return extrinsic_distance(a, b)
-
-
 def random_point(kind: ManifoldKind, rng: Union[int, np.random.Generator]) -> ManifoldPoint:
     """Draw a random point: uniform on the sphere and Grassmannian, and the
     exponential of a symmetric Gaussian matrix for Spd.  Deterministic given

@@ -30,6 +30,8 @@ from manibo import bo
 from manibo.bo import DEDUP_TOL
 from manibo.manifolds import SPD_CHART_SLACK, SPD_LOG_NORM_MAX, ambient_norms
 
+from conftest import ALL_KINDS
+
 KIND = Sphere(2)
 
 
@@ -77,7 +79,7 @@ class TestRun:
         best_so_far = np.minimum.accumulate(
             [min(values[:4])] + values[4:]
         )
-        np.testing.assert_array_equal(trace.best_values(), best_so_far)
+        np.testing.assert_array_equal([rec.best_value for rec in trace.records], best_so_far)
 
     def test_dataset_size_is_init_plus_iters(self):
         obj = frechet_objective(latitude_circle_problem())
@@ -404,9 +406,10 @@ def _reference_proposal_dedup(dataset, x_next, rng, lengthscale):
 
 
 class TestCachedDistances:
-    """Distances from the dataset's flat rows keep the bits of a row-at-a-time
-    flat-row reference and agree with ``extrinsic_distance`` to 1e-12
-    relative, on datasets built at once and grown by ``append``."""
+    """The dataset's flat rows, which ``proposal_dedup`` measures from, give
+    the embedded distances between the data to 1e-12 relative, on datasets
+    built at once and grown by ``append``; and the dedup on those rows keeps
+    the bits of ``_reference_proposal_dedup``, the manifold-point path."""
 
     @pytest.mark.parametrize("kind", [Sphere(2), Grassmann(2, 5), Spd(3)], ids=str)
     def test_equal_to_extrinsic_distance(self, kind, rng):
@@ -416,9 +419,7 @@ class TestCachedDistances:
         queries = [random_point(kind, rng) for _ in range(4)] + points
         for data in (built, grown):
             for x in queries:
-                got = bo._data_distances(data, x)
-                expected = _flat_row_distances(data, x)
-                assert np.array(got).tobytes() == np.array(expected).tobytes()
+                got = np.sqrt(data.append(x, 0.0).sq_dists[-1, :-1])
                 exact = [extrinsic_distance(x, pt) for pt in data.points]
                 np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
                 for seed in range(2):
@@ -433,6 +434,55 @@ class TestCachedDistances:
         data = GpDataset.from_points([random_point(KIND, rng)], [0.0])
         with pytest.raises(InvalidInputError):
             proposal_dedup(data, random_point(Spd(3), rng), np.random.default_rng(0), 1.0)
+
+
+class TestDedupOnRows:
+    """``proposal_dedup`` draws on embedded rows and returns the bits of the
+    manifold-point path, ``_reference_proposal_dedup``, on every kind."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS + [Grassmann(2, 5), Grassmann(1, 3)], ids=str)
+    @pytest.mark.parametrize("lengthscale", [0.05, 50.0])
+    def test_matches_the_manifold_point_path(self, kind, lengthscale, rng):
+        for _ in range(3):
+            points = [random_point(kind, rng) for _ in range(4)]
+            # A proposal that repeats a datum, and one that repeats every
+            # datum (the step is then 0.1 lengthscale).
+            cases = [
+                (GpDataset.from_points(points, np.zeros(4)), points[1]),
+                (GpDataset.from_points([points[0]] * 2, np.zeros(2)), points[0]),
+            ]
+            for data, x in cases:
+                for seed in range(4):
+                    moved = proposal_dedup(data, x, np.random.default_rng(seed), lengthscale)
+                    reference = _reference_proposal_dedup(
+                        data, x, np.random.default_rng(seed), lengthscale
+                    )
+                    assert moved.coords.tobytes() == reference.coords.tobytes()
+                    assert (moved is x) == (reference is x)
+
+    def test_spd_steps_off_the_chart_fail_as_on_points(self, monkeypatch):
+        # A duplicate near the chart bound, with steps of 0.1 * 50 = 5: some
+        # draws leave the chart and fail, and every row the dedup returns is
+        # the one the manifold-point path returns.
+        kind = Spd(3)
+        x = unembed(kind, np.diag([9.0, 1.0, 0.0]))
+        data = GpDataset.from_points([x, x], [0.0, 0.0])
+        steps = []
+        real_retract = bo.retract_embedded
+
+        def spy(*args):
+            stepped = real_retract(*args)
+            steps.append(stepped)
+            return stepped
+
+        monkeypatch.setattr(bo, "retract_embedded", spy)
+        for seed in range(10):
+            moved = proposal_dedup(data, x, np.random.default_rng(seed), 50.0)
+            reference = _reference_proposal_dedup(data, x, np.random.default_rng(seed), 50.0)
+            assert moved.coords.tobytes() == reference.coords.tobytes()
+            assert ambient_norms(kind, embed(moved)) <= SPD_LOG_NORM_MAX + SPD_CHART_SLACK
+        off_chart = sum(int(ambient_norms(kind, row[0]) > SPD_LOG_NORM_MAX) for row in steps)
+        assert 0 < off_chart < len(steps)
 
 
 class TestRefitSchedule:

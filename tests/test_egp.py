@@ -20,9 +20,9 @@ from manibo import (
     ManifoldPoint,
     default_bounds,
     embed,
+    extrinsic_distance,
     fit_hyperparams,
     gram_matrix,
-    kernel_eval,
     log_marginal_likelihood,
     median_heuristic_params,
     posterior,
@@ -65,11 +65,21 @@ class TestKernelParams:
             KernelBounds((0.1, 10.0), (0.1, 10.0), bad)
 
 
+def _kernel(params, x, z):
+    """The squared-exponential covariance written out on the embedded
+    distance: amplitude * exp(-d(x, z)^2 / (2 l^2))."""
+    d = extrinsic_distance(x, z)
+    return params.amplitude * math.exp(-(d * d) / (2.0 * params.lengthscale**2))
+
+
 class TestKernelEval:
+    """The kernel as ``gram_matrix`` evaluates it, on noise-free datasets."""
+
     def test_same_point_gives_amplitude(self, rng):
         params = KernelParams(lengthscale=0.7, amplitude=2.5, noise=0.0)
         x = random_point(Sphere(2), rng)
-        assert kernel_eval(params, x, x) == pytest.approx(2.5, rel=1e-14)
+        gram = gram_matrix(params, GpDataset.from_points([x, x], [0.0, 0.0]))
+        np.testing.assert_allclose(gram, np.full((2, 2), 2.5), rtol=1e-14)
 
     def test_sphere_poles_value(self):
         # Embedded distance between the poles is 2, so the kernel value is
@@ -77,9 +87,8 @@ class TestKernelEval:
         params = KernelParams(lengthscale=2.0, amplitude=1.0, noise=0.0)
         north = ManifoldPoint(Sphere(2), [0.0, 0.0, 1.0])
         south = ManifoldPoint(Sphere(2), [0.0, 0.0, -1.0])
-        assert kernel_eval(params, north, south) == pytest.approx(
-            math.exp(-0.5), rel=1e-14
-        )
+        gram = gram_matrix(params, GpDataset.from_points([north, south], [0.0, 0.0]))
+        assert gram[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_grassmann_frame_invariance(self, rng):
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
@@ -91,15 +100,15 @@ class TestKernelEval:
         )
         same_span = ManifoldPoint(kind, x.coords @ rot)
         z = random_point(kind, rng)
-        assert kernel_eval(params, x, z) == pytest.approx(
-            kernel_eval(params, same_span, z), abs=1e-12
-        )
-        assert kernel_eval(params, x, same_span) == pytest.approx(1.0, abs=1e-12)
+        gram = gram_matrix(params, GpDataset.from_points([x, same_span, z], np.zeros(3)))
+        assert gram[0, 2] == pytest.approx(gram[1, 2], abs=1e-12)
+        assert gram[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_kind_mismatch(self, rng):
-        params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
         with pytest.raises(InvalidInputError):
-            kernel_eval(params, random_point(Sphere(2), rng), random_point(Spd(2), rng))
+            GpDataset.from_points(
+                [random_point(Sphere(2), rng), random_point(Spd(2), rng)], [0.0, 0.0]
+            )
 
 
 class TestGramMatrix:
@@ -207,7 +216,7 @@ class TestPosterior:
         model = GpModel.build(params, data)
         gram = gram_matrix(params, data)
         query = random_point(kind, rng)
-        k_vec = np.array([kernel_eval(params, p, query) for p in data.points])
+        k_vec = np.array([_kernel(params, p, query) for p in data.points])
         solve = np.linalg.solve(gram, data.values)
         mean_oracle = float(k_vec @ solve)
         var_oracle = params.amplitude - float(k_vec @ np.linalg.solve(gram, k_vec))

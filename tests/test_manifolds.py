@@ -21,7 +21,6 @@ from manibo import (
     project_to_image,
     project_to_tangent,
     random_point,
-    spd_intrinsic_distance,
     unembed,
     unflatten_ambient,
 )
@@ -423,24 +422,22 @@ class TestDistances:
     def test_spd_log_euclidean_values(self):
         eye = ManifoldPoint(Spd(2), np.eye(2))
         scaled = ManifoldPoint(Spd(2), math.e * np.eye(2))
-        assert spd_intrinsic_distance(eye, eye) == 0.0
-        assert spd_intrinsic_distance(scaled, eye) == pytest.approx(
-            math.sqrt(2.0), abs=1e-12
-        )
+        assert extrinsic_distance(eye, eye) == 0.0
+        assert extrinsic_distance(scaled, eye) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_spd_symmetry(self, rng):
         kind = Spd(3)
         for _ in range(10):
             a, b = random_point(kind, rng), random_point(kind, rng)
-            assert spd_intrinsic_distance(a, b) == pytest.approx(
-                spd_intrinsic_distance(b, a), abs=1e-10
+            assert extrinsic_distance(a, b) == pytest.approx(
+                extrinsic_distance(b, a), abs=1e-10
             )
 
     def test_spd_rejects_other_kinds(self, rng):
-        with pytest.raises(DomainError):
-            spd_intrinsic_distance(
-                random_point(Sphere(2), rng), random_point(Sphere(2), rng)
-            )
+        x = random_point(Spd(2), rng)
+        for other in (Spd(3), Grassmann(1, 2)):
+            with pytest.raises(InvalidInputError):
+                extrinsic_distance(x, random_point(other, rng))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_triangle_inequality(self, kind, rng):
