@@ -35,6 +35,7 @@ from .manifolds import (
     ambient_norms,
     embed,
     flatten_ambient,
+    project_to_image,
     retract_embedded,
     tangent_project_embedded,
     unembed,
@@ -322,7 +323,10 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
     """A random embedded start, pulled toward the incumbent in flat
-    coordinates into the trust radius, then back onto the embedded image."""
+    coordinates into the trust radius, then back onto the embedded image by
+    the kind's nearest-point map (``project_to_image``), which raises where
+    the pulled row has no unique nearest point.  The pulled start is not
+    checked against the chart; ``maximize`` never returns a row outside it."""
     kind = state.model.data.kind
     e = kind.embed(kind.random_coords(rng))
     w = kind.flatten_rows(e)
@@ -330,15 +334,17 @@ def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarr
         return e
     diff = w - state.trust_center
     pulled = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
-    return kind.embed(kind.unembed(kind.unflatten_rows(pulled)))
+    return project_to_image(kind, kind.unflatten_rows(pulled))
 
 
 def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     """Best acquisition point across multistart ascents.
 
     Starts from the best observed point plus ``ASCENT_STARTS - 1`` random
-    points drawn from ``seed`` (one whose draw or pull raises is skipped),
-    each pulled within the trust radius, and ascends them all in one
+    points drawn from ``seed``, each pulled within the trust radius and
+    mapped back onto the embedded image by ``project_to_image`` (a start
+    whose draw or projection raises, such as a pulled Grassmann row with
+    tied top eigenvalues, is skipped), and ascends them all in one
     ``ascend`` call; deterministic given the seed.  Starts are ranked on
     the values their ascent reached (log PI, so candidates whose PI rounds
     to 1.0 still rank), at their embedded last iterates; ties keep the

@@ -312,26 +312,29 @@ class TestAscend:
 
 def _reference_starts(state, seed):
     """The start rows of ``maximize``, built through manifold points: the
-    incumbent, then each ``random_point`` pulled toward the incumbent in
-    flat coordinates where it lies outside the trust radius, unembedded
-    and embedded again.  Also returns how many starts were pulled."""
+    incumbent, then each ``random_point``'s embedding, pulled toward the
+    incumbent in flat coordinates where it lies outside the trust radius and
+    mapped back by ``kind.project`` (skipped where that is NaN).  Also
+    returns how many starts were pulled."""
     data = state.model.data
     kind = data.kind
     rng = np.random.default_rng(seed)
-    starts, pulled = [data.points[int(np.argmin(data.values))]], 0
+    starts, pulled = [embed(data.points[int(np.argmin(data.values))])], 0
     for _ in range(ASCENT_STARTS - 1):
         try:
-            x = random_point(kind, rng)
-            w = flatten_ambient(kind, embed(x))
-            if not _within_trust(state, w[None])[0]:
-                diff = w - state.trust_center
-                w = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
-                x = unembed(kind, unflatten_ambient(kind, w))
-                pulled += 1
+            e = embed(random_point(kind, rng))
         except ManifoldError:
             continue
-        starts.append(x)
-    return np.stack([embed(x) for x in starts]), pulled
+        w = flatten_ambient(kind, e)
+        if not _within_trust(state, w[None])[0]:
+            diff = w - state.trust_center
+            w = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
+            e = kind.project(unflatten_ambient(kind, w)[None])[0]
+            if np.isnan(e).any():
+                continue
+            pulled += 1
+        starts.append(e)
+    return np.stack(starts), pulled
 
 
 class TestMaximize:
@@ -426,6 +429,65 @@ class TestMaximize:
         result = maximize(state, 0)
         np.testing.assert_array_equal(result.coords, unembed(kind, e[winner]).coords)
 
+
+    def test_pulled_start_with_tied_eigenvalues_is_skipped(self, monkeypatch, rng):
+        # The incumbent spans e1 and every random start e2; at radius
+        # sqrt(2) / 2 the pull lands on diag(0.5, 0.5, 0), whose top
+        # eigenvalue is tied.  Its projection is NaN, so the start is
+        # skipped and only the incumbent ascends.
+        kind = Grassmann(1, 3)
+        incumbent = ManifoldPoint(kind, [[1.0], [0.0], [0.0]])
+        points = [incumbent] + [random_point(kind, rng) for _ in range(3)]
+        data = GpDataset.from_points(points, [-1.0, 0.0, 0.5, 1.0])
+        params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
+        state = AcquisitionState(
+            GpModel.build(params, data), -1.0, trust_radius=math.sqrt(2.0) / 2.0
+        )
+        monkeypatch.setattr(
+            Grassmann, "random_coords", lambda self, gen: np.array([[0.0], [1.0], [0.0]])
+        )
+        rng_start = np.random.default_rng(0)
+        with pytest.raises(AmbiguousSubspaceError):
+            _random_start(state, rng_start)
+        seen = []
+        real_ascend = acquisition.ascend
+
+        def spy(state, e):
+            seen.append(np.array(e))
+            return real_ascend(state, e)
+
+        monkeypatch.setattr(acquisition, "ascend", spy)
+        maximize(state, 0)
+        np.testing.assert_array_equal(seen[-1], embed(incumbent)[None])
+
+    def test_pulled_start_outside_the_chart_is_never_returned(self, monkeypatch):
+        # The incumbent lies at log-norm 9.5 and every random start at 20
+        # along the same axis; the pull at radius 1 leaves each at 10.5,
+        # outside the chart.  The start is kept, and ranks best, but
+        # maximize returns the incumbent's row.
+        kind = Spd(2)
+        logs = [np.diag([9.5, 0.0]), np.diag([9.0, 0.5]), np.diag([9.2, -0.3])]
+        points = [unembed(kind, v) for v in logs]
+        data = GpDataset.from_points(points, [-1.0, 0.0, 1.0])
+        params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
+        state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
+        far = np.diag([math.exp(20.0), 1.0])
+        monkeypatch.setattr(Spd, "random_coords", lambda self, gen: far.copy())
+        seen = []
+
+        def fake(state, starts):
+            seen.append(np.array(starts))
+            return starts.copy(), np.arange(len(starts), dtype=float)
+
+        monkeypatch.setattr(acquisition, "ascend", fake)
+        result = maximize(state, 0)
+        starts = seen[-1]
+        assert len(starts) == ASCENT_STARTS
+        assert not kind.within_chart(starts[1:]).any()
+        np.testing.assert_array_equal(result.coords, unembed(kind, starts[0]).coords)
+        # With the real ascent, the proposal lies in the chart too.
+        monkeypatch.setattr(acquisition, "ascend", ascend)
+        assert kind.within_chart(embed(maximize(state, 0))[None])[0]
 
 class TestTrustAndExploit:
     def test_proposal_within_trust_radius(self, rng):
