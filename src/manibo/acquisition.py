@@ -324,9 +324,9 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
     """A random embedded start, pulled toward the incumbent in flat
     coordinates into the trust radius, then back onto the embedded image by
-    the kind's nearest-point map (``project_to_image``), which raises where
-    the pulled row has no unique nearest point.  The pulled start is not
-    checked against the chart; ``maximize`` never returns a row outside it."""
+    ``project_to_image``, which raises where it has no unique nearest point.
+    It is not checked against the chart: ``maximize`` never returns a row
+    outside it."""
     kind = state.model.data.kind
     e = kind.embed(kind.random_coords(rng))
     w = kind.flatten_rows(e)

@@ -172,22 +172,19 @@ def proposal_dedup(
     ``2 * DEDUP_TOL`` so that it clears a duplicate; 0.1 ``lengthscale``
     when every datum is a duplicate.  Where the data crowd the proposal so
     that no draw at that size separates it, the size doubles after every 10
-    draws.  The draws stay on embedded rows: each projects a Gaussian
-    ambient direction onto the tangent space at the proposal's embedding,
-    takes one ``retract_embedded`` step of the current size along it, and
-    measures the flat distances from the stepped row to the dataset's rows.
-    A draw whose tangent is degenerate, whose step has no nearest image
-    point, or whose step leaves the chart (``within_chart``) fails, and
-    counts toward the 50 draws and the doubling like any draw that stays
-    too close.  Only the returned row is unembedded."""
+    draws.  Each draw steps the proposal's embedded row along a random
+    tangent (``tangent_project_embedded``, then a one-row
+    ``retract_embedded``) and measures flat distances to the dataset's
+    rows; only the returned row is unembedded.  A draw whose tangent is
+    degenerate, or whose step has no nearest image point or leaves the
+    chart, fails, and counts toward the 50 draws and the doubling like any
+    draw that stays too close."""
     kind = x_next.kind
     if kind != dataset.kind:
         raise InvalidInputError(f"kind mismatch: {kind} vs {dataset.kind}")
     e = embed(x_next)
 
-    def distances(row: np.ndarray) -> np.ndarray:
-        """Embedded distance from row to each datum (the flat norm is the
-        Frobenius norm)."""
+    def distances(row: np.ndarray) -> np.ndarray:  # the flat norm is the Frobenius norm
         return np.linalg.norm(dataset.embedded - kind.flatten_rows(row), axis=1)
 
     dists = distances(e)

@@ -305,6 +305,9 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
         )
     if cfg.iters < 0 or cfg.init < 1 or cfg.refit_every < 0:
         raise ConfigError("iters must be >= 0, init >= 1 and refit-every >= 0")
+    for name, seeds in (("seed", (cfg.seed,)), ("seeds", cfg.seeds or ())):
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError(f"--{name} must be >= 0, got {min(seeds)}")
     if cfg.experiment == "custom" and not cfg.objective:
         raise ConfigError("custom experiment requires objective = module:callable")
     cfg.kernel_params()  # validates pairing

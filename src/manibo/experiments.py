@@ -89,8 +89,7 @@ def _problem_embeddings(problem: FrechetProblem) -> np.ndarray:
 
 
 def extrinsic_mean_oracle(problem: FrechetProblem) -> ManifoldPoint:
-    """Closed-form minimizer: the embedded average's nearest point on the
-    manifold (``unembed``).
+    """Closed-form minimizer: project the embedded average onto the manifold.
 
     Raises DegenerateProjectionError when the average has no nearest point
     (e.g. balanced antipodal data on a sphere averaging to the origin).

@@ -429,7 +429,6 @@ class TestMaximize:
         result = maximize(state, 0)
         np.testing.assert_array_equal(result.coords, unembed(kind, e[winner]).coords)
 
-
     def test_pulled_start_with_tied_eigenvalues_is_skipped(self, monkeypatch, rng):
         # The incumbent spans e1 and every random start e2; at radius
         # sqrt(2) / 2 the pull lands on diag(0.5, 0.5, 0), whose top
@@ -446,9 +445,8 @@ class TestMaximize:
         monkeypatch.setattr(
             Grassmann, "random_coords", lambda self, gen: np.array([[0.0], [1.0], [0.0]])
         )
-        rng_start = np.random.default_rng(0)
         with pytest.raises(AmbiguousSubspaceError):
-            _random_start(state, rng_start)
+            _random_start(state, np.random.default_rng(0))
         seen = []
         real_ascend = acquisition.ascend
 
@@ -488,6 +486,7 @@ class TestMaximize:
         # With the real ascent, the proposal lies in the chart too.
         monkeypatch.setattr(acquisition, "ascend", ascend)
         assert kind.within_chart(embed(maximize(state, 0))[None])[0]
+
 
 class TestTrustAndExploit:
     def test_proposal_within_trust_radius(self, rng):

@@ -327,3 +327,21 @@ def test_failing_objective_factory_is_a_usage_error(runner, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert "TypeError" in result.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("experiment", ["frechet-sphere", "spd-regression"])
+@pytest.mark.parametrize(
+    "seeds, named",
+    [(["--seed", "-1"], "--seed must be >= 0, got -1"),
+     (["--seed", "1", "--seeds", "1,-2"], "--seeds must be >= 0, got -2")],
+    ids=["seed", "seeds"],
+)
+def test_negative_seed_is_a_usage_error(runner, tmp_path, command, experiment, seeds, named):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, "--experiment", experiment, *seeds, "--iters", "1", "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert not out.exists()

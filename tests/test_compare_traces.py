@@ -5,7 +5,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Workload  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_traces.py"
@@ -93,27 +95,110 @@ def test_error_printout_marks_a_missing_error(tmp_path):
     ]
 
 
+def _seed_run(root, name, log10_err, errs):
+    """A seed's summary.json and ebo.csv: 2 initial points, then one row per
+    entry of errs (log10 distances to the oracle)."""
+    summary = {"config": {"init": 2, "iters": len(errs) - 1},
+               "oracle": {"known": True, "value": 0.0},
+               "optimizers": {"ebo": {"log10_err": log10_err, "wall_ms": 1.0}}}
+    _write(root, f"{name}/summary.json", json.dumps(summary))
+    rows = ["iter,f_next,f_best,err_to_oracle,wall_ms"]
+    rows += [f"{i},1,1,{err}," for i, err in enumerate(errs)]
+    _write(root, f"{name}/ebo.csv", "\n".join(rows) + "\n")
+
+
+class _FakeWorkload(Workload):
+    """A workload whose CLI arguments are only its output directory and
+    seed, for a ``run_seed`` stand-in."""
+
+    def cli_args(self, seed, out_dir, iters=None):
+        return [str(out_dir), str(seed)]
+
+
+def _tolerance_workload(name):
+    """A workload of 2 measured seeds whose tolerance is an oracle error of
+    at most 1e-2."""
+    return _FakeWorkload(name=name, flags=(), optimizers=("ebo",), tolerance="err",
+                         tolerance_limit=1e-2, measured_seeds=2)
+
+
+def test_prints_each_seeds_evals_to_tolerance(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    tool = _tool()
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
+    # Seed 0 meets the tolerance at iter 1 in a and iter 3 in b; seed 1
+    # never does in a (the budget, 2 + 3, plus one), and at iter 0 in b.
+    _seed_run(a, "w/seed-0", -2.5, [-1.0, -2.0, -2.5, -2.5])
+    _seed_run(b, "w/seed-0", -3.0, [-1.0, -1.5, -1.9, -3.0])
+    _seed_run(a, "w/seed-1", -1.0, [-1.0, -1.0, -1.0, -1.0])
+    _seed_run(b, "w/seed-1", -4.0, [-2.0, -4.0, -4.0, -4.0])
+    differ, _ = tool.compare_dirs(a, b)
+    assert tool.error_lines(a, b, differ)[3:] == [
+        "w/seed-0: ebo evals_to_tol 3 -> 5",
+        "w/seed-1: ebo evals_to_tol 6 -> 2",
+        "w: median ebo evals_to_tol 4.5 -> 3.5",
+    ]
+
+
+def test_evals_to_tolerance_marks_a_missing_trace(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    tool = _tool()
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
+    _seed_run(a, "w/seed-0", -2.5, [-1.0, -2.5])
+    _seed_run(b, "w/seed-0", -3.0, [-1.0, -3.0])
+    (b / "w/seed-0/ebo.csv").unlink()
+    differ, _ = tool.compare_dirs(a, b)
+    assert tool.error_lines(a, b, differ)[2:] == [
+        "w/seed-0: ebo evals_to_tol 3 -> none",
+        "w: median ebo evals_to_tol 3 -> none",
+    ]
+
+
 def test_main_prints_the_errors_after_the_differing_files(tmp_path, monkeypatch, capsys):
     tool = _tool()
     trees = [tmp_path / "a", tmp_path / "b"]
     for tree in trees:
         (tree / "src" / "manibo").mkdir(parents=True)
-    workload = SimpleNamespace(name="w", measured_seeds=2,
-                               cli_args=lambda seed, out, iters: [str(out), str(seed)])
-    monkeypatch.setattr(tool, "WORKLOADS", {"w": workload})
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
 
     def fake_run(tree, args):
         out, seed = Path(args[0]), int(args[1])
         err = -8.0 - seed if tree == trees[0].resolve() else -8.0 + seed
-        _write(out, "summary.json", _errored(err))
+        _seed_run(out.parent, out.name, err, [-1.0, err])
         return 0
 
     monkeypatch.setattr(tool, "run_seed", fake_run)
     assert tool.main([str(tree) for tree in trees]) == 1
     assert capsys.readouterr().out.splitlines() == [
+        "differs: w/seed-1/ebo.csv",
         "differs: w/seed-1/summary.json",
         "w/seed-0: ebo log10_err -8.0000 -> -8.0000",
         "w/seed-1: ebo log10_err -9.0000 -> -7.0000",
         "w: median ebo log10_err -8.5000 -> -7.5000",
-        "1 of 2 files identical over 2 seed runs",
+        "w/seed-0: ebo evals_to_tol 3 -> 3",
+        "w/seed-1: ebo evals_to_tol 3 -> 3",
+        "w: median ebo evals_to_tol 3 -> 3",
+        "2 of 4 files identical over 2 seed runs",
     ]
+
+
+def test_first_seed_and_seeds_choose_the_seeds_run(tmp_path, monkeypatch, capsys):
+    # --seeds sets the count even beyond the measured set's 2 seeds, and
+    # --first-seed where it starts: seeds 100..102.
+    tool = _tool()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "src" / "manibo").mkdir(parents=True)
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
+    labels = []
+
+    def fake_run(tree, args):
+        out, seed = Path(args[0]), int(args[1])
+        labels.append((out.name, seed))
+        _seed_run(out.parent, out.name, -8.0, [-8.0])
+        return 0
+
+    monkeypatch.setattr(tool, "run_seed", fake_run)
+    assert tool.main([str(tree) for tree in trees] + ["--first-seed", "100", "--seeds", "3"]) == 0
+    assert sorted(set(labels)) == [("seed-100", 100), ("seed-101", 101), ("seed-102", 102)]
+    assert capsys.readouterr().out.splitlines() == ["6 of 6 files identical over 3 seed runs"]

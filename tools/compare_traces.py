@@ -1,6 +1,7 @@
 """Check that two checkouts of manibo write the same traces.
 
-    python3 tools/compare_traces.py TREE_A TREE_B [--seeds N] [--iters N]
+    python3 tools/compare_traces.py TREE_A TREE_B [--seeds N] [--first-seed S]
+                                                  [--iters N]
 
 Runs ``manibo run`` on every benchmark workload's measured run seeds (the
 flags and seed counts of ``perfbench/workloads.py``, without ``--timings``)
@@ -9,18 +10,24 @@ once from each tree, each run in its own interpreter with
 for byte, and every ``summary.json`` once its ``wall_ms`` and ``out`` entries
 are set aside.  Prints each file that differs and exits 1 if any does, 0
 if every file is identical.  For each workload with a differing
-``summary.json`` it also prints every seed's eBO ``log10_err`` in both
-trees and the two medians.
+``summary.json`` it also prints, in both trees, every seed's eBO
+``log10_err`` and the two medians, then every seed's eBO ``evals_to_tol``
+(the objective evaluations until the incumbent first meets the workload's
+tolerance, ``Workload.meets_tolerance``, read from ``ebo.csv``; the budget
+plus one if it never does) and the two medians.
 
-``--seeds N`` runs only the first N seeds of each measured set and
-``--iters N`` overrides each experiment's iteration budget, for a quick
-check.  Traces are byte-reproducible on one numpy/BLAS build, so compare
-trees on the same machine.
+``--seeds N`` runs N seeds per workload instead of its measured set's
+count and ``--iters N`` overrides each experiment's iteration budget, for
+a quick check.  ``--first-seed S`` runs seeds S, S + 1, ... instead of 0,
+1, ...: ``--first-seed 100 --seeds 20`` runs the held-out seeds 100..119
+on every workload.  Traces are byte-reproducible on one numpy/BLAS build,
+so compare trees on the same machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import statistics
@@ -94,14 +101,44 @@ def _ebo_log10_err(path: Path):
         return None
 
 
-def _shown(err) -> str:
-    return "none" if err is None else f"{err:.4f}"
+def _ebo_evals_to_tol(workload, seed_dir: Path):
+    """The objective evaluations eBO made until its incumbent first met the
+    workload's tolerance (the budget plus one if it never did), from the
+    seed's ``ebo.csv`` and ``summary.json``; None if either is missing or
+    malformed."""
+    summary = _load_summary(seed_dir / "summary.json")
+    try:
+        init = int(summary["config"]["init"])
+        budget = init + int(summary["config"]["iters"])
+        oracle_value = float(summary["oracle"]["value"])
+        with open(seed_dir / "ebo.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        return next((init + int(row["iter"]) for row in rows
+                     if workload.meets_tolerance(row, oracle_value)), budget + 1)
+    except (OSError, TypeError, KeyError, ValueError):
+        return None
+
+
+def _shown(value, spec: str = ".4f") -> str:
+    return "none" if value is None else format(value, spec)
+
+
+def _metric_lines(workload: str, seeds: list[str], label: str, values, spec: str) -> list[str]:
+    """Each seed's eBO value of a metric under both trees, then the two
+    medians over the seeds that have one."""
+    lines = [f"{workload}/{seed}: ebo {label} {_shown(x, spec)} -> {_shown(y, spec)}"
+             for seed, x, y in zip(seeds, *values)]
+    medians = [_shown(statistics.median(found) if found else None, spec)
+               for found in ([value for value in side if value is not None] for side in values)]
+    lines.append(f"{workload}: median ebo {label} {medians[0]} -> {medians[1]}")
+    return lines
 
 
 def error_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
     """For each workload (a top-level directory) with a differing
-    ``summary.json``: each seed's eBO ``log10_err`` under a and b, then the
-    two medians over the seeds that have one."""
+    ``summary.json``: each seed's eBO ``log10_err`` under a and b and the
+    two medians; then, for a benchmark workload, the same for its
+    ``evals_to_tol``."""
     lines = []
     workloads = sorted({name.split("/")[0] for name in differ
                         if name.endswith("/summary.json")})
@@ -109,13 +146,15 @@ def error_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
         seeds = sorted({path.parent.name for root in (a, b)
                         for path in (root / workload).glob("*/summary.json")},
                        key=lambda label: int(label.rpartition("-")[2]))
-        errs = [[_ebo_log10_err(root / workload / seed / "summary.json") for seed in seeds]
-                for root in (a, b)]
-        for seed, err_a, err_b in zip(seeds, *errs):
-            lines.append(f"{workload}/{seed}: ebo log10_err {_shown(err_a)} -> {_shown(err_b)}")
-        medians = [_shown(statistics.median(found) if found else None)
-                   for found in ([err for err in side if err is not None] for side in errs)]
-        lines.append(f"{workload}: median ebo log10_err {medians[0]} -> {medians[1]}")
+        dirs = [[root / workload / seed for seed in seeds] for root in (a, b)]
+        errs = [[_ebo_log10_err(seed_dir / "summary.json") for seed_dir in side]
+                for side in dirs]
+        lines += _metric_lines(workload, seeds, "log10_err", errs, ".4f")
+        benchmark = WORKLOADS.get(workload)
+        if benchmark is not None:
+            evals = [[_ebo_evals_to_tol(benchmark, seed_dir) for seed_dir in side]
+                     for side in dirs]
+            lines += _metric_lines(workload, seeds, "evals_to_tol", evals, "g")
     return lines
 
 
@@ -136,10 +175,14 @@ def main(argv=None) -> int:
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--seeds", type=int, default=None,
-                        help="only the first N seeds of each measured set")
+                        help="N seeds per workload (default: its measured set's count)")
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="run seeds S, S + 1, ... (default 0)")
     parser.add_argument("--iters", type=int, default=None,
                         help="override each experiment's iteration budget")
     args = parser.parse_args(argv)
+    if args.first_seed < 0:
+        parser.error(f"--first-seed must be >= 0, got {args.first_seed}")
     trees = [tree.resolve() for tree in (args.tree_a, args.tree_b)]
     for tree in trees:
         if not (tree / "src" / "manibo").is_dir():
@@ -149,10 +192,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-traces-") as tmp:
         outs = [Path(tmp) / "a", Path(tmp) / "b"]
         for workload in WORKLOADS.values():
-            count = workload.measured_seeds
-            if args.seeds is not None:
-                count = min(count, args.seeds)
-            for seed in range(count):
+            count = workload.measured_seeds if args.seeds is None else args.seeds
+            for seed in range(args.first_seed, args.first_seed + count):
                 label = f"{workload.name}/seed-{seed}"
                 runs.append((label, *(run_args(workload, seed, out / label, args.iters)
                                       for out in outs)))
