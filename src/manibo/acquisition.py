@@ -62,6 +62,11 @@ ASCENT_LOOKAHEAD = 4
 ASCENT_MAX_STEPS = 200
 # A row whose projected gradient is shorter than this is stationary.
 ASCENT_GRAD_TOL = 1e-8
+# Points closer than this embedded distance are one point to the loop: a
+# proposal this close to a datum is perturbed before evaluation (so that the
+# Gram matrix stays factorizable), and an ascent row stops once its next
+# trial would move it less than this.
+DEDUP_TOL = 1e-8
 # Starts per maximization: the incumbent and this many less one random points.
 ASCENT_STARTS = 10
 
@@ -148,7 +153,7 @@ def _ascent_gradient(
     """The gradient of ``_ascent_value`` per row, from the posterior and the
     terms its value pass returned."""
     if state.exploit:
-        return -post.gradients()[0]
+        return -post.gradients(variance=False)[0]
     return inverse_mills_ratio(terms[0])[:, None] * _improvement_gradient(post, *terms)
 
 
@@ -203,7 +208,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     failed).  ``e`` itself is not modified.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
-    the negated posterior mean when ``state.exploit`` is set.  All starts
+    the negated posterior mean when ``state.exploit`` is set, which forms
+    only the mean and its gradient, no variance term.  All starts
     ascend together as one stack of embedded points: every iterate stays
     exactly on the embedded image via the retraction, and the
     posterior terms and the improvement r, sigma computed for an accepted
@@ -215,16 +221,20 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     that leave the manifold's chart (``within_chart``) or the trust radius
     count as not improving, so every iterate can be unembedded.  The first
     trial step is ``ASCENT_STEP`` lengthscales.  A row stops when its
-    projected gradient is below ``ASCENT_GRAD_TOL``, ``MAX_BACKTRACKS``
-    halvings do not help, a step no longer raises the acquisition, a log-PI
-    step gains less than ``LOG_PI_RTOL`` of the distance of log PI from 0,
-    or ``ASCENT_MAX_STEPS`` gradients have been taken; every accepted step
+    projected gradient is below ``ASCENT_GRAD_TOL``, its next trial would
+    move it less than ``DEDUP_TOL`` (the displacement step * |tangent|; the
+    loop treats points that close as one, and perturbs a proposal that
+    close to a datum, with the same constant), ``MAX_BACKTRACKS`` halvings
+    do not help, a step no longer raises the acquisition, a log-PI step
+    gains less than ``LOG_PI_RTOL`` of the distance of log PI from 0, or
+    ``ASCENT_MAX_STEPS`` gradients have been taken; every accepted step
     raises the acquisition, so a result never scores below its start.
 
     The ascent runs in rounds.  Each round, every active row tries its
     trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
-    trials and no more than its halvings left, in one stacked retraction
-    and one stacked posterior.  The row takes the first trial that fails,
+    trials, no more than its halvings left and only those that move it at
+    least ``DEDUP_TOL``, in one stacked retraction and one stacked
+    posterior.  The row takes the first trial that fails,
     or that does not lower the acquisition, and discards the trials after
     it; when every trial is rejected, its step is halved once per trial.
     So every row reaches the iterates that trying one trial per round
@@ -242,19 +252,28 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     post = posterior_rows(state.model, kind.flatten_rows(e))
     acq, terms = _ascent_value(state, post)
     tangent = _tangents(state, e, post, terms)
+    speed = ambient_norms(kind, tangent)  # |tangent| per row
     step = np.full(len(e), ASCENT_STEP * state.model.params.lengthscale)
     n_steps = np.ones(len(e), dtype=int)  # gradients taken
     rejected = np.zeros(len(e), dtype=int)  # trials of the current step
-    active = ambient_norms(kind, tangent) >= ASCENT_GRAD_TOL
+    active = speed >= ASCENT_GRAD_TOL
     # Each round, every active row tries its step and its next halvings at
     # once; a row never waits for another's backtracking.  The round calls
     # array methods, not their np.* wrappers, which cost as much as the
     # arithmetic on these few rows.
     while True:
-        rows = active.nonzero()[0]
+        # A row tries only the trials that move it at least DEDUP_TOL, and
+        # stops when it has none.  Each trial's displacement is step *
+        # |tangent| * 0.5**j, exactly that of its step halved j times.
+        above = (
+            (step * speed)[:, None] * 0.5 ** np.arange(ASCENT_LOOKAHEAD) >= DEDUP_TOL
+        ).sum(axis=1)
+        rows = (active & (above > 0)).nonzero()[0]
         if rows.size == 0:
             break
-        budget = np.minimum(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[rows])
+        budget = np.minimum(
+            np.minimum(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[rows]), above[rows]
+        )
         at = np.arange(rows.size).repeat(budget)  # each trial's position in rows
         src = rows[at]
         # Trial j of a row halves its step j times; scaling by 0.5**j is
@@ -306,7 +325,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             )
             n_steps[go] += 1
             rejected[go] = 0
-            active[go] = ambient_norms(kind, tangent[go]) >= ASCENT_GRAD_TOL
+            speed[go] = ambient_norms(kind, tangent[go])
+            active[go] = speed[go] >= ASCENT_GRAD_TOL
         decided = np.zeros(rows.size, dtype=bool)
         decided[owner] = True
         undecided = ~decided
@@ -328,7 +348,7 @@ def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarr
     It is not checked against the chart: ``maximize`` never returns a row
     outside it."""
     kind = state.model.data.kind
-    e = kind.embed(kind.random_coords(rng))
+    e = kind.random_embedded(rng)
     w = kind.flatten_rows(e)
     if _within_trust(state, w[None])[0]:
         return e

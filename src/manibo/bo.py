@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .acquisition import AcquisitionState, maximize
+from .acquisition import DEDUP_TOL, AcquisitionState, maximize
 from .egp import (
     FittingFailedError,
     GpDataset,
@@ -42,9 +42,6 @@ from .manifolds import (
 
 logger = logging.getLogger(__name__)
 
-# Proposals closer than this to an existing datum are perturbed before
-# evaluation to keep the Gram matrix factorizable.
-DEDUP_TOL = 1e-8
 # Every this-many iterations the loop proposes the minimizer of the
 # posterior mean instead of the PI maximizer: PI alone takes steps near the
 # incumbent that shrink with the surrogate's noise floor, while the mean's

@@ -256,7 +256,8 @@ class GpModel:
     which keeps its precision when the Gram matrix is ill-conditioned; the
     form k.(K^{-1} k) through an explicit Gram inverse does not.  It is
     computed on first use, as is ``alpha``: the log marginal likelihood
-    needs neither.
+    needs neither, and a surrogate whose posterior is read only for its mean
+    (an exploit round) never forms ``chol_inv``.
     """
 
     params: KernelParams
@@ -284,9 +285,14 @@ class GpModel:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorRows:
-    """Posterior mean and variance at a stack of flat embedding coordinates
-    w (S, D), with the terms its gradients reuse: the differences x_i - w to
-    the data, the cross-kernel k and v = L^{-1} k.
+    """Posterior mean at a stack of flat embedding coordinates w (S, D),
+    with the terms its gradient reuses: the differences x_i - w to the data
+    and the cross-kernel k.
+
+    The variance's terms are formed on demand, when a caller first reads
+    them: v = L^{-1} k, the variance ``var`` and beta = L^{-T} v.  A caller
+    that reads only the mean and its gradient (an exploit round) pays for
+    none of them, and never reads ``GpModel.chol_inv``.
 
     Defined for any ambient location, on or off the embedded manifold; the
     finite-difference checks rely on off-manifold evaluations.  Every row is
@@ -298,35 +304,57 @@ class PosteriorRows:
     model: GpModel
     diff: np.ndarray  # (S, n, D)
     k: np.ndarray  # (S, n)
-    v: np.ndarray  # (S, n)
     mean: np.ndarray  # (S,)
-    var: np.ndarray  # (S,), clamped at 0
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """L^{-1} k, (S, n)."""
+        return np.matmul(self.model.chol_inv, self.k[:, :, None])[..., 0]
+
+    @functools.cached_property
+    def var(self) -> np.ndarray:
+        """The posterior variance amplitude - v.v, (S,), clamped at 0."""
+        var = self.model.params.amplitude - np.einsum("si,si->s", self.v, self.v)
+        if (var < 0.0).any():
+            # Round-off near (near-)duplicate data; routine once the search
+            # concentrates, so logged quietly rather than warned per query.
+            logger.debug("posterior variance %.3g clamped to 0", var.min())
+            var = np.maximum(var, 0.0)
+        return var
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """L^{-T} v = K^{-1} k, (S, n)."""
+        return np.matmul(self.model.chol_inv.T, self.v[:, :, None])[..., 0]
 
     def take(self, rows) -> "PosteriorRows":
-        """The posterior at a subset of the rows."""
-        return PosteriorRows(
-            self.model, self.diff[rows], self.k[rows], self.v[rows],
-            self.mean[rows], self.var[rows],
-        )
+        """The posterior at a subset of the rows, with the terms already
+        formed."""
+        taken = PosteriorRows(self.model, self.diff[rows], self.k[rows], self.mean[rows])
+        for name in ("v", "var", "beta"):
+            if name in self.__dict__:
+                taken.__dict__[name] = self.__dict__[name][rows]
+        return taken
 
-    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the posterior mean and variance at each row, (S, D)
-        each.
+    def gradients(self, variance: bool = True) -> tuple[np.ndarray, ...]:
+        """Gradients at each row, (S, D) each: of the posterior mean, then,
+        unless ``variance`` is False, of the variance.
 
         The gradient of k_i is k_i (x_i - w) / l^2, so both are weighted
         sums of the differences: with weights alpha_i k_i for the mean and
-        -2 beta_i k_i for the variance, where beta = L^{-T} v = K^{-1} k
-        keeps the variance's precision next to the data.
+        -2 beta_i k_i for the variance, where beta = K^{-1} k keeps the
+        variance's precision next to the data.
         """
         model = self.model
-        beta = np.matmul(model.chol_inv.T, self.v[:, :, None])[..., 0]
-        # Both weights go into one preallocated (S, 2, n) stack, so that one
-        # stacked product forms both sums.
-        weights = np.empty((len(beta), 2, beta.shape[1]))
+        # The weights go into one preallocated (S, 1 or 2, n) stack, so that
+        # one stacked product forms the sums.
+        weights = np.empty((len(self.k), 1 + variance, self.k.shape[1]))
         np.multiply(self.k, model.alpha, out=weights[:, 0])
-        np.multiply(self.k, beta, out=weights[:, 1])
+        if variance:
+            np.multiply(self.k, self.beta, out=weights[:, 1])
         sums = np.matmul(weights, self.diff) / model.params.lengthscale**2
-        return model.data.trend[1:] + sums[:, 0], -2.0 * sums[:, 1]
+        dmean = model.data.trend[1:] + sums[:, 0]
+        return (dmean, -2.0 * sums[:, 1]) if variance else (dmean,)
 
 
 def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
@@ -343,14 +371,7 @@ def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
         + np.einsum("sd,d->s", w, trend[1:])
         + np.einsum("sn,n->s", k, model.alpha)
     )
-    v = np.matmul(model.chol_inv, k[:, :, None])[..., 0]
-    var = params.amplitude - np.einsum("si,si->s", v, v)
-    if (var < 0.0).any():
-        # Round-off near (near-)duplicate data; routine once the search
-        # concentrates, so logged quietly rather than warned per query.
-        logger.debug("posterior variance %.3g clamped to 0", var.min())
-        var = np.maximum(var, 0.0)
-    return PosteriorRows(model, diff, k, v, mean, var)
+    return PosteriorRows(model, diff, k, mean)
 
 
 def posterior(model: GpModel, x: ManifoldPoint) -> tuple[float, float]:

@@ -100,7 +100,8 @@ class ManifoldKind:
       length-D row per ambient value, in C order (``einsum`` sums in memory
       order, so the layout decides a row's bits), and its inverse
       ``unflatten_rows(w)``;
-    * ``random_coords(gen)``.
+    * ``random_coords(gen)``, and ``random_embedded(gen)``, the embedding
+      of the same draw, which raises outside the chart.
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
@@ -112,6 +113,9 @@ class ManifoldKind:
         inside = np.empty(_batch_shape(self, e), dtype=bool)
         inside.fill(True)  # np.ones minus its Python wrapper: called every ascent round
         return inside
+
+    def random_embedded(self, gen: np.random.Generator) -> np.ndarray:
+        return self.embed(self.random_coords(gen))
 
 
 @dataclass(frozen=True)
@@ -357,7 +361,19 @@ class Spd(_SymKind):
 
     def random_coords(self, gen):
         """The exponential of a symmetric Gaussian matrix."""
-        return self.unembed(_sym(gen.standard_normal((self.p, self.p))))
+        return self.unembed(self.random_embedded(gen))
+
+    def random_embedded(self, gen):
+        """A symmetric Gaussian matrix, drawn on the image itself rather
+        than through ``embed`` (an ``eigh`` and a log) of its exponential
+        (another ``eigh``); raises DomainError outside the chart."""
+        e = _sym(gen.standard_normal((self.p, self.p)))
+        if not self.within_chart(e):
+            raise DomainError(
+                f"log-coordinates of norm {float(ambient_norms(self, e)):g} lie "
+                f"outside the Spd chart (at most {SPD_LOG_NORM_MAX:g})"
+            )
+        return e
 
 
 def _batch_shape(kind: ManifoldKind, a: np.ndarray) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from manibo.acquisition import (
     ASCENT_LOOKAHEAD,
     ASCENT_STARTS,
     ASCENT_STEP,
+    DEDUP_TOL,
     LOG_PI_RTOL,
     MAX_BACKTRACKS,
     _ascent_gradient,
@@ -42,6 +43,7 @@ from manibo.egp import posterior
 from manibo.manifolds import (
     AmbiguousSubspaceError,
     ManifoldError,
+    _sym,
     ambient_norms,
     retract_embedded,
     tangent_project_embedded,
@@ -310,19 +312,31 @@ class TestAscend:
                 ascend(state, starts)
 
 
+def _reference_draw(kind, rng):
+    """A random start row as ``maximize`` draws it: ``random_point``'s
+    embedding, except on Spd, where it is the symmetric Gaussian matrix that
+    ``random_point`` exponentiates, kept only inside the chart."""
+    if isinstance(kind, Spd):
+        e = _sym(rng.standard_normal(kind.ambient_shape))
+        if not kind.within_chart(e[None])[0]:
+            raise ManifoldError("outside the chart")
+        return e
+    return embed(random_point(kind, rng))
+
+
 def _reference_starts(state, seed):
     """The start rows of ``maximize``, built through manifold points: the
-    incumbent, then each ``random_point``'s embedding, pulled toward the
-    incumbent in flat coordinates where it lies outside the trust radius and
-    mapped back by ``kind.project`` (skipped where that is NaN).  Also
-    returns how many starts were pulled."""
+    incumbent, then each ``_reference_draw``, pulled toward the incumbent in
+    flat coordinates where it lies outside the trust radius and mapped back
+    by ``kind.project`` (skipped where that is NaN).  Also returns how many
+    starts were pulled."""
     data = state.model.data
     kind = data.kind
     rng = np.random.default_rng(seed)
     starts, pulled = [embed(data.points[int(np.argmin(data.values))])], 0
     for _ in range(ASCENT_STARTS - 1):
         try:
-            e = embed(random_point(kind, rng))
+            e = _reference_draw(kind, rng)
         except ManifoldError:
             continue
         w = flatten_ambient(kind, e)
@@ -358,6 +372,17 @@ class TestMaximize:
             reference, pulled = _reference_starts(state, seed)
             assert pulled > 0 if math.isfinite(trust_radius) else pulled == 0
             np.testing.assert_array_equal(seen[-1], reference)
+
+    def test_spd_start_is_the_log_of_its_random_point(self, rng):
+        # An Spd start is drawn on the image, without the exp/log round trip
+        # through random_point, and differs from that point's embedding by
+        # round-off only.
+        kind = Spd(3)
+        state = _state(kind, 5, rng)
+        for seed in range(5):
+            start = _random_start(state, np.random.default_rng(seed))
+            point = random_point(kind, np.random.default_rng(seed))
+            np.testing.assert_allclose(start, embed(point), rtol=0.0, atol=1e-13)
 
     def test_single_start_reduces_to_ascend_from_incumbent(self, monkeypatch, rng):
         kind = Sphere(2)
@@ -469,8 +494,8 @@ class TestMaximize:
         data = GpDataset.from_points(points, [-1.0, 0.0, 1.0])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
         state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
-        far = np.diag([math.exp(20.0), 1.0])
-        monkeypatch.setattr(Spd, "random_coords", lambda self, gen: far.copy())
+        far = np.diag([20.0, 0.0])
+        monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
         seen = []
 
         def fake(state, starts):
@@ -520,10 +545,13 @@ def _reference_ascend(state, e):
     for _ in range(acquisition.ASCENT_MAX_STEPS):
         grad = unflatten_ambient(kind, _ascent_gradient_at(state, w))
         tangent = tangent_project_embedded(kind, e, grad)
-        if ambient_norms(kind, tangent) < acquisition.ASCENT_GRAD_TOL:
+        speed = ambient_norms(kind, tangent)
+        if speed < acquisition.ASCENT_GRAD_TOL:
             break
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
+            if step * speed < DEDUP_TOL:  # the displacement floor
+                break
             e_cand = retract_embedded(kind, e, tangent, step)
             if kind.within_chart(e_cand):
                 w_cand = flatten_ambient(kind, e_cand)
@@ -557,9 +585,10 @@ def _first_trial_gain(state, e):
     a stationary start, which tries no step."""
     kind = state.model.data.kind
     tangent = _first_tangent(state, e)
-    if ambient_norms(kind, tangent) < acquisition.ASCENT_GRAD_TOL:
-        return 0.0
+    speed = ambient_norms(kind, tangent)
     step = ASCENT_STEP * state.model.params.lengthscale
+    if speed < acquisition.ASCENT_GRAD_TOL or step * speed < DEDUP_TOL:
+        return 0.0
     w_cand = flatten_ambient(kind, retract_embedded(kind, e, tangent, step))
     w = flatten_ambient(kind, e)
     return (
@@ -680,6 +709,10 @@ class TestBatchedAscent:
         # halving later every trial is rejected (21 = 5 * 4 + 1 trials), and
         # the lookahead must not try the step halved once more.
         state, start = _incumbent_start(kind, rng, fits)
+        # Every trial lies above the displacement floor, so only the
+        # halvings left stop the row.
+        last_step = ASCENT_STEP * state.model.params.lengthscale * 0.5**MAX_BACKTRACKS
+        assert last_step * ambient_norms(kind, _first_tangent(state, start)) >= DEDUP_TOL
         e, acq = ascend(state, start[None])
         reference, reference_acq = _reference_ascend(state, start)
         np.testing.assert_array_equal(e[0], reference)
@@ -706,6 +739,46 @@ class TestBatchedAscent:
             trials % ASCENT_LOOKAHEAD
         ]
         assert len(sizes) == 6
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("exploit", [False, True])
+    def test_no_trial_below_the_displacement_floor(self, kind, exploit, monkeypatch, rng):
+        # Rows stop at the loop's own resolution: every trial that the
+        # ascent retracts, and then scores, moves its row by DEDUP_TOL or
+        # more.  The small lengthscale makes rows halve their steps far.
+        params = KernelParams(lengthscale=0.05, amplitude=1.0, noise=1e-6)
+        base = _state(kind, 8, rng, params=params)
+        state = AcquisitionState(
+            base.model, base.best_value, trust_radius=0.3, exploit=exploit
+        )
+        displacements = []
+        retract = acquisition.retract_embedded
+
+        def spy(kind, e, v, t):
+            displacements.append(t * ambient_norms(kind, v))
+            return retract(kind, e, v, t)
+
+        monkeypatch.setattr(acquisition, "retract_embedded", spy)
+        for seed in range(3):
+            maximize(state, seed)
+        displacements = np.concatenate(displacements)
+        assert displacements.size > 0
+        assert displacements.min() >= DEDUP_TOL
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_exploit_round_never_forms_the_variance(self, kind, monkeypatch, rng):
+        # An exploit round climbs the negated posterior mean, so it needs
+        # neither L^{-1} nor the variance terms formed from it.
+        base = _state(kind, 8, rng)
+        state = AcquisitionState(base.model, base.best_value, exploit=True)
+
+        def forbidden(model):
+            raise AssertionError("an exploit round read GpModel.chol_inv")
+
+        monkeypatch.setattr(GpModel, "chol_inv", property(forbidden))
+        maximize(state, 0)
+        with pytest.raises(AssertionError):
+            maximize(AcquisitionState(base.model, base.best_value), 0)
 
     def test_every_row_failing_raises(self, monkeypatch, rng):
         kind = Grassmann(2, 3)

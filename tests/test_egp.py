@@ -286,12 +286,14 @@ def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
     w = kind.flatten_rows(np.stack([embed(p) for p in points]))
     stacked = posterior_rows(model, np.asfortranarray(w) if fortran else w)
     grads = stacked.gradients()
+    (mean_grad,) = stacked.gradients(variance=False)
     for row in range(n_rows):
         single = posterior_rows(model, w[row][None])
-        for name in ("k", "v", "mean", "var"):
+        for name in ("k", "v", "mean", "var", "beta"):
             np.testing.assert_array_equal(getattr(stacked, name)[row], getattr(single, name)[0])
         for stacked_grad, single_grad in zip(grads, single.gradients()):
             np.testing.assert_array_equal(stacked_grad[row], single_grad[0])
+        np.testing.assert_array_equal(mean_grad[row], single.gradients(variance=False)[0][0])
         assert posterior(model, points[row]) == (stacked.mean[row], stacked.var[row])
 
 
@@ -313,6 +315,38 @@ def test_gradients_keep_the_bits_of_the_stacked_weights(kind, n_rows, rng):
     dmean, dvar = post.gradients()
     assert dmean.tobytes() == (model.data.trend[1:] + sums[:, 0]).tobytes()
     assert dvar.tobytes() == (-2.0 * sums[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_mean_gradient_alone_forms_no_variance_term(kind, rng):
+    # The mean's gradient alone leaves v, var and beta unformed, and agrees
+    # with the mean half of the joint gradients to round-off: the (S, 1, n)
+    # product need not give the (S, 2, n) product's bits.
+    n = TREND_POINTS_PER_COEFFICIENT * (kind.ambient_dim + 1) + 2
+    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), _dataset(kind, n, rng))
+    w = kind.flatten_rows(np.stack([embed(random_point(kind, rng)) for _ in range(5)]))
+    post = posterior_rows(model, w)
+    (dmean,) = post.gradients(variance=False)
+    assert not {"v", "var", "beta"} & set(vars(post))
+    assert "chol_inv" not in vars(model)
+    np.testing.assert_allclose(dmean, post.gradients()[0], rtol=1e-12, atol=1e-15)
+
+
+def test_take_carries_the_terms_already_formed(rng):
+    # ``take`` keeps what was formed (a PI round's candidates read var, so
+    # their accepted rows reuse v), and leaves the rest on demand.
+    kind = Spd(3)
+    model = GpModel.build(KernelParams(0.8, 1.3, 1e-6), _dataset(kind, 7, rng))
+    w = kind.flatten_rows(np.stack([embed(random_point(kind, rng)) for _ in range(6)]))
+    post = posterior_rows(model, w)
+    assert post.var.shape == (6,)
+    taken = post.take([4, 1])
+    assert set(vars(taken)) >= {"v", "var"} and "beta" not in vars(taken)
+    for name in ("v", "var"):
+        np.testing.assert_array_equal(getattr(taken, name), getattr(post, name)[[4, 1]])
+    fresh = posterior_rows(model, w[[4, 1]])
+    np.testing.assert_array_equal(taken.gradients()[1], fresh.gradients()[1])
+    assert "v" not in vars(posterior_rows(model, w).take([0]))
 
 
 def _mp_posterior_variance(params, embedded, w):
