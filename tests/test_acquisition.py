@@ -741,29 +741,46 @@ class TestBatchedAscent:
         assert len(sizes) == 6
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
-    @pytest.mark.parametrize("exploit", [False, True])
-    def test_no_trial_below_the_displacement_floor(self, kind, exploit, monkeypatch, rng):
+    def test_no_trial_below_the_displacement_floor(self, kind, monkeypatch, rng):
         # Rows stop at the loop's own resolution: every trial that the
         # ascent retracts, and then scores, moves its row by DEDUP_TOL or
-        # more.  The small lengthscale makes rows halve their steps far.
+        # more, and a round's lookahead schedules every trial above that
+        # floor.  The small lengthscale makes rows halve their steps far.
         params = KernelParams(lengthscale=0.05, amplitude=1.0, noise=1e-6)
         base = _state(kind, 8, rng, params=params)
-        state = AcquisitionState(
-            base.model, base.best_value, trust_radius=0.3, exploit=exploit
-        )
-        displacements = []
+        rounds = []  # (trials, trials above the floor) per row and round
         retract = acquisition.retract_embedded
 
         def spy(kind, e, v, t):
-            displacements.append(t * ambient_norms(kind, v))
+            displacement = t * ambient_norms(kind, v)
+            assert displacement.min() >= DEDUP_TOL
+            # A row's trials are consecutive and share its point and tangent.
+            axes = tuple(range(1, e.ndim))
+            same = np.all(e[1:] == e[:-1], axis=axes) & np.all(v[1:] == v[:-1], axis=axes)
+            first = np.concatenate([[0], np.flatnonzero(~same) + 1])
+            trials = np.diff(np.append(first, len(e)))
+            halved = displacement[first, None] * 0.5 ** np.arange(ASCENT_LOOKAHEAD)
+            rounds.extend(zip(trials, (halved >= DEDUP_TOL).sum(axis=1)))
             return retract(kind, e, v, t)
 
         monkeypatch.setattr(acquisition, "retract_embedded", spy)
-        for seed in range(3):
-            maximize(state, seed)
-        displacements = np.concatenate(displacements)
-        assert displacements.size > 0
-        assert displacements.min() >= DEDUP_TOL
+        for exploit in (False, True):
+            state = AcquisitionState(
+                base.model, base.best_value, trust_radius=0.3, exploit=exploit
+            )
+            starts = np.stack([_random_start(state, rng) for _ in range(10)])
+            e, acq = ascend(state, starts)
+            for row, start in enumerate(starts):
+                reference, reference_acq = _reference_ascend(state, start)
+                np.testing.assert_array_equal(e[row], reference)
+                assert acq[row] == reference_acq
+        trials, above = np.array(rounds).T
+        assert np.all(trials <= above)
+        # Where the floor binds inside a lookahead, the round schedules
+        # exactly the trials above it, fewer than ASCENT_LOOKAHEAD.
+        clipped = above < ASCENT_LOOKAHEAD
+        assert clipped.any()
+        np.testing.assert_array_equal(trials[clipped], above[clipped])
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_exploit_round_never_forms_the_variance(self, kind, monkeypatch, rng):

@@ -62,5 +62,3 @@ def test_counts_rounds_and_rows_per_kind():
     assert module.ascend.__func__ is Acquisition.ascend  # restored
     assert counter.rounds == {"PI": [2], "exploit": [1, 3]}
     assert counter.rows == {"PI": 6, "exploit": 6}
-    assert tool.percentile([1, 2, 3, 4], 50.0) == 2.5
-    assert tool.percentile([5], 90.0) == 5

@@ -1,17 +1,16 @@
 """Record the benchmark's results as ``BENCH_<workload>.json`` files.
 
     python3 tools/bench_record.py [WORKLOAD ...] [--seed S] [--seconds N]
-                                  [--out DIR]
 
 For each workload (default: every benchmark workload), runs
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace T
 
 in a subprocess, once with ``--trace 0`` (the end-to-end metrics) and once
-with ``--trace 1`` (the per-layer metrics), and writes
-``DIR/BENCH_<W>.json`` (default: the repository root).  For each of the two
-runs the file keeps the command, the environment from its ``# env`` line
-(commit, digest of ``src/manibo``, versions, threads) and its result line:
+with ``--trace 1`` (the per-layer metrics), and writes ``BENCH_<W>.json``
+at the repository root.  For each of the two runs the file keeps the
+command, the environment from its ``# env`` line (commit, digest of
+``src/manibo``, versions, threads) and its result line:
 ``correct``, ``attempted``, ``failed`` and every metric with its unit.
 ``--trace 1`` averages its counts over as many seeds as fit in
 ``--seconds``, so its counts compare across commits only where
@@ -83,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="perfbench --seed (default 0)")
     parser.add_argument("--seconds", type=float, default=30.0,
                         help="perfbench --seconds (default 30)")
-    parser.add_argument("--out", type=Path, default=ROOT,
-                        help="where the files go (default: the repository root)")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.workloads) - set(WORKLOADS))
     if unknown:
@@ -92,7 +89,7 @@ def main(argv=None) -> int:
     for workload in args.workloads or list(WORKLOADS):
         levels = {trace: run_level(workload, args.seed, args.seconds, trace)
                   for trace in LEVELS}
-        print(f"wrote {write_record(args.out, workload, levels)}")
+        print(f"wrote {write_record(ROOT, workload, levels)}")
     return 0
 
 

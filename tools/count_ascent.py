@@ -1,7 +1,6 @@
 """Count the acquisition ascent's work on the benchmark workloads.
 
-    python3 tools/count_ascent.py [--tree TREE] [--seeds N] [--first-seed S]
-                                  [--iters N]
+    python3 tools/count_ascent.py [--tree TREE] [--seeds N] [--iters N]
 
 Runs ``manibo run`` with each benchmark workload's flags
 (``perfbench/workloads.py``) on seeds 0..3, in this process, from
@@ -16,8 +15,8 @@ rows, so the wrappers count, for PI and for exploit rounds apart:
 
 The counts are exact and repeat on one numpy/BLAS build, so two trees'
 tables compare line by line; the run pins BLAS to one thread.  ``--seeds
-N`` and ``--first-seed S`` run seeds S..S+N-1 instead, and ``--iters N``
-overrides each experiment's iteration budget, for a quick check.
+N`` runs seeds 0..N-1 instead, and ``--iters N`` overrides each
+experiment's iteration budget, for a quick check.
 """
 
 from __future__ import annotations
@@ -26,29 +25,19 @@ import argparse
 import contextlib
 import importlib
 import io
-import math
 import os
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+sys.path.insert(0, str(ROOT / "tools"))
+from compare_traces import THREAD_VARS, WORKLOADS, run_args  # noqa: E402
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 KINDS = ("PI", "exploit")
-
-
-def percentile(values: list[int], q: float) -> float:
-    """The q-th percentile of values, interpolated linearly between the
-    nearest ranks (numpy's default)."""
-    ordered = sorted(values)
-    at = (len(ordered) - 1) * q / 100.0
-    low = math.floor(at)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (at - low)
 
 
 class AscentCounter:
@@ -96,8 +85,7 @@ def count_workload(cli_main, acquisition, workload, seeds, iters, out_dir: Path)
     counter = AscentCounter(acquisition)
     with counter.installed():
         for seed in seeds:
-            args = [arg for arg in workload.cli_args(seed, out_dir / f"seed-{seed}", iters)
-                    if arg != "--timings"]
+            args = run_args(workload, seed, out_dir / f"seed-{seed}", iters)
             echoed = io.StringIO()
             with contextlib.redirect_stdout(echoed):
                 cli_main(args, standalone_mode=False)
@@ -118,7 +106,7 @@ def table_lines(counters: dict) -> list[str]:
         rows = [counter.rows[kind] for kind in KINDS]
         medians = [statistics.median(counter.rounds[kind]) if counter.rounds[kind] else 0
                    for kind in KINDS]
-        p90s = [percentile(counter.rounds[kind], 90.0) if counter.rounds[kind] else 0
+        p90s = [float(np.percentile(counter.rounds[kind], 90.0)) if counter.rounds[kind] else 0
                 for kind in KINDS]
         lines.append(
             f"| {name} | {rounds[0]:,} + {rounds[1]:,} = {sum(rounds):,} "
@@ -133,13 +121,11 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="the checkout whose src/manibo runs (default: this one)")
     parser.add_argument("--seeds", type=int, default=4, help="seeds per workload (default 4)")
-    parser.add_argument("--first-seed", type=int, default=0,
-                        help="run seeds S, S + 1, ... (default 0)")
     parser.add_argument("--iters", type=int, default=None,
                         help="override each experiment's iteration budget")
     args = parser.parse_args(argv)
-    if args.seeds < 1 or args.first_seed < 0:
-        parser.error("--seeds must be >= 1 and --first-seed >= 0")
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
     src = args.tree.resolve() / "src"
     if not (src / "manibo").is_dir():
         parser.error(f"{args.tree} has no src/manibo")
@@ -150,7 +136,7 @@ def main(argv=None) -> int:
     cli_main = importlib.import_module("manibo.cli").main
     acquisition = importlib.import_module("manibo.acquisition")
 
-    seeds = range(args.first_seed, args.first_seed + args.seeds)
+    seeds = range(args.seeds)
     counters = {}
     with tempfile.TemporaryDirectory(prefix="count-ascent-") as tmp:
         for workload in WORKLOADS.values():
