@@ -26,9 +26,9 @@ from .manifolds import (
     ManifoldError,
     ManifoldPoint,
     embed,
-    exp_map,
     flatten_ambient,
     project_to_tangent,
+    retract_embedded,
     unembed,
     unflatten_ambient,
 )
@@ -66,11 +66,14 @@ def riemannian_gd(
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Projected gradient descent with backtracking.
 
-    Each iteration projects the ambient gradient onto the tangent space and
-    retracts a step of ``GD_STEP`` against it; the step is halved until the
-    value strictly decreases.  Stops when the projected gradient norm falls
-    below ``tol``, no halving produces a decrease, or ``max_iters`` is
-    reached.
+    Each iteration projects the ambient gradient onto the tangent space
+    (``project_to_tangent`` validates it) and steps the embedded iterate
+    against it by a one-row ``retract_embedded``, halving the step of
+    ``GD_STEP`` until the value strictly decreases.  A step with no nearest
+    image point is a NaN row, which ``unembed`` rejects with
+    ``InvalidInputError``; on the sphere none fails (|e - lam tangent| >= 1).
+    Stops when the projected gradient norm falls below ``tol``, no halving
+    produces a decrease, or ``max_iters`` is reached.
     """
     trace = RunTrace()
     start = time.perf_counter()
@@ -83,17 +86,17 @@ def riemannian_gd(
         tangent = project_to_tangent(x, obj.grad(x))
         if np.linalg.norm(tangent) < tol:
             break
+        e = embed(x)
         lam = GD_STEP
-        accepted = False
         for _ in range(GD_MAX_BACKTRACKS + 1):
-            candidate = exp_map(x, -tangent, lam)
+            stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
+            candidate = unembed(x.kind, stepped[0])
             f_cand = float(obj.base.fn(candidate))
             n_evals += 1
             if f_cand < f:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             break
         x, f = candidate, f_cand
         trace.record(obj.base, t, x, f, x, f, n_evals, tick)

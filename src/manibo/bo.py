@@ -24,7 +24,6 @@ from .egp import (
     GpDataset,
     GpModel,
     KernelParams,
-    default_bounds,
     fit_hyperparams,
     median_heuristic_params,
 )
@@ -276,8 +275,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
 
     def refit(current: KernelParams) -> KernelParams:
         try:
-            bounds = default_bounds(dataset)
-            return fit_hyperparams(dataset, current, bounds, seed=cfg.seed)
+            return fit_hyperparams(dataset, current, seed=cfg.seed)
         except FittingFailedError:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current

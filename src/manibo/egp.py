@@ -76,31 +76,6 @@ class KernelParams:
             raise InvalidInputError(f"noise must be nonnegative, got {self.noise}")
 
 
-@dataclass(frozen=True)
-class KernelBounds:
-    """Box bounds for hyperparameter fitting, one (low, high) pair per field."""
-
-    lengthscale: tuple[float, float]
-    amplitude: tuple[float, float]
-    noise: tuple[float, float]
-
-    def __post_init__(self):
-        for name, (lo, hi) in (
-            ("lengthscale", self.lengthscale),
-            ("amplitude", self.amplitude),
-            ("noise", self.noise),
-        ):
-            if not (0.0 < lo <= hi < math.inf):
-                raise InvalidInputError(f"invalid {name} bounds ({lo}, {hi})")
-
-    def clip(self, params: KernelParams) -> KernelParams:
-        return KernelParams(
-            lengthscale=min(max(params.lengthscale, self.lengthscale[0]), self.lengthscale[1]),
-            amplitude=min(max(params.amplitude, self.amplitude[0]), self.amplitude[1]),
-            noise=min(max(params.noise, self.noise[0]), self.noise[1]),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class GpDataset:
     """Evaluated points with their cached flat embedding coordinates, and
@@ -404,8 +379,8 @@ def median_heuristic_params(data: GpDataset) -> KernelParams:
     return KernelParams(lengthscale=lengthscale, amplitude=amplitude, noise=1e-6 * amplitude)
 
 
-def default_bounds(data: GpDataset) -> KernelBounds:
-    """Box around the median-heuristic defaults.
+def _fit_box(data: GpDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high (lengthscale, amplitude, noise) around the median heuristic.
 
     The noise ceiling is kept low: these surrogates serve deterministic
     objectives, where a large fitted noise only blurs the interpolation the
@@ -414,11 +389,9 @@ def default_bounds(data: GpDataset) -> KernelBounds:
     lengthscale) cannot run far outside the sampled region.
     """
     base = median_heuristic_params(data)
-    return KernelBounds(
-        lengthscale=(1e-2 * base.lengthscale, 1e1 * base.lengthscale),
-        amplitude=(1e-2 * base.amplitude, 1e2 * base.amplitude),
-        noise=(1e-10 * base.amplitude, 1e-4 * base.amplitude),
-    )
+    lo = [1e-2 * base.lengthscale, 1e-2 * base.amplitude, 1e-10 * base.amplitude]
+    hi = [1e1 * base.lengthscale, 1e2 * base.amplitude, 1e-4 * base.amplitude]
+    return np.array(lo), np.array(hi)
 
 
 def _model_at(data: GpDataset, theta: np.ndarray) -> Optional[GpModel]:
@@ -468,13 +441,11 @@ def _lml_derivatives(model: GpModel) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def fit_hyperparams(
-    data: GpDataset, init: KernelParams, bounds: KernelBounds, seed: int = 0
-) -> KernelParams:
+def fit_hyperparams(data: GpDataset, init: KernelParams, seed: int = 0) -> KernelParams:
     """Maximize the log marginal likelihood around the data's prior mean
-    over theta = log(lengthscale, amplitude, noise) in the box, by damped
-    Newton ascent from ``FIT_RESTARTS`` starts: ``init`` clipped to the box,
-    and uniform draws from it.
+    over theta = log(lengthscale, amplitude, noise) in the box that the data
+    set (``_fit_box``), by damped Newton ascent from ``FIT_RESTARTS``
+    starts: ``init`` clipped to the box, and uniform draws from it.
 
     Each step works on the free coordinates, those not at a bound with the
     gradient pointing out of the box.  On them it takes d = V |lam|^{-1} V' g,
@@ -489,10 +460,9 @@ def fit_hyperparams(
     """
     if len(data) < 2:
         raise InvalidInputError("hyperparameter fitting requires at least 2 points")
-    log_lo = np.log([bounds.lengthscale[0], bounds.amplitude[0], bounds.noise[0]])
-    log_hi = np.log([bounds.lengthscale[1], bounds.amplitude[1], bounds.noise[1]])
-    init = bounds.clip(init)
-    starts = [np.log([init.lengthscale, init.amplitude, init.noise])]
+    lo, hi = _fit_box(data)
+    log_lo, log_hi = np.log(lo), np.log(hi)
+    starts = [np.log(np.clip([init.lengthscale, init.amplitude, init.noise], lo, hi))]
     rng = np.random.default_rng(seed)
     for _ in range(FIT_RESTARTS - 1):
         starts.append(rng.uniform(log_lo, log_hi))
@@ -534,4 +504,4 @@ def fit_hyperparams(
     if best_theta is None:
         raise FittingFailedError("no hyperparameter start could be factorized")
     # The log/exp roundtrip can land an ulp outside the box; clip it back.
-    return bounds.clip(KernelParams(*np.exp(best_theta)))
+    return KernelParams(*np.clip(np.exp(best_theta), lo, hi))

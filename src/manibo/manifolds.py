@@ -12,14 +12,15 @@ steps are computed:
   matrix logarithm (log-Euclidean coordinates) inside Sym(p).
 
 Each kind is one class holding everything that differs between manifolds,
-behind the small protocol that ``ManifoldKind`` declares: point and
-tangency checks, embed / unembed, the stacked tangent projection and
-nearest-point projection onto the image, the chart check, random
-coordinates, and the flat layout.  Every step is that projection of the
-ambient step, a retraction on every embedded submanifold (Absil & Malick,
-SIAM J. Optim. 2012).  Grassmann and Spd share the Sym(k) parts.  The free
-functions below are the public entry points; they validate their arguments
-and delegate to the kind.  Adding a manifold means adding one such class.
+behind the small protocol that ``ManifoldKind`` declares: the point check,
+embed / unembed, the stacked tangent projection and nearest-point
+projection onto the image, the chart check, random coordinates, and the
+flat layout.  Every step is that projection of the ambient step from an
+embedded row (``retract_embedded``), a retraction on every embedded
+submanifold (Absil & Malick, SIAM J. Optim. 2012).  Grassmann and Spd
+share the Sym(k) parts.  The free functions below are the public entry
+points; they validate their arguments and delegate to the kind.  Adding a
+manifold means adding one such class.
 
 Ambient values for the matrix manifolds are full symmetric matrices under
 the Frobenius inner product.  ``flatten_ambient`` / ``unflatten_ambient``
@@ -42,8 +43,6 @@ import numpy as np
 
 # Structural invariants (unit norm, orthonormal frames, symmetry).
 POINT_ATOL = 1e-10
-# Tangency / projection identities.
-TANGENT_ATOL = 1e-8
 # Below this eigenvalue gap a dominant p-subspace is considered ill-defined.
 EIGENGAP_TOL = 1e-10
 # Below this norm a radial projection to the sphere is undefined.
@@ -86,9 +85,8 @@ class ManifoldKind:
     """The protocol every manifold kind implements, on raw arrays that the
     free functions have already checked for shape and finiteness:
 
-    * ``coords_shape``, ``ambient_shape``, ``ambient_dim``, ``intrinsic_dim``;
-    * ``check_point(coords)`` and ``check_tangent(coords, d, tol)`` raise
-      unless the coordinates, or d at that point, are valid;
+    * ``coords_shape``, ``ambient_shape``, ``ambient_dim``;
+    * ``check_point(coords)`` raises unless the coordinates are valid;
     * ``embed(coords)``; ``unembed(v)``, the coordinates of the image point
       nearest to v, which raises where that point is undefined or not
       unique;
@@ -138,18 +136,10 @@ class Sphere(ManifoldKind):
     def ambient_dim(self) -> int:
         return self.n + 1
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.n
-
     def check_point(self, coords):
         norm = np.linalg.norm(coords)
         if abs(norm - 1.0) > POINT_ATOL:
             raise InvalidInputError(f"sphere point has norm {norm!r}, expected 1")
-
-    def check_tangent(self, coords, d, tol):
-        if abs(np.dot(coords, d)) > tol:
-            raise InvalidInputError("direction is not tangent to the sphere")
 
     def embed(self, coords):
         return np.array(coords)
@@ -191,10 +181,6 @@ class _SymKind(ManifoldKind):
     def ambient_dim(self) -> int:
         k = self.ambient_shape[0]
         return k * (k + 1) // 2
-
-    def check_tangent(self, coords, d, tol):
-        if np.max(np.abs(d - d.T)) > tol:
-            raise InvalidInputError("direction is not symmetric")
 
     def flatten_rows(self, v):
         k = self.ambient_shape[0]
@@ -246,18 +232,9 @@ class Grassmann(_SymKind):
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.n, self.n)
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.p * (self.n - self.p)
-
     def check_point(self, coords):
         if np.max(np.abs(coords.T @ coords - np.eye(self.p))) > POINT_ATOL:
             raise InvalidInputError("Grassmann frame columns are not orthonormal")
-
-    def check_tangent(self, coords, d, tol):
-        super().check_tangent(coords, d, tol)
-        if np.max(np.abs(d - self.tangent_project(self.embed(coords), d))) > tol:
-            raise InvalidInputError("direction is not in the projector tangent space")
 
     def embed(self, coords):
         return coords @ coords.T
@@ -313,7 +290,6 @@ class Spd(_SymKind):
         return (self.p, self.p)
 
     ambient_shape = coords_shape
-    intrinsic_dim = _SymKind.ambient_dim
 
     def check_point(self, coords):
         if np.max(np.abs(coords - coords.T)) > POINT_ATOL:
@@ -463,8 +439,8 @@ def tangent_project_embedded(
     kind: ManifoldKind, e: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
     """Tangent projection expressed on the embedded representation e of a
-    point; the workhorse behind project_to_tangent and the acquisition
-    ascent, which iterates in embedded coordinates.
+    point; the workhorse behind project_to_tangent, ``proposal_dedup`` and
+    the acquisition ascent, which all step embedded rows.
 
     e and g may carry a leading batch axis (one point and one ambient vector
     per row); each row is projected on its own (a stacked ``@`` makes one
@@ -477,24 +453,18 @@ def tangent_project_embedded(
 def retract_embedded(
     kind: ManifoldKind, e: np.ndarray, v: np.ndarray, t
 ) -> np.ndarray:
-    """Embedded representation of a step from the embedded point e along the
-    tangent vector v: the image point nearest to the ambient step
-    ``e + t * v`` (``kind.project``), on every kind.  This is the one step
-    every optimizer takes; ``exp_map`` is the same step on manifold points.
+    """The step from each embedded row of e along the tangent row of v: the
+    image point nearest to ``e + t * v`` (``kind.project``), on every kind,
+    and the one step every optimizer takes.
 
-    With a leading batch axis on e and v (and t a scalar or one step length
-    per row), each row is retracted on its own, with the same bits as a
-    single call.  A step whose ``e + t * v`` has a non-finite entry raises
-    ``InvalidInputError``, on every kind, and a single step whose nearest
-    point is undefined or not unique raises what ``project_to_image``
-    raises; in a batch, such a row comes back all NaN and the other rows
-    are unaffected (a non-finite row never reaches ``kind.project``, where
-    one NaN would fail a stacked ``eigh``).
+    e and v are stacked rows (``e[None]`` for one step), t a scalar or one
+    step length per row; each row is retracted on its own, so its bits do
+    not depend on the other rows.  A row whose step is non-finite, or has
+    no unique nearest point, comes back all NaN (a non-finite row never
+    reaches ``kind.project``, where one NaN would fail a stacked ``eigh``).
     """
     e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
-    if e.ndim == len(kind.ambient_shape):
-        return project_to_image(kind, e + t * v)
     if t.ndim == 0:
         t = t.repeat(len(e))
     a = e + t.reshape(t.shape + (1,) * len(kind.ambient_shape)) * v
@@ -515,22 +485,6 @@ def project_to_tangent(x: ManifoldPoint, g: np.ndarray) -> np.ndarray:
     """
     g = _require_ambient(x.kind, g)
     return tangent_project_embedded(x.kind, embed(x), g)
-
-
-def exp_map(x: ManifoldPoint, d: np.ndarray, t: float = 1.0) -> ManifoldPoint:
-    """Step from x along the tangent direction d, scaled by t: the nearest
-    image point to ``embed(x) + t * d`` (``retract_embedded``), unembedded.
-
-    This projection retraction agrees with the geodesic to first order on
-    every kind; on the sphere it is ``(x + t d) / |x + t d|``, and for Spd,
-    whose image is linear, it is exact.  Raises ``InvalidInputError``
-    unless d has the ambient shape, is finite and is tangent at x (to
-    ``TANGENT_ATOL`` times ``max(1, |d|)``).
-    """
-    kind = x.kind
-    d = _require_ambient(kind, d)
-    kind.check_tangent(x.coords, d, TANGENT_ATOL * max(1.0, float(np.linalg.norm(d))))
-    return unembed(kind, retract_embedded(kind, embed(x), d, t))
 
 
 def extrinsic_distance(x: ManifoldPoint, z: ManifoldPoint) -> float:

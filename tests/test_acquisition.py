@@ -241,7 +241,7 @@ class TestRetractionStaysOnImage:
             v = tangent_project_embedded(
                 kind, e, rng.standard_normal(kind.ambient_shape)
             )
-            stepped = retract_embedded(kind, e, v, 0.2)
+            stepped = retract_embedded(kind, e[None], v[None], 0.2)[0]
             if isinstance(kind, Sphere):
                 assert abs(np.linalg.norm(stepped) - 1.0) < 1e-12
             elif isinstance(kind, Grassmann):
@@ -552,7 +552,7 @@ def _reference_ascend(state, e):
         for _ in range(MAX_BACKTRACKS + 1):
             if step * speed < DEDUP_TOL:  # the displacement floor
                 break
-            e_cand = retract_embedded(kind, e, tangent, step)
+            e_cand = retract_embedded(kind, e[None], tangent[None], step)[0]
             if kind.within_chart(e_cand):
                 w_cand = flatten_ambient(kind, e_cand)
                 if _within_trust(state, w_cand[None])[0]:
@@ -589,7 +589,7 @@ def _first_trial_gain(state, e):
     step = ASCENT_STEP * state.model.params.lengthscale
     if speed < acquisition.ASCENT_GRAD_TOL or step * speed < DEDUP_TOL:
         return 0.0
-    w_cand = flatten_ambient(kind, retract_embedded(kind, e, tangent, step))
+    w_cand = flatten_ambient(kind, retract_embedded(kind, e[None], tangent[None], step)[0])
     w = flatten_ambient(kind, e)
     return (
         _ascent_value(state, _at(state, w_cand))[0][0]

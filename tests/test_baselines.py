@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from manibo import (
+    FrechetProblem,
     GradObjective,
     InvalidInputError,
     ManifoldPoint,
@@ -23,6 +25,8 @@ from manibo import (
     unembed,
     unflatten_ambient,
 )
+from manibo.baselines import GD_MAX_BACKTRACKS, GD_STEP
+from manibo.manifolds import retract_embedded
 
 
 def _assert_valid(kind):
@@ -78,6 +82,36 @@ class TestRiemannianGd:
         result, trace = riemannian_gd(gobj, x0, max_iters=100, tol=1e-10)
         assert extrinsic_distance(result, south) < 1e-6
         assert trace.final.iteration <= 100
+
+    def test_each_iterate_is_the_shared_one_row_step(self):
+        # Every accepted iterate is the first one-row retract_embedded step
+        # from the previous embedded iterate, at GD_STEP * 0.5**j, that
+        # lowers the value: the step every other optimizer takes.  The
+        # Frechet objective is scaled by 8 so that some first steps
+        # overshoot and halve; at its own scale none does on the sphere.
+        kind = Sphere(2)
+        cloud = FrechetProblem(tuple(random_point(kind, seed) for seed in range(6)))
+        frechet = frechet_grad_objective(cloud)
+        gobj = GradObjective(
+            base=dataclasses.replace(frechet.base, fn=lambda x: 8.0 * frechet.base.fn(x)),
+            grad=lambda x: 8.0 * frechet.grad(x),
+        )
+        x = random_point(kind, 7)
+        f = gobj.base.fn(x)
+        _, trace = riemannian_gd(gobj, x, max_iters=40)
+        n_evals, halvings = 1, 0
+        for record in trace.records[1:]:
+            e, tangent = embed(x), project_to_tangent(x, gobj.grad(x))
+            for j in range(GD_MAX_BACKTRACKS + 1):
+                row = retract_embedded(kind, e[None], -tangent[None], GD_STEP * 0.5**j)[0]
+                x_next = unembed(kind, row)
+                if gobj.base.fn(x_next) < f:
+                    break
+            n_evals, halvings = n_evals + j + 1, halvings + j
+            x, f = x_next, gobj.base.fn(x_next)
+            assert record.point.coords.tobytes() == x.coords.tobytes()
+            assert (record.value, record.n_evals) == (f, n_evals)
+        assert len(trace.records) > 2 and halvings > 0
 
     def test_trace_nonincreasing(self, rng):
         gobj = frechet_grad_objective(latitude_circle_problem())

@@ -15,7 +15,6 @@ from manibo import (
     Spd,
     Sphere,
     embed,
-    exp_map,
     extrinsic_distance,
     flatten_ambient,
     frechet_objective,
@@ -28,7 +27,12 @@ from manibo import (
 )
 from manibo import bo
 from manibo.bo import DEDUP_TOL
-from manibo.manifolds import SPD_CHART_SLACK, SPD_LOG_NORM_MAX, ambient_norms
+from manibo.manifolds import (
+    SPD_CHART_SLACK,
+    SPD_LOG_NORM_MAX,
+    ambient_norms,
+    retract_embedded,
+)
 
 from conftest import ALL_KINDS
 
@@ -397,7 +401,10 @@ def _reference_proposal_dedup(dataset, x_next, rng, lengthscale):
         if norm < 1e-12:
             continue
         try:
-            candidate = exp_map(x_next, (step / norm) * tangent, 1.0)
+            row = retract_embedded(
+                x_next.kind, embed(x_next)[None], ((step / norm) * tangent)[None], 1.0
+            )[0]
+            candidate = unembed(x_next.kind, row)
         except ManifoldError:
             continue
         if min_dist(candidate) >= DEDUP_TOL:

@@ -13,12 +13,10 @@ from manibo import (
     Grassmann,
     IllConditionedModelError,
     InvalidInputError,
-    KernelBounds,
     KernelParams,
     Spd,
     Sphere,
     ManifoldPoint,
-    default_bounds,
     embed,
     extrinsic_distance,
     fit_hyperparams,
@@ -54,15 +52,6 @@ class TestKernelParams:
 
     def test_zero_noise_allowed(self):
         KernelParams(lengthscale=1.0, amplitude=1.0, noise=0.0)
-
-    @pytest.mark.parametrize("bad", [(0.0, 1.0), (2.0, 1.0), (0.1, math.inf), (math.nan, 1.0)])
-    def test_bounds_validation(self, bad):
-        # An infinite bound used to pass here and fail later, inside the
-        # fit's uniform draw of a start.
-        with pytest.raises(InvalidInputError):
-            KernelBounds(bad, (0.1, 10.0), (1e-8, 1.0))
-        with pytest.raises(InvalidInputError):
-            KernelBounds((0.1, 10.0), (0.1, 10.0), bad)
 
 
 def _kernel(params, x, z):
@@ -452,17 +441,14 @@ class TestLogMarginalLikelihood:
 class TestFitHyperparams:
     def test_requires_two_points(self, rng):
         data = _dataset(Sphere(2), 1, rng)
-        bounds = KernelBounds((0.1, 10.0), (0.1, 10.0), (1e-8, 1.0))
         with pytest.raises(InvalidInputError):
-            fit_hyperparams(data, median_heuristic_params(data), bounds)
+            fit_hyperparams(data, median_heuristic_params(data))
 
     def test_fitted_within_bounds(self, rng):
         data = _dataset(Sphere(2), 8, rng)
-        bounds = default_bounds(data)
-        fitted = fit_hyperparams(data, median_heuristic_params(data), bounds, seed=1)
-        assert bounds.lengthscale[0] <= fitted.lengthscale <= bounds.lengthscale[1]
-        assert bounds.amplitude[0] <= fitted.amplitude <= bounds.amplitude[1]
-        assert bounds.noise[0] <= fitted.noise <= bounds.noise[1]
+        lo, hi = egp._fit_box(data)
+        fitted = _values(fit_hyperparams(data, median_heuristic_params(data), seed=1))
+        assert np.all((lo <= fitted) & (fitted <= hi))
 
     def test_recovers_known_lengthscale(self):
         # Self-consistency: data drawn from a surrogate with lengthscale 1
@@ -474,27 +460,24 @@ class TestFitHyperparams:
         gram = gram_matrix(true, GpDataset.from_points(points, np.zeros(40)))
         values = np.linalg.cholesky(gram) @ gen.standard_normal(40)
         data = GpDataset.from_points(points, values)
-        fitted = fit_hyperparams(
-            data, median_heuristic_params(data), default_bounds(data), seed=0
-        )
+        fitted = fit_hyperparams(data, median_heuristic_params(data), seed=0)
         assert 0.5 <= fitted.lengthscale <= 2.0
 
     def test_deterministic(self, rng):
         data = _dataset(Sphere(2), 10, rng)
-        bounds = default_bounds(data)
         init = median_heuristic_params(data)
-        a = fit_hyperparams(data, init, bounds, seed=5)
-        b = fit_hyperparams(data, init, bounds, seed=5)
+        a = fit_hyperparams(data, init, seed=5)
+        b = fit_hyperparams(data, init, seed=5)
         assert a == b
 
 
-def _fit_case(kind, with_trend, duplicated, seed):
-    """A dataset, starting values and bounds for one fit.  Values are
-    a smooth function of the embedding.  With a trend there are enough
-    points for the dataset to fit its affine prior mean; without, 8 points
-    and the zero mean.  The duplicated case repeats three of the points and
-    lowers the noise floor, so that candidates with little noise need
-    jitter."""
+def _fit_case(kind, with_trend, duplicated, seed, monkeypatch=None):
+    """A dataset and starting values for one fit.  Values are a smooth
+    function of the embedding.  With a trend there are enough points for
+    the dataset to fit its affine prior mean; without, 8 points and the zero
+    mean.  The duplicated case repeats three of the points and, through
+    ``monkeypatch``, lowers the noise floor of ``egp._fit_box``, so that
+    candidates with little noise need jitter."""
     gen = np.random.default_rng(seed)
     n = TREND_POINTS_PER_COEFFICIENT * (kind.ambient_dim + 1) if with_trend else 8
     points = [random_point(kind, gen) for _ in range(n)]
@@ -506,11 +489,16 @@ def _fit_case(kind, with_trend, duplicated, seed):
         assert np.any(data.trend != 0.0)
     else:
         np.testing.assert_array_equal(data.trend, 0.0)
-    bounds = default_bounds(data)
     if duplicated:
-        noise = (1e-18 * bounds.amplitude[0], bounds.noise[1])
-        bounds = KernelBounds(bounds.lengthscale, bounds.amplitude, noise)
-    return data, median_heuristic_params(data), bounds
+        fit_box = egp._fit_box
+
+        def lowered_noise_floor(data):
+            lo, hi = fit_box(data)
+            lo[2] = 1e-18 * lo[1]
+            return lo, hi
+
+        monkeypatch.setattr(egp, "_fit_box", lowered_noise_floor)
+    return data, median_heuristic_params(data)
 
 
 PIN_KINDS = [Sphere(2), Grassmann(2, 5), Spd(3)]
@@ -534,13 +522,12 @@ def _recording_cholesky(monkeypatch):
     return jitters
 
 
+def _values(params):
+    return np.array([params.lengthscale, params.amplitude, params.noise])
+
+
 def _theta(params):
-    return np.log([params.lengthscale, params.amplitude, params.noise])
-
-
-def _log_box(bounds):
-    fields = (bounds.lengthscale, bounds.amplitude, bounds.noise)
-    return np.log([lo for lo, _ in fields]), np.log([hi for _, hi in fields])
+    return np.log(_values(params))
 
 
 def _lml_at(data, theta):
@@ -555,7 +542,7 @@ class TestLmlDerivatives:
     @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
     def test_matches_finite_differences(self, kind, with_trend):
-        data, init, _ = _fit_case(kind, with_trend, False, seed=5)
+        data, init = _fit_case(kind, with_trend, False, seed=5)
         theta = _theta(init) + [0.3, -0.4, 3.0]
         grad, hess = egp._lml_derivatives(egp._model_at(data, theta))
         h = 1e-3
@@ -577,7 +564,7 @@ class TestLmlDerivatives:
 
     def test_none_when_unfactorizable(self, monkeypatch):
         monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
-        data, init, _ = _fit_case(Sphere(2), False, True, seed=5)
+        data, init = _fit_case(Sphere(2), False, True, seed=5, monkeypatch=monkeypatch)
         # Three duplicated points and a noise floor far below round-off.
         assert egp._model_at(data, _theta(init) + [0.0, 0.0, -40.0]) is None
 
@@ -592,10 +579,10 @@ class TestFitNewton:
     def test_box_kkt_point(self, kind, with_trend):
         # A free coordinate has a small gradient; one at a bound has its
         # gradient pointing out of the box.
-        data, init, bounds = _fit_case(kind, with_trend, False, seed=7)
-        fitted = fit_hyperparams(data, init, bounds, seed=3)
+        data, init = _fit_case(kind, with_trend, False, seed=7)
+        fitted = fit_hyperparams(data, init, seed=3)
         theta = _theta(fitted)
-        log_lo, log_hi = _log_box(bounds)
+        log_lo, log_hi = np.log(egp._fit_box(data))
         grad, _ = egp._lml_derivatives(egp._model_at(data, theta))
         at_lo = np.isclose(theta, log_lo, rtol=0, atol=1e-12)
         at_hi = np.isclose(theta, log_hi, rtol=0, atol=1e-12)
@@ -606,11 +593,12 @@ class TestFitNewton:
     @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
     def test_not_worse_than_any_start(self, kind, with_trend):
-        data, init, bounds = _fit_case(kind, with_trend, False, seed=7)
-        fitted = fit_hyperparams(data, init, bounds, seed=3)
-        log_lo, log_hi = _log_box(bounds)
+        data, init = _fit_case(kind, with_trend, False, seed=7)
+        fitted = fit_hyperparams(data, init, seed=3)
+        lo, hi = egp._fit_box(data)
+        log_lo, log_hi = np.log(lo), np.log(hi)
         rng = np.random.default_rng(3)
-        starts = [_theta(bounds.clip(init))]
+        starts = [np.log(np.clip(_values(init), lo, hi))]
         starts += [rng.uniform(log_lo, log_hi) for _ in range(egp.FIT_RESTARTS - 1)]
         fitted_lml = log_marginal_likelihood(GpModel.build(fitted, data))
         for start in starts:
@@ -626,10 +614,10 @@ class TestFitNewton:
         # raises FittingFailedError.
         if case == "unfactorizable":
             monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
-        data, init, bounds = _fit_case(kind, with_trend, True, seed=7)
+        data, init = _fit_case(kind, with_trend, True, seed=7, monkeypatch=monkeypatch)
         jitters = _recording_cholesky(monkeypatch)
         try:
-            fitted = fit_hyperparams(data, init, bounds, seed=3)
+            fitted = fit_hyperparams(data, init, seed=3)
         except FittingFailedError:
             fitted = None
         if case == "duplicated":
@@ -638,7 +626,8 @@ class TestFitNewton:
             assert None in jitters
         if fitted is not None:
             GpModel.build(fitted, data)
-            assert bounds.clip(fitted) == fitted
+            lo, hi = egp._fit_box(data)
+            assert np.all((lo <= _values(fitted)) & (_values(fitted) <= hi))
 
 
 class TestSolveChol:
