@@ -14,7 +14,10 @@ The ascent climbs log Phi, which has the same maximizer.  PI rounds to
 exactly 1.0 once the standardized improvement passes about 8.3, so an
 ascent that compares PI values cannot rank points beyond it; log Phi keeps
 ranking them, with a usable gradient, up to about 38 (Ament et al.,
-NeurIPS 2023).
+NeurIPS 2023).  An exploit round climbs the negated posterior mean instead.
+Either way a row stops once a step gains only a small fraction of what is
+left to gain: -log PI, or the improvement the row predicts over the
+incumbent.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
-from .egp import GpModel, PosteriorRows, posterior_rows
+from .egp import GpModel, PosteriorRows, point_posterior_rows, posterior_rows
 from .manifolds import (
     AmbiguousSubspaceError,
     InvalidInputError,
@@ -34,7 +37,6 @@ from .manifolds import (
     ManifoldPoint,
     ambient_norms,
     embed,
-    flatten_ambient,
     project_to_image,
     retract_embedded,
     tangent_project_embedded,
@@ -45,11 +47,13 @@ from .manifolds import (
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# A log-PI ascent stops once a step gains less than this fraction of the
-# distance of log PI from 0 (certain improvement).  Where PI nears 1 the
-# acquisition flattens and the ascent would only crawl toward certainty;
-# ranking the starts needs no more than this relative precision.
-LOG_PI_RTOL = 3e-3
+# An ascent row stops once an accepted step gains no more than this fraction
+# of what is left to gain: the distance of log PI from 0 (certain
+# improvement), or, climbing -mean, the improvement the row predicts over
+# the incumbent.  Past that the row only crawls toward certainty or polishes
+# a minimizer of the mean, and ranking the starts needs no more than this
+# relative precision.
+ASCENT_RTOL = 3e-3
 # The ascent's first trial step, as a multiple of the kernel lengthscale, so
 # that its scale tracks the fitted kernel.
 ASCENT_STEP = 0.1
@@ -86,9 +90,9 @@ class AcquisitionState:
     """Frozen view of one acquisition round: surrogate and incumbent value.
 
     ``trust_radius`` keeps the ascent within that embedded distance of the
-    incumbent (``trust_center``).  ``exploit`` makes the round climb the
-    negated posterior mean instead of PI, proposing the surrogate's
-    minimizer.
+    incumbent (``trust_center``); it must be positive (``math.inf`` for no
+    trust region).  ``exploit`` makes the round climb the negated posterior
+    mean instead of PI, proposing the surrogate's minimizer.
     """
 
     model: GpModel
@@ -99,6 +103,8 @@ class AcquisitionState:
     def __post_init__(self):
         if not math.isfinite(self.best_value):
             raise InvalidInputError(f"best_value must be finite, got {self.best_value}")
+        if not self.trust_radius > 0.0:
+            raise InvalidInputError(f"trust_radius must be positive, got {self.trust_radius}")
 
     @functools.cached_property
     def sigma_floor(self) -> float:
@@ -157,14 +163,10 @@ def _ascent_gradient(
     return inverse_mills_ratio(terms[0])[:, None] * _improvement_gradient(post, *terms)
 
 
-def _at(state: AcquisitionState, w: np.ndarray) -> PosteriorRows:
-    """The posterior at one flat point, as a 1-row stack."""
-    return posterior_rows(state.model, np.asarray(w, dtype=float)[None])
-
-
 def pi_value(state: AcquisitionState, x: ManifoldPoint) -> float:
-    """Probability that the objective at x improves on the incumbent."""
-    r, _, _ = _improvement(state, _at(state, flatten_ambient(x.kind, embed(x))))
+    """Probability that the objective at x improves on the incumbent; raises
+    ``InvalidInputError`` unless x is of the surrogate's manifold kind."""
+    r, _, _ = _improvement(state, point_posterior_rows(state.model, x))
     return float(ndtr(r[0]))
 
 
@@ -173,9 +175,10 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
     times the gradient of r.
 
     Matches central finite differences of the acquisition in flat ambient
-    coordinates; project onto the tangent space before stepping.
+    coordinates; project onto the tangent space before stepping.  Raises
+    ``InvalidInputError`` unless x is of the surrogate's manifold kind.
     """
-    post = _at(state, flatten_ambient(x.kind, embed(x)))
+    post = point_posterior_rows(state.model, x)
     r, sigma, free = _improvement(state, post)
     dr = _improvement_gradient(post, r, sigma, free)
     density = INV_SQRT_2PI * math.exp(-0.5 * float(r[0]) ** 2)
@@ -225,10 +228,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     move it less than ``DEDUP_TOL`` (the displacement step * |tangent|; the
     loop treats points that close as one, and perturbs a proposal that
     close to a datum, with the same constant), ``MAX_BACKTRACKS`` halvings
-    do not help, a step no longer raises the acquisition, a log-PI step
-    gains less than ``LOG_PI_RTOL`` of the distance of log PI from 0, or
-    ``ASCENT_MAX_STEPS`` gradients have been taken; every accepted step
-    raises the acquisition, so a result never scores below its start.
+    do not help, a step no longer raises the acquisition, an accepted step
+    gains no more than ``ASCENT_RTOL`` of what is left to gain (-log PI,
+    or, in an exploit round, the improvement |f_best - mean| the row
+    predicts over the incumbent), or ``ASCENT_MAX_STEPS`` gradients have
+    been taken; every accepted step raises the acquisition, so a result
+    never scores below its start.
 
     The ascent runs in rounds.  Each round, every active row tries its
     trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
@@ -310,9 +315,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         gain = acq_cand[moved] - acq[new]
         e[new], acq[new] = e_cand[moved], acq_cand[moved]
         step[new] = trial_step[moved] * 1.5
-        going = n_steps[new] < ASCENT_MAX_STEPS
-        if not state.exploit:
-            going &= ~(gain <= LOG_PI_RTOL * -acq[new])
+        remaining = np.abs(state.best_value + acq[new]) if state.exploit else -acq[new]
+        going = (n_steps[new] < ASCENT_MAX_STEPS) & ~(gain <= ASCENT_RTOL * remaining)
         go = new[going]
         # Only the rows that move on, and those that halve their step again
         # below, stay active.

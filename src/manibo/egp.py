@@ -349,11 +349,17 @@ def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
     return PosteriorRows(model, diff, k, mean)
 
 
-def posterior(model: GpModel, x: ManifoldPoint) -> tuple[float, float]:
-    """Posterior mean and variance of the objective at a manifold point."""
+def point_posterior_rows(model: GpModel, x: ManifoldPoint) -> PosteriorRows:
+    """The posterior at a manifold point, as a 1-row stack; raises
+    ``InvalidInputError`` unless x is of the model's manifold kind."""
     if x.kind != model.data.kind:
         raise InvalidInputError(f"kind mismatch: {model.data.kind} vs {x.kind}")
-    post = posterior_rows(model, flatten_ambient(x.kind, embed(x))[None])
+    return posterior_rows(model, flatten_ambient(x.kind, embed(x))[None])
+
+
+def posterior(model: GpModel, x: ManifoldPoint) -> tuple[float, float]:
+    """Posterior mean and variance of the objective at a manifold point."""
+    post = point_posterior_rows(model, x)
     return float(post.mean[0]), float(post.var[0])
 
 

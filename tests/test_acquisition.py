@@ -26,20 +26,19 @@ from manibo import (
 from manibo import acquisition, manifolds
 from manibo.acquisition import (
     ASCENT_LOOKAHEAD,
+    ASCENT_RTOL,
     ASCENT_STARTS,
     ASCENT_STEP,
     DEDUP_TOL,
-    LOG_PI_RTOL,
     MAX_BACKTRACKS,
     _ascent_gradient,
     _ascent_value,
-    _at,
     _improvement,
     _random_start,
     _within_trust,
     inverse_mills_ratio,
 )
-from manibo.egp import posterior
+from manibo.egp import posterior, posterior_rows
 from manibo.manifolds import (
     AmbiguousSubspaceError,
     ManifoldError,
@@ -60,6 +59,11 @@ def _state(kind, n, rng, params=None, best=None):
     values = rng.standard_normal(n)
     model = GpModel.build(params, GpDataset.from_points(points, values))
     return AcquisitionState(model, float(values.min()) if best is None else best)
+
+
+def _at(state, w):
+    """The posterior at one flat point, as a 1-row stack."""
+    return posterior_rows(state.model, np.asarray(w, dtype=float)[None])
 
 
 def _pi_at(state, w):
@@ -112,6 +116,13 @@ class TestPiValue:
             value = pi_value(state, random_point(kind, rng))
             assert 0.0 <= value <= 1.0
 
+    def test_kind_mismatch(self, rng):
+        # A Sphere(5) point has as many flat coordinates as an Spd(3) one,
+        # so only the kind check tells them apart, as in ``posterior``.
+        state = _state(Spd(3), 5, rng)
+        with pytest.raises(InvalidInputError, match="kind mismatch"):
+            pi_value(state, random_point(Sphere(5), rng))
+
 
 class TestPiGradient:
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -162,6 +173,12 @@ class TestPiGradient:
         model = GpModel.build(params, GpDataset.from_points([x], [10.0]))
         state = AcquisitionState(model, 0.0)
         np.testing.assert_array_equal(pi_gradient_ambient(state, x), np.zeros(3))
+
+    def test_gradient_kind_mismatch(self, rng):
+        # As for ``pi_value``: equal flat dimensions, different kinds.
+        state = _state(Spd(3), 5, rng)
+        with pytest.raises(InvalidInputError, match="kind mismatch"):
+            pi_gradient_ambient(state, random_point(Sphere(5), rng))
 
 
 def _log_pi_at(state, w):
@@ -565,7 +582,9 @@ def _reference_ascend(state, e):
             break
         gain = acq_cand - acq
         e, w, acq = e_cand, w_cand, acq_cand
-        if not state.exploit and gain <= LOG_PI_RTOL * -acq:
+        # What is left to gain: -log PI, or the predicted improvement.
+        remaining = abs(state.best_value + acq) if state.exploit else -acq
+        if gain <= acquisition.ASCENT_RTOL * remaining:
             break
         step *= 1.5
     return e, acq
@@ -764,16 +783,25 @@ class TestBatchedAscent:
             return retract(kind, e, v, t)
 
         monkeypatch.setattr(acquisition, "retract_embedded", spy)
-        for exploit in (False, True):
-            state = AcquisitionState(
-                base.model, base.best_value, trust_radius=0.3, exploit=exploit
-            )
+
+        def ascend_as_reference(state):
             starts = np.stack([_random_start(state, rng) for _ in range(10)])
             e, acq = ascend(state, starts)
             for row, start in enumerate(starts):
                 reference, reference_acq = _reference_ascend(state, start)
                 np.testing.assert_array_equal(e[row], reference)
                 assert acq[row] == reference_acq
+
+        for exploit in (False, True):
+            ascend_as_reference(
+                AcquisitionState(base.model, base.best_value, trust_radius=0.3, exploit=exploit)
+            )
+        # The relative stop ends most exploit rows above the floor.  Without
+        # it the floor alone ends them, and they crawl down to it, halving.
+        monkeypatch.setattr(acquisition, "ASCENT_RTOL", 0.0)
+        ascend_as_reference(
+            AcquisitionState(base.model, base.best_value, trust_radius=0.3, exploit=True)
+        )
         trials, above = np.array(rounds).T
         assert np.all(trials <= above)
         # Where the floor binds inside a lookahead, the round schedules
@@ -781,6 +809,46 @@ class TestBatchedAscent:
         clipped = above < ASCENT_LOOKAHEAD
         assert clipped.any()
         np.testing.assert_array_equal(trials[clipped], above[clipped])
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_exploit_row_stops_at_relative_gain(self, kind, monkeypatch, rng):
+        # An exploit row stops once an accepted step gains at most
+        # ASCENT_RTOL of the improvement it still predicts over the
+        # incumbent, |f_best - mean|, on either side of it.  The incumbent
+        # value only sets that scale: it changes nothing else in an exploit
+        # round.
+        base = _state(kind, 8, rng)
+        greedy = AcquisitionState(base.model, base.best_value, exploit=True)
+        start = embed(random_point(kind, rng))
+        while not _first_trial_gain(greedy, start) > 0.0:
+            start = embed(random_point(kind, rng))
+        gain = _first_trial_gain(greedy, start)
+        step = ASCENT_STEP * base.model.params.lengthscale
+        first = retract_embedded(kind, start[None], _first_tangent(greedy, start)[None], step)
+        mean = _at(greedy, kind.flatten_rows(first)[0]).mean[0]
+        for ratio, stops in [(2.0, True), (-2.0, True), (0.5, False), (-0.5, False)]:
+            state = AcquisitionState(base.model, mean + ratio * gain / ASCENT_RTOL, exploit=True)
+            e, acq = ascend(state, start[None])
+            assert np.array_equal(e[0], first[0]) == stops
+            assert (acq[0] == -mean) == stops
+        # One datum below the zero prior mean: the mean is least exactly at
+        # the incumbent.  With the incumbent value the mean there, what is
+        # left shrinks with the rows' distance from it, so the rule never
+        # binds, and the rows end where their next trial would move them
+        # less than DEDUP_TOL, next to the incumbent.  The trust radius of
+        # one lengthscale keeps every start within the datum's reach.
+        params = KernelParams(lengthscale=0.5, amplitude=1.0, noise=1e-6)
+        model = GpModel.build(params, GpDataset.from_points([random_point(kind, rng)], [-1.0]))
+        least = _at(AcquisitionState(model, 0.0), model.data.embedded[0]).mean[0]
+        state = AcquisitionState(model, least, trust_radius=0.5, exploit=True)
+        starts = np.stack([_random_start(state, rng) for _ in range(10)])
+        e, acq = ascend(state, starts)
+        monkeypatch.setattr(acquisition, "ASCENT_RTOL", 0.0)
+        unstopped, unstopped_acq = ascend(state, starts)
+        np.testing.assert_array_equal(e, unstopped)
+        np.testing.assert_array_equal(acq, unstopped_acq)
+        distance = np.linalg.norm(kind.flatten_rows(e) - state.trust_center, axis=1)
+        assert distance.max() < 10 * DEDUP_TOL
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_exploit_round_never_forms_the_variance(self, kind, monkeypatch, rng):
@@ -812,3 +880,11 @@ class TestConfigValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
             AcquisitionState(model=None, best_value=np.nan)
+
+    @pytest.mark.parametrize("radius", [-0.3, 0.0, math.nan])
+    def test_rejects_trust_radius(self, radius):
+        # A negative radius would reflect pulled starts through the
+        # incumbent; at 0 or NaN every trial leaves the region.
+        with pytest.raises(InvalidInputError, match="trust_radius"):
+            AcquisitionState(model=None, best_value=0.0, trust_radius=radius)
+        AcquisitionState(model=None, best_value=0.0, trust_radius=math.inf)
