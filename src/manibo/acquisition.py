@@ -31,7 +31,6 @@ from scipy.special import erfcx, log_ndtr, ndtr
 
 from .egp import GpModel, PosteriorRows, point_posterior_rows, posterior_rows
 from .manifolds import (
-    AmbiguousSubspaceError,
     InvalidInputError,
     ManifoldError,
     ManifoldPoint,
@@ -206,9 +205,8 @@ def _tangents(
 def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent of the acquisition from every start at
     once.  ``e`` stacks the embedded starts along a leading axis; returns
-    the last iterate of every start, stacked the same way, and the value
-    the ascent reached there (``-inf`` for a start whose retraction
-    failed).  ``e`` itself is not modified.
+    the last accepted iterate of every start, stacked the same way, and the
+    value the ascent reached there.  ``e`` itself is not modified.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set, which forms
@@ -220,10 +218,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Each row keeps its own step length and stops on its own; a stopped row
     does no further work.  A trial step that would decrease the acquisition
     is halved; after an accepted step the next trial is 1.5 times as long,
-    so the step length adapts to the scale of the acquisition.  Trial steps
-    that leave the manifold's chart (``within_chart``) or the trust radius
-    count as not improving, so every iterate can be unembedded.  The first
-    trial step is ``ASCENT_STEP`` lengthscales.  A row stops when its
+    so the step length adapts to the scale of the acquisition.  A trial is
+    scored only inside the trust radius; a trial outside it, or one the
+    retraction returns as NaN (no unique nearest image point, or outside
+    the chart), is rejected like one that does not improve, so every
+    iterate can be unembedded.  The first trial step is ``ASCENT_STEP``
+    lengthscales.  A row stops when its
     projected gradient is below ``ASCENT_GRAD_TOL``, its next trial would
     move it less than ``DEDUP_TOL`` (the displacement step * |tangent|; the
     loop treats points that close as one, and perturbs a proposal that
@@ -239,14 +239,13 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
     trials, no more than its halvings left and only those that move it at
     least ``DEDUP_TOL``, in one stacked retraction and one stacked
-    posterior.  The row takes the first trial that fails,
-    or that does not lower the acquisition, and discards the trials after
-    it; when every trial is rejected, its step is halved once per trial.
-    So every row reaches the iterates that trying one trial per round
-    would, in fewer rounds.  Every row is computed on its own, so its
-    result does not depend on the other starts.  Raises
+    posterior.  The row takes the first trial that is not rejected and
+    discards the trials after it; when every trial is rejected, its step is
+    halved once per trial.  So every row reaches the iterates that trying
+    one trial per round would, in fewer rounds.  Every row is computed on
+    its own, so its result does not depend on the other starts.  Raises
     ``InvalidInputError`` unless ``e`` is a non-empty stack of the kind's
-    ambient shape, and raises when every start fails.
+    ambient shape.
     """
     kind = state.model.data.kind
     e = np.array(e, dtype=float, order="C")
@@ -287,27 +286,23 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         trial_step = step[src] * 0.5**halvings
         e_cand = retract_embedded(kind, e[src], tangent[src], trial_step)
         w_cand = kind.flatten_rows(e_cand)
-        failed = np.isnan(w_cand[:, 0])
-        scored = (
-            ~failed & kind.within_chart(e_cand) & _within_trust(state, w_cand)
-        ).nonzero()[0]
+        scored = _within_trust(state, w_cand).nonzero()[0]  # never a NaN row
         post_cand = posterior_rows(state.model, w_cand[scored])
         acq_cand = np.empty(src.size)
         acq_cand.fill(np.nan)
         acq_scored, terms_cand = _ascent_value(state, post_cand)
         acq_cand[scored] = acq_scored
-        # A trial that fails or does not lower the acquisition decides its
+        # A scored trial that does not lower the acquisition decides its
         # row; the rows' first such trials are the ones that trying one
         # trial per round would reach, and later trials are discarded.
         # Trials are grouped by row, so a row's first is where ``at``
         # changes.
-        deciding = (failed | (acq_cand >= acq[src])).nonzero()[0]
+        deciding = (acq_cand >= acq[src]).nonzero()[0]
         owner = at[deciding]
         first = np.empty(deciding.size, dtype=bool)
         first[:1] = True
         np.not_equal(owner[1:], owner[:-1], out=first[1:])
         deciding, owner = deciding[first], owner[first]
-        acq[src[deciding[failed[deciding]]]] = -np.inf
         # A deciding step that does not raise the acquisition ends the row
         # where it is; one that raises it moves the row.
         moved = deciding[acq_cand[deciding] > acq[src[deciding]]]
@@ -338,19 +333,14 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         step[retry] *= 0.5 ** budget[undecided]
         rejected[retry] += budget[undecided]
         active[retry] = rejected[retry] <= MAX_BACKTRACKS
-    if np.all(acq == -np.inf):
-        raise AmbiguousSubspaceError(
-            "the retraction failed from every start (no unique dominant subspace)"
-        )
     return e, acq
 
 
 def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
     """A random embedded start, pulled toward the incumbent in flat
     coordinates into the trust radius, then back onto the embedded image by
-    ``project_to_image``, which raises where it has no unique nearest point.
-    It is not checked against the chart: ``maximize`` never returns a row
-    outside it."""
+    ``project_to_image``, which raises where it has no unique nearest point
+    or lies outside the chart."""
     kind = state.model.data.kind
     e = kind.random_embedded(rng)
     w = kind.flatten_rows(e)
@@ -368,15 +358,14 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     points drawn from ``seed``, each pulled within the trust radius and
     mapped back onto the embedded image by ``project_to_image`` (a start
     whose draw or projection raises, such as a pulled Grassmann row with
-    tied top eigenvalues, is skipped), and ascends them all in one
-    ``ascend`` call; deterministic given the seed.  Starts are ranked on
-    the values their ascent reached (log PI, so candidates whose PI rounds
-    to 1.0 still rank), at their embedded last iterates; ties keep the
-    earliest start.  A start is skipped if its retraction failed, or if its
-    last iterate lies outside the chart or, unless it is the incumbent's,
-    outside the trust radius (a pulled-in start can land just outside it on
-    a curved manifold); if every start is skipped, this raises.  Only the
-    winner is unembedded.
+    tied top eigenvalues or a pulled Spd row outside the chart, is
+    skipped), and ascends them all in one ``ascend`` call; deterministic
+    given the seed.  Starts are ranked on the values their ascent reached
+    (log PI, so candidates whose PI rounds to 1.0 still rank), at their
+    embedded last iterates; ties keep the earliest start.  A start whose
+    last iterate lies outside the trust radius does not rank, unless it is
+    the incumbent's (a pulled-in start can land just outside it on a
+    curved manifold).  Only the winner is unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -393,11 +382,6 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
         except ManifoldError:
             continue
     e, acq = ascend(state, np.stack(starts))
-    in_trust = _within_trust(state, kind.flatten_rows(e))
-    in_trust[0] = True
-    eligible = np.isfinite(acq) & kind.within_chart(e) & in_trust
-    if not eligible.any():
-        raise ManifoldError(
-            "every acquisition start failed or left the chart or the trust radius"
-        )
+    eligible = _within_trust(state, kind.flatten_rows(e))
+    eligible[0] = True
     return unembed(kind, e[int(np.argmax(np.where(eligible, acq, -np.inf)))])

@@ -1,13 +1,13 @@
 """Comparison optimizers: Riemannian gradient descent and Nelder-Mead.
 
-Gradient descent serves objectives with analytic ambient gradients; the
-gradient is projected to the tangent space and the step retracted onto the
-manifold, with backtracking so accepted steps always decrease the value.
-Nelder-Mead runs in flat embedding coordinates and retracts every candidate
-vertex onto the manifold before the objective sees it, so a manifold-valued
-objective never receives an off-manifold argument.
+Gradient descent serves objectives with analytic ambient gradients
+(``Objective.grad``); the gradient is projected to the tangent space and the
+step retracted onto the manifold, with backtracking so accepted steps always
+decrease the value.  Nelder-Mead runs in flat embedding coordinates and
+retracts every candidate vertex onto the manifold before the objective sees
+it, so a manifold-valued objective never receives an off-manifold argument.
 
-Both emit the same trace schema as the Bayesian loop.  Gradient descent
+Both return a ``RunTrace``, as the Bayesian loop does.  Gradient descent
 records accepted iterates; Nelder-Mead records every objective evaluation,
 which makes evaluation-count comparisons direct.
 """
@@ -15,8 +15,6 @@ which makes evaluation-count comparisons direct.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,32 +37,19 @@ NM_EXPAND = 2.0
 NM_CONTRACT = 0.5
 NM_SHRINK = 0.5
 NM_INIT_SPREAD = 0.1
+# Nelder-Mead stops once the simplex diameter falls below this.
+NM_TOL = 1e-8
 
 # Gradient descent: the first trial step of every iteration, and its halvings.
 GD_STEP = 0.5
 GD_MAX_BACKTRACKS = 30
+# Gradient descent stops once the projected gradient norm falls below this.
+GD_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GradObjective:
-    """Objective paired with the ambient gradient of its embedded form.
-
-    ``grad(x)`` returns the Euclidean gradient at the embedding of x, in the
-    ambient shape of the manifold; it must match finite differences of the
-    composed objective.
-    """
-
-    base: Objective
-    grad: Callable[[ManifoldPoint], np.ndarray]
-
-
-def riemannian_gd(
-    obj: GradObjective,
-    x0: ManifoldPoint,
-    max_iters: int = 100,
-    tol: float = 1e-8,
-) -> tuple[ManifoldPoint, RunTrace]:
-    """Projected gradient descent with backtracking.
+def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> RunTrace:
+    """Projected gradient descent with backtracking; raises
+    ``InvalidInputError`` unless the objective has a gradient (``grad``).
 
     Each iteration projects the ambient gradient onto the tangent space
     (``project_to_tangent`` validates it) and steps the embedded iterate
@@ -72,26 +57,28 @@ def riemannian_gd(
     ``GD_STEP`` until the value strictly decreases.  A step with no nearest
     image point is a NaN row, which ``unembed`` rejects with
     ``InvalidInputError``; on the sphere none fails (|e - lam tangent| >= 1).
-    Stops when the projected gradient norm falls below ``tol``, no halving
-    produces a decrease, or ``max_iters`` is reached.
+    Stops when the projected gradient norm falls below ``GD_TOL``, no
+    halving produces a decrease, or ``max_iters`` is reached.
     """
-    trace = RunTrace()
+    if obj.grad is None:
+        raise InvalidInputError("gradient descent needs an objective with a gradient")
+    trace = RunTrace(obj)
     start = time.perf_counter()
     x = x0
-    f = float(obj.base.fn(x))
+    f = float(obj.fn(x))
     n_evals = 1
-    trace.record(obj.base, 0, x, f, x, f, n_evals, start)
+    trace.record(0, x, f, n_evals, start)
     for t in range(1, max_iters + 1):
         tick = time.perf_counter()
         tangent = project_to_tangent(x, obj.grad(x))
-        if np.linalg.norm(tangent) < tol:
+        if np.linalg.norm(tangent) < GD_TOL:
             break
         e = embed(x)
         lam = GD_STEP
         for _ in range(GD_MAX_BACKTRACKS + 1):
             stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
             candidate = unembed(x.kind, stepped[0])
-            f_cand = float(obj.base.fn(candidate))
+            f_cand = float(obj.fn(candidate))
             n_evals += 1
             if f_cand < f:
                 break
@@ -99,16 +86,11 @@ def riemannian_gd(
         else:
             break
         x, f = candidate, f_cand
-        trace.record(obj.base, t, x, f, x, f, n_evals, tick)
-    return x, trace
+        trace.record(t, x, f, n_evals, tick)
+    return trace
 
 
-def nelder_mead(
-    obj: Objective,
-    x0: ManifoldPoint,
-    max_evals: int = 500,
-    tol: float = 1e-8,
-) -> tuple[ManifoldPoint, RunTrace]:
+def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunTrace:
     """Simplex search in flat embedding coordinates with retracted evaluation.
 
     The initial simplex is the embedding of x0 plus an ``NM_INIT_SPREAD``
@@ -116,20 +98,19 @@ def nelder_mead(
     degenerate count as +inf.  Ties at the worst vertex accept the
     reflection, so a flat objective keeps reflecting until the evaluation
     budget is exhausted.  Stops when the simplex diameter drops below
-    ``tol`` or the budget runs out; a budget below 1 raises
-    ``InvalidInputError``.  A failed evaluation is recorded at x0, which is
-    also the best point while no evaluation has succeeded.
+    ``NM_TOL`` or the budget runs out; a budget below 1 raises
+    ``InvalidInputError``.  A failed evaluation is recorded at x0 with value
+    inf.
     """
     if max_evals < 1:
         raise InvalidInputError(f"max_evals must be >= 1, got {max_evals}")
     kind = obj.kind
     dim = kind.ambient_dim
-    trace = RunTrace()
-    best_point, best_value = x0, np.inf
+    trace = RunTrace(obj)
     n_evals = 0
 
     def evaluate(w: np.ndarray) -> float:
-        nonlocal best_point, best_value, n_evals
+        nonlocal n_evals
         tick = time.perf_counter()
         try:
             point = unembed(kind, unflatten_ambient(kind, w))
@@ -137,9 +118,7 @@ def nelder_mead(
         except ManifoldError:
             point, value = x0, np.inf
         n_evals += 1
-        if value < best_value:
-            best_point, best_value = point, value
-        trace.record(obj, n_evals, point, value, best_point, best_value, n_evals, tick)
+        trace.record(n_evals, point, value, n_evals, tick)
         return value
 
     w0 = flatten_ambient(kind, embed(x0))
@@ -152,13 +131,13 @@ def nelder_mead(
     values = np.array([evaluate(v) for v in simplex[: min(dim + 1, max_evals)]])
     if len(values) < dim + 1:
         # Budget did not even cover the initial simplex.
-        return best_point, trace
+        return trace
 
     def diameter() -> float:
         diffs = simplex[:, None, :] - simplex[None, :, :]
         return float(np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).max())
 
-    while n_evals < max_evals and diameter() >= tol:
+    while n_evals < max_evals and diameter() >= NM_TOL:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         worst = simplex[-1]
@@ -185,4 +164,4 @@ def nelder_mead(
                         break
                     simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
                     values[i] = evaluate(simplex[i])
-    return best_point, trace
+    return trace

@@ -2,7 +2,8 @@
 
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
-refitting.  The incumbent is the best observed value.  Failures after the
+refitting.  The incumbent is the best observed value, which the run's
+trace keeps (``RunTrace``).  Failures after the
 first evaluation (a non-finite objective value, or an exception from the
 objective, the proposal or the refit) abort the run but keep the trace
 collected so far, since traces are the primary artifact.
@@ -52,16 +53,19 @@ EXPLOIT_EVERY = 2
 class Objective:
     """Black-box objective on one manifold kind.
 
-    ``fn`` must be deterministic and finite on valid points; no gradient is
-    ever requested.  The optional oracle optimum feeds error columns in run
-    traces.
+    ``fn`` must be deterministic and finite on valid points.  The optional
+    oracle optimum feeds error columns in run traces.  The optional
+    ``grad(x)`` returns the Euclidean gradient of the embedded objective at
+    the embedding of x, in the manifold's ambient shape; it must match
+    finite differences of the composed objective.  Only the
+    gradient-descent baseline asks for it.
     """
 
     kind: ManifoldKind
     fn: Callable[[ManifoldPoint], float]
     oracle_point: Optional[ManifoldPoint] = None
     oracle_value: Optional[float] = None
-    name: str = ""
+    grad: Optional[Callable[[ManifoldPoint], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -114,27 +118,28 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
+    """The records of one optimizer run on ``objective``, and its incumbent:
+    the first record's point, replaced by each later record's point whose
+    value is strictly below the incumbent's value."""
+
+    objective: Objective
     records: list[TraceRecord] = field(default_factory=list)
     aborted: bool = False
     abort_reason: Optional[str] = None
 
     def record(
-        self,
-        obj: Objective,
-        iteration: int,
-        point: ManifoldPoint,
-        value: float,
-        best_point: ManifoldPoint,
-        best_value: float,
-        n_evals: int,
-        since: float,
+        self, iteration: int, point: ManifoldPoint, value: float, n_evals: int, since: float
     ) -> None:
         """Append the state after an evaluation batch that began at
-        ``time.perf_counter()`` reading ``since``, with the incumbent's
-        distance to the objective's oracle point when it has one."""
+        ``time.perf_counter()`` reading ``since``: the incumbent after it,
+        and the incumbent's distance to the objective's oracle point when it
+        has one."""
+        best_point, best_value = point, value
+        if self.records and not value < self.final.best_value:
+            best_point, best_value = self.final.best_point, self.final.best_value
         err = None
-        if obj.oracle_point is not None:
-            err = extrinsic_distance(best_point, obj.oracle_point)
+        if self.objective.oracle_point is not None:
+            err = extrinsic_distance(best_point, self.objective.oracle_point)
         self.records.append(
             TraceRecord(
                 iteration=iteration,
@@ -172,9 +177,9 @@ def proposal_dedup(
     tangent (``tangent_project_embedded``, then a one-row
     ``retract_embedded``) and measures flat distances to the dataset's
     rows; only the returned row is unembedded.  A draw whose tangent is
-    degenerate, or whose step has no nearest image point or leaves the
-    chart, fails, and counts toward the 50 draws and the doubling like any
-    draw that stays too close."""
+    degenerate, or whose step the retraction returns as NaN, fails, and
+    counts toward the 50 draws and the doubling like any draw that stays
+    too close."""
     kind = x_next.kind
     if kind != dataset.kind:
         raise InvalidInputError(f"kind mismatch: {kind} vs {dataset.kind}")
@@ -201,7 +206,7 @@ def proposal_dedup(
         if norm < 1e-12:
             continue
         stepped = retract_embedded(kind, e[None], ((step / norm) * tangent)[None], 1.0)
-        if np.isnan(stepped.flat[0]) or not kind.within_chart(stepped)[0]:
+        if np.isnan(stepped.flat[0]):
             continue
         row = stepped[0]
         if float(distances(row).min()) >= DEDUP_TOL:
@@ -211,8 +216,9 @@ def proposal_dedup(
     return x_next if row is None else unembed(kind, row)
 
 
-def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
-    """Run the optimization loop; returns (best point, best value, trace).
+def run(obj: Objective, cfg: BoConfig) -> RunTrace:
+    """Run the optimization loop; returns its trace, whose last record
+    (``trace.final``) holds the incumbent.
 
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
     initial design (or the part of it evaluated before a failure); records
@@ -223,7 +229,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
     (``trace.aborted`` set, ``trace.abort_reason`` saying why) rather than
     discarding it.  A failure on the first evaluation raises.
     """
-    trace = RunTrace()
+    trace = RunTrace(obj)
     seed_seq = np.random.SeedSequence(cfg.seed)
     init_seq, loop_seq = seed_seq.spawn(2)
     start = time.perf_counter()
@@ -265,13 +271,10 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         values.append(y)
 
     best_idx = int(np.argmin(values))
-    best_point, best_value = points[best_idx], values[best_idx]
     dataset = GpDataset.from_points(points, values)
-    trace.record(
-        obj, 0, best_point, best_value, best_point, best_value, len(points), start
-    )
+    trace.record(0, points[best_idx], values[best_idx], len(points), start)
     if trace.aborted:
-        return best_point, best_value, trace
+        return trace
 
     def refit(current: KernelParams) -> KernelParams:
         try:
@@ -288,7 +291,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
             params = refit(params)
     except Exception as exc:  # any failure here keeps the trace
         abort("surrogate update failed at iteration 0", exc)
-        return best_point, best_value, trace
+        return trace
 
     loop_rng = np.random.default_rng(loop_seq)
     # Proposals stay within the initial design's diameter of the incumbent:
@@ -301,7 +304,7 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         try:
             state = AcquisitionState(
                 GpModel.build(params, dataset),
-                best_value,
+                trace.final.best_value,
                 trust_radius,
                 exploit=s % EXPLOIT_EVERY == 0,
             )
@@ -318,8 +321,6 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
         if not math.isfinite(y):
             abort(f"objective returned non-finite value {y!r} at iteration {s}")
             break
-        if y < best_value:
-            best_point, best_value = x_next, y
         dataset = dataset.append(x_next, y)
         failure = None
         # After the last iteration no surrogate is built, so the
@@ -329,8 +330,8 @@ def run(obj: Objective, cfg: BoConfig) -> tuple[ManifoldPoint, float, RunTrace]:
                 params = refit(params)
             except Exception as exc:  # any failure here keeps the trace
                 failure = exc
-        trace.record(obj, s, x_next, y, best_point, best_value, len(dataset), tick)
+        trace.record(s, x_next, y, len(dataset), tick)
         if failure is not None:
             abort(f"surrogate update failed at iteration {s}", failure)
             break
-    return best_point, best_value, trace
+    return trace

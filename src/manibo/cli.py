@@ -62,13 +62,12 @@ class ConfigError(Exception):
 
 def _frechet_sphere(cfg: ExperimentConfig, seed: int):
     problem = latitude_circle_problem(n_points=cfg.n_data, z=cfg.latitude)
-    grad_obj = frechet_grad_objective(problem)
-    return grad_obj.base, grad_obj, None
+    return frechet_grad_objective(problem), None
 
 
 def _grassmann_approx(cfg: ExperimentConfig, seed: int):
     problem = random_approx_problem(n=cfg.rows, m=cfg.cols, p=cfg.subspace_dim, seed=seed)
-    return grassmann_objective(problem), None, None
+    return grassmann_objective(problem), None
 
 
 def _spd_regression(cfg: ExperimentConfig, seed: int):
@@ -80,7 +79,7 @@ def _spd_regression(cfg: ExperimentConfig, seed: int):
         query=cfg.query,
     )
     init = response_design(problem, cfg.init, seed)
-    return spd_regression_objective(problem), None, init
+    return spd_regression_objective(problem), init
 
 
 def _custom(cfg: ExperimentConfig, seed: int):
@@ -107,15 +106,15 @@ def _custom(cfg: ExperimentConfig, seed: int):
         raise ConfigError(
             f"objective factory {dotted_path!r} did not return an Objective"
         )
-    return objective, None, None
+    return objective, None
 
 
 @dataclass(frozen=True)
 class Experiment:
     """A CLI experiment: the iteration budget and design size used when
     neither the config file nor a flag sets them, and the builder of its
-    problem, which returns (objective, gradient objective or None, initial
-    design or None) for the resolved settings and a seed."""
+    problem, which returns (objective, initial design or None) for the
+    resolved settings and a seed."""
 
     iters: int
     init: int
@@ -298,11 +297,6 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown baseline {baseline!r}; choose from {', '.join(BASELINES)}"
             )
-    if "gd" in cfg.baselines and cfg.experiment != "frechet-sphere":
-        raise ConfigError(
-            "the gd baseline needs an analytic gradient and is only available "
-            "for frechet-sphere"
-        )
     if cfg.iters < 0 or cfg.init < 1 or cfg.refit_every < 0:
         raise ConfigError("iters must be >= 0, init >= 1 and refit-every >= 0")
     for name, seeds in (("seed", (cfg.seed,)), ("seeds", cfg.seeds or ())):
@@ -315,13 +309,20 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig, seed: int) -> tuple:
-    """The experiment's (objective, gradient objective or None, initial
-    design or None) for one seed.  A setting its builder rejects, as a
-    ``ValueError`` or a ``ConfigError``, is a usage error."""
+    """The experiment's (objective, initial design or None) for one seed.  A
+    setting its builder rejects, as a ``ValueError`` or a ``ConfigError``,
+    is a usage error, and so is the gd baseline for an objective without a
+    gradient."""
     try:
-        return EXPERIMENTS[cfg.experiment].build(cfg, seed)
+        objective, init = EXPERIMENTS[cfg.experiment].build(cfg, seed)
     except (ConfigError, ValueError) as exc:
         raise click.UsageError(str(exc))
+    if "gd" in cfg.baselines and objective.grad is None:
+        raise click.UsageError(
+            f"the gd baseline needs an analytic gradient, which the "
+            f"{cfg.experiment} objective does not have"
+        )
+    return objective, init
 
 
 def _format_float(value: float) -> str:
@@ -367,7 +368,7 @@ def _optimizer_summary(trace: RunTrace, csv_name: str, wall_ms: float) -> dict:
 
 def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
     """Execute one seed into out_dir; returns True when any optimizer aborted."""
-    objective, grad_objective, init_points = build_problem(cfg, seed)
+    objective, init_points = build_problem(cfg, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     bo_cfg = BoConfig(
         n_init=cfg.init,
@@ -386,13 +387,13 @@ def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
         "optimizers": {},
     }
     # The baselines start from x0, the best point of eBO's initial design.
-    optimizers = {"ebo": lambda: run(objective, bo_cfg)[2]}
+    optimizers = {"ebo": lambda: run(objective, bo_cfg)}
     if "gd" in cfg.baselines:
-        optimizers["gd"] = lambda: riemannian_gd(grad_objective, x0, max_iters=cfg.iters)[1]
+        optimizers["gd"] = lambda: riemannian_gd(objective, x0, max_iters=cfg.iters)
     if "nelder-mead" in cfg.baselines:
         optimizers["nelder_mead"] = lambda: nelder_mead(
             objective, x0, max_evals=cfg.init + cfg.iters
-        )[1]
+        )
     aborted = False
     x0 = None
     for name, optimize in optimizers.items():

@@ -17,6 +17,7 @@ independent ground-truth oracle:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import GradObjective
 from .bo import Objective
 from .manifolds import (
     InvalidInputError,
@@ -124,13 +124,11 @@ def frechet_objective(problem: FrechetProblem) -> Objective:
         fn=fn,
         oracle_point=oracle_point,
         oracle_value=oracle_value,
-        name="frechet-mean",
     )
 
 
-def frechet_grad_objective(problem: FrechetProblem) -> GradObjective:
+def frechet_grad_objective(problem: FrechetProblem) -> Objective:
     """Mean-distance objective with its analytic ambient gradient 2(x - mean)."""
-    base = frechet_objective(problem)
     kind = problem.kind
     mean_flat = _problem_embeddings(problem).mean(axis=0)
 
@@ -138,7 +136,7 @@ def frechet_grad_objective(problem: FrechetProblem) -> GradObjective:
         w = flatten_ambient(kind, embed(x))
         return unflatten_ambient(kind, 2.0 * (w - mean_flat))
 
-    return GradObjective(base=base, grad=grad)
+    return dataclasses.replace(frechet_objective(problem), grad=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,6 @@ def grassmann_objective(problem: GrassmannApproxProblem) -> Objective:
         fn=fn,
         oracle_point=oracle_point,
         oracle_value=oracle_value,
-        name="subspace-approx",
     )
 
 
@@ -352,5 +349,4 @@ def spd_regression_objective(problem: SpdRegressionProblem) -> Objective:
         fn=fn,
         oracle_point=oracle_point,
         oracle_value=fn(oracle_point),
-        name="spd-regression",
     )

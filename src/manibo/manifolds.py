@@ -14,13 +14,13 @@ steps are computed:
 Each kind is one class holding everything that differs between manifolds,
 behind the small protocol that ``ManifoldKind`` declares: the point check,
 embed / unembed, the stacked tangent projection and nearest-point
-projection onto the image, the chart check, random coordinates, and the
-flat layout.  Every step is that projection of the ambient step from an
-embedded row (``retract_embedded``), a retraction on every embedded
-submanifold (Absil & Malick, SIAM J. Optim. 2012).  Grassmann and Spd
-share the Sym(k) parts.  The free functions below are the public entry
-points; they validate their arguments and delegate to the kind.  Adding a
-manifold means adding one such class.
+projection onto the image (which also enforces the kind's chart), random
+coordinates, and the flat layout.  Every step is that projection of the
+ambient step from an embedded row (``retract_embedded``), a retraction on
+every embedded submanifold (Absil & Malick, SIAM J. Optim. 2012).
+Grassmann and Spd share the Sym(k) parts.  The free functions below are
+the public entry points; they validate their arguments and delegate to the
+kind.  Adding a manifold means adding one such class.
 
 Ambient values for the matrix manifolds are full symmetric matrices under
 the Frobenius inner product.  ``flatten_ambient`` / ``unflatten_ambient``
@@ -91,9 +91,8 @@ class ManifoldKind:
       nearest to v, which raises where that point is undefined or not
       unique;
     * ``tangent_project(e, g)`` and ``project(a)``, the image point nearest
-      to each finite ambient row of a, NaN where ``unembed`` would raise;
-    * ``within_chart(e)``, whether an embedded value lies where ``unembed``
-      accepts it;
+      to each finite ambient row of a, NaN where the nearest image point is
+      undefined, not unique, or outside the kind's chart;
     * ``flatten_rows(v)``, ``flatten_ambient`` without validation: one
       length-D row per ambient value, in C order (``einsum`` sums in memory
       order, so the layout decides a row's bits), and its inverse
@@ -103,14 +102,8 @@ class ManifoldKind:
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
-    bits do not depend on the other rows.  A kind overrides the default
-    below where its image has a chart bound.
+    bits do not depend on the other rows.
     """
-
-    def within_chart(self, e: np.ndarray) -> np.ndarray:
-        inside = np.empty(_batch_shape(self, e), dtype=bool)
-        inside.fill(True)  # np.ones minus its Python wrapper: called every ascent round
-        return inside
 
     def random_embedded(self, gen: np.random.Generator) -> np.ndarray:
         return self.embed(self.random_coords(gen))
@@ -329,11 +322,10 @@ class Spd(_SymKind):
         return _sym(g)
 
     def project(self, a):
-        """The image is all of Sym(p): symmetrization."""
-        return _sym(a)
-
-    def within_chart(self, e):
-        return ambient_norms(self, e) <= SPD_LOG_NORM_MAX
+        """The image is all of Sym(p): symmetrization, NaN past the chart."""
+        out = _sym(a)
+        out[~(ambient_norms(self, out) <= SPD_LOG_NORM_MAX)] = np.nan
+        return out
 
     def random_coords(self, gen):
         """The exponential of a symmetric Gaussian matrix."""
@@ -344,23 +336,21 @@ class Spd(_SymKind):
         than through ``embed`` (an ``eigh`` and a log) of its exponential
         (another ``eigh``); raises DomainError outside the chart."""
         e = _sym(gen.standard_normal((self.p, self.p)))
-        if not self.within_chart(e):
+        norm = float(ambient_norms(self, e))
+        if not norm <= SPD_LOG_NORM_MAX:
             raise DomainError(
-                f"log-coordinates of norm {float(ambient_norms(self, e)):g} lie "
-                f"outside the Spd chart (at most {SPD_LOG_NORM_MAX:g})"
+                f"log-coordinates of norm {norm:g} lie outside the Spd chart "
+                f"(at most {SPD_LOG_NORM_MAX:g})"
             )
         return e
-
-
-def _batch_shape(kind: ManifoldKind, a: np.ndarray) -> tuple[int, ...]:
-    return a.shape[: a.ndim - len(kind.ambient_shape)]
 
 
 def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
     """Euclidean (Frobenius) norm of each ambient value in a, which may
     carry leading batch axes.  Each norm is computed on its own row, so it
     does not depend on how many rows are stacked."""
-    flat = a.reshape(_batch_shape(kind, a) + (math.prod(kind.ambient_shape),))
+    batch_shape = a.shape[: a.ndim - len(kind.ambient_shape)]
+    flat = a.reshape(batch_shape + (math.prod(kind.ambient_shape),))
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
@@ -423,15 +413,17 @@ def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     (``kind.project``).
 
     Idempotent.  For Spd the embedded image is all of Sym(p), so this is
-    just symmetrization.  Where that point is undefined or not unique,
-    raises what ``unembed`` raises there: ``DegenerateProjectionError`` on
-    the sphere, ``AmbiguousSubspaceError`` on the Grassmannian.
+    just symmetrization.  Where that point is undefined, not unique or
+    outside the chart, raises what ``unembed`` raises there:
+    ``DegenerateProjectionError`` on the sphere, ``AmbiguousSubspaceError``
+    on the Grassmannian, ``DomainError`` for Spd, also for the log-norms
+    just past the chart that ``unembed`` scales back onto it.
     """
     v = _require_ambient(kind, v)
     out = kind.project(v[None])[0]
     if np.isnan(out.flat[0]):
         kind.unembed(v)
-        raise DegenerateProjectionError("no unique nearest point of the image")
+        raise DomainError(f"the nearest point of the image lies outside the {kind} chart")
     return out
 
 
@@ -459,9 +451,10 @@ def retract_embedded(
 
     e and v are stacked rows (``e[None]`` for one step), t a scalar or one
     step length per row; each row is retracted on its own, so its bits do
-    not depend on the other rows.  A row whose step is non-finite, or has
-    no unique nearest point, comes back all NaN (a non-finite row never
-    reaches ``kind.project``, where one NaN would fail a stacked ``eigh``).
+    not depend on the other rows.  A row whose step is non-finite, has no
+    unique nearest point or lies outside the chart comes back all NaN (a
+    non-finite row never reaches ``kind.project``, where one NaN would fail
+    a stacked ``eigh``).
     """
     e, v = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(v, dtype=float)
     t = np.asarray(t, dtype=float)

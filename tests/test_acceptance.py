@@ -78,8 +78,8 @@ def test_sphere_mean_ebo_reaches_oracle():
     """eBO localizes the closed-form sphere mean to 1e-2 in 25 iterations."""
     start = time.perf_counter()
     obj = frechet_objective(latitude_circle_problem(8, -0.5))
-    best, _, trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=0))
-    err = extrinsic_distance(best, obj.oracle_point)
+    trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=0))
+    err = extrinsic_distance(trace.final.best_point, obj.oracle_point)
     assert err <= 1e-2, f"final error {err:.3e} above 1e-2"
     assert trace.final.iteration <= 25
     assert time.perf_counter() - start < 30.0
@@ -104,9 +104,9 @@ def test_sphere_mean_ebo_vs_gradient_descent_precision():
     wins = 0
     details = []
     for seed in range(5):
-        _, _, trace = run(gobj.base, BoConfig(n_init=5, n_iters=25, seed=seed))
+        trace = run(gobj, BoConfig(n_init=5, n_iters=25, seed=seed))
         x0 = trace.records[0].best_point
-        _, gd_trace = riemannian_gd(gobj, x0, max_iters=25)
+        gd_trace = riemannian_gd(gobj, x0, max_iters=25)
         ebo_err = max(trace.final.err_to_oracle, 1e-300)
         gd_err = max(gd_trace.final.err_to_oracle, 1e-300)
         wins += math.log10(ebo_err) <= math.log10(gd_err)
@@ -192,11 +192,11 @@ def test_sphere_two_bumps_ebo_reaches_grid_optimum():
     for seed in range(5):
         evaluated.clear()
         obj = Objective(kind=Sphere(2), fn=fn, oracle_point=ManifoldPoint(Sphere(2), optimum))
-        best, _, trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=seed))
+        trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=seed))
         assert not trace.aborted
         slope = GpDataset.from_points(*zip(*evaluated)).trend[1:]
         trend_err = np.linalg.norm(-slope / np.linalg.norm(slope) - optimum)
-        err = np.linalg.norm(best.coords - optimum)
+        err = np.linalg.norm(trace.final.best_point.coords - optimum)
         details.append(f"seed {seed}: eBO {err:.2e}, prior mean {trend_err:.2e}")
         assert trend_err > 1e-2, details[-1]
         assert err <= 1e-3, "; ".join(details)
@@ -216,12 +216,12 @@ def test_grassmann_ebo_within_5pct_and_faster_than_nelder_mead():
         problem = random_approx_problem(3, 6, 2, seed=seed)
         obj = grassmann_objective(problem)
         threshold = 1.05 * obj.oracle_value
-        _, _, trace = run(obj, BoConfig(n_init=6, n_iters=30, seed=seed))
+        trace = run(obj, BoConfig(n_init=6, n_iters=30, seed=seed))
         ebo_evals = next(
             (r.n_evals for r in trace.records if r.best_value <= threshold), None
         )
         x0 = trace.records[0].best_point
-        _, nm_trace = nelder_mead(obj, x0, max_evals=200)
+        nm_trace = nelder_mead(obj, x0, max_evals=200)
         nm_evals = next(
             (r.n_evals for r in nm_trace.records if r.best_value <= threshold), None
         )
@@ -266,11 +266,11 @@ def test_spd_regression_recovers_weighted_mean():
         problem = dataclasses.replace(base, query=query)
         obj = spd_regression_objective(problem)
         init = response_design(problem, 8, seed=7)
-        best, _, trace = run(
+        trace = run(
             obj, BoConfig(n_init=8, n_iters=30, seed=7, init_points=init)
         )
         oracle = weighted_mean_oracle(problem)
-        dist = extrinsic_distance(best, oracle)
+        dist = extrinsic_distance(trace.final.best_point, oracle)
         assert dist <= 1e-2, f"query {query}: distance {dist:.3e} above 1e-2"
         assert trace.final.iteration <= 30
     assert time.perf_counter() - start < 120.0

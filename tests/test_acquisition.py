@@ -40,7 +40,9 @@ from manibo.acquisition import (
 )
 from manibo.egp import posterior, posterior_rows
 from manibo.manifolds import (
+    SPD_LOG_NORM_MAX,
     AmbiguousSubspaceError,
+    DomainError,
     ManifoldError,
     _sym,
     ambient_norms,
@@ -335,7 +337,7 @@ def _reference_draw(kind, rng):
     ``random_point`` exponentiates, kept only inside the chart."""
     if isinstance(kind, Spd):
         e = _sym(rng.standard_normal(kind.ambient_shape))
-        if not kind.within_chart(e[None])[0]:
+        if not np.linalg.norm(e) <= SPD_LOG_NORM_MAX:
             raise ManifoldError("outside the chart")
         return e
     return embed(random_point(kind, rng))
@@ -453,8 +455,8 @@ class TestMaximize:
         [
             # The best-valued row lies outside the trust radius: the next wins.
             (0.5, [0.0, 0.75, 0.25], [-3.0, -1.0, -2.0], 2),
-            # The best-valued row lies outside the chart: the next wins.
-            (math.inf, [0.0, 25.0, 0.25], [-3.0, -1.0, -2.0], 2),
+            # At an infinite radius every row ranks: the farthest wins.
+            (math.inf, [0.0, 0.25, 2.0], [-3.0, -2.0, -1.0], 2),
             # Row 0, the incumbent's, is eligible wherever it lies.
             (0.5, [0.75, 0.0, 0.25], [-1.0, -3.0, -2.0], 0),
         ],
@@ -503,8 +505,9 @@ class TestMaximize:
     def test_pulled_start_outside_the_chart_is_never_returned(self, monkeypatch):
         # The incumbent lies at log-norm 9.5 and every random start at 20
         # along the same axis; the pull at radius 1 leaves each at 10.5,
-        # outside the chart.  The start is kept, and ranks best, but
-        # maximize returns the incumbent's row.
+        # outside the chart.  Its projection is NaN, so the start is
+        # skipped, as a Grassmann start with tied eigenvalues is, and only
+        # the incumbent ascends.
         kind = Spd(2)
         logs = [np.diag([9.5, 0.0]), np.diag([9.0, 0.5]), np.diag([9.2, -0.3])]
         points = [unembed(kind, v) for v in logs]
@@ -513,21 +516,18 @@ class TestMaximize:
         state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
         far = np.diag([20.0, 0.0])
         monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
+        with pytest.raises(DomainError, match="chart"):
+            _random_start(state, np.random.default_rng(0))
         seen = []
 
-        def fake(state, starts):
-            seen.append(np.array(starts))
-            return starts.copy(), np.arange(len(starts), dtype=float)
+        def spy(state, e):
+            seen.append(np.array(e))
+            return ascend(state, e)
 
-        monkeypatch.setattr(acquisition, "ascend", fake)
+        monkeypatch.setattr(acquisition, "ascend", spy)
         result = maximize(state, 0)
-        starts = seen[-1]
-        assert len(starts) == ASCENT_STARTS
-        assert not kind.within_chart(starts[1:]).any()
-        np.testing.assert_array_equal(result.coords, unembed(kind, starts[0]).coords)
-        # With the real ascent, the proposal lies in the chart too.
-        monkeypatch.setattr(acquisition, "ascend", ascend)
-        assert kind.within_chart(embed(maximize(state, 0))[None])[0]
+        np.testing.assert_array_equal(seen[-1], embed(points[0])[None])
+        assert ambient_norms(kind, embed(result)) <= SPD_LOG_NORM_MAX
 
 
 class TestTrustAndExploit:
@@ -552,9 +552,11 @@ class TestTrustAndExploit:
         assert mean_x <= min(probes) + 1e-6
 
 
-def _reference_ascend(state, e):
+def _reference_ascend(state, e, retract=retract_embedded):
     """The ascent of one embedded start, step by step: the rules ``ascend``
-    applies to every row, written as a plain loop over 1-row evaluations."""
+    applies to every row, written as a plain loop over 1-row evaluations.
+    A NaN trial (no nearest image point, or outside the chart) lies within
+    no trust radius, so it is rejected like any other."""
     kind = state.model.data.kind
     w = flatten_ambient(kind, e)
     acq = _ascent_value(state, _at(state, w))[0][0]
@@ -569,14 +571,13 @@ def _reference_ascend(state, e):
         for _ in range(MAX_BACKTRACKS + 1):
             if step * speed < DEDUP_TOL:  # the displacement floor
                 break
-            e_cand = retract_embedded(kind, e[None], tangent[None], step)[0]
-            if kind.within_chart(e_cand):
-                w_cand = flatten_ambient(kind, e_cand)
-                if _within_trust(state, w_cand[None])[0]:
-                    acq_cand = _ascent_value(state, _at(state, w_cand))[0][0]
-                    if acq_cand >= acq:
-                        accepted = True
-                        break
+            e_cand = retract(kind, e[None], tangent[None], step)[0]
+            w_cand = kind.flatten_rows(e_cand)
+            if _within_trust(state, w_cand[None])[0]:
+                acq_cand = _ascent_value(state, _at(state, w_cand))[0][0]
+                if acq_cand >= acq:
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted or acq_cand == acq:
             break
@@ -706,17 +707,21 @@ class TestBatchedAscent:
                 return out
             return retract_failing
 
-        # (failing start, only its halvings fail, whether the row fails)
-        for row, halvings_only, fails in [(2, False, True), (5, True, True), (4, True, False)]:
-            monkeypatch.setattr(
-                acquisition, "retract_embedded", failing(starts[row], halvings_only)
-            )
+        # (failing start, only its halvings fail, whether the row stays put)
+        for row, halvings_only, stays in [(2, False, True), (5, True, True), (4, True, False)]:
+            retract_failing = failing(starts[row], halvings_only)
+            monkeypatch.setattr(acquisition, "retract_embedded", retract_failing)
             e, acq = ascend(state, starts)
-            # A halving that fails after an accepted first trial is never
+            # A failed trial is rejected and halved like any other: the row
+            # is the reference ascent through the same retraction, and a
+            # halving that fails after an accepted first trial is never
             # reached, so it changes nothing.
-            assert (acq[row] == -np.inf) == fails
+            reference, reference_acq = _reference_ascend(state, starts[row], retract_failing)
+            np.testing.assert_array_equal(e[row], reference)
+            assert acq[row] == reference_acq
+            assert np.array_equal(e[row], starts[row]) == stays
             for other in range(len(starts)):
-                if other != row or not fails:
+                if other != row or not stays:
                     np.testing.assert_array_equal(e[other], clean_e[other])
                     assert acq[other] == clean_acq[other]
 
@@ -868,10 +873,14 @@ class TestBatchedAscent:
     def test_every_row_failing_raises(self, monkeypatch, rng):
         kind = Grassmann(2, 3)
         state = _state(kind, 6, rng)
-        # No eigenvalue gap is wide enough: every retraction is ambiguous.
+        # No eigenvalue gap is wide enough: every retraction is ambiguous,
+        # so every trial is rejected and every row stays at its start.
         monkeypatch.setattr(manifolds, "EIGENGAP_TOL", math.inf)
-        with pytest.raises(AmbiguousSubspaceError):
-            ascend(state, np.stack([embed(random_point(kind, rng)) for _ in range(3)]))
+        starts = np.stack([embed(random_point(kind, rng)) for _ in range(3)])
+        e, acq = ascend(state, starts)
+        np.testing.assert_array_equal(e, starts)
+        assert np.all(np.isfinite(acq))
+        # maximize cannot unembed the winner.
         with pytest.raises(ManifoldError):
             maximize(state, 1)
 

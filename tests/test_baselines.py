@@ -6,7 +6,6 @@ import pytest
 
 from manibo import (
     FrechetProblem,
-    GradObjective,
     InvalidInputError,
     ManifoldPoint,
     Objective,
@@ -25,6 +24,7 @@ from manibo import (
     unembed,
     unflatten_ambient,
 )
+from manibo import baselines
 from manibo.baselines import GD_MAX_BACKTRACKS, GD_STEP
 from manibo.manifolds import retract_embedded
 
@@ -48,7 +48,7 @@ class TestGradientObjective:
         # The tangential part of the supplied gradient must match central
         # differences of the retraction-composed objective.
         gobj = frechet_grad_objective(latitude_circle_problem())
-        kind = gobj.base.kind
+        kind = gobj.kind
         h = 1e-5
         for _ in range(10):
             x = random_point(kind, rng)
@@ -59,8 +59,8 @@ class TestGradientObjective:
                 up[j] += h
                 down[j] -= h
                 fd[j] = (
-                    gobj.base.fn(unembed(kind, unflatten_ambient(kind, up)))
-                    - gobj.base.fn(unembed(kind, unflatten_ambient(kind, down)))
+                    gobj.fn(unembed(kind, unflatten_ambient(kind, up)))
+                    - gobj.fn(unembed(kind, unflatten_ambient(kind, down)))
                 ) / (2.0 * h)
             tangential = project_to_tangent(x, gobj.grad(x))
             scale = max(np.linalg.norm(tangential), 1e-8)
@@ -71,16 +71,17 @@ class TestRiemannianGd:
     def test_starts_at_minimizer_returns_immediately(self):
         gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
         south = ManifoldPoint(Sphere(2), [0.0, 0.0, -1.0])
-        result, trace = riemannian_gd(gobj, south)
-        np.testing.assert_array_equal(result.coords, south.coords)
+        trace = riemannian_gd(gobj, south)
+        np.testing.assert_array_equal(trace.final.best_point.coords, south.coords)
         assert len(trace.records) == 1
 
-    def test_converges_to_south_pole(self):
+    def test_converges_to_south_pole(self, monkeypatch):
+        monkeypatch.setattr(baselines, "GD_TOL", 1e-10)
         gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
         south = ManifoldPoint(Sphere(2), [0.0, 0.0, -1.0])
         x0 = random_point(Sphere(2), 77)
-        result, trace = riemannian_gd(gobj, x0, max_iters=100, tol=1e-10)
-        assert extrinsic_distance(result, south) < 1e-6
+        trace = riemannian_gd(gobj, x0, max_iters=100)
+        assert extrinsic_distance(trace.final.best_point, south) < 1e-6
         assert trace.final.iteration <= 100
 
     def test_each_iterate_is_the_shared_one_row_step(self):
@@ -92,23 +93,22 @@ class TestRiemannianGd:
         kind = Sphere(2)
         cloud = FrechetProblem(tuple(random_point(kind, seed) for seed in range(6)))
         frechet = frechet_grad_objective(cloud)
-        gobj = GradObjective(
-            base=dataclasses.replace(frechet.base, fn=lambda x: 8.0 * frechet.base.fn(x)),
-            grad=lambda x: 8.0 * frechet.grad(x),
+        gobj = dataclasses.replace(
+            frechet, fn=lambda x: 8.0 * frechet.fn(x), grad=lambda x: 8.0 * frechet.grad(x)
         )
         x = random_point(kind, 7)
-        f = gobj.base.fn(x)
-        _, trace = riemannian_gd(gobj, x, max_iters=40)
+        f = gobj.fn(x)
+        trace = riemannian_gd(gobj, x, max_iters=40)
         n_evals, halvings = 1, 0
         for record in trace.records[1:]:
             e, tangent = embed(x), project_to_tangent(x, gobj.grad(x))
             for j in range(GD_MAX_BACKTRACKS + 1):
                 row = retract_embedded(kind, e[None], -tangent[None], GD_STEP * 0.5**j)[0]
                 x_next = unembed(kind, row)
-                if gobj.base.fn(x_next) < f:
+                if gobj.fn(x_next) < f:
                     break
             n_evals, halvings = n_evals + j + 1, halvings + j
-            x, f = x_next, gobj.base.fn(x_next)
+            x, f = x_next, gobj.fn(x_next)
             assert record.point.coords.tobytes() == x.coords.tobytes()
             assert (record.value, record.n_evals) == (f, n_evals)
         assert len(trace.records) > 2 and halvings > 0
@@ -116,17 +116,23 @@ class TestRiemannianGd:
     def test_trace_nonincreasing(self, rng):
         gobj = frechet_grad_objective(latitude_circle_problem())
         x0 = random_point(Sphere(2), rng)
-        _, trace = riemannian_gd(gobj, x0, max_iters=50)
+        trace = riemannian_gd(gobj, x0, max_iters=50)
         values = [rec.value for rec in trace.records]
         assert all(b < a or (a == b and i == 0) for i, (a, b) in enumerate(zip(values, values[1:])))
 
     def test_evaluates_only_manifold_points(self, rng):
         problem = latitude_circle_problem()
         gobj = frechet_grad_objective(problem)
-        kind = gobj.base.kind
-        checked = Objective(kind=kind, fn=_assert_valid(kind)(gobj.base.fn))
-        wrapped = GradObjective(base=checked, grad=gobj.grad)
-        riemannian_gd(wrapped, random_point(kind, rng), max_iters=20)
+        kind = gobj.kind
+        checked = dataclasses.replace(gobj, fn=_assert_valid(kind)(gobj.fn))
+        riemannian_gd(checked, random_point(kind, rng), max_iters=20)
+
+    def test_rejects_objective_without_gradient(self, rng):
+        calls = []
+        obj = Objective(kind=Sphere(2), fn=lambda x: calls.append(x) or 0.0)
+        with pytest.raises(InvalidInputError, match="gradient"):
+            riemannian_gd(obj, random_point(obj.kind, rng))
+        assert calls == []
 
 
 class TestNelderMead:
@@ -147,8 +153,8 @@ class TestNelderMead:
 
         obj = Objective(kind=kind, fn=fn)
         x0 = ManifoldPoint(kind, [1.0, 0.0])
-        result, trace = nelder_mead(obj, x0, max_evals=500)
-        assert np.linalg.norm(result.coords - oracle_point) < 1e-4
+        trace = nelder_mead(obj, x0, max_evals=500)
+        assert np.linalg.norm(trace.final.best_point.coords - oracle_point) < 1e-4
         assert trace.final.best_value - float(np.sum((oracle_point - target) ** 2)) < 1e-4
 
     def test_grassmann_reaches_svd_level(self):
@@ -159,21 +165,21 @@ class TestNelderMead:
         rng = np.random.default_rng(0)
         design = [random_point(obj.kind, rng) for _ in range(6)]
         x0 = min(design, key=obj.fn)
-        _, trace = nelder_mead(obj, x0, max_evals=60)
+        trace = nelder_mead(obj, x0, max_evals=60)
         assert trace.final.best_value <= 1.05 * obj.oracle_value
 
     def test_constant_objective_exhausts_budget(self, rng):
         kind = Sphere(2)
         obj = Objective(kind=kind, fn=lambda x: 2.0)
         x0 = random_point(kind, rng)
-        result, trace = nelder_mead(obj, x0, max_evals=40)
+        trace = nelder_mead(obj, x0, max_evals=40)
         assert trace.final.n_evals == 40
-        np.testing.assert_allclose(result.coords, x0.coords, atol=1e-12)
+        np.testing.assert_allclose(trace.final.best_point.coords, x0.coords, atol=1e-12)
 
     def test_incumbent_nonincreasing(self, rng):
         obj = grassmann_objective(random_approx_problem(3, 6, 2, seed=1))
         x0 = random_point(obj.kind, rng)
-        _, trace = nelder_mead(obj, x0, max_evals=80)
+        trace = nelder_mead(obj, x0, max_evals=80)
         best = [rec.best_value for rec in trace.records]
         assert all(b <= a for a, b in zip(best, best[1:]))
 
@@ -183,14 +189,15 @@ class TestNelderMead:
         checked = Objective(kind=obj.kind, fn=_assert_valid(obj.kind)(obj.fn))
         nelder_mead(checked, random_point(obj.kind, rng), max_evals=50)
 
-    def test_stops_on_simplex_collapse(self):
-        # A smooth strictly convex objective shrinks the simplex below tol
-        # well before a generous budget.
+    def test_stops_on_simplex_collapse(self, monkeypatch):
+        # A smooth strictly convex objective shrinks the simplex below its
+        # tolerance well before a generous budget.
+        monkeypatch.setattr(baselines, "NM_TOL", 1e-6)
         kind = Sphere(1)
         target = np.array([1.0, 0.0])
         obj = Objective(kind=kind, fn=lambda x: float(np.sum((x.coords - target) ** 2)))
         x0 = ManifoldPoint(kind, [0.0, 1.0])
-        _, trace = nelder_mead(obj, x0, max_evals=100000, tol=1e-6)
+        trace = nelder_mead(obj, x0, max_evals=100000)
         assert trace.final.n_evals < 100000
 
     @pytest.mark.parametrize("max_evals", [0, -3])
@@ -210,7 +217,7 @@ class TestNelderMead:
             raise InvalidInputError("outside the objective's domain")
 
         x0 = random_point(kind, rng)
-        result, trace = nelder_mead(Objective(kind=kind, fn=failing), x0, max_evals=2)
-        assert result is x0
+        trace = nelder_mead(Objective(kind=kind, fn=failing), x0, max_evals=2)
+        assert trace.final.best_point is x0
         assert [rec.best_point for rec in trace.records] == [x0, x0]
         assert all(rec.value == math.inf for rec in trace.records)

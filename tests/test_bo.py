@@ -55,31 +55,31 @@ class TestRun:
         obj = frechet_objective(latitude_circle_problem())
         counted, calls = _counting(obj.fn)
         counted_obj = Objective(kind=KIND, fn=counted)
-        best, value, trace = run(counted_obj, BoConfig(n_init=7, n_iters=0, seed=4))
+        trace = run(counted_obj, BoConfig(n_init=7, n_iters=0, seed=4))
         assert len(calls) == 7
-        assert value == min(v for _, v in calls)
+        assert trace.final.best_value == min(v for _, v in calls)
         assert len(trace.records) == 1
         assert trace.records[0].iteration == 0
 
     def test_constant_objective(self):
         obj = Objective(kind=KIND, fn=lambda x: 3.25)
-        best, value, trace = run(obj, BoConfig(n_init=3, n_iters=5, seed=0))
-        assert value == 3.25
+        trace = run(obj, BoConfig(n_init=3, n_iters=5, seed=0))
+        assert trace.final.best_value == 3.25
         assert all(rec.best_value == 3.25 for rec in trace.records)
 
     def test_sphere_mean_recovery(self):
         # End-to-end: the optimizer localizes the closed-form minimizer.
         obj = frechet_objective(latitude_circle_problem(8, -0.5))
-        best, value, trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=0))
-        assert extrinsic_distance(best, obj.oracle_point) <= 1e-2
+        trace = run(obj, BoConfig(n_init=5, n_iters=25, seed=0))
+        assert extrinsic_distance(trace.final.best_point, obj.oracle_point) <= 1e-2
 
     def test_incumbent_is_running_minimum(self):
         obj = frechet_objective(latitude_circle_problem())
         counted, calls = _counting(obj.fn)
         counted_obj = Objective(kind=KIND, fn=counted)
-        _, value, trace = run(counted_obj, BoConfig(n_init=4, n_iters=8, seed=2))
+        trace = run(counted_obj, BoConfig(n_init=4, n_iters=8, seed=2))
         values = [v for _, v in calls]
-        assert value == min(values)
+        assert trace.final.best_value == min(values)
         best_so_far = np.minimum.accumulate(
             [min(values[:4])] + values[4:]
         )
@@ -89,17 +89,18 @@ class TestRun:
         obj = frechet_objective(latitude_circle_problem())
         counted, calls = _counting(obj.fn)
         counted_obj = Objective(kind=KIND, fn=counted)
-        _, _, trace = run(counted_obj, BoConfig(n_init=4, n_iters=6, seed=1))
+        trace = run(counted_obj, BoConfig(n_init=4, n_iters=6, seed=1))
         assert len(calls) == 10
         assert trace.final.n_evals == 10
 
     def test_bit_reproducible(self):
         obj = frechet_objective(latitude_circle_problem())
         cfg = BoConfig(n_init=4, n_iters=6, seed=11)
-        best_a, value_a, trace_a = run(obj, cfg)
-        best_b, value_b, trace_b = run(obj, cfg)
-        assert value_a == value_b
-        np.testing.assert_array_equal(best_a.coords, best_b.coords)
+        trace_a, trace_b = run(obj, cfg), run(obj, cfg)
+        assert trace_a.final.best_value == trace_b.final.best_value
+        np.testing.assert_array_equal(
+            trace_a.final.best_point.coords, trace_b.final.best_point.coords
+        )
         for rec_a, rec_b in zip(trace_a.records, trace_b.records):
             assert rec_a.value == rec_b.value
             assert rec_a.best_value == rec_b.best_value
@@ -107,23 +108,23 @@ class TestRun:
 
     def test_proposals_on_manifold(self):
         obj = frechet_objective(latitude_circle_problem())
-        _, _, trace = run(obj, BoConfig(n_init=3, n_iters=6, seed=5))
+        trace = run(obj, BoConfig(n_init=3, n_iters=6, seed=5))
         for rec in trace.records:
             assert abs(np.linalg.norm(rec.point.coords) - 1.0) < 1e-10
 
     def test_oracle_errors_recorded(self):
         obj = frechet_objective(latitude_circle_problem())
-        _, _, trace = run(obj, BoConfig(n_init=3, n_iters=3, seed=6))
+        trace = run(obj, BoConfig(n_init=3, n_iters=3, seed=6))
         assert all(rec.err_to_oracle is not None for rec in trace.records)
         no_oracle = Objective(kind=KIND, fn=obj.fn)
-        _, _, trace = run(no_oracle, BoConfig(n_init=3, n_iters=3, seed=6))
+        trace = run(no_oracle, BoConfig(n_init=3, n_iters=3, seed=6))
         assert all(rec.err_to_oracle is None for rec in trace.records)
 
     def test_init_points_override(self):
         problem = latitude_circle_problem()
         obj = frechet_objective(problem)
         init = problem.data[:4]
-        _, _, trace = run(obj, BoConfig(n_init=4, n_iters=2, seed=0, init_points=init))
+        trace = run(obj, BoConfig(n_init=4, n_iters=2, seed=0, init_points=init))
         assert trace.records[0].n_evals == 4
         first_best = min(obj.fn(p) for p in init)
         assert trace.records[0].best_value == first_best
@@ -139,10 +140,10 @@ class TestAbort:
             return np.nan if calls["n"] == 6 else base(x)
 
         obj = Objective(kind=KIND, fn=flaky)
-        best, value, trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
+        trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
         assert trace.aborted
         assert "non-finite" in trace.abort_reason
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
         assert len(trace.records) >= 1
 
     def test_manifold_error_mid_run_aborts_with_trace(self):
@@ -156,12 +157,12 @@ class TestAbort:
             return base(x)
 
         obj = Objective(kind=KIND, fn=fragile)
-        best, value, trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
+        trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
         assert trace.aborted
         assert "DomainError" in trace.abort_reason
         assert "iteration 3" in trace.abort_reason
         assert len(trace.records) == 3
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_objective_exception_mid_run_aborts_with_trace(self):
         calls = {"n": 0}
@@ -175,12 +176,12 @@ class TestAbort:
             return base(x)
 
         obj = Objective(kind=KIND, fn=broken)
-        best, value, trace = run(obj, BoConfig(n_init=n_init, n_iters=10, seed=3))
+        trace = run(obj, BoConfig(n_init=n_init, n_iters=10, seed=3))
         assert trace.aborted
         assert "iteration 3" in trace.abort_reason
         assert "RuntimeError: simulator crashed" in trace.abort_reason
         assert [r.iteration for r in trace.records] == [0, 1, 2]
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_proposal_exception_mid_run_aborts_with_trace(self, monkeypatch):
         # Not a ManifoldError: any exception from the proposal phase keeps
@@ -196,14 +197,14 @@ class TestAbort:
 
         monkeypatch.setattr(bo, "maximize", failing_third)
         obj = frechet_objective(latitude_circle_problem())
-        _, value, trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
+        trace = run(obj, BoConfig(n_init=4, n_iters=10, seed=3))
         assert trace.aborted
         assert trace.abort_reason == (
             "proposal failed at iteration 3: LinAlgError: Eigenvalues did not converge"
         )
         assert [r.iteration for r in trace.records] == [0, 1, 2]
         assert trace.final.n_evals == 6
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_failed_refit_aborts_with_trace(self):
         # An overflowing value is finite, but its variance is not: the refit
@@ -217,7 +218,7 @@ class TestAbort:
 
         obj = Objective(kind=KIND, fn=overflowing)
         with np.errstate(over="ignore"):
-            best, value, trace = run(
+            trace = run(
                 obj, BoConfig(n_init=5, n_iters=8, refit_every=1, seed=0)
             )
         assert trace.aborted
@@ -226,7 +227,7 @@ class TestAbort:
         assert [r.iteration for r in trace.records] == [0, 1, 2, 3]
         assert trace.final.value == 1e200
         assert trace.final.n_evals == 8
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_failed_trend_fit_aborts_with_trace(self, monkeypatch):
         # Sphere(2) fits its affine prior mean from 12 data: after iteration
@@ -236,12 +237,12 @@ class TestAbort:
 
         monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
         obj = frechet_objective(latitude_circle_problem())
-        _, value, trace = run(obj, BoConfig(n_init=4, n_iters=12, seed=3))
+        trace = run(obj, BoConfig(n_init=4, n_iters=12, seed=3))
         assert trace.aborted
         assert trace.abort_reason.startswith("proposal failed at iteration 9: LinAlgError")
         assert [r.iteration for r in trace.records] == list(range(9))
         assert trace.final.n_evals == 12
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_failed_initial_fit_aborts_with_trace(self):
         calls = {"n": 0}
@@ -252,11 +253,11 @@ class TestAbort:
 
         obj = Objective(kind=KIND, fn=overflowing)
         with np.errstate(over="ignore"):
-            _, value, trace = run(obj, BoConfig(n_init=3, n_iters=4, seed=0))
+            trace = run(obj, BoConfig(n_init=3, n_iters=4, seed=0))
         assert trace.aborted
         assert "iteration 0" in trace.abort_reason
         assert [r.iteration for r in trace.records] == [0]
-        assert value == 0.0
+        assert trace.final.best_value == 0.0
 
     @pytest.mark.parametrize("failure", ["nan", "raise"])
     def test_init_failure_aborts_with_trace(self, failure):
@@ -274,7 +275,7 @@ class TestAbort:
             return base(x)
 
         obj = Objective(kind=KIND, fn=failing_third)
-        _, value, trace = run(obj, BoConfig(n_init=5, n_iters=4, seed=0))
+        trace = run(obj, BoConfig(n_init=5, n_iters=4, seed=0))
         assert trace.aborted
         assert trace.abort_reason == {
             "nan": "objective returned non-finite value nan during init",
@@ -282,7 +283,7 @@ class TestAbort:
         }[failure]
         assert [r.iteration for r in trace.records] == [0]
         assert trace.final.n_evals == 2
-        assert np.isfinite(value)
+        assert np.isfinite(trace.final.best_value)
 
     def test_exception_on_first_evaluation_raises(self):
         def broken(x):
@@ -488,7 +489,8 @@ class TestDedupOnRows:
             reference = _reference_proposal_dedup(data, x, np.random.default_rng(seed), 50.0)
             assert moved.coords.tobytes() == reference.coords.tobytes()
             assert ambient_norms(kind, embed(moved)) <= SPD_LOG_NORM_MAX + SPD_CHART_SLACK
-        off_chart = sum(int(ambient_norms(kind, row[0]) > SPD_LOG_NORM_MAX) for row in steps)
+        # Spd's projection is NaN past the chart, and nowhere else.
+        off_chart = sum(int(np.isnan(row[0]).all()) for row in steps)
         assert 0 < off_chart < len(steps)
 
 
@@ -503,23 +505,38 @@ class TestRefitSchedule:
 
         monkeypatch.setattr(bo, "fit_hyperparams", counting)
         obj = frechet_objective(latitude_circle_problem())
-        _, _, trace = run(obj, BoConfig(n_init=4, n_iters=10, refit_every=5, seed=0))
+        trace = run(obj, BoConfig(n_init=4, n_iters=10, refit_every=5, seed=0))
         assert len(trace.records) == 11
         assert fits == [4, 9]  # the initial design, and after iteration 5
 
 
 class TestRunTrace:
     def test_record_measures_the_incumbent_against_the_oracle(self, rng):
-        x, best, oracle = (random_point(KIND, rng) for _ in range(3))
-        trace = bo.RunTrace()
-        trace.record(Objective(kind=KIND, fn=float), 0, x, 2.0, best, 1.0, 4, 0.0)
-        with_oracle = Objective(kind=KIND, fn=float, oracle_point=oracle)
-        trace.record(with_oracle, 1, x, 2.0, best, 1.0, 5, 0.0)
+        x, y, oracle = (random_point(KIND, rng) for _ in range(3))
+        trace = bo.RunTrace(Objective(kind=KIND, fn=float))
+        trace.record(0, x, 2.0, 4, 0.0)
+        assert trace.final.err_to_oracle is None
+        trace = bo.RunTrace(Objective(kind=KIND, fn=float, oracle_point=oracle))
+        trace.record(0, x, 2.0, 4, 0.0)
+        trace.record(1, y, 3.0, 5, 0.0)
         first, second = trace.records
-        assert (first.iteration, first.point, first.value) == (0, x, 2.0)
-        assert (first.best_point, first.best_value, first.n_evals) == (best, 1.0, 4)
-        assert first.err_to_oracle is None
-        assert second.err_to_oracle == extrinsic_distance(best, oracle)
+        assert (first.iteration, first.point, first.value, first.n_evals) == (0, x, 2.0, 4)
+        assert (second.iteration, second.point, second.value, second.n_evals) == (1, y, 3.0, 5)
+        assert (second.best_point, second.best_value) == (x, 2.0)
+        assert second.err_to_oracle == extrinsic_distance(x, oracle)
+
+    def test_incumbent_is_first_point_then_strictly_lower_ones(self, rng):
+        # The first record's point is the incumbent whatever its value, inf
+        # included; a later point replaces it only with a strictly lower
+        # value, so a tie keeps the earlier point.
+        points = [random_point(KIND, rng) for _ in range(5)]
+        values = [math.inf, 2.0, 2.0, 3.0, 1.0]
+        trace = bo.RunTrace(Objective(kind=KIND, fn=float))
+        for i, (point, value) in enumerate(zip(points, values)):
+            trace.record(i, point, value, i + 1, 0.0)
+        incumbents = [points[0], points[1], points[1], points[1], points[4]]
+        assert [rec.best_point for rec in trace.records] == incumbents
+        assert [rec.best_value for rec in trace.records] == [math.inf, 2.0, 2.0, 2.0, 1.0]
 
 
 class TestConfigValidation:

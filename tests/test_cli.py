@@ -196,17 +196,23 @@ class TestRun:
         assert summary["optimizers"]["ebo"]["aborted"]
 
     def test_gd_rejected_off_sphere(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            [
-                "run",
-                "--experiment", "grassmann-approx",
-                "--seed", "1",
-                "--baselines", "gd",
-                "--out", str(tmp_path),
-            ],
-        )
-        assert result.exit_code == 2
+        # Only the sphere's objective carries a gradient; both commands
+        # reject gd for the others before running anything.
+        for command in ("run", "validate"):
+            for experiment in ("grassmann-approx", "spd-regression"):
+                result = runner.invoke(
+                    main,
+                    [
+                        command,
+                        "--experiment", experiment,
+                        "--seed", "1",
+                        "--baselines", "gd",
+                        "--out", str(tmp_path),
+                    ],
+                )
+                assert result.exit_code == 2
+                assert "needs an analytic gradient" in result.output
+        assert not any(tmp_path.iterdir())
 
 
 class TestValidate:

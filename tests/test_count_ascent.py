@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "count_ascent.py"
 
@@ -43,22 +45,28 @@ def test_counts_rounds_and_rows_per_kind():
             self.exploit = exploit
 
     class Acquisition:
+        # Each round stacks (rows, of which NaN) trial rows; the fake
+        # retraction returns the NaN ones first, as 2 x 2 rows.
         def ascend(self, state, e):
-            for rows in e:
-                self.retract_embedded(None, [0] * rows, None, None)
+            for rows, nan in e:
+                self.retract_embedded(None, np.zeros((rows, 2, 2)), None, nan)
             return e
 
         def retract_embedded(self, kind, e, v, t):
-            return e
+            out = e.copy()
+            out[:t] = np.nan
+            return out
 
     module = Acquisition()
     counter = tool.AscentCounter(module)
     with counter.installed():
-        module.ascend(State(False), [4, 2])
-        module.ascend(State(True), [3])
-        module.ascend(State(True), [1, 1, 1])
+        module.ascend(State(False), [(4, 1), (2, 0)])
+        module.ascend(State(True), [(3, 3)])
+        module.ascend(State(True), [(1, 0), (1, 1), (1, 0)])
         # A retraction outside an ascend call is not counted.
-        module.retract_embedded(None, [0] * 9, None, None)
+        module.retract_embedded(None, np.zeros((9, 2, 2)), None, 9)
     assert module.ascend.__func__ is Acquisition.ascend  # restored
     assert counter.rounds == {"PI": [2], "exploit": [1, 3]}
     assert counter.rows == {"PI": 6, "exploit": 6}
+    assert counter.nan_rows == {"PI": 1, "exploit": 4}
+    assert tool.table_lines({"w": counter})[2].endswith("| 1 + 4 = 5 |")

@@ -24,6 +24,7 @@ from manibo import (
     unflatten_ambient,
 )
 from manibo.manifolds import (
+    SPD_CHART_SLACK,
     SPD_LOG_NORM_MAX,
     retract_embedded,
     tangent_project_embedded,
@@ -137,14 +138,14 @@ class TestSpdChart:
         kind = Spd(3)
         for _ in range(100):
             v = self._log_coords(rng, rng.uniform(0.9, 1.0) * SPD_LOG_NORM_MAX)
-            assert kind.within_chart(v)
+            np.testing.assert_array_equal(project_to_image(kind, v), v)
             assert np.linalg.norm(embed(unembed(kind, v)) - v) <= 1e-8
 
     def test_unembed_rejects_beyond_the_bound(self, rng):
         kind = Spd(3)
         for norm in (1.01 * SPD_LOG_NORM_MAX, 20.0, 30.0, 800.0):
             v = self._log_coords(rng, norm)
-            assert not kind.within_chart(v)
+            assert np.isnan(kind.project(v[None])).all()
             with pytest.raises(DomainError):
                 unembed(kind, v)
 
@@ -173,15 +174,35 @@ class TestSpdChart:
         kind = Spd(3)
         for _ in range(200):
             v = self._log_coords(rng, SPD_LOG_NORM_MAX)
-            if not kind.within_chart(v):
+            if np.isnan(kind.project(v[None])).any():
                 continue
             x = unembed(kind, v)
             again = unembed(kind, embed(x))
             assert np.linalg.norm(embed(again) - v) <= 1e-7
 
     def test_compact_kinds_always_in_chart(self, rng):
+        # Far from the image, the compact kinds still have a nearest point.
         for kind in (Sphere(2), Grassmann(2, 3)):
-            assert kind.within_chart(1e6 * np.ones(kind.ambient_shape))
+            v = 1e6 * rng.standard_normal(kind.ambient_shape)
+            assert np.isfinite(kind.project(v[None])).all()
+
+    def test_projection_keeps_the_bound_and_is_nan_past_it(self):
+        kind = Spd(3)
+        at = np.diag([SPD_LOG_NORM_MAX, 0.0, 0.0])
+        past = np.diag([np.nextafter(SPD_LOG_NORM_MAX, np.inf), 0.0, 0.0])
+        out = kind.project(np.stack([at, past, at]))
+        np.testing.assert_array_equal(out[[0, 2]], [at, at])
+        assert np.isnan(out[1]).all()
+
+    def test_project_to_image_raises_past_the_chart(self):
+        # Past the bound, also in the slack band where unembed scales the
+        # value back onto the chart, the projection names the chart.
+        kind = Spd(3)
+        for norm in (SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 1.01 * SPD_LOG_NORM_MAX, 30.0):
+            v = np.diag([norm, 0.0, 0.0])
+            with pytest.raises(DomainError, match="chart"):
+                project_to_image(kind, v)
+        unembed(kind, np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0]))
 
 
 class TestProjectToImage:

@@ -11,6 +11,8 @@ rows, so the wrappers count, for PI and for exploit rounds apart:
 
 - rounds: the retractions made inside ``ascend``;
 - trial rows: the rows those retractions stacked;
+- NaN trial rows: the rows they returned as NaN (no unique nearest image
+  point, or outside the chart), which the ascent rejects;
 - the median and the 90th percentile of the rounds per ``maximize``.
 
 The counts are exact and repeat on one numpy/BLAS build, so two trees'
@@ -42,31 +44,35 @@ KINDS = ("PI", "exploit")
 
 class AscentCounter:
     """Wraps ``ascend`` and ``retract_embedded`` in the acquisition module
-    and tallies each ``ascend`` call's rounds and trial rows under its
-    round's kind."""
+    and tallies each ``ascend`` call's rounds, trial rows and NaN trial rows
+    under its round's kind."""
 
     def __init__(self, acquisition):
         self.acquisition = acquisition
         self.rounds = {kind: [] for kind in KINDS}  # per ascend call
         self.rows = {kind: 0 for kind in KINDS}
-        self._current = None  # [rounds, rows] of the ascend call under way
+        self.nan_rows = {kind: 0 for kind in KINDS}
+        self._current = None  # [rounds, rows, NaN rows] of the ascend call under way
 
     def _ascend(self, state, e):
         kind = "exploit" if state.exploit else "PI"
-        self._current = [0, 0]
+        self._current = [0, 0, 0]
         try:
             return self._real_ascend(state, e)
         finally:
-            rounds, rows = self._current
+            rounds, rows, nan_rows = self._current
             self._current = None
             self.rounds[kind].append(rounds)
             self.rows[kind] += rows
+            self.nan_rows[kind] += nan_rows
 
     def _retract(self, kind, e, v, t):
+        out = self._real_retract(kind, e, v, t)
         if self._current is not None:
             self._current[0] += 1
             self._current[1] += len(e)
-        return self._real_retract(kind, e, v, t)
+            self._current[2] += int(np.isnan(out.reshape(len(out), -1)[:, 0]).sum())
+        return out
 
     @contextlib.contextmanager
     def installed(self):
@@ -98,12 +104,14 @@ def table_lines(counters: dict) -> list[str]:
     """The markdown table of the counts, one row per workload."""
     lines = [
         "| workload | rounds, PI + exploit | trial rows, PI + exploit "
-        "| median rounds per `maximize`, PI / exploit (p90) |",
-        "|---|---|---|---|",
+        "| median rounds per `maximize`, PI / exploit (p90) "
+        "| NaN trial rows, PI + exploit |",
+        "|---|---|---|---|---|",
     ]
     for name, counter in counters.items():
         rounds = [sum(counter.rounds[kind]) for kind in KINDS]
         rows = [counter.rows[kind] for kind in KINDS]
+        nan_rows = [counter.nan_rows[kind] for kind in KINDS]
         medians = [statistics.median(counter.rounds[kind]) if counter.rounds[kind] else 0
                    for kind in KINDS]
         p90s = [float(np.percentile(counter.rounds[kind], 90.0)) if counter.rounds[kind] else 0
@@ -111,7 +119,8 @@ def table_lines(counters: dict) -> list[str]:
         lines.append(
             f"| {name} | {rounds[0]:,} + {rounds[1]:,} = {sum(rounds):,} "
             f"| {rows[0]:,} + {rows[1]:,} = {sum(rows):,} "
-            f"| {medians[0]:g} / {medians[1]:g} ({p90s[0]:g} / {p90s[1]:g}) |"
+            f"| {medians[0]:g} / {medians[1]:g} ({p90s[0]:g} / {p90s[1]:g}) "
+            f"| {nan_rows[0]:,} + {nan_rows[1]:,} = {sum(nan_rows):,} |"
         )
     return lines
 
