@@ -13,14 +13,15 @@ steps are computed:
 
 Each kind is one class holding everything that differs between manifolds,
 behind the small protocol that ``ManifoldKind`` declares: the point check,
-embed / unembed, the stacked tangent projection and nearest-point
-projection onto the image (which also enforces the kind's chart), random
-coordinates, and the flat layout.  Every step is that projection of the
-ambient step from an embedded row (``retract_embedded``), a retraction on
-every embedded submanifold (Absil & Malick, SIAM J. Optim. 2012).
-Grassmann and Spd share the Sym(k) parts.  The free functions below are
-the public entry points; they validate their arguments and delegate to the
-kind.  Adding a manifold means adding one such class.
+``embed`` and ``coords``, the stacked tangent projection and the one
+nearest-point map onto the image, ``project`` (which also enforces the
+kind's chart), random coordinates, and the flat layout.  Every step is that
+projection of the ambient step from an embedded row (``retract_embedded``),
+a retraction on every embedded submanifold (Absil & Malick, SIAM J. Optim.
+2012), and ``unembed`` is ``coords`` of a one-row projection.  Grassmann
+and Spd share the Sym(k) parts.  The free functions below are the public
+entry points; they validate their arguments and delegate to the kind.
+Adding a manifold means adding one such class.
 
 Ambient values for the matrix manifolds are full symmetric matrices under
 the Frobenius inner product.  ``flatten_ambient`` / ``unflatten_ambient``
@@ -52,8 +53,8 @@ DEGENERATE_NORM_TOL = 1e-12
 # near norm 15 for 3 x 3 matrices) and, further out, definiteness itself.
 SPD_LOG_NORM_MAX = 10.0
 # At the bound that round trip moves the log-norm by up to 2.8e-10: points
-# are validated up to one slack beyond it, and unembed scales log-norms up
-# to two beyond it back onto it, so every accepted point round-trips.
+# are validated up to one slack beyond it, and ``Spd.project`` scales
+# log-norms up to two beyond it onto it, so every accepted point round-trips.
 SPD_CHART_SLACK = 1e-8
 
 
@@ -70,11 +71,7 @@ class DomainError(ManifoldError):
 
 
 class DegenerateProjectionError(ManifoldError):
-    """Nearest-point projection is undefined (e.g. the zero vector to a sphere)."""
-
-
-class AmbiguousSubspaceError(ManifoldError):
-    """Tied eigenvalues make the dominant subspace ill-defined."""
+    """No unique nearest point of the image within the kind's chart."""
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -87,9 +84,8 @@ class ManifoldKind:
 
     * ``coords_shape``, ``ambient_shape``, ``ambient_dim``;
     * ``check_point(coords)`` raises unless the coordinates are valid;
-    * ``embed(coords)``; ``unembed(v)``, the coordinates of the image point
-      nearest to v, which raises where that point is undefined or not
-      unique;
+    * ``embed(coords)``; ``coords(e)``, the native coordinates of an image
+      point that ``project`` returned, without a check;
     * ``tangent_project(e, g)`` and ``project(a)``, the image point nearest
       to each finite ambient row of a, NaN where the nearest image point is
       undefined, not unique, or outside the kind's chart;
@@ -98,7 +94,7 @@ class ManifoldKind:
       order, so the layout decides a row's bits), and its inverse
       ``unflatten_rows(w)``;
     * ``random_coords(gen)``, and ``random_embedded(gen)``, the embedding
-      of the same draw, which raises outside the chart.
+      of the same draw, which raises where ``project_to_image`` does.
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
@@ -137,13 +133,8 @@ class Sphere(ManifoldKind):
     def embed(self, coords):
         return np.array(coords)
 
-    def unembed(self, v):
-        norm = np.linalg.norm(v)
-        if norm < DEGENERATE_NORM_TOL:
-            raise DegenerateProjectionError(
-                f"cannot project near-zero vector (norm {norm:g}) to the sphere"
-            )
-        return v / norm
+    def coords(self, e):
+        return e
 
     def tangent_project(self, e, g):
         return g - np.einsum("...i,...i->...", e, g)[..., None] * e
@@ -241,14 +232,9 @@ class Grassmann(_SymKind):
         gaps = w[..., self.n - self.p] - w[..., self.n - self.p - 1]
         return vecs[..., self.n - self.p:][..., ::-1], gaps
 
-    def unembed(self, v):
-        frames, gaps = self._top_frames(_sym(v)[None])
-        if not gaps[0] >= EIGENGAP_TOL:
-            raise AmbiguousSubspaceError(
-                f"eigenvalue gap {gaps[0]:g} below {EIGENGAP_TOL:g}: dominant "
-                f"{self.p}-subspace is not unique"
-            )
-        return frames[0]
+    def coords(self, e):
+        """An orthonormal frame of the projector's range."""
+        return self._top_frames(e[None])[0][0]
 
     def tangent_project(self, e, g):
         pg = e @ _sym(g)
@@ -304,45 +290,36 @@ class Spd(_SymKind):
             raise DomainError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
         return _sym((v * np.log(w)) @ v.T)
 
-    def unembed(self, v):
-        """The matrix exponential, within the chart; log-norms up to two
-        ``SPD_CHART_SLACK`` beyond it are first scaled back onto it."""
-        norm = float(ambient_norms(self, v))
-        if not norm <= SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK:
-            raise DomainError(
-                f"log-coordinates of norm {norm:g} lie outside the Spd "
-                f"chart (at most {SPD_LOG_NORM_MAX:g})"
-            )
-        if norm > SPD_LOG_NORM_MAX:
-            v = v * (SPD_LOG_NORM_MAX / norm)
-        w, vecs = np.linalg.eigh(_sym(v))
+    def coords(self, e):
+        """The matrix exponential."""
+        w, vecs = np.linalg.eigh(e)
         return _sym((vecs * np.exp(w)) @ vecs.T)
 
     def tangent_project(self, e, g):
         return _sym(g)
 
     def project(self, a):
-        """The image is all of Sym(p): symmetrization, NaN past the chart."""
+        """The image is all of Sym(p): symmetrization, within the chart.  A
+        row up to two ``SPD_CHART_SLACK`` past its bound is scaled onto the
+        bound, the nearest chart point; a row further out is NaN."""
         out = _sym(a)
-        out[~(ambient_norms(self, out) <= SPD_LOG_NORM_MAX)] = np.nan
+        norms = ambient_norms(self, out)
+        past = ~(norms <= SPD_LOG_NORM_MAX)
+        if past.any():
+            band = past & (norms <= SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK)
+            out[band] *= (SPD_LOG_NORM_MAX / norms[band])[:, None, None]
+            out[past & ~band] = np.nan
         return out
 
     def random_coords(self, gen):
         """The exponential of a symmetric Gaussian matrix."""
-        return self.unembed(self.random_embedded(gen))
+        return self.coords(self.random_embedded(gen))
 
     def random_embedded(self, gen):
         """A symmetric Gaussian matrix, drawn on the image itself rather
         than through ``embed`` (an ``eigh`` and a log) of its exponential
-        (another ``eigh``); raises DomainError outside the chart."""
-        e = _sym(gen.standard_normal((self.p, self.p)))
-        norm = float(ambient_norms(self, e))
-        if not norm <= SPD_LOG_NORM_MAX:
-            raise DomainError(
-                f"log-coordinates of norm {norm:g} lie outside the Spd chart "
-                f"(at most {SPD_LOG_NORM_MAX:g})"
-            )
-        return e
+        (another ``eigh``)."""
+        return project_to_image(self, gen.standard_normal((self.p, self.p)))
 
 
 def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
@@ -404,26 +381,25 @@ def embed(x: ManifoldPoint) -> np.ndarray:
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:
     """Map an ambient value (near the embedded manifold) back to a point:
-    the nearest point of the image, in native coordinates."""
-    return ManifoldPoint(kind, kind.unembed(_require_ambient(kind, v)))
+    ``project_to_image`` of it, in native coordinates."""
+    return ManifoldPoint(kind, kind.coords(project_to_image(kind, v)))
 
 
 def project_to_image(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
-    """Nearest point of the embedded manifold to an ambient value
-    (``kind.project``).
+    """Nearest point of the embedded manifold to an ambient value: a
+    one-row ``kind.project``.
 
-    Idempotent.  For Spd the embedded image is all of Sym(p), so this is
-    just symmetrization.  Where that point is undefined, not unique or
-    outside the chart, raises what ``unembed`` raises there:
-    ``DegenerateProjectionError`` on the sphere, ``AmbiguousSubspaceError``
-    on the Grassmannian, ``DomainError`` for Spd, also for the log-norms
-    just past the chart that ``unembed`` scales back onto it.
+    Idempotent up to round-off.  For Spd the embedded image is all of
+    Sym(p), so within the chart this is symmetrization.  Raises
+    ``DegenerateProjectionError`` where the image has no unique nearest
+    point within the kind's chart.
     """
     v = _require_ambient(kind, v)
     out = kind.project(v[None])[0]
     if np.isnan(out.flat[0]):
-        kind.unembed(v)
-        raise DomainError(f"the nearest point of the image lies outside the {kind} chart")
+        raise DegenerateProjectionError(
+            f"{kind} has no unique nearest point within its chart to this value"
+        )
     return out
 
 

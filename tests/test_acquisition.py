@@ -41,8 +41,7 @@ from manibo.acquisition import (
 from manibo.egp import posterior, posterior_rows
 from manibo.manifolds import (
     SPD_LOG_NORM_MAX,
-    AmbiguousSubspaceError,
-    DomainError,
+    DegenerateProjectionError,
     ManifoldError,
     _sym,
     ambient_norms,
@@ -489,7 +488,7 @@ class TestMaximize:
         monkeypatch.setattr(
             Grassmann, "random_coords", lambda self, gen: np.array([[0.0], [1.0], [0.0]])
         )
-        with pytest.raises(AmbiguousSubspaceError):
+        with pytest.raises(DegenerateProjectionError):
             _random_start(state, np.random.default_rng(0))
         seen = []
         real_ascend = acquisition.ascend
@@ -516,7 +515,7 @@ class TestMaximize:
         state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
         far = np.diag([20.0, 0.0])
         monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
-        with pytest.raises(DomainError, match="chart"):
+        with pytest.raises(DegenerateProjectionError, match="chart"):
             _random_start(state, np.random.default_rng(0))
         seen = []
 

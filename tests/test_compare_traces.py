@@ -95,6 +95,32 @@ def test_error_printout_marks_a_missing_error(tmp_path):
     ]
 
 
+def test_pairs_each_seeds_error_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    # Differences b - a of -1, 0, 1, 2 and 3: mean 1, sample variance 2.5,
+    # standard error sqrt(2.5 / 5).  Seed 5 has no error in b and is left
+    # out of the pairs.
+    for seed, diff in enumerate([-1.0, 0.0, 1.0, 2.0, 3.0]):
+        _write(a, f"w/seed-{seed}/summary.json", _errored(-8.0 + seed))
+        _write(b, f"w/seed-{seed}/summary.json", _errored(-8.0 + seed + diff))
+    _write(a, "w/seed-5/summary.json", _errored(-8.0))
+    _write(b, "w/seed-5/summary.json", "not json")
+    # One pair has no standard error.
+    _write(a, "u/seed-0/summary.json", _errored(-8.0))
+    _write(b, "u/seed-0/summary.json", _errored(-8.5))
+    # Only workloads whose summaries differ are paired.
+    for root in (a, b):
+        _write(root, "v/seed-0/summary.json", _errored(-3.0))
+    tool = _tool()
+    differ, _ = tool.compare_dirs(a, b)
+    assert tool.paired_lines(a, b, differ) == [
+        "u: paired ebo log10_err difference mean -0.5000 se none over 1 seeds: "
+        "1 better, 0 worse, 0 equal",
+        "w: paired ebo log10_err difference mean +1.0000 se 0.7071 "
+        "over 5 seeds: 1 better, 3 worse, 1 equal",
+    ]
+
+
 def _seed_run(root, name, log10_err, errs):
     """A seed's summary.json and ebo.csv: 2 initial points, then one row per
     entry of errs (log10 distances to the oracle)."""
@@ -178,6 +204,8 @@ def test_main_prints_the_errors_after_the_differing_files(tmp_path, monkeypatch,
         "w/seed-0: ebo evals_to_tol 3 -> 3",
         "w/seed-1: ebo evals_to_tol 3 -> 3",
         "w: median ebo evals_to_tol 3 -> 3",
+        "w: paired ebo log10_err difference mean +1.0000 se 1.0000 over 2 seeds: "
+        "0 better, 1 worse, 1 equal",
         "2 of 4 files identical over 2 seed runs",
     ]
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manibo import (
-    AmbiguousSubspaceError,
     DegenerateProjectionError,
     DomainError,
     Grassmann,
@@ -117,7 +116,7 @@ class TestUnembed:
             unembed(Sphere(2), np.zeros(3))
 
     def test_grassmann_ambiguous(self):
-        with pytest.raises(AmbiguousSubspaceError):
+        with pytest.raises(DegenerateProjectionError):
             unembed(Grassmann(1, 2), 0.5 * np.eye(2))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -146,7 +145,7 @@ class TestSpdChart:
         for norm in (1.01 * SPD_LOG_NORM_MAX, 20.0, 30.0, 800.0):
             v = self._log_coords(rng, norm)
             assert np.isnan(kind.project(v[None])).all()
-            with pytest.raises(DomainError):
+            with pytest.raises(DegenerateProjectionError):
                 unembed(kind, v)
 
     def test_point_validation_enforces_the_bound(self):
@@ -187,22 +186,29 @@ class TestSpdChart:
             assert np.isfinite(kind.project(v[None])).all()
 
     def test_projection_keeps_the_bound_and_is_nan_past_it(self):
+        # The band's outer edge, two slacks past the bound, is scaled onto
+        # the bound; one ulp further out the row is NaN.  The other rows
+        # keep their bits.
         kind = Spd(3)
         at = np.diag([SPD_LOG_NORM_MAX, 0.0, 0.0])
-        past = np.diag([np.nextafter(SPD_LOG_NORM_MAX, np.inf), 0.0, 0.0])
-        out = kind.project(np.stack([at, past, at]))
-        np.testing.assert_array_equal(out[[0, 2]], [at, at])
-        assert np.isnan(out[1]).all()
+        edge = SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK
+        band = np.diag([edge, 0.0, 0.0])
+        past = np.diag([np.nextafter(edge, np.inf), 0.0, 0.0])
+        out = kind.project(np.stack([at, band, past, at]))
+        np.testing.assert_array_equal(out[[0, 3]], [at, at])
+        np.testing.assert_allclose(out[1], at, rtol=0.0, atol=1e-14)
+        assert np.isnan(out[2]).all()
 
     def test_project_to_image_raises_past_the_chart(self):
-        # Past the bound, also in the slack band where unembed scales the
-        # value back onto the chart, the projection names the chart.
+        # Past the band the projection names the chart; in the band it is
+        # the point on the bound.
         kind = Spd(3)
-        for norm in (SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 1.01 * SPD_LOG_NORM_MAX, 30.0):
+        for norm in (1.01 * SPD_LOG_NORM_MAX, 30.0):
             v = np.diag([norm, 0.0, 0.0])
-            with pytest.raises(DomainError, match="chart"):
+            with pytest.raises(DegenerateProjectionError, match="chart"):
                 project_to_image(kind, v)
-        unembed(kind, np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0]))
+        image = project_to_image(kind, np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0]))
+        np.testing.assert_allclose(image, np.diag([SPD_LOG_NORM_MAX, 0.0, 0.0]), rtol=0.0, atol=1e-14)
 
 
 class TestProjectToImage:
@@ -237,6 +243,29 @@ class TestProjectToImage:
             once = project_to_image(kind, v)
             twice = project_to_image(kind, once)
             np.testing.assert_allclose(twice, once, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "kind, specials",
+        [pytest.param(Sphere(2), [np.zeros(3)], id="sphere"),
+         pytest.param(Grassmann(2, 3), [np.diag([1.0, 0.5, 0.5])], id="grassmann"),
+         pytest.param(Spd(3), [np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0]),
+                               np.diag([1.01 * SPD_LOG_NORM_MAX, 0.0, 0.0])], id="spd")],
+    )
+    def test_unembed_is_coords_of_the_projection(self, kind, specials):
+        # One nearest-point map: where the projection has no point, unembed
+        # raises the same error; elsewhere it lands on the projection
+        # (test_matches_embed_of_unembed covers random values).  Here: the
+        # sphere's zero vector, a Grassmann tie, an Spd row in the band past
+        # the chart bound and one beyond the band.
+        for v in specials:
+            try:
+                image = project_to_image(kind, v)
+            except DegenerateProjectionError as exc:
+                with pytest.raises(DegenerateProjectionError) as raised:
+                    unembed(kind, v)
+                assert str(raised.value) == str(exc)
+                continue
+            np.testing.assert_allclose(embed(unembed(kind, v)), image, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_embed_of_unembed(self, kind, rng):
@@ -576,7 +605,7 @@ class TestStackedGeometry:
                 stepped[row], _one_row(kind, e[row], v[row], 0.5)
             )
         assert np.all(np.isnan(_one_row(kind, e[1], v[1], 0.5)))
-        with pytest.raises(AmbiguousSubspaceError):
+        with pytest.raises(DegenerateProjectionError):
             project_to_image(kind, e[1] + 0.5 * v[1])
 
     def test_degenerate_sphere_row_is_nan_and_raises_alone(self, rng):
@@ -597,7 +626,7 @@ class TestStackedGeometry:
     @pytest.mark.parametrize(
         "kind, value, error",
         [(Sphere(2), np.zeros(3), DegenerateProjectionError),
-         (Grassmann(2, 3), np.diag([1.0, 0.5, 0.5]), AmbiguousSubspaceError)],
+         (Grassmann(2, 3), np.diag([1.0, 0.5, 0.5]), DegenerateProjectionError)],
         ids=str,
     )
     def test_project_to_image_raises_where_the_nearest_point_is_not_unique(

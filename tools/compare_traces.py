@@ -14,7 +14,11 @@ if every file is identical.  For each workload with a differing
 ``log10_err`` and the two medians, then every seed's eBO ``evals_to_tol``
 (the objective evaluations until the incumbent first meets the workload's
 tolerance, ``Workload.meets_tolerance``, read from ``ebo.csv``; the budget
-plus one if it never does) and the two medians.
+plus one if it never does) and the two medians.  Last, one line per such
+workload pairs the seeds: the mean of the per-seed eBO ``log10_err``
+differences, TREE_B minus TREE_A (positive is worse), their standard
+error, and how many seeds got better, worse or stayed equal.  The paired
+mean removes the spread between seeds, which dominates a median.
 
 ``--seeds N`` runs N seeds per workload instead of its measured set's
 count and ``--iters N`` overrides each experiment's iteration budget, for
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -134,28 +139,55 @@ def _metric_lines(workload: str, seeds: list[str], label: str, values, spec: str
     return lines
 
 
-def error_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
-    """For each workload (a top-level directory) with a differing
-    ``summary.json``: each seed's eBO ``log10_err`` under a and b and the
-    two medians; then, for a benchmark workload, the same for its
-    ``evals_to_tol``."""
-    lines = []
-    workloads = sorted({name.split("/")[0] for name in differ
-                        if name.endswith("/summary.json")})
-    for workload in workloads:
+def _paired_line(workload: str, values) -> str:
+    """The mean of the per-seed differences, second tree minus first, over
+    the seeds that have a value in both; their standard error; and how many
+    seeds got better (lower), worse or stayed equal."""
+    diffs = [y - x for x, y in zip(*values) if x is not None and y is not None]
+    mean = statistics.fmean(diffs) if diffs else None
+    sem = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else None
+    better, worse = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+    return (f"{workload}: paired ebo log10_err difference mean {_shown(mean, '+.4f')} "
+            f"se {_shown(sem)} over {len(diffs)} seeds: {better} better, {worse} worse, "
+            f"{len(diffs) - better - worse} equal")
+
+
+def _differing_workloads(a: Path, b: Path, differ: list[str]):
+    """Each workload (a top-level directory) with a differing
+    ``summary.json``, its seed labels in numeric order, and the seeds'
+    directories under a and under b."""
+    for workload in sorted({name.split("/")[0] for name in differ
+                            if name.endswith("/summary.json")}):
         seeds = sorted({path.parent.name for root in (a, b)
                         for path in (root / workload).glob("*/summary.json")},
                        key=lambda label: int(label.rpartition("-")[2]))
-        dirs = [[root / workload / seed for seed in seeds] for root in (a, b)]
-        errs = [[_ebo_log10_err(seed_dir / "summary.json") for seed_dir in side]
-                for side in dirs]
-        lines += _metric_lines(workload, seeds, "log10_err", errs, ".4f")
+        yield workload, seeds, [[root / workload / seed for seed in seeds] for root in (a, b)]
+
+
+def _ebo_log10_errs(dirs) -> list[list]:
+    return [[_ebo_log10_err(seed_dir / "summary.json") for seed_dir in side] for side in dirs]
+
+
+def error_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
+    """For each workload with a differing ``summary.json``: each seed's eBO
+    ``log10_err`` under a and b and the two medians; then, for a benchmark
+    workload, the same for its ``evals_to_tol``."""
+    lines = []
+    for workload, seeds, dirs in _differing_workloads(a, b, differ):
+        lines += _metric_lines(workload, seeds, "log10_err", _ebo_log10_errs(dirs), ".4f")
         benchmark = WORKLOADS.get(workload)
         if benchmark is not None:
             evals = [[_ebo_evals_to_tol(benchmark, seed_dir) for seed_dir in side]
                      for side in dirs]
             lines += _metric_lines(workload, seeds, "evals_to_tol", evals, "g")
     return lines
+
+
+def paired_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
+    """For each workload with a differing ``summary.json``, the paired
+    differences of its seeds' eBO ``log10_err``, b minus a."""
+    return [_paired_line(workload, _ebo_log10_errs(dirs))
+            for workload, _, dirs in _differing_workloads(a, b, differ)]
 
 
 def compare_dirs(a: Path, b: Path) -> tuple[list[str], int]:
@@ -205,7 +237,7 @@ def main(argv=None) -> int:
                 if codes[0] != codes[1]:
                     differ.append(f"{label}: exit codes {codes[0]} and {codes[1]}")
         files, compared = compare_dirs(*outs)
-        errors = error_lines(*outs, files)
+        errors = error_lines(*outs, files) + paired_lines(*outs, files)
     differ += files
     for line in differ:
         print(f"differs: {line}")
