@@ -207,8 +207,9 @@ class TestSpdChart:
             v = np.diag([norm, 0.0, 0.0])
             with pytest.raises(DegenerateProjectionError, match="chart"):
                 project_to_image(kind, v)
-        image = project_to_image(kind, np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0]))
-        np.testing.assert_allclose(image, np.diag([SPD_LOG_NORM_MAX, 0.0, 0.0]), rtol=0.0, atol=1e-14)
+        band = np.diag([SPD_LOG_NORM_MAX + SPD_CHART_SLACK, 0.0, 0.0])
+        np.testing.assert_allclose(project_to_image(kind, band),
+                                   np.diag([SPD_LOG_NORM_MAX, 0.0, 0.0]), rtol=0.0, atol=1e-14)
 
 
 class TestProjectToImage:
