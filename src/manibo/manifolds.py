@@ -304,11 +304,12 @@ class Spd(_SymKind):
         bound, the nearest chart point; a row further out is NaN."""
         out = _sym(a)
         norms = ambient_norms(self, out)
-        past = ~(norms <= SPD_LOG_NORM_MAX)
-        if past.any():
-            band = past & (norms <= SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK)
-            out[band] *= (SPD_LOG_NORM_MAX / norms[band])[:, None, None]
-            out[past & ~band] = np.nan
+        if not (norms <= SPD_LOG_NORM_MAX).all():
+            # One scale per row: 1 within the bound, bound / norm in the
+            # band, NaN past it (and for a NaN row).
+            within = norms <= SPD_LOG_NORM_MAX + 2.0 * SPD_CHART_SLACK
+            scale = SPD_LOG_NORM_MAX / np.maximum(norms, SPD_LOG_NORM_MAX)
+            out *= np.where(within, scale, np.nan)[..., None, None]
         return out
 
     def random_coords(self, gen):
