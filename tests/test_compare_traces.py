@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import Workload  # noqa: E402
 
@@ -230,3 +232,74 @@ def test_first_seed_and_seeds_choose_the_seeds_run(tmp_path, monkeypatch, capsys
     assert tool.main([str(tree) for tree in trees] + ["--first-seed", "100", "--seeds", "3"]) == 0
     assert sorted(set(labels)) == [("seed-100", 100), ("seed-101", 101), ("seed-102", 102)]
     assert capsys.readouterr().out.splitlines() == ["6 of 6 files identical over 3 seed runs"]
+
+
+def test_pools_the_pairs_of_both_seed_sets(tmp_path):
+    sets = []
+    # w: differences b - a of -1, 0 and 1 in the first set, 2 and 3 in the
+    # second; pooled, as in the single-set case above, mean 1 and standard
+    # error sqrt(2.5 / 5).  v differs only in the second set, by 0.5 on one
+    # seed; its first set's equal seeds still count: differences 0, 0 and
+    # 0.5, mean 1/6 and standard error sqrt(1/12 / 3).  u never differs.
+    for index, (w_diffs, v_diffs) in enumerate((([-1.0, 0.0, 1.0], [0.0, 0.0]),
+                                                ([2.0, 3.0], [0.5]))):
+        a, b = tmp_path / f"{index}a", tmp_path / f"{index}b"
+        for name, diffs in (("w", w_diffs), ("v", v_diffs), ("u", [0.0])):
+            for seed, diff in enumerate(diffs, start=100 * index):
+                _write(a, f"{name}/seed-{seed}/summary.json", _errored(-8.0 + seed))
+                _write(b, f"{name}/seed-{seed}/summary.json", _errored(-8.0 + seed + diff))
+        sets.append((a, b, _tool().compare_dirs(a, b)[0]))
+    assert _tool().pooled_lines(sets) == [
+        "v: pooled paired ebo log10_err difference mean +0.1667 se 0.1667 over 3 seeds: "
+        "0 better, 1 worse, 2 equal",
+        "w: pooled paired ebo log10_err difference mean +1.0000 se 0.7071 over 5 seeds: "
+        "1 better, 3 worse, 1 equal",
+    ]
+
+
+def test_with_held_out_runs_and_pools_both_seed_sets(tmp_path, monkeypatch, capsys):
+    # The measured seeds 0 and 1 and the held-out seeds 100..119, with b one
+    # digit worse on seeds 1 and 100: differences 0 and 1 in the first set,
+    # 1 and nineteen 0s in the second, two 1s among 22 pooled.
+    tool = _tool()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "src" / "manibo").mkdir(parents=True)
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
+    seeds_run = []
+
+    def fake_run(tree, args):
+        out, seed = Path(args[0]), int(args[1])
+        seeds_run.append(seed)
+        err = -7.0 if seed in (1, 100) and tree == trees[1].resolve() else -8.0
+        _seed_run(out.parent, out.name, err, [-1.0, err])
+        return 0
+
+    monkeypatch.setattr(tool, "run_seed", fake_run)
+    assert tool.main([str(tree) for tree in trees] + ["--with-held-out"]) == 1
+    assert sorted(set(seeds_run)) == [0, 1] + list(range(100, 120))
+    out = capsys.readouterr().out.splitlines()
+    held_out = out.index("-- held-out seeds 100..119")
+    assert out[0] == "-- measured seeds"
+    assert out[held_out - 2:held_out] == [
+        "w: paired ebo log10_err difference mean +0.5000 se 0.5000 over 2 seeds: "
+        "0 better, 1 worse, 1 equal",
+        "2 of 4 files identical over 2 seed runs",
+    ]
+    assert out[-3:] == [
+        "38 of 40 files identical over 20 seed runs",
+        "-- pooled",
+        "w: pooled paired ebo log10_err difference mean +0.0909 se 0.0627 over 22 seeds: "
+        "0 better, 2 worse, 20 equal",
+    ]
+
+
+def test_held_out_seeds_must_not_overlap_the_seeds_run(tmp_path, monkeypatch):
+    tool = _tool()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "src" / "manibo").mkdir(parents=True)
+    monkeypatch.setattr(tool, "WORKLOADS", {"w": _tolerance_workload("w")})
+    monkeypatch.setattr(tool, "run_seed", lambda tree, args: pytest.fail("ran a seed"))
+    with pytest.raises(SystemExit):
+        tool.main([str(tree) for tree in trees] + ["--first-seed", "99", "--with-held-out"])

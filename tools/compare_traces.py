@@ -1,7 +1,7 @@
 """Check that two checkouts of manibo write the same traces.
 
     python3 tools/compare_traces.py TREE_A TREE_B [--seeds N] [--first-seed S]
-                                                  [--iters N]
+                                                  [--iters N] [--with-held-out]
 
 Runs ``manibo run`` on every benchmark workload's measured run seeds (the
 flags and seed counts of ``perfbench/workloads.py``, without ``--timings``)
@@ -19,6 +19,11 @@ workload pairs the seeds: the mean of the per-seed eBO ``log10_err``
 differences, TREE_B minus TREE_A (positive is worse), their standard
 error, and how many seeds got better, worse or stayed equal.  The paired
 mean removes the spread between seeds, which dominates a median.
+
+``--with-held-out`` also runs the held-out seeds 100..119 on every
+workload in the same call.  Each seed set then prints its own report, and
+one last line per workload with a differing ``summary.json`` in either set
+pools the paired differences of both sets' seeds.
 
 ``--seeds N`` runs N seeds per workload instead of its measured set's
 count and ``--iters N`` overrides each experiment's iteration budget, for
@@ -49,6 +54,9 @@ from workloads import WORKLOADS  # noqa: E402
 # output directory.
 VOLATILE_KEYS = ("wall_ms", "out")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The held-out seed set: seeds 100..119 on every workload.
+HELD_OUT_FIRST_SEED = 100
+HELD_OUT_SEEDS = 20
 
 
 def run_args(workload, seed: int, out_dir: Path, iters) -> list[str]:
@@ -139,7 +147,7 @@ def _metric_lines(workload: str, seeds: list[str], label: str, values, spec: str
     return lines
 
 
-def _paired_line(workload: str, values) -> str:
+def _paired_line(workload: str, values, label: str = "paired") -> str:
     """The mean of the per-seed differences, second tree minus first, over
     the seeds that have a value in both; their standard error; and how many
     seeds got better (lower), worse or stayed equal."""
@@ -147,21 +155,30 @@ def _paired_line(workload: str, values) -> str:
     mean = statistics.fmean(diffs) if diffs else None
     sem = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else None
     better, worse = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
-    return (f"{workload}: paired ebo log10_err difference mean {_shown(mean, '+.4f')} "
+    return (f"{workload}: {label} ebo log10_err difference mean {_shown(mean, '+.4f')} "
             f"se {_shown(sem)} over {len(diffs)} seeds: {better} better, {worse} worse, "
             f"{len(diffs) - better - worse} equal")
 
 
-def _differing_workloads(a: Path, b: Path, differ: list[str]):
-    """Each workload (a top-level directory) with a differing
-    ``summary.json``, its seed labels in numeric order, and the seeds'
+def _changed_workloads(differ: list[str]) -> set[str]:
+    """The workloads (top-level directories) with a differing ``summary.json``."""
+    return {name.split("/")[0] for name in differ if name.endswith("/summary.json")}
+
+
+def _seed_dirs(a: Path, b: Path, workload: str):
+    """The workload's seed labels in numeric order, and the seeds'
     directories under a and under b."""
-    for workload in sorted({name.split("/")[0] for name in differ
-                            if name.endswith("/summary.json")}):
-        seeds = sorted({path.parent.name for root in (a, b)
-                        for path in (root / workload).glob("*/summary.json")},
-                       key=lambda label: int(label.rpartition("-")[2]))
-        yield workload, seeds, [[root / workload / seed for seed in seeds] for root in (a, b)]
+    seeds = sorted({path.parent.name for root in (a, b)
+                    for path in (root / workload).glob("*/summary.json")},
+                   key=lambda label: int(label.rpartition("-")[2]))
+    return seeds, [[root / workload / seed for seed in seeds] for root in (a, b)]
+
+
+def _differing_workloads(a: Path, b: Path, differ: list[str]):
+    """Each workload with a differing ``summary.json``, with its
+    ``_seed_dirs``."""
+    for workload in sorted(_changed_workloads(differ)):
+        yield workload, *_seed_dirs(a, b, workload)
 
 
 def _ebo_log10_errs(dirs) -> list[list]:
@@ -190,6 +207,20 @@ def paired_lines(a: Path, b: Path, differ: list[str]) -> list[str]:
             for workload, _, dirs in _differing_workloads(a, b, differ)]
 
 
+def pooled_lines(sets) -> list[str]:
+    """For each workload with a differing ``summary.json`` in any of the
+    seed sets, each an ``(a, b, differ)`` triple, the paired differences of
+    its eBO ``log10_err``, b minus a, over the seeds of every set."""
+    lines = []
+    for workload in sorted(set().union(*(_changed_workloads(differ) for _, _, differ in sets))):
+        pooled = [[], []]
+        for a, b, _ in sets:
+            for side, errs in zip(pooled, _ebo_log10_errs(_seed_dirs(a, b, workload)[1])):
+                side += errs
+        lines.append(_paired_line(workload, pooled, "pooled paired"))
+    return lines
+
+
 def compare_dirs(a: Path, b: Path) -> tuple[list[str], int]:
     """The relative paths of the CSV and ``summary.json`` files under a or
     b that differ (or exist on one side only), and how many were compared."""
@@ -212,6 +243,9 @@ def main(argv=None) -> int:
                         help="run seeds S, S + 1, ... (default 0)")
     parser.add_argument("--iters", type=int, default=None,
                         help="override each experiment's iteration budget")
+    parser.add_argument("--with-held-out", action="store_true",
+                        help=f"also run the held-out seeds {HELD_OUT_FIRST_SEED}.."
+                             f"{HELD_OUT_FIRST_SEED + HELD_OUT_SEEDS - 1} and pool the pairs")
     args = parser.parse_args(argv)
     if args.first_seed < 0:
         parser.error(f"--first-seed must be >= 0, got {args.first_seed}")
@@ -219,32 +253,50 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "manibo").is_dir():
             parser.error(f"{tree} has no src/manibo")
+    # Each seed set: a header (none for a lone set) and each workload's seeds.
+    measured = {workload.name: range(args.first_seed, args.first_seed + (
+        workload.measured_seeds if args.seeds is None else args.seeds))
+        for workload in WORKLOADS.values()}
+    seed_sets = [(None, measured)]
+    if args.with_held_out:
+        held_out = range(HELD_OUT_FIRST_SEED, HELD_OUT_FIRST_SEED + HELD_OUT_SEEDS)
+        if any(seed in held_out for seeds in measured.values() for seed in seeds):
+            parser.error("the seeds run overlap the held-out seeds")
+        seed_sets = [("-- measured seeds", measured),
+                     (f"-- held-out seeds {held_out[0]}..{held_out[-1]}",
+                      dict.fromkeys(measured, held_out))]
 
-    runs = []  # (label, args for tree a, args for tree b)
+    lines, compared_sets, failed = [], [], False
     with tempfile.TemporaryDirectory(prefix="compare-traces-") as tmp:
-        outs = [Path(tmp) / "a", Path(tmp) / "b"]
-        for workload in WORKLOADS.values():
-            count = workload.measured_seeds if args.seeds is None else args.seeds
-            for seed in range(args.first_seed, args.first_seed + count):
-                label = f"{workload.name}/seed-{seed}"
-                runs.append((label, *(run_args(workload, seed, out / label, args.iters)
-                                      for out in outs)))
-        differ = []
-        # The two trees' runs of one seed go side by side.
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for label, args_a, args_b in runs:
-                codes = list(pool.map(run_seed, trees, (args_a, args_b)))
-                if codes[0] != codes[1]:
-                    differ.append(f"{label}: exit codes {codes[0]} and {codes[1]}")
-        files, compared = compare_dirs(*outs)
-        errors = error_lines(*outs, files) + paired_lines(*outs, files)
-    differ += files
-    for line in differ:
-        print(f"differs: {line}")
-    for line in errors:
+        for index, (header, seeds_of) in enumerate(seed_sets):
+            outs = [Path(tmp) / str(index) / side for side in ("a", "b")]
+            runs = []  # (label, args for tree a, args for tree b)
+            for workload in WORKLOADS.values():
+                for seed in seeds_of[workload.name]:
+                    label = f"{workload.name}/seed-{seed}"
+                    runs.append((label, *(run_args(workload, seed, out / label, args.iters)
+                                          for out in outs)))
+            differ = []
+            # The two trees' runs of one seed go side by side.
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for label, args_a, args_b in runs:
+                    codes = list(pool.map(run_seed, trees, (args_a, args_b)))
+                    if codes[0] != codes[1]:
+                        differ.append(f"{label}: exit codes {codes[0]} and {codes[1]}")
+            files, compared = compare_dirs(*outs)
+            differ += files
+            failed = failed or bool(differ)
+            compared_sets.append((*outs, files))
+            lines += [] if header is None else [header]
+            lines += [f"differs: {line}" for line in differ]
+            lines += error_lines(*outs, files) + paired_lines(*outs, files)
+            lines.append(f"{compared - len(files)} of {compared} files identical "
+                         f"over {len(runs)} seed runs")
+        if len(compared_sets) > 1:
+            lines += ["-- pooled"] + pooled_lines(compared_sets)
+    for line in lines:
         print(line)
-    print(f"{compared - len(files)} of {compared} files identical over {len(runs)} seed runs")
-    return 1 if differ else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
