@@ -47,6 +47,14 @@ logger = logging.getLogger(__name__)
 # incumbent that shrink with the surrogate's noise floor, while the mean's
 # minimizer moves straight to where the surrogate puts the optimum.
 EXPLOIT_EVERY = 2
+# Newton starts of the hyperparameter fit on the initial design, and of
+# every refit.  A refit adds ``refit_every`` points to data the current
+# values already fit, so those values usually lie in the new optimum's
+# basin; the risk of a poor local optimum sits with the data-poor first
+# fit (Rasmussen & Williams 2006, Section 5.4).  A refit therefore starts
+# from the current values and the first of the initial fit's uniform draws.
+FIT_RESTARTS = 5
+REFIT_RESTARTS = 2
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,10 @@ class BoConfig:
     design.  The hyperparameters are fitted on the initial design and after
     every ``refit_every``-th iteration but the last, whose fit no proposal
     would use; ``refit_every=0`` disables hyperparameter fitting entirely.
+    The first fit runs ``FIT_RESTARTS`` Newton starts.  A refit runs
+    ``REFIT_RESTARTS``, warm-started from the current values plus one
+    uniform draw: a few more points seldom move the optimum out of the
+    current values' basin.
     ``init_points`` overrides the random initial design (the design size is
     then their count).  Each iteration's ``maximize`` gets a seed derived
     from ``seed``; the ascent's settings are constants.  The surrogate's
@@ -276,9 +288,9 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     if trace.aborted:
         return trace
 
-    def refit(current: KernelParams) -> KernelParams:
+    def refit(current: KernelParams, n_starts: int) -> KernelParams:
         try:
-            return fit_hyperparams(dataset, current, seed=cfg.seed)
+            return fit_hyperparams(dataset, current, n_starts, seed=cfg.seed)
         except FittingFailedError:
             logger.warning("hyperparameter fitting failed; keeping current values")
             return current
@@ -288,7 +300,7 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
         if params is None:
             params = median_heuristic_params(dataset)
         if cfg.refit_every > 0 and len(dataset) >= 2:
-            params = refit(params)
+            params = refit(params, FIT_RESTARTS)
     except Exception as exc:  # any failure here keeps the trace
         abort("surrogate update failed at iteration 0", exc)
         return trace
@@ -327,7 +339,7 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
         # hyperparameters are not refitted.
         if s < cfg.n_iters and cfg.refit_every > 0 and s % cfg.refit_every == 0:
             try:
-                params = refit(params)
+                params = refit(params, REFIT_RESTARTS)
             except Exception as exc:  # any failure here keeps the trace
                 failure = exc
         trace.record(s, x_next, y, len(dataset), tick)

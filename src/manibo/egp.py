@@ -38,9 +38,8 @@ JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
 # Data per coefficient before the dataset fits its affine prior mean.
 TREND_POINTS_PER_COEFFICIENT = 3
-# Hyperparameter fitting: multistart count, and each start's Newton step
-# budget, halvings per step, and stopping Newton decrement.
-FIT_RESTARTS = 5
+# Hyperparameter fitting: each start's Newton step budget, halvings per
+# step, and stopping Newton decrement.  The caller sets the start count.
 FIT_MAX_STEPS = 30
 FIT_BACKTRACKS = 10
 FIT_TOL = 1e-6
@@ -447,11 +446,19 @@ def _lml_derivatives(model: GpModel) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def fit_hyperparams(data: GpDataset, init: KernelParams, seed: int = 0) -> KernelParams:
+def fit_hyperparams(
+    data: GpDataset, init: KernelParams, n_starts: int, seed: int = 0
+) -> KernelParams:
     """Maximize the log marginal likelihood around the data's prior mean
     over theta = log(lengthscale, amplitude, noise) in the box that the data
-    set (``_fit_box``), by damped Newton ascent from ``FIT_RESTARTS``
-    starts: ``init`` clipped to the box, and uniform draws from it.
+    set (``_fit_box``), by damped Newton ascent from ``n_starts`` starts:
+    ``init`` clipped to the box, then the first ``n_starts - 1`` uniform
+    draws from it of ``default_rng(seed)``.  A fit with fewer starts thus
+    tries a prefix of a longer fit's starts.  ``bo.run`` fits the initial
+    design from ``FIT_RESTARTS`` starts and warm-starts each refit from
+    the current values and one draw (``REFIT_RESTARTS``): a refit adds a
+    few points to data the current values already fit, so they usually
+    lie in the new optimum's basin.
 
     Each step works on the free coordinates, those not at a bound with the
     gradient pointing out of the box.  On them it takes d = V |lam|^{-1} V' g,
@@ -466,11 +473,13 @@ def fit_hyperparams(data: GpDataset, init: KernelParams, seed: int = 0) -> Kerne
     """
     if len(data) < 2:
         raise InvalidInputError("hyperparameter fitting requires at least 2 points")
+    if n_starts < 1:
+        raise InvalidInputError(f"n_starts must be >= 1, got {n_starts}")
     lo, hi = _fit_box(data)
     log_lo, log_hi = np.log(lo), np.log(hi)
     starts = [np.log(np.clip([init.lengthscale, init.amplitude, init.noise], lo, hi))]
     rng = np.random.default_rng(seed)
-    for _ in range(FIT_RESTARTS - 1):
+    for _ in range(n_starts - 1):
         starts.append(rng.uniform(log_lo, log_hi))
     best_theta, best_val = None, None
     for theta in starts:

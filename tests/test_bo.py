@@ -495,6 +495,20 @@ class TestDedupOnRows:
 
 
 class TestRefitSchedule:
+    def test_refits_warm_start_from_fewer_starts(self, monkeypatch):
+        fits = []
+        original = bo.fit_hyperparams
+
+        def counting(data, init, n_starts, *args, **kwargs):
+            fits.append((len(data), n_starts))
+            return original(data, init, n_starts, *args, **kwargs)
+
+        monkeypatch.setattr(bo, "fit_hyperparams", counting)
+        obj = frechet_objective(latitude_circle_problem())
+        run(obj, BoConfig(n_init=4, n_iters=12, refit_every=3, seed=0))
+        assert fits == [(4, bo.FIT_RESTARTS)] + [(n, bo.REFIT_RESTARTS) for n in (7, 10, 13)]
+        assert bo.REFIT_RESTARTS < bo.FIT_RESTARTS
+
     def test_no_refit_after_last_iteration(self, monkeypatch):
         fits = []
         original = bo.fit_hyperparams

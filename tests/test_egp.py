@@ -27,6 +27,7 @@ from manibo import (
     random_point,
 )
 from manibo import egp
+from manibo.bo import FIT_RESTARTS, REFIT_RESTARTS
 from manibo.egp import TREND_POINTS_PER_COEFFICIENT, posterior_rows
 
 from conftest import BATCH_KINDS, FAMILY_KINDS
@@ -442,12 +443,18 @@ class TestFitHyperparams:
     def test_requires_two_points(self, rng):
         data = _dataset(Sphere(2), 1, rng)
         with pytest.raises(InvalidInputError):
-            fit_hyperparams(data, median_heuristic_params(data))
+            fit_hyperparams(data, median_heuristic_params(data), FIT_RESTARTS)
+
+    def test_requires_a_start(self, rng):
+        data = _dataset(Sphere(2), 4, rng)
+        with pytest.raises(InvalidInputError):
+            fit_hyperparams(data, median_heuristic_params(data), 0)
 
     def test_fitted_within_bounds(self, rng):
         data = _dataset(Sphere(2), 8, rng)
         lo, hi = egp._fit_box(data)
-        fitted = _values(fit_hyperparams(data, median_heuristic_params(data), seed=1))
+        init = median_heuristic_params(data)
+        fitted = _values(fit_hyperparams(data, init, FIT_RESTARTS, seed=1))
         assert np.all((lo <= fitted) & (fitted <= hi))
 
     def test_recovers_known_lengthscale(self):
@@ -460,14 +467,14 @@ class TestFitHyperparams:
         gram = gram_matrix(true, GpDataset.from_points(points, np.zeros(40)))
         values = np.linalg.cholesky(gram) @ gen.standard_normal(40)
         data = GpDataset.from_points(points, values)
-        fitted = fit_hyperparams(data, median_heuristic_params(data), seed=0)
+        fitted = fit_hyperparams(data, median_heuristic_params(data), FIT_RESTARTS, seed=0)
         assert 0.5 <= fitted.lengthscale <= 2.0
 
     def test_deterministic(self, rng):
         data = _dataset(Sphere(2), 10, rng)
         init = median_heuristic_params(data)
-        a = fit_hyperparams(data, init, seed=5)
-        b = fit_hyperparams(data, init, seed=5)
+        a = fit_hyperparams(data, init, FIT_RESTARTS, seed=5)
+        b = fit_hyperparams(data, init, FIT_RESTARTS, seed=5)
         assert a == b
 
 
@@ -580,7 +587,7 @@ class TestFitNewton:
         # A free coordinate has a small gradient; one at a bound has its
         # gradient pointing out of the box.
         data, init = _fit_case(kind, with_trend, False, seed=7)
-        fitted = fit_hyperparams(data, init, seed=3)
+        fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
         theta = _theta(fitted)
         log_lo, log_hi = np.log(egp._fit_box(data))
         grad, _ = egp._lml_derivatives(egp._model_at(data, theta))
@@ -590,16 +597,21 @@ class TestFitNewton:
         assert np.all(grad[at_lo] <= 0.0) and np.all(grad[at_hi] >= 0.0)
         assert np.all(np.abs(grad[free]) <= 1e-3), (grad, free)
 
-    @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
+    @pytest.mark.parametrize(
+        "with_trend, n_starts",
+        [(False, FIT_RESTARTS), (True, FIT_RESTARTS),
+         (False, REFIT_RESTARTS), (True, REFIT_RESTARTS)],
+        ids=["zero_mean", "trend", "zero_mean-refit", "trend-refit"],
+    )
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
-    def test_not_worse_than_any_start(self, kind, with_trend):
+    def test_not_worse_than_any_start(self, kind, with_trend, n_starts):
         data, init = _fit_case(kind, with_trend, False, seed=7)
-        fitted = fit_hyperparams(data, init, seed=3)
+        fitted = fit_hyperparams(data, init, n_starts, seed=3)
         lo, hi = egp._fit_box(data)
         log_lo, log_hi = np.log(lo), np.log(hi)
         rng = np.random.default_rng(3)
         starts = [np.log(np.clip(_values(init), lo, hi))]
-        starts += [rng.uniform(log_lo, log_hi) for _ in range(egp.FIT_RESTARTS - 1)]
+        starts += [rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1)]
         fitted_lml = log_marginal_likelihood(GpModel.build(fitted, data))
         for start in starts:
             assert fitted_lml >= _lml_at(data, start)
@@ -617,7 +629,7 @@ class TestFitNewton:
         data, init = _fit_case(kind, with_trend, True, seed=7, monkeypatch=monkeypatch)
         jitters = _recording_cholesky(monkeypatch)
         try:
-            fitted = fit_hyperparams(data, init, seed=3)
+            fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
         except FittingFailedError:
             fitted = None
         if case == "duplicated":
