@@ -292,8 +292,8 @@ def main(argv=None) -> int:
             lines += error_lines(*outs, files) + paired_lines(*outs, files)
             lines.append(f"{compared - len(files)} of {compared} files identical "
                          f"over {len(runs)} seed runs")
-        if len(compared_sets) > 1:
-            lines += ["-- pooled"] + pooled_lines(compared_sets)
+        pooled = pooled_lines(compared_sets) if len(compared_sets) > 1 else []
+        lines += ["-- pooled", *pooled] if pooled else []
     for line in lines:
         print(line)
     return 1 if failed else 0
