@@ -32,11 +32,9 @@ from scipy.special import erfcx, log_ndtr, ndtr
 from .egp import GpModel, PosteriorRows, point_posterior_rows, posterior_rows
 from .manifolds import (
     InvalidInputError,
-    ManifoldError,
     ManifoldPoint,
     ambient_norms,
     embed,
-    project_to_image,
     retract_embedded,
     tangent_project_embedded,
     unembed,
@@ -336,36 +334,39 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return e, acq
 
 
-def _random_start(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
-    """A random embedded start, pulled toward the incumbent in flat
-    coordinates into the trust radius, then back onto the embedded image by
-    ``project_to_image``, which raises where it has no unique nearest point
-    or lies outside the chart."""
+def _random_starts(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
+    """The ``ASCENT_STARTS - 1`` random embedded starts as one stack.  The
+    rows outside the trust radius are pulled toward the incumbent in flat
+    coordinates and mapped back by one stacked ``kind.project``.  A row that
+    is NaN, drawn or pulled (such as a pulled Grassmann row with tied top
+    eigenvalues, or an Spd row outside the chart), is dropped; the others
+    keep their own draws."""
     kind = state.model.data.kind
-    e = kind.random_embedded(rng)
+    e = np.empty((ASCENT_STARTS - 1,) + kind.ambient_shape)
+    for row in e:
+        row[...] = kind.random_embedded(rng)
     w = kind.flatten_rows(e)
-    if _within_trust(state, w[None])[0]:
-        return e
-    diff = w - state.trust_center
-    pulled = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
-    return project_to_image(kind, kind.unflatten_rows(pulled))
+    # A NaN row never reaches kind.project, where it would fail a stacked eigh.
+    pull = (np.isfinite(w).all(axis=1) & ~_within_trust(state, w)).nonzero()[0]
+    diff = w[pull] - state.trust_center
+    # Each row's own np.linalg.norm: a stacked norm can differ in the last bit.
+    norms = np.array([np.linalg.norm(d) for d in diff])
+    pulled = state.trust_center + diff * (state.trust_radius / norms)[:, None]
+    e[pull] = kind.project(kind.unflatten_rows(pulled))
+    return e[np.isfinite(ambient_norms(kind, e))]
 
 
 def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     """Best acquisition point across multistart ascents.
 
-    Starts from the best observed point plus ``ASCENT_STARTS - 1`` random
-    points drawn from ``seed``, each pulled within the trust radius and
-    mapped back onto the embedded image by ``project_to_image`` (a start
-    whose draw or projection raises, such as a pulled Grassmann row with
-    tied top eigenvalues or a pulled Spd row outside the chart, is
-    skipped), and ascends them all in one ``ascend`` call; deterministic
-    given the seed.  Starts are ranked on the values their ascent reached
-    (log PI, so candidates whose PI rounds to 1.0 still rank), at their
-    embedded last iterates; ties keep the earliest start.  A start whose
-    last iterate lies outside the trust radius does not rank, unless it is
-    the incumbent's (a pulled-in start can land just outside it on a
-    curved manifold).  Only the winner is unembedded.
+    Ascends the best observed point and the ``_random_starts`` stack drawn
+    from ``seed`` together in one ``ascend`` call; deterministic given the
+    seed.  Starts are ranked on the values their ascent reached (log PI, so
+    candidates whose PI rounds to 1.0 still rank), at their embedded last
+    iterates; ties keep the earliest start.  A start whose last iterate
+    lies outside the trust radius does not rank; row 0, the incumbent's,
+    always does (it starts at the trust centre and steps only inside the
+    radius).  Only the winner is unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -374,14 +375,9 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     """
     data = state.model.data
     kind = data.kind
-    rng = np.random.default_rng(seed)
-    starts = [embed(data.points[int(np.argmin(data.values))])]
-    for _ in range(ASCENT_STARTS - 1):
-        try:
-            starts.append(_random_start(state, rng))
-        except ManifoldError:
-            continue
-    e, acq = ascend(state, np.stack(starts))
+    incumbent = embed(data.points[int(np.argmin(data.values))])
+    starts = _random_starts(state, np.random.default_rng(seed))
+    e, acq = ascend(state, np.concatenate([incumbent[None], starts]))
     eligible = _within_trust(state, kind.flatten_rows(e))
     eligible[0] = True
     return unembed(kind, e[int(np.argmax(np.where(eligible, acq, -np.inf)))])

@@ -94,7 +94,7 @@ class ManifoldKind:
       order, so the layout decides a row's bits), and its inverse
       ``unflatten_rows(w)``;
     * ``random_coords(gen)``, and ``random_embedded(gen)``, the embedding
-      of the same draw, which raises where ``project_to_image`` does.
+      of the same draw, an all-NaN row where ``project`` gives NaN.
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
@@ -313,14 +313,14 @@ class Spd(_SymKind):
         return out
 
     def random_coords(self, gen):
-        """The exponential of a symmetric Gaussian matrix."""
-        return self.coords(self.random_embedded(gen))
+        """The exponential of a symmetric Gaussian matrix; raises past the chart."""
+        return self.coords(project_to_image(self, gen.standard_normal((self.p, self.p))))
 
     def random_embedded(self, gen):
         """A symmetric Gaussian matrix, drawn on the image itself rather
         than through ``embed`` (an ``eigh`` and a log) of its exponential
-        (another ``eigh``)."""
-        return project_to_image(self, gen.standard_normal((self.p, self.p)))
+        (another ``eigh``); NaN past the chart."""
+        return self.project(gen.standard_normal((1, self.p, self.p)))[0]
 
 
 def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:

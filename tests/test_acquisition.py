@@ -34,14 +34,13 @@ from manibo.acquisition import (
     _ascent_gradient,
     _ascent_value,
     _improvement,
-    _random_start,
+    _random_starts,
     _within_trust,
     inverse_mills_ratio,
 )
 from manibo.egp import posterior, posterior_rows
 from manibo.manifolds import (
     SPD_LOG_NORM_MAX,
-    DegenerateProjectionError,
     ManifoldError,
     _sym,
     ambient_norms,
@@ -342,20 +341,23 @@ def _reference_draw(kind, rng):
     return embed(random_point(kind, rng))
 
 
-def _reference_starts(state, seed):
+def _reference_starts(state, seed, nan_draw=None):
     """The start rows of ``maximize``, built through manifold points: the
-    incumbent, then each ``_reference_draw``, pulled toward the incumbent in
-    flat coordinates where it lies outside the trust radius and mapped back
-    by ``kind.project`` (skipped where that is NaN).  Also returns how many
-    starts were pulled."""
+    incumbent, then each ``_reference_draw`` but the one numbered
+    ``nan_draw``, pulled toward the incumbent in flat coordinates where it
+    lies outside the trust radius and mapped back by ``kind.project``
+    (skipped where that is NaN).  Also returns how many starts were
+    pulled."""
     data = state.model.data
     kind = data.kind
     rng = np.random.default_rng(seed)
     starts, pulled = [embed(data.points[int(np.argmin(data.values))])], 0
-    for _ in range(ASCENT_STARTS - 1):
+    for draw in range(ASCENT_STARTS - 1):
         try:
             e = _reference_draw(kind, rng)
         except ManifoldError:
+            continue
+        if draw == nan_draw:
             continue
         w = flatten_ambient(kind, e)
         if not _within_trust(state, w[None])[0]:
@@ -367,6 +369,16 @@ def _reference_starts(state, seed):
             pulled += 1
         starts.append(e)
     return np.stack(starts), pulled
+
+
+def _maximize_starts(state, rng):
+    """Ten start rows as ``maximize`` stacks them: the incumbent's row, then
+    one ``_random_starts`` stack, with no row dropped."""
+    data = state.model.data
+    incumbent = embed(data.points[int(np.argmin(data.values))])
+    starts = np.concatenate([incumbent[None], _random_starts(state, rng)])
+    assert len(starts) == ASCENT_STARTS == 10
+    return starts
 
 
 class TestMaximize:
@@ -390,6 +402,21 @@ class TestMaximize:
             reference, pulled = _reference_starts(state, seed)
             assert pulled > 0 if math.isfinite(trust_radius) else pulled == 0
             np.testing.assert_array_equal(seen[-1], reference)
+        # The fourth draw comes back NaN, as an Spd draw past the chart
+        # does: it is dropped, and the five rows after it keep their own
+        # draws.
+        draw_row = type(kind).random_embedded
+        draws = iter(range(ASCENT_STARTS - 1))
+
+        def fourth_is_nan(self, gen):
+            row = draw_row(self, gen)
+            return np.full_like(row, np.nan) if next(draws) == 3 else row
+
+        monkeypatch.setattr(type(kind), "random_embedded", fourth_is_nan)
+        maximize(state, 0)
+        reference, _ = _reference_starts(state, 0, nan_draw=3)
+        assert len(reference) == ASCENT_STARTS - 1
+        np.testing.assert_array_equal(seen[-1], reference)
 
     def test_spd_start_is_the_log_of_its_random_point(self, rng):
         # An Spd start is drawn on the image, without the exp/log round trip
@@ -398,9 +425,12 @@ class TestMaximize:
         kind = Spd(3)
         state = _state(kind, 5, rng)
         for seed in range(5):
-            start = _random_start(state, np.random.default_rng(seed))
-            point = random_point(kind, np.random.default_rng(seed))
-            np.testing.assert_allclose(start, embed(point), rtol=0.0, atol=1e-13)
+            starts = _random_starts(state, np.random.default_rng(seed))
+            point_rng = np.random.default_rng(seed)
+            points = [random_point(kind, point_rng) for _ in range(ASCENT_STARTS - 1)]
+            np.testing.assert_allclose(
+                starts, [embed(point) for point in points], rtol=0.0, atol=1e-13
+            )
 
     def test_single_start_reduces_to_ascend_from_incumbent(self, monkeypatch, rng):
         kind = Sphere(2)
@@ -475,8 +505,8 @@ class TestMaximize:
     def test_pulled_start_with_tied_eigenvalues_is_skipped(self, monkeypatch, rng):
         # The incumbent spans e1 and every random start e2; at radius
         # sqrt(2) / 2 the pull lands on diag(0.5, 0.5, 0), whose top
-        # eigenvalue is tied.  Its projection is NaN, so the start is
-        # skipped and only the incumbent ascends.
+        # eigenvalue is tied.  Its projection is NaN, so the row is dropped
+        # from the stack and only the incumbent ascends.
         kind = Grassmann(1, 3)
         incumbent = ManifoldPoint(kind, [[1.0], [0.0], [0.0]])
         points = [incumbent] + [random_point(kind, rng) for _ in range(3)]
@@ -488,8 +518,7 @@ class TestMaximize:
         monkeypatch.setattr(
             Grassmann, "random_coords", lambda self, gen: np.array([[0.0], [1.0], [0.0]])
         )
-        with pytest.raises(DegenerateProjectionError):
-            _random_start(state, np.random.default_rng(0))
+        assert _random_starts(state, np.random.default_rng(0)).shape == (0, 3, 3)
         seen = []
         real_ascend = acquisition.ascend
 
@@ -504,9 +533,9 @@ class TestMaximize:
     def test_pulled_start_outside_the_chart_is_never_returned(self, monkeypatch):
         # The incumbent lies at log-norm 9.5 and every random start at 20
         # along the same axis; the pull at radius 1 leaves each at 10.5,
-        # outside the chart.  Its projection is NaN, so the start is
-        # skipped, as a Grassmann start with tied eigenvalues is, and only
-        # the incumbent ascends.
+        # outside the chart.  Its projection is NaN, so the row is dropped
+        # from the stack, as a Grassmann row with tied eigenvalues is, and
+        # only the incumbent ascends.
         kind = Spd(2)
         logs = [np.diag([9.5, 0.0]), np.diag([9.0, 0.5]), np.diag([9.2, -0.3])]
         points = [unembed(kind, v) for v in logs]
@@ -515,8 +544,7 @@ class TestMaximize:
         state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
         far = np.diag([20.0, 0.0])
         monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
-        with pytest.raises(DegenerateProjectionError, match="chart"):
-            _random_start(state, np.random.default_rng(0))
+        assert _random_starts(state, np.random.default_rng(0)).shape == (0, 2, 2)
         seen = []
 
         def spy(state, e):
@@ -641,7 +669,7 @@ class TestBatchedAscent:
         state = AcquisitionState(
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
         )
-        starts = np.stack([_random_start(state, rng) for _ in range(10)])
+        starts = _maximize_starts(state, rng)
         given = starts.copy()
         e, acq = ascend(state, starts)
         np.testing.assert_array_equal(starts, given)  # the starts are not moved
@@ -789,7 +817,7 @@ class TestBatchedAscent:
         monkeypatch.setattr(acquisition, "retract_embedded", spy)
 
         def ascend_as_reference(state):
-            starts = np.stack([_random_start(state, rng) for _ in range(10)])
+            starts = _maximize_starts(state, rng)
             e, acq = ascend(state, starts)
             for row, start in enumerate(starts):
                 reference, reference_acq = _reference_ascend(state, start)
@@ -845,7 +873,7 @@ class TestBatchedAscent:
         model = GpModel.build(params, GpDataset.from_points([random_point(kind, rng)], [-1.0]))
         least = _at(AcquisitionState(model, 0.0), model.data.embedded[0]).mean[0]
         state = AcquisitionState(model, least, trust_radius=0.5, exploit=True)
-        starts = np.stack([_random_start(state, rng) for _ in range(10)])
+        starts = _maximize_starts(state, rng)
         e, acq = ascend(state, starts)
         monkeypatch.setattr(acquisition, "ASCENT_RTOL", 0.0)
         unstopped, unstopped_acq = ascend(state, starts)

@@ -4,6 +4,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,13 +41,27 @@ def test_one_seed_smoke():
 def test_counts_rounds_and_rows_per_kind():
     tool = _tool()
 
+    class Kind:
+        # A start's flat row is its (rows, of which NaN) pair.
+        def flatten_rows(self, e):
+            return np.array(e, dtype=float)
+
     class State:
         def __init__(self, exploit):
             self.exploit = exploit
+            self.model = SimpleNamespace(data=SimpleNamespace(kind=Kind()))
 
     class Acquisition:
-        # Each round stacks (rows, of which NaN) trial rows; the fake
-        # retraction returns the NaN ones first, as 2 x 2 rows.
+        ASCENT_STARTS = 5
+
+        # A start lies within the trust radius if its flat row lies within
+        # 3 of the origin.
+        def _within_trust(self, state, w):
+            return np.linalg.norm(w, axis=1) <= 3.0
+
+        # Each start is one round, which stacks (rows, of which NaN) trial
+        # rows; the fake retraction returns the NaN ones first, as 2 x 2
+        # rows.
         def ascend(self, state, e):
             for rows, nan in e:
                 self.retract_embedded(None, np.zeros((rows, 2, 2)), None, nan)
@@ -70,3 +85,11 @@ def test_counts_rounds_and_rows_per_kind():
     assert counter.rows == {"PI": 6, "exploit": 6}
     assert counter.nan_rows == {"PI": 1, "exploit": 4}
     assert tool.table_lines({"w": counter})[2].endswith("| 1 + 4 = 5 |")
+    # Starts, dropped starts (5 less the starts, per call) and starts
+    # outside the radius: (4, 1) and (3, 3).
+    assert counter.starts == {"PI": 2, "exploit": 4}
+    assert counter.dropped == {"PI": 3, "exploit": 6}
+    assert counter.outside == {"PI": 1, "exploit": 1}
+    assert tool.table_lines({"w": counter})[2].endswith(
+        "| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 1 = 2 | 1 + 4 = 5 |"
+    )

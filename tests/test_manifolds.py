@@ -199,6 +199,16 @@ class TestSpdChart:
         np.testing.assert_allclose(out[1], at, rtol=0.0, atol=1e-14)
         assert np.isnan(out[2]).all()
 
+    def test_random_draw_past_the_chart(self):
+        # A symmetric Gaussian 20 x 20 matrix has a Frobenius norm near 14,
+        # past the bound: its embedded draw is an all-NaN row, and
+        # random_point raises on the same draw.
+        kind = Spd(20)
+        for seed in range(3):
+            assert np.isnan(kind.random_embedded(np.random.default_rng(seed))).all()
+            with pytest.raises(DegenerateProjectionError, match="chart"):
+                random_point(kind, seed)
+
     def test_project_to_image_raises_past_the_chart(self):
         # Past the band the projection names the chart; in the band it is
         # the point on the bound.

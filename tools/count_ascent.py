@@ -6,14 +6,21 @@ Runs ``manibo run`` with each benchmark workload's flags
 (``perfbench/workloads.py``) on seeds 0..3, in this process, from
 ``TREE/src`` (default: this checkout), with ``acquisition.ascend`` and
 ``acquisition.retract_embedded`` wrapped.  Every ``maximize`` makes one
-``ascend`` call, and every ascent round one stacked retraction of its trial
-rows, so the wrappers count, for PI and for exploit rounds apart:
+``ascend`` call on its stack of starts, and every ascent round one stacked
+retraction of its trial rows, so the wrappers count, for PI and for
+exploit rounds apart:
 
 - rounds: the retractions made inside ``ascend``;
 - trial rows: the rows those retractions stacked;
-- NaN trial rows: the rows they returned as NaN (no unique nearest image
-  point, or outside the chart), which the ascent rejects;
-- the median and the 90th percentile of the rounds per ``maximize``.
+- the median and the 90th percentile of the rounds per ``maximize``;
+- starts: the rows ``ascend`` was given;
+- dropped starts: the random starts ``maximize`` dropped as NaN rows (no
+  unique nearest image point, or outside the chart), ``ASCENT_STARTS``
+  less the starts, per call;
+- starts outside the radius: the starts that begin outside the trust
+  radius, by the ascent's own test ``_within_trust``;
+- NaN trial rows: the trial rows the retractions returned as NaN, which
+  the ascent rejects.
 
 The counts are exact and repeat on one numpy/BLAS build, so two trees'
 tables compare line by line; the run pins BLAS to one thread.  ``--seeds
@@ -44,18 +51,26 @@ KINDS = ("PI", "exploit")
 
 class AscentCounter:
     """Wraps ``ascend`` and ``retract_embedded`` in the acquisition module
-    and tallies each ``ascend`` call's rounds, trial rows and NaN trial rows
-    under its round's kind."""
+    and tallies each ``ascend`` call's starts, rounds, trial rows and NaN
+    trial rows under its round's kind."""
 
     def __init__(self, acquisition):
         self.acquisition = acquisition
         self.rounds = {kind: [] for kind in KINDS}  # per ascend call
         self.rows = {kind: 0 for kind in KINDS}
         self.nan_rows = {kind: 0 for kind in KINDS}
+        self.starts = {kind: 0 for kind in KINDS}
+        self.dropped = {kind: 0 for kind in KINDS}
+        self.outside = {kind: 0 for kind in KINDS}
         self._current = None  # [rounds, rows, NaN rows] of the ascend call under way
 
     def _ascend(self, state, e):
         kind = "exploit" if state.exploit else "PI"
+        module = self.acquisition
+        w = state.model.data.kind.flatten_rows(e)
+        self.starts[kind] += len(e)
+        self.dropped[kind] += module.ASCENT_STARTS - len(e)
+        self.outside[kind] += int((~module._within_trust(state, w)).sum())
         self._current = [0, 0, 0]
         try:
             return self._real_ascend(state, e)
@@ -105,22 +120,26 @@ def table_lines(counters: dict) -> list[str]:
     lines = [
         "| workload | rounds, PI + exploit | trial rows, PI + exploit "
         "| median rounds per `maximize`, PI / exploit (p90) "
+        "| starts, PI + exploit | dropped starts, PI + exploit "
+        "| starts outside the radius, PI + exploit "
         "| NaN trial rows, PI + exploit |",
-        "|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|",
     ]
+
+    def total(counts):
+        return f"{counts['PI']:,} + {counts['exploit']:,} = {sum(counts.values()):,}"
+
     for name, counter in counters.items():
-        rounds = [sum(counter.rounds[kind]) for kind in KINDS]
-        rows = [counter.rows[kind] for kind in KINDS]
-        nan_rows = [counter.nan_rows[kind] for kind in KINDS]
+        rounds = {kind: sum(counter.rounds[kind]) for kind in KINDS}
         medians = [statistics.median(counter.rounds[kind]) if counter.rounds[kind] else 0
                    for kind in KINDS]
         p90s = [float(np.percentile(counter.rounds[kind], 90.0)) if counter.rounds[kind] else 0
                 for kind in KINDS]
         lines.append(
-            f"| {name} | {rounds[0]:,} + {rounds[1]:,} = {sum(rounds):,} "
-            f"| {rows[0]:,} + {rows[1]:,} = {sum(rows):,} "
+            f"| {name} | {total(rounds)} | {total(counter.rows)} "
             f"| {medians[0]:g} / {medians[1]:g} ({p90s[0]:g} / {p90s[1]:g}) "
-            f"| {nan_rows[0]:,} + {nan_rows[1]:,} = {sum(nan_rows):,} |"
+            f"| {total(counter.starts)} | {total(counter.dropped)} "
+            f"| {total(counter.outside)} | {total(counter.nan_rows)} |"
         )
     return lines
 
