@@ -7,9 +7,10 @@ decrease the value.  Nelder-Mead runs in flat embedding coordinates and
 retracts every candidate vertex onto the manifold before the objective sees
 it, so a manifold-valued objective never receives an off-manifold argument.
 
-Both return a ``RunTrace``, as the Bayesian loop does.  Gradient descent
-records accepted iterates; Nelder-Mead records every objective evaluation,
-which makes evaluation-count comparisons direct.
+Both return a ``RunTrace``, as the Bayesian loop does, and abort through
+it on a failure after their first evaluation.  Gradient descent records
+accepted iterates; Nelder-Mead records every objective evaluation, which
+makes evaluation-count comparisons direct.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
     image point is a NaN row, which ``unembed`` rejects with
     ``InvalidInputError``; on the sphere none fails (|e - lam tangent| >= 1).
     Stops when the projected gradient norm falls below ``GD_TOL``, no
-    halving produces a decrease, or ``max_iters`` is reached.
+    halving produces a decrease, or ``max_iters`` is reached.  After the
+    first evaluation any exception (from the objective, its gradient or a
+    rejected step) aborts the run (``RunTrace.abort``); on the first it raises.
     """
     if obj.grad is None:
         raise InvalidInputError("gradient descent needs an objective with a gradient")
@@ -70,20 +73,24 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
     trace.record(0, x, f, n_evals, start)
     for t in range(1, max_iters + 1):
         tick = time.perf_counter()
-        tangent = project_to_tangent(x, obj.grad(x))
-        if np.linalg.norm(tangent) < GD_TOL:
-            break
-        e = embed(x)
-        lam = GD_STEP
-        for _ in range(GD_MAX_BACKTRACKS + 1):
-            stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
-            candidate = unembed(x.kind, stepped[0])
-            f_cand = float(obj.fn(candidate))
-            n_evals += 1
-            if f_cand < f:
+        try:
+            tangent = project_to_tangent(x, obj.grad(x))
+            if np.linalg.norm(tangent) < GD_TOL:
                 break
-            lam *= 0.5
-        else:
+            e = embed(x)
+            lam = GD_STEP
+            for _ in range(GD_MAX_BACKTRACKS + 1):
+                stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
+                candidate = unembed(x.kind, stepped[0])
+                f_cand = float(obj.fn(candidate))
+                n_evals += 1
+                if f_cand < f:
+                    break
+                lam *= 0.5
+            else:
+                break
+        except Exception as exc:  # any failure here keeps the trace
+            trace.abort(f"objective raised at iteration {t}", exc)
             break
         x, f = candidate, f_cand
         trace.record(t, x, f, n_evals, tick)
@@ -99,8 +106,9 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
     reflection, so a flat objective keeps reflecting until the evaluation
     budget is exhausted.  Stops when the simplex diameter drops below
     ``NM_TOL`` or the budget runs out; a budget below 1 raises
-    ``InvalidInputError``.  A failed evaluation is recorded at x0 with value
-    inf.
+    ``InvalidInputError``.  An evaluation that raises a ``ManifoldError`` is
+    recorded at x0 with value inf; after the first evaluation any other
+    exception aborts the run (``RunTrace.abort``), and on the first it raises.
     """
     if max_evals < 1:
         raise InvalidInputError(f"max_evals must be >= 1, got {max_evals}")
@@ -111,12 +119,19 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
 
     def evaluate(w: np.ndarray) -> float:
         nonlocal n_evals
+        if trace.aborted:
+            return np.inf
         tick = time.perf_counter()
         try:
             point = unembed(kind, unflatten_ambient(kind, w))
             value = float(obj.fn(point))
         except ManifoldError:
             point, value = x0, np.inf
+        except Exception as exc:  # a user objective may raise anything
+            if not n_evals:
+                raise
+            trace.abort(f"objective raised at evaluation {n_evals + 1}", exc)
+            return np.inf
         n_evals += 1
         trace.record(n_evals, point, value, n_evals, tick)
         return value
@@ -137,7 +152,7 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
         diffs = simplex[:, None, :] - simplex[None, :, :]
         return float(np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).max())
 
-    while n_evals < max_evals and diameter() >= NM_TOL:
+    while n_evals < max_evals and not trace.aborted and diameter() >= NM_TOL:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         worst = simplex[-1]

@@ -2,10 +2,10 @@
 
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
-refitting.  The incumbent is the best observed value, which the run's
-trace keeps (``RunTrace``).  Failures after the
-first evaluation (a non-finite objective value, or an exception from the
-objective, the proposal or the refit) abort the run but keep the trace
+refitting.  The run's trace (``RunTrace``) keeps the incumbent, the best
+observed value, and the abort.  Failures after the first evaluation (a
+non-finite objective value, or an exception from the objective, the
+proposal or a surrogate update) abort the run but keep the trace
 collected so far, since traces are the primary artifact.
 """
 
@@ -91,7 +91,8 @@ class BoConfig:
     ``init_points`` overrides the random initial design (the design size is
     then their count).  Each iteration's ``maximize`` gets a seed derived
     from ``seed``; the ascent's settings are constants.  The surrogate's
-    prior mean is derived from the data (``GpDataset.trend``).
+    prior mean is derived from the data (``GpDataset.trend``).  The run's
+    incumbent and its abort are kept by its ``RunTrace``, not here.
     """
 
     n_init: int = 5
@@ -130,14 +131,23 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    """The records of one optimizer run on ``objective``, and its incumbent:
-    the first record's point, replaced by each later record's point whose
-    value is strictly below the incumbent's value."""
+    """The records of one optimizer run on ``objective``, its incumbent (the
+    first record's point, replaced by each later record's point whose value
+    is strictly below the incumbent's value) and its abort (``abort``)."""
 
     objective: Objective
     records: list[TraceRecord] = field(default_factory=list)
     aborted: bool = False
     abort_reason: Optional[str] = None
+
+    def abort(self, reason: str, exc: Optional[Exception] = None) -> None:
+        """Mark the run aborted for ``reason``, to which ``exc`` appends
+        ``: Type: message``, and log it as a warning."""
+        if exc is not None:
+            reason = f"{reason}: {type(exc).__name__}: {exc}"
+        logger.warning("%s", reason, exc_info=exc)
+        self.aborted = True
+        self.abort_reason = reason
 
     def record(
         self, iteration: int, point: ManifoldPoint, value: float, n_evals: int, since: float
@@ -228,18 +238,37 @@ def proposal_dedup(
     return x_next if row is None else unembed(kind, row)
 
 
+def _surrogate_update(
+    trace: RunTrace, dataset: GpDataset, params: Optional[KernelParams], cfg: BoConfig, s: int
+) -> Optional[KernelParams]:
+    """``params``, or median-heuristic defaults when it is None, fitted when
+    s is 0 or a multiple of ``refit_every``.  A failed fit keeps them; any
+    other exception aborts ``trace``."""
+    try:
+        if params is None:
+            params = median_heuristic_params(dataset)
+        if cfg.refit_every > 0 and s % cfg.refit_every == 0 and len(dataset) >= 2:
+            n_starts = REFIT_RESTARTS if s else FIT_RESTARTS
+            params = fit_hyperparams(dataset, params, n_starts, seed=cfg.seed)
+    except FittingFailedError:
+        logger.warning("hyperparameter fitting failed; keeping current values")
+    except Exception as exc:  # any failure here keeps the trace
+        trace.abort(f"surrogate update failed at iteration {s}", exc)
+    return params
+
+
 def run(obj: Objective, cfg: BoConfig) -> RunTrace:
-    """Run the optimization loop; returns its trace, whose last record
-    (``trace.final``) holds the incumbent.
+    """Run the optimization loop; returns its trace, which keeps the
+    incumbent (``trace.final``) and the abort.
 
     Deterministic given ``cfg.seed``.  Record 0 is the state after the
-    initial design (or the part of it evaluated before a failure); records
-    1..n_iters follow the proposals.  After the first evaluation, a
-    non-finite objective value or any exception from the objective, the
-    proposal phase (surrogate build, acquisition maximization, dedup) or
-    the hyperparameter refit aborts the run with the trace collected so far
-    (``trace.aborted`` set, ``trace.abort_reason`` saying why) rather than
-    discarding it.  A failure on the first evaluation raises.
+    initial design (or the part of it evaluated before a failure) and its
+    first fit; records 1..n_iters follow the proposals.  After the first
+    evaluation, a non-finite objective value or any exception from the
+    objective, the proposal phase (surrogate build, acquisition
+    maximization, dedup) or a surrogate update aborts the run
+    (``RunTrace.abort``), which keeps the trace collected so far.  A
+    failure on the first evaluation raises.
     """
     trace = RunTrace(obj)
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -255,13 +284,6 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
         init_rng = np.random.default_rng(init_seq)
         init_points = [random_point(obj.kind, init_rng) for _ in range(cfg.n_init)]
 
-    def abort(reason: str, exc: Optional[Exception] = None) -> None:
-        if exc is not None:
-            reason = f"{reason}: {type(exc).__name__}: {exc}"
-        logger.warning("%s", reason, exc_info=exc)
-        trace.aborted = True
-        trace.abort_reason = reason
-
     points: list[ManifoldPoint] = []
     values: list[float] = []
     for pt in init_points:
@@ -270,40 +292,24 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
         except Exception as exc:  # a user objective may raise anything
             if not values:
                 raise
-            abort("objective raised during init", exc)
+            trace.abort("objective raised during init", exc)
             break
         if not math.isfinite(y):
             if not values:
                 raise InvalidInputError(
                     f"objective returned non-finite value {y!r} on the first evaluation"
                 )
-            abort(f"objective returned non-finite value {y!r} during init")
+            trace.abort(f"objective returned non-finite value {y!r} during init")
             break
         points.append(pt)
         values.append(y)
 
     best_idx = int(np.argmin(values))
     dataset = GpDataset.from_points(points, values)
+    params = cfg.kernel
+    if not trace.aborted:
+        params = _surrogate_update(trace, dataset, params, cfg, 0)
     trace.record(0, points[best_idx], values[best_idx], len(points), start)
-    if trace.aborted:
-        return trace
-
-    def refit(current: KernelParams, n_starts: int) -> KernelParams:
-        try:
-            return fit_hyperparams(dataset, current, n_starts, seed=cfg.seed)
-        except FittingFailedError:
-            logger.warning("hyperparameter fitting failed; keeping current values")
-            return current
-
-    try:
-        params = cfg.kernel
-        if params is None:
-            params = median_heuristic_params(dataset)
-        if cfg.refit_every > 0 and len(dataset) >= 2:
-            params = refit(params, FIT_RESTARTS)
-    except Exception as exc:  # any failure here keeps the trace
-        abort("surrogate update failed at iteration 0", exc)
-        return trace
 
     loop_rng = np.random.default_rng(loop_seq)
     # Proposals stay within the initial design's diameter of the incumbent:
@@ -312,6 +318,8 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     trust_radius = math.sqrt(float(np.max(dataset.sq_dists))) or math.inf
 
     for s in range(1, cfg.n_iters + 1):
+        if trace.aborted:
+            break
         tick = time.perf_counter()
         try:
             state = AcquisitionState(
@@ -323,27 +331,18 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
             x_next = maximize(state, int(loop_rng.integers(2**31)))
             x_next = proposal_dedup(dataset, x_next, loop_rng, params.lengthscale)
         except Exception as exc:  # any failure here keeps the trace
-            abort(f"proposal failed at iteration {s}", exc)
+            trace.abort(f"proposal failed at iteration {s}", exc)
             break
         try:
             y = float(obj.fn(x_next))
         except Exception as exc:  # a user objective may raise anything
-            abort(f"objective raised at iteration {s}", exc)
+            trace.abort(f"objective raised at iteration {s}", exc)
             break
         if not math.isfinite(y):
-            abort(f"objective returned non-finite value {y!r} at iteration {s}")
+            trace.abort(f"objective returned non-finite value {y!r} at iteration {s}")
             break
         dataset = dataset.append(x_next, y)
-        failure = None
-        # After the last iteration no surrogate is built, so the
-        # hyperparameters are not refitted.
-        if s < cfg.n_iters and cfg.refit_every > 0 and s % cfg.refit_every == 0:
-            try:
-                params = refit(params, REFIT_RESTARTS)
-            except Exception as exc:  # any failure here keeps the trace
-                failure = exc
+        if s < cfg.n_iters:  # no proposal would use the last iteration's fit
+            params = _surrogate_update(trace, dataset, params, cfg, s)
         trace.record(s, x_next, y, len(dataset), tick)
-        if failure is not None:
-            abort(f"surrogate update failed at iteration {s}", failure)
-            break
     return trace

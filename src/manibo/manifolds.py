@@ -82,7 +82,8 @@ class ManifoldKind:
     """The protocol every manifold kind implements, on raw arrays that the
     free functions have already checked for shape and finiteness:
 
-    * ``coords_shape``, ``ambient_shape``, ``ambient_dim``;
+    * ``coords_shape``, ``ambient_shape``; ``ambient_dim``, the flat
+      length, comes from ``flatten_rows``;
     * ``check_point(coords)`` raises unless the coordinates are valid;
     * ``embed(coords)``; ``coords(e)``, the native coordinates of an image
       point that ``project`` returned, without a check;
@@ -100,6 +101,10 @@ class ManifoldKind:
     accept leading batch axes and compute every row on its own, so a row's
     bits do not depend on the other rows.
     """
+
+    @functools.cached_property
+    def ambient_dim(self) -> int:
+        return self.flatten_rows(np.zeros(self.ambient_shape)).size
 
     def random_embedded(self, gen: np.random.Generator) -> np.ndarray:
         return self.embed(self.random_coords(gen))
@@ -120,10 +125,6 @@ class Sphere(ManifoldKind):
         return (self.n + 1,)
 
     ambient_shape = coords_shape
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n + 1
 
     def check_point(self, coords):
         norm = np.linalg.norm(coords)
@@ -160,11 +161,6 @@ class Sphere(ManifoldKind):
 
 class _SymKind(ManifoldKind):
     """A kind embedded in Sym(k), the symmetric k x k matrices."""
-
-    @property
-    def ambient_dim(self) -> int:
-        k = self.ambient_shape[0]
-        return k * (k + 1) // 2
 
     def flatten_rows(self, v):
         k = self.ambient_shape[0]

@@ -221,3 +221,68 @@ class TestNelderMead:
         assert trace.final.best_point is x0
         assert [rec.best_point for rec in trace.records] == [x0, x0]
         assert all(rec.value == math.inf for rec in trace.records)
+
+
+def _failing_at(fn, k):
+    """fn, except that its k-th call raises RuntimeError."""
+    calls = {"n": 0}
+
+    def wrapped(x):
+        calls["n"] += 1
+        if calls["n"] == k:
+            raise RuntimeError("simulator crashed")
+        return fn(x)
+
+    return wrapped
+
+
+class TestAbort:
+    def test_gd_aborts_with_the_iterates_so_far(self):
+        gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
+        x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
+        full = riemannian_gd(gobj, x0, max_iters=20)
+        # On this problem GD never backtracks: one evaluation per iteration.
+        assert [rec.n_evals for rec in full.records] == list(range(1, 22))
+        trace = riemannian_gd(dataclasses.replace(gobj, fn=_failing_at(gobj.fn, 5)), x0, 20)
+        assert trace.aborted
+        assert trace.abort_reason == (
+            "objective raised at iteration 4: RuntimeError: simulator crashed"
+        )
+        assert [rec.iteration for rec in trace.records] == [0, 1, 2, 3]
+        assert [rec.value for rec in trace.records] == [rec.value for rec in full.records[:4]]
+
+    def test_gd_aborts_on_a_failing_gradient(self):
+        gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
+        x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
+        trace = riemannian_gd(dataclasses.replace(gobj, grad=_failing_at(gobj.grad, 3)), x0)
+        assert trace.aborted
+        assert trace.abort_reason.startswith("objective raised at iteration 3: RuntimeError")
+        assert [rec.iteration for rec in trace.records] == [0, 1, 2]
+
+    def test_nelder_mead_aborts_with_the_evaluations_so_far(self):
+        obj = grassmann_objective(random_approx_problem(n=4, p=2, seed=0))
+        x0 = random_point(obj.kind, np.random.default_rng(1))
+        full = nelder_mead(obj, x0, max_evals=40)
+        failing = dataclasses.replace(obj, fn=_failing_at(obj.fn, 25))
+        trace = nelder_mead(failing, x0, max_evals=40)
+        assert trace.aborted
+        assert trace.abort_reason == (
+            "objective raised at evaluation 25: RuntimeError: simulator crashed"
+        )
+        assert [rec.n_evals for rec in trace.records] == list(range(1, 25))
+        assert [rec.value for rec in trace.records] == [rec.value for rec in full.records[:24]]
+
+    def test_nelder_mead_aborts_within_the_initial_simplex(self):
+        kind = Sphere(2)
+        obj = Objective(kind=kind, fn=_failing_at(lambda x: float(x.coords[2]), 2))
+        trace = nelder_mead(obj, random_point(kind, np.random.default_rng(0)), max_evals=50)
+        assert trace.aborted
+        assert trace.abort_reason.startswith("objective raised at evaluation 2: ")
+        assert len(trace.records) == 1
+
+    def test_first_evaluation_failure_raises(self):
+        gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
+        x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
+        for optimize in (riemannian_gd, nelder_mead):
+            with pytest.raises(RuntimeError):
+                optimize(dataclasses.replace(gobj, fn=_failing_at(gobj.fn, 1)), x0)

@@ -523,6 +523,31 @@ class TestRefitSchedule:
         assert len(trace.records) == 11
         assert fits == [4, 9]  # the initial design, and after iteration 5
 
+    def test_each_fit_precedes_the_record_that_times_it(self, monkeypatch):
+        # The initial fit comes before record 0, so row 0 times it; the
+        # refit after iteration s comes before record s.
+        events = []
+        fit, record = bo.fit_hyperparams, bo.RunTrace.record
+
+        def fitting(data, *args, **kwargs):
+            events.append(("fit", len(data)))
+            return fit(data, *args, **kwargs)
+
+        def recording(self, iteration, *args):
+            events.append(("record", iteration))
+            return record(self, iteration, *args)
+
+        monkeypatch.setattr(bo, "fit_hyperparams", fitting)
+        monkeypatch.setattr(bo.RunTrace, "record", recording)
+        obj = frechet_objective(latitude_circle_problem())
+        run(obj, BoConfig(n_init=4, n_iters=10, refit_every=3, seed=0))
+        expected = []
+        for s in range(11):
+            if s % 3 == 0 and s < 10:
+                expected.append(("fit", 4 + s))
+            expected.append(("record", s))
+        assert events == expected
+
 
 class TestRunTrace:
     def test_record_measures_the_incumbent_against_the_oracle(self, rng):
@@ -551,6 +576,20 @@ class TestRunTrace:
         incumbents = [points[0], points[1], points[1], points[1], points[4]]
         assert [rec.best_point for rec in trace.records] == incumbents
         assert [rec.best_value for rec in trace.records] == [math.inf, 2.0, 2.0, 2.0, 1.0]
+
+
+    def test_abort_sets_the_flag_and_the_reason(self, caplog):
+        trace = bo.RunTrace(Objective(kind=KIND, fn=float))
+        with caplog.at_level("WARNING", logger="manibo.bo"):
+            trace.abort("objective raised at iteration 2", RuntimeError("simulator crashed"))
+        assert trace.aborted
+        assert trace.abort_reason == (
+            "objective raised at iteration 2: RuntimeError: simulator crashed"
+        )
+        assert caplog.records[-1].getMessage() == trace.abort_reason
+        trace = bo.RunTrace(Objective(kind=KIND, fn=float))
+        trace.abort("objective returned non-finite value nan at iteration 4")
+        assert trace.abort_reason == "objective returned non-finite value nan at iteration 4"
 
 
 class TestConfigValidation:

@@ -195,6 +195,52 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["optimizers"]["ebo"]["aborted"]
 
+    @pytest.mark.parametrize("baseline, csv_name, reason", [
+        ("gd", "gd.csv", "objective raised at iteration 3"),
+        ("nelder-mead", "nelder_mead.csv", "objective raised at evaluation 4"),
+    ])
+    def test_baseline_abort_writes_every_output(
+        self, runner, tmp_path, monkeypatch, baseline, csv_name, reason
+    ):
+        # The objective crashes on its 14th call: the 4th of the baseline,
+        # after eBO's 10.  The baseline's trace so far is still written.
+        module = tmp_path / "crashing_objective.py"
+        module.write_text(
+            "import dataclasses, itertools\n"
+            "from manibo import frechet_grad_objective, latitude_circle_problem\n"
+            "def make(seed):\n"
+            "    base = frechet_grad_objective(latitude_circle_problem())\n"
+            "    calls = itertools.count(1)\n"
+            "    def fn(x):\n"
+            "        if next(calls) == 14:\n"
+            "            raise RuntimeError('simulator crashed')\n"
+            "        return base.fn(x)\n"
+            "    return dataclasses.replace(base, fn=fn)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        out = tmp_path / "exp"
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--experiment", "custom",
+                "--objective", "crashing_objective:make",
+                "--seed", "3",
+                "--iters", "6",
+                "--init", "4",
+                "--baselines", baseline,
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert (out / "ebo.csv").exists() and (out / csv_name).exists()
+        summary = json.loads((out / "summary.json").read_text())
+        ebo, other = (summary["optimizers"][name] for name in ("ebo", csv_name[:-4]))
+        assert not ebo["aborted"]
+        assert other["aborted"]
+        assert other["abort_reason"] == f"{reason}: RuntimeError: simulator crashed"
+        assert other["n_evals"] == 3
+
     def test_gd_rejected_off_sphere(self, runner, tmp_path):
         # Only the sphere's objective carries a gradient; both commands
         # reject gd for the others before running anything.

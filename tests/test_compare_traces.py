@@ -117,10 +117,24 @@ def test_pairs_each_seeds_error_difference(tmp_path):
     differ, _ = tool.compare_dirs(a, b)
     assert tool.paired_lines(a, b, differ) == [
         "u: paired ebo log10_err difference mean -0.5000 se none over 1 seeds: "
-        "1 better, 0 worse, 0 equal",
+        "1 better, 0 worse, 0 equal, wilcoxon p 1",
         "w: paired ebo log10_err difference mean +1.0000 se 0.7071 "
-        "over 5 seeds: 1 better, 3 worse, 1 equal",
+        "over 5 seeds: 1 better, 3 worse, 1 equal, wilcoxon p 0.375",
     ]
+
+
+def test_wilcoxon_p_value_of_known_differences():
+    # Six positive differences: every sign pattern of six ranks is equally
+    # likely under the null, and only all-positive and all-negative are as
+    # extreme, so the two-sided exact p is 2 / 2**6.  With every difference
+    # zero there is no test to run.
+    tool = _tool()
+    six_worse = [[-8.0] * 6, [-8.0 + 0.1 * k for k in range(1, 7)]]
+    assert tool._paired_line("w", six_worse).endswith(
+        "0 better, 6 worse, 0 equal, wilcoxon p 0.03125")
+    assert tool._paired_line("w", [[-8.0] * 3, [-8.0] * 3]).endswith(
+        "0 better, 0 worse, 3 equal, wilcoxon p n/a")
+    assert tool._paired_line("w", [[None], [-8.0]]).endswith("0 equal, wilcoxon p n/a")
 
 
 def _seed_run(root, name, log10_err, errs):
@@ -207,7 +221,7 @@ def test_main_prints_the_errors_after_the_differing_files(tmp_path, monkeypatch,
         "w/seed-1: ebo evals_to_tol 3 -> 3",
         "w: median ebo evals_to_tol 3 -> 3",
         "w: paired ebo log10_err difference mean +1.0000 se 1.0000 over 2 seeds: "
-        "0 better, 1 worse, 1 equal",
+        "0 better, 1 worse, 1 equal, wilcoxon p 1",
         "2 of 4 files identical over 2 seed runs",
     ]
 
@@ -251,9 +265,9 @@ def test_pools_the_pairs_of_both_seed_sets(tmp_path):
         sets.append((a, b, _tool().compare_dirs(a, b)[0]))
     assert _tool().pooled_lines(sets) == [
         "v: pooled paired ebo log10_err difference mean +0.1667 se 0.1667 over 3 seeds: "
-        "0 better, 1 worse, 2 equal",
+        "0 better, 1 worse, 2 equal, wilcoxon p 1",
         "w: pooled paired ebo log10_err difference mean +1.0000 se 0.7071 over 5 seeds: "
-        "1 better, 3 worse, 1 equal",
+        "1 better, 3 worse, 1 equal, wilcoxon p 0.375",
     ]
 
 
@@ -283,14 +297,14 @@ def test_with_held_out_runs_and_pools_both_seed_sets(tmp_path, monkeypatch, caps
     assert out[0] == "-- measured seeds"
     assert out[held_out - 2:held_out] == [
         "w: paired ebo log10_err difference mean +0.5000 se 0.5000 over 2 seeds: "
-        "0 better, 1 worse, 1 equal",
+        "0 better, 1 worse, 1 equal, wilcoxon p 1",
         "2 of 4 files identical over 2 seed runs",
     ]
     assert out[-3:] == [
         "38 of 40 files identical over 20 seed runs",
         "-- pooled",
         "w: pooled paired ebo log10_err difference mean +0.0909 se 0.0627 over 22 seeds: "
-        "0 better, 2 worse, 20 equal",
+        "0 better, 2 worse, 20 equal, wilcoxon p 0.1573",
     ]
 
 

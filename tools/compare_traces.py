@@ -17,8 +17,10 @@ tolerance, ``Workload.meets_tolerance``, read from ``ebo.csv``; the budget
 plus one if it never does) and the two medians.  Last, one line per such
 workload pairs the seeds: the mean of the per-seed eBO ``log10_err``
 differences, TREE_B minus TREE_A (positive is worse), their standard
-error, and how many seeds got better, worse or stayed equal.  The paired
-mean removes the spread between seeds, which dominates a median.
+error, how many seeds got better, worse or stayed equal, and the p-value
+of a Wilcoxon signed-rank test on the differences (``n/a`` when every
+difference is zero).  The paired mean removes the spread between seeds,
+which dominates a median.
 
 ``--with-held-out`` also runs the held-out seeds 100..119 on every
 workload in the same call.  Each seed set then prints its own report, and
@@ -46,6 +48,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from scipy.stats import wilcoxon
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -149,15 +153,18 @@ def _metric_lines(workload: str, seeds: list[str], label: str, values, spec: str
 
 def _paired_line(workload: str, values, label: str = "paired") -> str:
     """The mean of the per-seed differences, second tree minus first, over
-    the seeds that have a value in both; their standard error; and how many
-    seeds got better (lower), worse or stayed equal."""
+    the seeds that have a value in both; their standard error; how many
+    seeds got better (lower), worse or stayed equal; and the Wilcoxon
+    signed-rank p-value of the differences."""
     diffs = [y - x for x, y in zip(*values) if x is not None and y is not None]
     mean = statistics.fmean(diffs) if diffs else None
     sem = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else None
     better, worse = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+    # With every difference zero, scipy warns and returns p = 1.
+    p_value = format(wilcoxon(diffs).pvalue, ".4g") if better + worse else "n/a"
     return (f"{workload}: {label} ebo log10_err difference mean {_shown(mean, '+.4f')} "
             f"se {_shown(sem)} over {len(diffs)} seeds: {better} better, {worse} worse, "
-            f"{len(diffs) - better - worse} equal")
+            f"{len(diffs) - better - worse} equal, wilcoxon p {p_value}")
 
 
 def _changed_workloads(differ: list[str]) -> set[str]:
