@@ -233,17 +233,18 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     been taken; every accepted step raises the acquisition, so a result
     never scores below its start.
 
-    The ascent runs in rounds.  Each round, every active row tries its
+    The ascent runs in rounds.  Each round, every climbing row tries its
     trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
     trials, no more than its halvings left and only those that move it at
     least ``DEDUP_TOL``, in one stacked retraction and one stacked
-    posterior.  The row takes the first trial that is not rejected and
+    posterior; the rows that move on take their next gradients in one
+    stacked pass.  The row takes the first trial that is not rejected and
     discards the trials after it; when every trial is rejected, its step is
     halved once per trial.  So every row reaches the iterates that trying
-    one trial per round would, in fewer rounds.  Every row is computed on
-    its own, so its result does not depend on the other starts.  Raises
-    ``InvalidInputError`` unless ``e`` is a non-empty stack of the kind's
-    ambient shape.
+    one trial per round would, in fewer rounds, whatever the lookahead.
+    Every row is computed on its own, so its result does not depend on the
+    other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
+    stack of the kind's ambient shape.
     """
     kind = state.model.data.kind
     e = np.array(e, dtype=float, order="C")
@@ -252,86 +253,83 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"starts have shape {e.shape}, expected (n >= 1,) + {kind.ambient_shape}"
         )
     post = posterior_rows(state.model, kind.flatten_rows(e))
-    acq, terms = _ascent_value(state, post)
+    values, terms = _ascent_value(state, post)
     tangent = _tangents(state, e, post, terms)
-    speed = ambient_norms(kind, tangent)  # |tangent| per row
-    step = np.full(len(e), ASCENT_STEP * state.model.params.lengthscale)
-    n_steps = np.ones(len(e), dtype=int)  # gradients taken
-    rejected = np.zeros(len(e), dtype=int)  # trials of the current step
-    active = speed >= ASCENT_GRAD_TOL
-    # Each round, every active row tries its step and its next halvings at
-    # once; a row never waits for another's backtracking.  The round calls
-    # array methods, not their np.* wrappers, which cost as much as the
-    # arithmetic on these few rows.
-    while True:
-        # A row tries only the trials that move it at least DEDUP_TOL, and
-        # stops when it has none.  Each trial's displacement is step *
-        # |tangent| * 0.5**j, exactly that of its step halved j times.
-        above = (
-            (step * speed)[:, None] * 0.5 ** np.arange(ASCENT_LOOKAHEAD) >= DEDUP_TOL
-        ).sum(axis=1)
-        rows = (active & (above > 0)).nonzero()[0]
-        if rows.size == 0:
-            break
-        budget = np.minimum(
-            np.minimum(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[rows]), above[rows]
-        )
-        at = np.arange(rows.size).repeat(budget)  # each trial's position in rows
-        src = rows[at]
+    # The per-row bookkeeping is plain Python on scalars, which round as
+    # numpy's float64 does and cost far less on these few rows.
+    acq = values.tolist()
+    speed = ambient_norms(kind, tangent).tolist()  # |tangent| per row
+    step = [ASCENT_STEP * state.model.params.lengthscale] * len(e)
+    n_steps = [1] * len(e)  # gradients taken
+    rejected = [0] * len(e)  # trials of the current step
+    climbing = [i for i in range(len(e)) if speed[i] >= ASCENT_GRAD_TOL]
+    while climbing:
         # Trial j of a row halves its step j times; scaling by 0.5**j is
-        # exact, so it is the step that j rejections would leave.
-        halvings = np.arange(src.size) - (budget.cumsum() - budget).repeat(budget)
-        trial_step = step[src] * 0.5**halvings
-        e_cand = retract_embedded(kind, e[src], tangent[src], trial_step)
+        # exact, so it is the step that j rejections would leave.  A row
+        # tries only the trials that move it at least DEDUP_TOL (the
+        # displacement step * |tangent| * 0.5**j), and stops when it has none.
+        src, trial_step = [], []  # per trial: its row and its step
+        tried = []  # per trying row: (row, its first trial, its trial count)
+        for i in climbing:
+            reach = step[i] * speed[i]
+            limit = min(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[i])
+            first = len(src)
+            j = 0
+            while j < limit and reach * 0.5**j >= DEDUP_TOL:
+                src.append(i)
+                trial_step.append(step[i] * 0.5**j)
+                j += 1
+            if j:
+                tried.append((i, first, j))
+        if not tried:
+            break
+        e_cand = retract_embedded(kind, e[src], tangent[src], np.array(trial_step))
         w_cand = kind.flatten_rows(e_cand)
         scored = _within_trust(state, w_cand).nonzero()[0]  # never a NaN row
         post_cand = posterior_rows(state.model, w_cand[scored])
-        acq_cand = np.empty(src.size)
-        acq_cand.fill(np.nan)
         acq_scored, terms_cand = _ascent_value(state, post_cand)
-        acq_cand[scored] = acq_scored
-        # A scored trial that does not lower the acquisition decides its
-        # row; the rows' first such trials are the ones that trying one
-        # trial per round would reach, and later trials are discarded.
-        # Trials are grouped by row, so a row's first is where ``at``
-        # changes.
-        deciding = (acq_cand >= acq[src]).nonzero()[0]
-        owner = at[deciding]
-        first = np.empty(deciding.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(owner[1:], owner[:-1], out=first[1:])
-        deciding, owner = deciding[first], owner[first]
-        # A deciding step that does not raise the acquisition ends the row
-        # where it is; one that raises it moves the row.
-        moved = deciding[acq_cand[deciding] > acq[src[deciding]]]
-        new = src[moved]
-        gain = acq_cand[moved] - acq[new]
-        e[new], acq[new] = e_cand[moved], acq_cand[moved]
-        step[new] = trial_step[moved] * 1.5
-        remaining = np.abs(state.best_value + acq[new]) if state.exploit else -acq[new]
-        going = (n_steps[new] < ASCENT_MAX_STEPS) & ~(gain <= ASCENT_RTOL * remaining)
-        go = new[going]
-        # Only the rows that move on, and those that halve their step again
-        # below, stay active.
-        active[rows] = False
-        if go.size:
+        # Per scored trial: its row in post_cand and its value.
+        found = dict(zip(scored.tolist(), enumerate(acq_scored.tolist())))
+        # A row's first scored trial that does not lower the acquisition
+        # decides it: the trial that trying one trial per round would reach;
+        # later trials are discarded.  A deciding trial that raises the
+        # acquisition moves the row, one that does not ends it there; a row
+        # with no deciding trial halves its step once per trial.
+        moved, go, pick, retry = [], [], [], []
+        for i, first, n_trials in tried:
+            trials = range(first, first + n_trials)
+            t = next((u for u in trials if u in found and found[u][1] >= acq[i]), None)
+            if t is None:
+                step[i] *= 0.5**n_trials
+                rejected[i] += n_trials
+                if rejected[i] <= MAX_BACKTRACKS:
+                    retry.append(i)
+                continue
+            k, value = found[t]
+            if not value > acq[i]:
+                continue
+            gain = value - acq[i]
+            moved.append(t)
+            acq[i], step[i] = value, trial_step[t] * 1.5
+            remaining = abs(state.best_value + value) if state.exploit else -value
+            if n_steps[i] < ASCENT_MAX_STEPS and not gain <= ASCENT_RTOL * remaining:
+                go.append(i)
+                pick.append(k)
+        if moved:
+            e[[src[t] for t in moved]] = e_cand[moved]
+        if go:
             # The trial's posterior and value terms feed its gradient.
-            pick = scored.searchsorted(moved[going])
             tangent[go] = _tangents(
                 state, e[go], post_cand.take(pick), tuple(term[pick] for term in terms_cand)
             )
-            n_steps[go] += 1
-            rejected[go] = 0
-            speed[go] = ambient_norms(kind, tangent[go])
-            active[go] = speed[go] >= ASCENT_GRAD_TOL
-        decided = np.zeros(rows.size, dtype=bool)
-        decided[owner] = True
-        undecided = ~decided
-        retry = rows[undecided]
-        step[retry] *= 0.5 ** budget[undecided]
-        rejected[retry] += budget[undecided]
-        active[retry] = rejected[retry] <= MAX_BACKTRACKS
-    return e, acq
+            for i, s in zip(go, ambient_norms(kind, tangent[go]).tolist()):
+                n_steps[i] += 1
+                rejected[i] = 0
+                speed[i] = s
+                if s >= ASCENT_GRAD_TOL:
+                    retry.append(i)
+        climbing = sorted(retry)
+    return e, np.array(acq)
 
 
 def _random_starts(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:

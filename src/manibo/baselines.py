@@ -60,8 +60,9 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
     ``InvalidInputError``; on the sphere none fails (|e - lam tangent| >= 1).
     Stops when the projected gradient norm falls below ``GD_TOL``, no
     halving produces a decrease, or ``max_iters`` is reached.  After the
-    first evaluation any exception (from the objective, its gradient or a
-    rejected step) aborts the run (``RunTrace.abort``); on the first it raises.
+    first evaluation any exception aborts the run (``RunTrace.abort``), with
+    a reason naming its stage: the gradient, a rejected step or the
+    objective; on the first it raises.
     """
     if obj.grad is None:
         raise InvalidInputError("gradient descent needs an objective with a gradient")
@@ -73,6 +74,7 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
     trace.record(0, x, f, n_evals, start)
     for t in range(1, max_iters + 1):
         tick = time.perf_counter()
+        stage = "gradient raised"  # what an exception means, for the abort
         try:
             tangent = project_to_tangent(x, obj.grad(x))
             if np.linalg.norm(tangent) < GD_TOL:
@@ -80,8 +82,10 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
             e = embed(x)
             lam = GD_STEP
             for _ in range(GD_MAX_BACKTRACKS + 1):
+                stage = "step rejected"
                 stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
                 candidate = unembed(x.kind, stepped[0])
+                stage = "objective raised"
                 f_cand = float(obj.fn(candidate))
                 n_evals += 1
                 if f_cand < f:
@@ -90,7 +94,7 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
             else:
                 break
         except Exception as exc:  # any failure here keeps the trace
-            trace.abort(f"objective raised at iteration {t}", exc)
+            trace.abort(f"{stage} at iteration {t}", exc)
             break
         x, f = candidate, f_cand
         trace.record(t, x, f, n_evals, tick)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .bo import Objective
 from .manifolds import (
+    DegenerateProjectionError,
     InvalidInputError,
     ManifoldError,
     ManifoldPoint,
@@ -35,7 +36,6 @@ from .manifolds import (
     Sphere,
     embed,
     flatten_ambient,
-    project_to_image,
     unembed,
     unflatten_ambient,
 )
@@ -287,13 +287,14 @@ def generate_spd_regression_data(
     rng = np.random.default_rng(seed)
     covariates = np.linspace(0.0, 1.0, n)
     kind = Spd(3)
-    responses = []
-    for z in covariates:
-        perturbation = noise * project_to_image(kind, rng.standard_normal((3, 3)))
-        responses.append(unembed(kind, CURVE_BASE + z * CURVE_DIRECTION + perturbation))
+    # One stack of draws is the same stream as one draw per response.
+    perturbations = noise * kind.project(rng.standard_normal((n, 3, 3)))
+    logs = kind.project(CURVE_BASE + covariates[:, None, None] * CURVE_DIRECTION + perturbations)
+    if np.isnan(logs).any():
+        raise DegenerateProjectionError(f"a response lies outside the {kind} chart")
     return SpdRegressionProblem(
         covariates=covariates,
-        responses=tuple(responses),
+        responses=tuple(ManifoldPoint(kind, c) for c in kind.coords(logs)),
         bandwidth=bandwidth,
         query=query,
     )

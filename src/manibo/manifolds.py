@@ -287,9 +287,9 @@ class Spd(_SymKind):
         return _sym((v * np.log(w)) @ v.T)
 
     def coords(self, e):
-        """The matrix exponential."""
+        """The matrix exponential, of each matrix of a stack."""
         w, vecs = np.linalg.eigh(e)
-        return _sym((vecs * np.exp(w)) @ vecs.T)
+        return _sym((vecs * np.exp(w)[..., None, :]) @ vecs.swapaxes(-1, -2))
 
     def tangent_project(self, e, g):
         return _sym(g)
@@ -335,7 +335,7 @@ class ManifoldPoint:
     Construction validates the coordinate invariants of the kind: unit norm
     for the sphere, orthonormal columns for a Grassmann frame, symmetry and
     positive definiteness for Spd.  Coordinates are stored as a read-only
-    float64 array.
+    float64 array, and so is their embedding, computed once on first use.
     """
 
     kind: ManifoldKind
@@ -354,6 +354,14 @@ class ManifoldPoint:
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
+    @functools.cached_property
+    def embedding(self) -> np.ndarray:
+        """``kind.embed(coords)``, read-only: the data, the objective, the
+        acquisition, the dedup and the trace all embed the same points."""
+        e = self.kind.embed(self.coords)
+        e.setflags(write=False)
+        return e
+
 
 def _require_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -371,9 +379,9 @@ def embed(x: ManifoldPoint) -> np.ndarray:
 
     Sphere: identity.  Grassmann: the orthogonal projector ``X @ X.T`` (the
     same matrix for every frame spanning the subspace).  Spd: the matrix
-    logarithm.
+    logarithm.  Computed once per point and returned read-only.
     """
-    return x.kind.embed(x.coords)
+    return x.embedding
 
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:

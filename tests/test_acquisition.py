@@ -681,6 +681,37 @@ class TestBatchedAscent:
             assert acq[row] == alone_acq[0] == reference_acq
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize(
+        "trust_radius, exploit",
+        # At 0.03 the radius binds: some trials land outside it.
+        [(math.inf, False), (math.inf, True), (0.03, False), (0.03, True)],
+    )
+    def test_lookahead_changes_no_result(self, kind, trust_radius, exploit, monkeypatch, rng):
+        # The lookahead only sets how many of a row's trials a round
+        # tries, so every depth reaches the same iterates, bit for bit.
+        base = _state(kind, 8, rng)
+        state = AcquisitionState(
+            base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
+        )
+        starts = _maximize_starts(state, rng)
+        e, acq = ascend(state, starts)
+        outside = []
+        within_trust = acquisition._within_trust
+
+        def counting(state, w):
+            inside = within_trust(state, w)
+            outside.append(int((~inside).sum()))
+            return inside
+
+        monkeypatch.setattr(acquisition, "_within_trust", counting)
+        for lookahead in (1, 2, 8, MAX_BACKTRACKS + 1):
+            monkeypatch.setattr(acquisition, "ASCENT_LOOKAHEAD", lookahead)
+            e_deep, acq_deep = ascend(state, starts)
+            np.testing.assert_array_equal(e_deep, e)
+            np.testing.assert_array_equal(acq_deep, acq)
+        assert (sum(outside) > 0) == (trust_radius < math.inf)
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_trust_distance_independent_of_stack_position(self, kind, rng):
         # ``_within_trust`` sums each flat row's squared distance with one
         # einsum, in memory order, so ``flatten_rows`` must give C-ordered

@@ -9,6 +9,7 @@ from manibo import (
     InvalidInputError,
     ManifoldPoint,
     Objective,
+    Spd,
     Sphere,
     embed,
     extrinsic_distance,
@@ -256,8 +257,25 @@ class TestAbort:
         x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
         trace = riemannian_gd(dataclasses.replace(gobj, grad=_failing_at(gobj.grad, 3)), x0)
         assert trace.aborted
-        assert trace.abort_reason.startswith("objective raised at iteration 3: RuntimeError")
+        assert trace.abort_reason.startswith("gradient raised at iteration 3: RuntimeError")
         assert [rec.iteration for rec in trace.records] == [0, 1, 2]
+
+    def test_gd_aborts_on_a_rejected_step(self):
+        # Ascending |log x|^2 from log-norm 6: the first trial step doubles
+        # the log, past the chart bound of 10, so unembed rejects it.
+        kind = Spd(2)
+        obj = Objective(
+            kind=kind,
+            fn=lambda x: -float(np.sum(embed(x) ** 2)),
+            grad=lambda x: -2.0 * embed(x),
+        )
+        x0 = ManifoldPoint(kind, np.exp(3.0 * math.sqrt(2.0)) * np.eye(2))
+        trace = riemannian_gd(obj, x0)
+        assert trace.aborted
+        assert trace.abort_reason.startswith(
+            "step rejected at iteration 1: InvalidInputError"
+        )
+        assert [rec.iteration for rec in trace.records] == [0]
 
     def test_nelder_mead_aborts_with_the_evaluations_so_far(self):
         obj = grassmann_objective(random_approx_problem(n=4, p=2, seed=0))

@@ -19,6 +19,7 @@ from manibo import (
     generate_spd_regression_data,
     grassmann_objective,
     latitude_circle_problem,
+    project_to_image,
     random_approx_problem,
     random_point,
     regression_weights,
@@ -27,7 +28,7 @@ from manibo import (
     unembed,
     weighted_mean_oracle,
 )
-from manibo.experiments import approx_weights
+from manibo.experiments import CURVE_BASE, CURVE_DIRECTION, approx_weights
 
 
 class TestFrechetProblem:
@@ -198,6 +199,21 @@ class TestSpdRegression:
         b = generate_spd_regression_data(n=20, noise=0.05, seed=9)
         for pa, pb in zip(a.responses, b.responses):
             np.testing.assert_array_equal(pa.coords, pb.coords)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_generator_matches_one_draw_per_response(self, seed):
+        # The stacked build against the loop it replaced: one draw, one
+        # projection and one unembed per response, on the same stream.
+        problem = generate_spd_regression_data(n=20, noise=0.05, seed=seed)
+        rng, kind = np.random.default_rng(seed), Spd(3)
+        for z, response in zip(problem.covariates, problem.responses):
+            perturbation = 0.05 * project_to_image(kind, rng.standard_normal((3, 3)))
+            alone = unembed(kind, CURVE_BASE + z * CURVE_DIRECTION + perturbation)
+            assert response.coords.tobytes() == alone.coords.tobytes()
+
+    def test_generator_rejects_responses_past_the_chart(self):
+        with pytest.raises(DegenerateProjectionError):
+            generate_spd_regression_data(n=10, noise=100.0, seed=0)
 
     def test_generator_shape(self):
         problem = generate_spd_regression_data(n=75, noise=0.05, seed=1)

@@ -98,6 +98,33 @@ class TestEmbed:
         np.testing.assert_allclose(embed(x), embed(rotated), atol=1e-12)
 
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_embedding_is_computed_once_and_read_only(self, kind, rng, monkeypatch):
+        x = random_point(kind, rng)
+        calls = []
+        real = type(kind).embed
+
+        def counting(self, coords):
+            calls.append(coords)
+            return real(self, coords)
+
+        monkeypatch.setattr(type(kind), "embed", counting)
+        first = embed(x)
+        assert embed(x) is first
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert first.tobytes() == kind.embed(x.coords).tobytes()
+        with pytest.raises(ValueError):
+            first.flat[0] = 1.0
+
+    def test_spd_coords_of_a_stack_equal_each_matrix_alone(self, rng):
+        kind = Spd(3)
+        logs = kind.project(rng.standard_normal((6, 3, 3)))
+        stacked = kind.coords(logs)
+        for log, coords in zip(logs, stacked):
+            assert coords.tobytes() == kind.coords(log).tobytes()
+
+
 class TestUnembed:
     def test_sphere_radial(self):
         x = unembed(Sphere(2), np.array([0.0, 0.0, -0.5]))
