@@ -355,7 +355,7 @@ class ManifoldPoint:
         object.__setattr__(self, "coords", coords)
 
     @functools.cached_property
-    def embedding(self) -> np.ndarray:
+    def _embedding(self) -> np.ndarray:
         """``kind.embed(coords)``, read-only: the data, the objective, the
         acquisition, the dedup and the trace all embed the same points."""
         e = self.kind.embed(self.coords)
@@ -381,7 +381,7 @@ def embed(x: ManifoldPoint) -> np.ndarray:
     same matrix for every frame spanning the subspace).  Spd: the matrix
     logarithm.  Computed once per point and returned read-only.
     """
-    return x.embedding
+    return x._embedding
 
 
 def unembed(kind: ManifoldKind, v: np.ndarray) -> ManifoldPoint:

@@ -272,9 +272,7 @@ class TestAbort:
         x0 = ManifoldPoint(kind, np.exp(3.0 * math.sqrt(2.0)) * np.eye(2))
         trace = riemannian_gd(obj, x0)
         assert trace.aborted
-        assert trace.abort_reason.startswith(
-            "step rejected at iteration 1: InvalidInputError"
-        )
+        assert trace.abort_reason.startswith("step rejected at iteration 1: InvalidInputError")
         assert [rec.iteration for rec in trace.records] == [0]
 
     def test_nelder_mead_aborts_with_the_evaluations_so_far(self):

@@ -97,7 +97,6 @@ class TestEmbed:
         rotated = ManifoldPoint(kind, x.coords @ rot)
         np.testing.assert_allclose(embed(x), embed(rotated), atol=1e-12)
 
-
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_embedding_is_computed_once_and_read_only(self, kind, rng, monkeypatch):
         x = random_point(kind, rng)
