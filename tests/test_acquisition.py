@@ -698,8 +698,8 @@ class TestBatchedAscent:
         outside = []
         within_trust = acquisition._within_trust
 
-        def counting(state, w):
-            inside = within_trust(state, w)
+        def counting(trial_state, w):
+            inside = within_trust(trial_state, w)
             outside.append(int((~inside).sum()))
             return inside
 
