@@ -379,7 +379,9 @@ def embed(x: ManifoldPoint) -> np.ndarray:
 
     Sphere: identity.  Grassmann: the orthogonal projector ``X @ X.T`` (the
     same matrix for every frame spanning the subspace).  Spd: the matrix
-    logarithm.  Computed once per point and returned read-only.
+    logarithm.  Computed once per point: every call on the same point
+    returns the same read-only array, so a caller that writes into the
+    embedding (an objective, say) works on a copy, ``embed(x).copy()``.
     """
     return x._embedding
 

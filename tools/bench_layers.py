@@ -1,10 +1,10 @@
 """Time one acquisition ascent per manifold kind on fixed states.
 
-    python3 tools/bench_layers.py [--tree TREE ...] [--repeats K] [--seed S]
+    python3 tools/bench_layers.py [--tree TREE ...] [--repeats K]
 
 For each benchmark kind (the sphere S^2, the Grassmannian Gr(2, 3) and
 Spd(3), on the problems of the three benchmark workloads) and each data
-size n in 10 and 38, builds one fixed state from ``--seed``: n design
+size n in 10 and 38, builds one fixed state from ``SEED``: n design
 points (random points; on Spd a subset of the regression responses, as the
 run's design is), their objective values, median-heuristic hyperparameters
 and the run's trust radius (the design's diameter).  On that state it
@@ -12,8 +12,8 @@ ascends ``maximize``'s starts, the incumbent and the ``_random_starts``
 drawn from the seed, once for a PI round and once for an exploit round, and
 prints the microseconds per ``ascend`` call and per ascent round, each the
 minimum over K timed calls.  The round count comes from one untimed call
-with ``retract_embedded`` wrapped, since every round makes one stacked
-retraction.
+under ``count_ascent.AscentCounter``, which counts the stacked retraction
+every round makes.
 
 Unlike ``perfbench/run.py --trace 1``, which averages over whole runs
 whose trajectories move with every change to the traces, the states here
@@ -34,7 +34,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
@@ -44,6 +43,10 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from count_ascent import AscentCounter  # noqa: E402
+
+SEED = 0
 SIZES = (10, 38)
 
 
@@ -60,7 +63,7 @@ def load_manibo(tree: Path, name: str):
     return package
 
 
-def problems(manibo, seed: int) -> dict:
+def problems(manibo) -> dict:
     """Per kind, its benchmark objective and a function drawing n design
     points from a generator."""
     ex = manibo.experiments
@@ -69,8 +72,8 @@ def problems(manibo, seed: int) -> dict:
         return lambda n, rng: [manibo.manifolds.random_point(kind, rng) for _ in range(n)]
 
     sphere = ex.frechet_grad_objective(ex.latitude_circle_problem())
-    grassmann = ex.grassmann_objective(ex.random_approx_problem(seed=seed))
-    spd_problem = ex.generate_spd_regression_data(seed=seed)
+    grassmann = ex.grassmann_objective(ex.random_approx_problem(seed=SEED))
+    spd_problem = ex.generate_spd_regression_data(seed=SEED)
     return {
         "sphere": (sphere, random_points(sphere.kind)),
         "grassmann": (grassmann, random_points(grassmann.kind)),
@@ -81,11 +84,11 @@ def problems(manibo, seed: int) -> dict:
     }
 
 
-def ascent_states(manibo, objective, draw, n: int, seed: int):
-    """The PI and the exploit state on n points drawn from ``seed``, and
+def ascent_states(manibo, objective, draw, n: int):
+    """The PI and the exploit state on n points drawn from ``SEED``, and
     the starts ``maximize`` would ascend on them."""
     acquisition, egp = manibo.acquisition, manibo.egp
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     points = draw(n, rng)
     data = egp.GpDataset.from_points(points, [objective.fn(x) for x in points])
     model = egp.GpModel.build(egp.median_heuristic_params(data), data)
@@ -100,33 +103,17 @@ def ascent_states(manibo, objective, draw, n: int, seed: int):
     return states, np.concatenate([incumbent[None], starts])
 
 
-@contextlib.contextmanager
-def counting_retractions(acquisition):
-    """Counts the retractions ``ascend`` makes while installed."""
-    count = [0]
-    real = acquisition.retract_embedded
-
-    def retract(*args):
-        count[0] += 1
-        return real(*args)
-
-    acquisition.retract_embedded = retract
-    try:
-        yield count
-    finally:
-        acquisition.retract_embedded = real
-
-
-def cases(manibo, seed: int) -> list[tuple]:
+def cases(manibo) -> list[tuple]:
     """Every (kind, n, round) with its state, starts and rounds."""
+    acquisition = manibo.acquisition
     found = []
-    for kind, (objective, draw) in problems(manibo, seed).items():
+    for kind, (objective, draw) in problems(manibo).items():
         for n in SIZES:
-            states, starts = ascent_states(manibo, objective, draw, n, seed)
+            states, starts = ascent_states(manibo, objective, draw, n)
             for name, state in states.items():
-                with counting_retractions(manibo.acquisition) as count:
-                    manibo.acquisition.ascend(state, starts)
-                found.append(((kind, n, name), state, starts, count[0]))
+                with AscentCounter(acquisition).installed() as counter:
+                    acquisition.ascend(state, starts)
+                found.append(((kind, n, name), state, starts, counter.rounds[name][-1]))
     return found
 
 
@@ -168,7 +155,6 @@ def main(argv=None) -> int:
                              "(default: this one)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed calls per state and tree; the minimum is printed (default 5)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the states (default 0)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -179,10 +165,10 @@ def main(argv=None) -> int:
     trees = []
     for index, path in enumerate(paths):
         manibo = load_manibo(path, f"manibo_tree{index}")
-        trees.append((manibo, cases(manibo, args.seed)))
+        trees.append((manibo, cases(manibo)))
     best = time_trees(trees, args.repeats)
     for path, (_, tree_cases), tree_best in zip(paths, trees, best):
-        print(f"# ascend timings from {path / 'src'}, seed {args.seed}, min of {args.repeats}")
+        print(f"# ascend timings from {path / 'src'}, seed {SEED}, min of {args.repeats}")
         for line in table_lines(tree_cases, tree_best):
             print(line)
     return 0
