@@ -68,7 +68,8 @@ ASCENT_GRAD_TOL = 1e-8
 # Gram matrix stays factorizable), and an ascent row stops once its next
 # trial would move it less than this.
 DEDUP_TOL = 1e-8
-# Starts per maximization: the incumbent and this many less one random points.
+# Starts per maximization: the incumbent and, of this many less one random
+# draws, those within the trust radius.
 ASCENT_STARTS = 10
 
 
@@ -333,25 +334,15 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _random_starts(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
-    """The ``ASCENT_STARTS - 1`` random embedded starts as one stack.  The
-    rows outside the trust radius are pulled toward the incumbent in flat
-    coordinates and mapped back by one stacked ``kind.project``.  A row that
-    is NaN, drawn or pulled (such as a pulled Grassmann row with tied top
-    eigenvalues, or an Spd row outside the chart), is dropped; the others
-    keep their own draws."""
+    """The ``ASCENT_STARTS - 1`` random embedded draws that lie within the
+    trust radius, as one stack, each row its own draw.  A NaN draw (an Spd
+    draw outside the chart) lies within no radius, so the same test drops
+    it."""
     kind = state.model.data.kind
     e = np.empty((ASCENT_STARTS - 1,) + kind.ambient_shape)
     for row in e:
         row[...] = kind.random_embedded(rng)
-    w = kind.flatten_rows(e)
-    # A NaN row never reaches kind.project, where it would fail a stacked eigh.
-    pull = (np.isfinite(w).all(axis=1) & ~_within_trust(state, w)).nonzero()[0]
-    diff = w[pull] - state.trust_center
-    # Each row's own np.linalg.norm: a stacked norm can differ in the last bit.
-    norms = np.array([np.linalg.norm(d) for d in diff])
-    pulled = state.trust_center + diff * (state.trust_radius / norms)[:, None]
-    e[pull] = kind.project(kind.unflatten_rows(pulled))
-    return e[np.isfinite(ambient_norms(kind, e))]
+    return e[_within_trust(state, kind.flatten_rows(e))]
 
 
 def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
@@ -361,10 +352,10 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     from ``seed`` together in one ``ascend`` call; deterministic given the
     seed.  Starts are ranked on the values their ascent reached (log PI, so
     candidates whose PI rounds to 1.0 still rank), at their embedded last
-    iterates; ties keep the earliest start.  A start whose last iterate
-    lies outside the trust radius does not rank; row 0, the incumbent's,
-    always does (it starts at the trust centre and steps only inside the
-    radius).  Only the winner is unembedded.
+    iterates; ties keep the earliest start.  Every start begins within the
+    trust radius (row 0, the incumbent's, at its centre) and ``ascend``
+    accepts only trials within it, so every row ranks.  Only the winner is
+    unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -376,6 +367,4 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     incumbent = embed(data.points[int(np.argmin(data.values))])
     starts = _random_starts(state, np.random.default_rng(seed))
     e, acq = ascend(state, np.concatenate([incumbent[None], starts]))
-    eligible = _within_trust(state, kind.flatten_rows(e))
-    eligible[0] = True
-    return unembed(kind, e[int(np.argmax(np.where(eligible, acq, -np.inf)))])
+    return unembed(kind, e[int(np.argmax(acq))])

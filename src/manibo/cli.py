@@ -302,6 +302,9 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     for name, seeds in (("seed", (cfg.seed,)), ("seeds", cfg.seeds or ())):
         if any(seed < 0 for seed in seeds):
             raise ConfigError(f"--{name} must be >= 0, got {min(seeds)}")
+    repeated = [seed for i, seed in enumerate(cfg.seeds or ()) if seed in cfg.seeds[:i]]
+    if repeated:  # its second run would overwrite the first's seed-<s>/
+        raise ConfigError(f"--seeds repeats seed {repeated[0]}")
     if cfg.experiment == "custom" and not cfg.objective:
         raise ConfigError("custom experiment requires objective = module:callable")
     cfg.kernel_params()  # validates pairing

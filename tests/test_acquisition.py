@@ -344,14 +344,12 @@ def _reference_draw(kind, rng):
 def _reference_starts(state, seed, nan_draw=None):
     """The start rows of ``maximize``, built through manifold points: the
     incumbent, then each ``_reference_draw`` but the one numbered
-    ``nan_draw``, pulled toward the incumbent in flat coordinates where it
-    lies outside the trust radius and mapped back by ``kind.project``
-    (skipped where that is NaN).  Also returns how many starts were
-    pulled."""
+    ``nan_draw``, skipped where it lies outside the trust radius.  Also
+    returns how many draws were skipped for lying outside it."""
     data = state.model.data
     kind = data.kind
     rng = np.random.default_rng(seed)
-    starts, pulled = [embed(data.points[int(np.argmin(data.values))])], 0
+    starts, outside = [embed(data.points[int(np.argmin(data.values))])], 0
     for draw in range(ASCENT_STARTS - 1):
         try:
             e = _reference_draw(kind, rng)
@@ -359,25 +357,31 @@ def _reference_starts(state, seed, nan_draw=None):
             continue
         if draw == nan_draw:
             continue
-        w = flatten_ambient(kind, e)
-        if not _within_trust(state, w[None])[0]:
-            diff = w - state.trust_center
-            w = state.trust_center + diff * (state.trust_radius / np.linalg.norm(diff))
-            e = kind.project(unflatten_ambient(kind, w)[None])[0]
-            if np.isnan(e).any():
-                continue
-            pulled += 1
+        if np.linalg.norm(flatten_ambient(kind, e) - state.trust_center) > state.trust_radius:
+            outside += 1
+            continue
         starts.append(e)
-    return np.stack(starts), pulled
+    return np.stack(starts), outside
 
 
 def _maximize_starts(state, rng):
-    """Ten start rows as ``maximize`` stacks them: the incumbent's row, then
-    one ``_random_starts`` stack, with no row dropped."""
+    """Ten start rows for ``ascend``: the incumbent's row, then nine random
+    draws, each pulled toward the incumbent in flat coordinates onto the
+    trust radius where it lies outside and mapped back by ``kind.project``.
+    So where the radius binds, rows start inside, on and outside its
+    boundary: the projection moves a pulled row off the radius, on the
+    sphere and the Grassmannian."""
     data = state.model.data
-    incumbent = embed(data.points[int(np.argmin(data.values))])
-    starts = np.concatenate([incumbent[None], _random_starts(state, rng)])
-    assert len(starts) == ASCENT_STARTS == 10
+    kind = data.kind
+    e = np.stack([kind.random_embedded(rng) for _ in range(ASCENT_STARTS - 1)])
+    w = kind.flatten_rows(e)
+    pull = (~_within_trust(state, w)).nonzero()[0]
+    diff = w[pull] - state.trust_center
+    scale = state.trust_radius / np.linalg.norm(diff, axis=1)
+    pulled = state.trust_center + diff * scale[:, None]
+    e[pull] = kind.project(kind.unflatten_rows(pulled))
+    starts = np.concatenate([embed(data.points[int(np.argmin(data.values))])[None], e])
+    assert len(starts) == ASCENT_STARTS == 10 and np.isfinite(starts).all()
     return starts
 
 
@@ -399,12 +403,11 @@ class TestMaximize:
         monkeypatch.setattr(acquisition, "ascend", spy)
         for seed in range(3):
             maximize(state, seed)
-            reference, pulled = _reference_starts(state, seed)
-            assert pulled > 0 if math.isfinite(trust_radius) else pulled == 0
+            reference, outside = _reference_starts(state, seed)
+            assert outside > 0 if math.isfinite(trust_radius) else outside == 0
             np.testing.assert_array_equal(seen[-1], reference)
         # The fourth draw comes back NaN, as an Spd draw past the chart
-        # does: it is dropped, and the five rows after it keep their own
-        # draws.
+        # does: it is dropped, and the draws after it keep their own rows.
         draw_row = type(kind).random_embedded
         draws = iter(range(ASCENT_STARTS - 1))
 
@@ -414,8 +417,8 @@ class TestMaximize:
 
         monkeypatch.setattr(type(kind), "random_embedded", fourth_is_nan)
         maximize(state, 0)
-        reference, _ = _reference_starts(state, 0, nan_draw=3)
-        assert len(reference) == ASCENT_STARTS - 1
+        reference, outside = _reference_starts(state, 0, nan_draw=3)
+        assert len(reference) == ASCENT_STARTS - 1 - outside
         np.testing.assert_array_equal(seen[-1], reference)
 
     def test_spd_start_is_the_log_of_its_random_point(self, rng):
@@ -479,34 +482,39 @@ class TestMaximize:
         )
         assert result_acq >= probe_best - 1e-2
 
-    @pytest.mark.parametrize(
-        "radius, offsets, acq, winner",
-        [
-            # The best-valued row lies outside the trust radius: the next wins.
-            (0.5, [0.0, 0.75, 0.25], [-3.0, -1.0, -2.0], 2),
-            # At an infinite radius every row ranks: the farthest wins.
-            (math.inf, [0.0, 0.25, 2.0], [-3.0, -2.0, -1.0], 2),
-            # Row 0, the incumbent's, is eligible wherever it lies.
-            (0.5, [0.75, 0.0, 0.25], [-1.0, -3.0, -2.0], 0),
-        ],
-    )
-    def test_ranks_eligible_rows_only(self, radius, offsets, acq, winner, monkeypatch, rng):
-        kind = Spd(3)
-        base = _state(kind, 5, rng)
-        state = AcquisitionState(base.model, base.best_value, trust_radius=radius)
-        center = unflatten_ambient(kind, state.trust_center)
-        e = np.stack([center + t * np.diag([1.0, 0.0, 0.0]) for t in offsets])
-        fake = lambda state, starts: (e.copy(), np.array(acq))
-        monkeypatch.setattr(acquisition, "ascend", fake)
-        monkeypatch.setattr(acquisition, "ASCENT_STARTS", 3)
-        result = maximize(state, 0)
-        np.testing.assert_array_equal(result.coords, unembed(kind, e[winner]).coords)
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_ascends_the_incumbent_and_draws_within_the_radius(self, kind, monkeypatch, rng):
+        # Row 0 is the incumbent's, at the trust centre, and every other row
+        # lies within the radius, so every row ranks.  At a radius no draw
+        # reaches, only the incumbent ascends.
+        base = _state(kind, 8, rng)
+        incumbent = embed(base.model.data.points[int(np.argmin(base.model.data.values))])
+        seen = []
+        real_ascend = acquisition.ascend
 
-    def test_pulled_start_with_tied_eigenvalues_is_skipped(self, monkeypatch, rng):
-        # The incumbent spans e1 and every random start e2; at radius
-        # sqrt(2) / 2 the pull lands on diag(0.5, 0.5, 0), whose top
-        # eigenvalue is tied.  Its projection is NaN, so the row is dropped
-        # from the stack and only the incumbent ascends.
+        def spy(state, e):
+            seen.append(np.array(e))
+            return real_ascend(state, e)
+
+        monkeypatch.setattr(acquisition, "ascend", spy)
+        for radius in (1.5, 3.0, 1e-6):
+            state = AcquisitionState(base.model, base.best_value, trust_radius=radius)
+            for seed in range(3):
+                maximize(state, seed)
+                np.testing.assert_array_equal(seen[-1][0], incumbent)
+                w = kind.flatten_rows(seen[-1])
+                assert np.linalg.norm(w - state.trust_center, axis=1).max() <= radius
+                if radius == 3.0:  # draws reach it on every kind
+                    assert len(seen[-1]) > 1
+                if radius == 1e-6:
+                    assert len(seen[-1]) == 1
+
+    def test_draw_outside_the_radius_is_dropped_not_pulled(self, monkeypatch, rng):
+        # The incumbent spans e1 and every random draw e2, sqrt(2) away in
+        # flat coordinates.  At radius sqrt(2) / 2 a pull onto the radius
+        # would land on diag(0.5, 0.5, 0), whose top eigenvalue is tied, so
+        # it has no nearest image point.  The draws are dropped instead, and
+        # only the incumbent ascends.
         kind = Grassmann(1, 3)
         incumbent = ManifoldPoint(kind, [[1.0], [0.0], [0.0]])
         points = [incumbent] + [random_point(kind, rng) for _ in range(3)]
@@ -530,19 +538,21 @@ class TestMaximize:
         maximize(state, 0)
         np.testing.assert_array_equal(seen[-1], embed(incumbent)[None])
 
-    def test_pulled_start_outside_the_chart_is_never_returned(self, monkeypatch):
-        # The incumbent lies at log-norm 9.5 and every random start at 20
-        # along the same axis; the pull at radius 1 leaves each at 10.5,
-        # outside the chart.  Its projection is NaN, so the row is dropped
-        # from the stack, as a Grassmann row with tied eigenvalues is, and
-        # only the incumbent ascends.
+    @pytest.mark.parametrize("trust_radius", [1.0, math.inf])
+    def test_draws_past_the_chart_are_dropped_at_any_radius(self, trust_radius, monkeypatch):
+        # The incumbent lies at log-norm 9.5 and every random draw at 20
+        # along the same axis, past the chart, where ``random_embedded``
+        # returns NaN.  A NaN row lies within no radius, not even an
+        # infinite one, so the draws are dropped and only the incumbent
+        # ascends.
         kind = Spd(2)
         logs = [np.diag([9.5, 0.0]), np.diag([9.0, 0.5]), np.diag([9.2, -0.3])]
         points = [unembed(kind, v) for v in logs]
         data = GpDataset.from_points(points, [-1.0, 0.0, 1.0])
         params = KernelParams(lengthscale=1.0, amplitude=1.0, noise=1e-6)
-        state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=1.0)
-        far = np.diag([20.0, 0.0])
+        state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=trust_radius)
+        far = kind.project(np.diag([20.0, 0.0])[None])[0]
+        assert np.isnan(far).all()
         monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
         assert _random_starts(state, np.random.default_rng(0)).shape == (0, 2, 2)
         seen = []
@@ -670,6 +680,11 @@ class TestBatchedAscent:
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
         )
         starts = _maximize_starts(state, rng)
+        if trust_radius == 0.8:
+            # Rows pulled onto the radius start on it (Spd) or, projected
+            # back onto the image, some past it (the sphere and Grassmannian).
+            distance = np.linalg.norm(kind.flatten_rows(starts) - state.trust_center, axis=1)
+            assert (distance >= (1.0 - 1e-9) * trust_radius).any()
         given = starts.copy()
         e, acq = ascend(state, starts)
         np.testing.assert_array_equal(starts, given)  # the starts are not moved
@@ -950,8 +965,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("radius", [-0.3, 0.0, math.nan])
     def test_rejects_trust_radius(self, radius):
-        # A negative radius would reflect pulled starts through the
-        # incumbent; at 0 or NaN every trial leaves the region.
+        # A negative radius would pass ``_within_trust``'s squared test as
+        # its absolute value; at 0 or NaN every trial leaves the region.
         with pytest.raises(InvalidInputError, match="trust_radius"):
             AcquisitionState(model=None, best_value=0.0, trust_radius=radius)
         AcquisitionState(model=None, best_value=0.0, trust_radius=math.inf)

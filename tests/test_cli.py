@@ -397,3 +397,18 @@ def test_negative_seed_is_a_usage_error(runner, tmp_path, command, experiment, s
     assert result.exit_code == 2, result.output
     assert named in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("0,2,3,2,0", 2)])
+def test_repeated_seeds_entry_is_a_usage_error(runner, tmp_path, command, seeds, repeated):
+    # A repeated seed would run twice into one seed-<s>/, the second run
+    # overwriting the first.
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, "--experiment", "frechet-sphere", "--seed", "1", "--seeds", seeds,
+               "--iters", "1", "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"--seeds repeats seed {repeated}" in result.output
+    assert not out.exists()

@@ -1,22 +1,51 @@
 """tools/count_ascent.py: the ascent's rounds and trial rows per workload."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "count_ascent.py"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _tool():
     spec = importlib.util.spec_from_file_location("count_ascent", TOOL)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
+        spec.loader.exec_module(module)
     return module
+
+
+def test_pins_blas_threads_before_numpy_and_scipy_load():
+    # BLAS reads its thread count once, when numpy or scipy first loads it,
+    # so the tool must set the variables before either import.  The probe
+    # records them at each package's first import.
+    probe = f"""
+import importlib.abc, importlib.util, json, os, sys
+seen = {{}}
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name in ("numpy", "scipy") and name not in seen:
+            seen[name] = [os.environ.get(var) for var in {THREAD_VARS!r}]
+sys.meta_path.insert(0, Probe())
+spec = importlib.util.spec_from_file_location("count_ascent", {str(TOOL)!r})
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(json.dumps(seen))
+"""
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"numpy": ["1"] * 3, "scipy": ["1"] * 3}
 
 
 def test_one_seed_smoke():
@@ -41,23 +70,8 @@ def test_one_seed_smoke():
 def test_counts_rounds_and_rows_per_kind():
     tool = _tool()
 
-    class Kind:
-        # A start's flat row is its (rows, of which NaN) pair.
-        def flatten_rows(self, e):
-            return np.array(e, dtype=float)
-
-    class State:
-        def __init__(self, exploit):
-            self.exploit = exploit
-            self.model = SimpleNamespace(data=SimpleNamespace(kind=Kind()))
-
     class Acquisition:
         ASCENT_STARTS = 5
-
-        # A start lies within the trust radius if its flat row lies within
-        # 3 of the origin.
-        def _within_trust(self, state, w):
-            return np.linalg.norm(w, axis=1) <= 3.0
 
         # Each start is one round, which stacks (rows, of which NaN) trial
         # rows; the fake retraction returns the NaN ones first, as 2 x 2
@@ -75,21 +89,16 @@ def test_counts_rounds_and_rows_per_kind():
     module = Acquisition()
     counter = tool.AscentCounter(module)
     with counter.installed():
-        module.ascend(State(False), [(4, 1), (2, 0)])
-        module.ascend(State(True), [(3, 3)])
-        module.ascend(State(True), [(1, 0), (1, 1), (1, 0)])
+        module.ascend(SimpleNamespace(exploit=False), [(4, 1), (2, 0)])
+        module.ascend(SimpleNamespace(exploit=True), [(3, 3)])
+        module.ascend(SimpleNamespace(exploit=True), [(1, 0), (1, 1), (1, 0)])
         # A retraction outside an ascend call is not counted.
         module.retract_embedded(None, np.zeros((9, 2, 2)), None, 9)
     assert module.ascend.__func__ is Acquisition.ascend  # restored
     assert counter.rounds == {"PI": [2], "exploit": [1, 3]}
     assert counter.rows == {"PI": 6, "exploit": 6}
     assert counter.nan_rows == {"PI": 1, "exploit": 4}
-    assert tool.table_lines({"w": counter})[2].endswith("| 1 + 4 = 5 |")
-    # Starts, dropped starts (5 less the starts, per call) and starts
-    # outside the radius: (4, 1) and (3, 3).
+    # Starts, and dropped starts: 5 less the starts, per call.
     assert counter.starts == {"PI": 2, "exploit": 4}
     assert counter.dropped == {"PI": 3, "exploit": 6}
-    assert counter.outside == {"PI": 1, "exploit": 1}
-    assert tool.table_lines({"w": counter})[2].endswith(
-        "| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 1 = 2 | 1 + 4 = 5 |"
-    )
+    assert tool.table_lines({"w": counter})[2].endswith("| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 4 = 5 |")
