@@ -44,15 +44,15 @@ logger = logging.getLogger(__name__)
 
 # Every this-many iterations the loop proposes the minimizer of the
 # posterior mean instead of the PI maximizer: PI alone takes steps near the
-# incumbent that shrink with the surrogate's noise floor, while the mean's
+# incumbent that shrink with the surrogate's resolution, while the mean's
 # minimizer moves straight to where the surrogate puts the optimum.
 EXPLOIT_EVERY = 2
-# Newton starts of the hyperparameter fit on the initial design, and of
-# every refit.  A refit adds ``refit_every`` points to data the current
-# values already fit, so those values usually lie in the new optimum's
-# basin; the risk of a poor local optimum sits with the data-poor first
-# fit (Rasmussen & Williams 2006, Section 5.4).  A refit therefore starts
-# from the current values and the first of the initial fit's uniform draws.
+# Newton starts of the lengthscale fit on the initial design, and of every
+# refit.  A refit adds ``refit_every`` points to data the current
+# lengthscale already fits, so it usually lies in the new optimum's basin;
+# the risk of a poor local optimum sits with the data-poor first fit
+# (Rasmussen & Williams 2006, Section 5.4).  A refit therefore starts from
+# the current lengthscale and the first of the initial fit's uniform draws.
 FIT_RESTARTS = 5
 REFIT_RESTARTS = 2
 
@@ -84,10 +84,12 @@ class BoConfig:
     design.  The hyperparameters are fitted on the initial design and after
     every ``refit_every``-th iteration but the last, whose fit no proposal
     would use; ``refit_every=0`` disables hyperparameter fitting entirely.
-    The first fit runs ``FIT_RESTARTS`` Newton starts.  A refit runs
-    ``REFIT_RESTARTS``, warm-started from the current values plus one
-    uniform draw: a few more points seldom move the optimum out of the
-    current values' basin.
+    A fit sets the lengthscale, the amplitude that maximizes the likelihood
+    at it, and no noise (``fit_hyperparams``).  The first fit runs
+    ``FIT_RESTARTS`` Newton starts.  A refit runs ``REFIT_RESTARTS``,
+    warm-started from the current lengthscale plus one uniform draw: a few
+    more points seldom move the optimum out of the current lengthscale's
+    basin.
     ``init_points`` overrides the random initial design (the design size is
     then their count).  Each iteration's ``maximize`` gets a seed derived
     from ``seed``; the ascent's settings are constants.  The surrogate's

@@ -7,9 +7,10 @@ equations around the dataset's prior mean (zero, or the least-squares
 affine function of the embedded coordinates once the data determine it),
 backed by a Cholesky factor of the noise-regularized Gram matrix, with an
 escalating jitter fallback for the near-singular matrices that duplicate
-proposals produce.  The hyperparameters maximize the log marginal
-likelihood by damped Newton ascent in the log-parameters, on its closed-form
-gradient and Hessian.
+proposals produce.  The fitted hyperparameters maximize the log marginal
+likelihood, with the amplitude profiled out, by damped Newton ascent in the
+log lengthscale; the objectives are deterministic, so a fitted model has no
+noise and the jitter is its only diagonal term.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class KernelParams:
 
     lengthscale: distance scale in the embedding space.
     amplitude:   prior variance of the objective (kernel value at distance 0).
-    noise:       observation noise variance added to the Gram diagonal.
+    noise:       observation noise variance added to the Gram diagonal; 0
+                 once fitted (``fit_hyperparams``).
     """
 
     lengthscale: float
@@ -141,9 +143,9 @@ class GpDataset:
         """The prior mean: least-squares coefficients (c0, c) of the affine
         function c0 + c.w of the flat embedded coordinates w that best fits
         the values; the kernel models the residual.  With a zero mean the
-        kernel carries the whole trend, so its amplitude, and the noise floor
-        relative to it, grow with the spread of all values seen, and that
-        floor hides the small value differences near the optimum.
+        kernel carries the whole trend, so its amplitude, and any jitter,
+        which scales with it, grow with the spread of all values seen, and
+        hide the small value differences near the optimum.
 
         All zeros (the zero mean) until there are
         ``TREND_POINTS_PER_COEFFICIENT`` data per coefficient: a fit of D + 1
@@ -384,139 +386,133 @@ def median_heuristic_params(data: GpDataset) -> KernelParams:
     return KernelParams(lengthscale=lengthscale, amplitude=amplitude, noise=1e-6 * amplitude)
 
 
-def _fit_box(data: GpDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high (lengthscale, amplitude, noise) around the median heuristic.
-
-    The noise ceiling is kept low: these surrogates serve deterministic
-    objectives, where a large fitted noise only blurs the interpolation the
-    acquisition needs.  The lengthscale ceiling stays within an order of
-    magnitude of the data spread so acquisition steps (which scale with the
-    lengthscale) cannot run far outside the sampled region.
-    """
-    base = median_heuristic_params(data)
-    lo = [1e-2 * base.lengthscale, 1e-2 * base.amplitude, 1e-10 * base.amplitude]
-    hi = [1e1 * base.lengthscale, 1e2 * base.amplitude, 1e-4 * base.amplitude]
-    return np.array(lo), np.array(hi)
+def _lengthscale_bounds(data: GpDataset) -> tuple[float, float]:
+    """1e-2 and 1e1 times the median-heuristic lengthscale.  The ceiling
+    stays within an order of magnitude of the data spread so acquisition
+    steps (which scale with the lengthscale) cannot run far outside the
+    sampled region."""
+    base = median_heuristic_params(data).lengthscale
+    return 1e-2 * base, 1e1 * base
 
 
-def _model_at(data: GpDataset, theta: np.ndarray) -> Optional[GpModel]:
-    """The model at the log-parameters theta = log(lengthscale, amplitude,
-    noise); None where the Gram matrix cannot be factorized."""
+def _profiled(data: GpDataset, log_l: float) -> Optional[tuple[GpModel, float]]:
+    """The noise-free, unit-amplitude model at lengthscale exp(log_l), and
+    the log marginal likelihood at the amplitude that maximizes it,
+    a* = |whitened|^2 / n: an amplitude a scales the Gram matrix and its
+    jitter by a, so the unit model's likelihood gains n/2 (a* - 1 - log a*).
+    None where the Gram matrix cannot be factorized or a* is 0."""
     try:
-        return GpModel.build(KernelParams(*np.exp(theta)), data)
+        model = GpModel.build(KernelParams(math.exp(log_l), 1.0, 0.0), data)
     except IllConditionedModelError:
         return None
+    n = len(data)
+    amplitude = float(model.whitened @ model.whitened) / n
+    if not amplitude > 0.0:
+        return None
+    gain = 0.5 * n * (amplitude - 1.0 - math.log(amplitude))
+    return model, log_marginal_likelihood(model) + gain
 
 
-def _lml_derivatives(model: GpModel) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient and the exact 3x3 Hessian of the log marginal
-    likelihood in the log-parameters theta = log(lengthscale, amplitude,
-    noise), at the model's parameters.
+def _profiled_derivatives(model: GpModel) -> tuple[float, float]:
+    """The first and second derivatives of the profiled log marginal
+    likelihood in theta = log lengthscale, at the unit-amplitude model.
 
-    With K = a E + s I, E = exp(-D / 2 l^2) and R = D / l^2, the first
-    derivatives of K are K_l = a E R, K_a = a E and K_s = s I.  The second
-    derivatives repeat them (K_la = K_l, K_aa = K_a, K_ss = K_s), except
-    K_ll = K_l (R - 2) and K_ls = K_as = 0.  With alpha = K^{-1} (y - prior
-    mean) (Rasmussen & Williams 2006, Section 5.4.1):
+    That likelihood is -n/2 log q - log det(C) / 2 plus a constant, with C
+    the unit kernel matrix, r the residuals and q = r' C^{-1} r (Jones,
+    Schonlau & Welch 1998).  With R = D / l^2, C' = C R and C'' = C' (R - 2)
+    elementwise, and alpha = C^{-1} r:
 
-        g_i  = alpha' K_i alpha / 2 - tr(K^{-1} K_i) / 2
-        H_ij = alpha' K_ij alpha / 2 - tr(K^{-1} K_ij) / 2
-               - alpha' K_i K^{-1} K_j alpha + tr(K^{-1} K_i K^{-1} K_j) / 2
+        g = n alpha' C' alpha / 2q - tr(C^{-1} C') / 2
+        h = n (alpha' C'' alpha - 2 alpha' C' C^{-1} C' alpha) / 2q
+            + n (alpha' C' alpha)^2 / 2q^2
+            - tr(C^{-1} C'') / 2 + tr(C^{-1} C' C^{-1} C') / 2
 
-    The first two terms of H_ij have the form of g with K_ij for K_i.  Any
-    jitter the factorization needed is held fixed."""
-    params, data = model.params, model.data
-    ratio = data.sq_dists / params.lengthscale**2
-    kernel = params.amplitude * np.exp(-0.5 * ratio)
-    # K_l, K_a, K_s, then K_ll.
-    dk = np.stack([
-        kernel * ratio, kernel, params.noise * np.eye(len(data)),
-        kernel * ratio * (ratio - 2.0),
-    ])
+    Any jitter the factorization needed is held fixed."""
+    n = len(model.data)
+    ratio = model.data.sq_dists / model.params.lengthscale**2
+    dk = np.exp(-0.5 * ratio) * ratio
+    d2k = dk * (ratio - 2.0)
     k_inv = model.chol_inv.T @ model.chol_inv
-    dk_alpha = dk @ model.alpha
     k_inv_dk = k_inv @ dk
-    halves = 0.5 * (dk_alpha @ model.alpha - np.trace(k_inv_dk, axis1=1, axis2=2))
-    grad = halves[:3]
-    hess = (
-        0.5 * np.einsum("iab,jba->ij", k_inv_dk[:3], k_inv_dk[:3])
-        - dk_alpha[:3] @ k_inv @ dk_alpha[:3].T
+    alpha, dk_alpha = model.alpha, dk @ model.alpha
+    q = float(model.whitened @ model.whitened)
+    fit = float(alpha @ dk_alpha)
+    grad = 0.5 * n * fit / q - 0.5 * float(np.trace(k_inv_dk))
+    # C^{-1} and C'' are symmetric, so tr(C^{-1} C'') sums their product.
+    curv = 0.5 * (
+        n * (float(alpha @ d2k @ alpha) - 2.0 * float(dk_alpha @ k_inv @ dk_alpha)) / q
+        + n * fit**2 / q**2 - float(np.sum(k_inv * d2k)) + float(np.sum(k_inv_dk * k_inv_dk.T))
     )
-    hess += [[halves[3], grad[0], 0.0], [grad[0], grad[1], 0.0], [0.0, 0.0, grad[2]]]
-    return grad, hess
+    return grad, curv
 
 
 def fit_hyperparams(
     data: GpDataset, init: KernelParams, n_starts: int, seed: int = 0
 ) -> KernelParams:
     """Maximize the log marginal likelihood around the data's prior mean
-    over theta = log(lengthscale, amplitude, noise) in the box that the data
-    set (``_fit_box``), by damped Newton ascent from ``n_starts`` starts:
-    ``init`` clipped to the box, then the first ``n_starts - 1`` uniform
-    draws from it of ``default_rng(seed)``.  A fit with fewer starts thus
-    tries a prefix of a longer fit's starts.  ``bo.run`` fits the initial
-    design from ``FIT_RESTARTS`` starts and warm-starts each refit from
-    the current values and one draw (``REFIT_RESTARTS``): a refit adds a
-    few points to data the current values already fit, so they usually
-    lie in the new optimum's basin.
+    over the lengthscale l alone: ``KernelParams(l, a*, 0.0)``.  The
+    amplitude a* is profiled out (``_profiled``), and the objectives are
+    deterministic, so there is no noise: the factorization's jitter is the
+    only diagonal term.
 
-    Each step works on the free coordinates, those not at a bound with the
-    gradient pointing out of the box.  On them it takes d = V |lam|^{-1} V' g,
-    with (lam, V) = eigh(H) of the exact Hessian (``_lml_derivatives``):
-    Newton where H is negative definite, and still an ascent direction where
-    it is indefinite.  It clips theta + d to the box and halves d, up to
-    ``FIT_BACKTRACKS`` times, until the log marginal likelihood rises.  A
-    start stops when the Newton decrement g'd / 2 falls below ``FIT_TOL``,
-    when no halving helps, or after ``FIT_MAX_STEPS`` steps.  A start or
-    trial whose Gram matrix cannot be factorized is skipped.  Deterministic
-    given the seed.  Raises FittingFailedError when no start can be scored.
+    Damped Newton ascent on theta = log l inside the interval the data set
+    (``_lengthscale_bounds``), from ``n_starts`` starts: ``init.lengthscale``
+    clipped to the interval, then the first ``n_starts - 1`` uniform draws
+    from it of ``default_rng(seed)``.  A fit with fewer starts thus tries a
+    prefix of a longer fit's starts.  ``bo.run`` fits the initial design
+    from ``FIT_RESTARTS`` starts and warm-starts each refit from the current
+    values and one draw (``REFIT_RESTARTS``): a refit adds a few points to
+    data the current values already fit, so they usually lie in the new
+    optimum's basin.
+
+    Each step d is g / |h| (``_profiled_derivatives``), clipped to the
+    interval: Newton where h < 0, and still an ascent where it is not.  It
+    halves d, up to ``FIT_BACKTRACKS`` times, until the likelihood rises.
+    A start stops when the Newton decrement g d / 2 falls below
+    ``FIT_TOL``, when no halving helps, or after ``FIT_MAX_STEPS`` steps.
+    A start or trial that ``_profiled`` cannot score is skipped.
+    Deterministic given the seed.  Raises FittingFailedError when no start
+    can be scored.
     """
     if len(data) < 2:
         raise InvalidInputError("hyperparameter fitting requires at least 2 points")
     if n_starts < 1:
         raise InvalidInputError(f"n_starts must be >= 1, got {n_starts}")
-    lo, hi = _fit_box(data)
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    starts = [np.log(np.clip([init.lengthscale, init.amplitude, init.noise], lo, hi))]
+    lo, hi = _lengthscale_bounds(data)
+    log_lo, log_hi = math.log(lo), math.log(hi)
     rng = np.random.default_rng(seed)
-    for _ in range(n_starts - 1):
-        starts.append(rng.uniform(log_lo, log_hi))
-    best_theta, best_val = None, None
-    for theta in starts:
-        theta = np.clip(theta, log_lo, log_hi)
-        model = _model_at(data, theta)
-        if model is None:
+    starts = [math.log(init.lengthscale)]
+    starts += [float(rng.uniform(log_lo, log_hi)) for _ in range(n_starts - 1)]
+    best = None
+    for log_l in starts:
+        log_l = min(max(log_l, log_lo), log_hi)
+        scored = _profiled(data, log_l)
+        if scored is None:
             continue
-        value = log_marginal_likelihood(model)
+        model, value = scored
         for _ in range(FIT_MAX_STEPS):
-            grad, hess = _lml_derivatives(model)
-            free = ~((theta <= log_lo) & (grad < 0.0) | (theta >= log_hi) & (grad > 0.0))
-            eigvals, eigvecs = np.linalg.eigh(hess[np.ix_(free, free)])
-            # The pseudo-inverse of |H|: a flat direction takes no step, as
-            # the lengthscale's does once every off-diagonal kernel value
-            # underflows.
-            curvature = np.abs(eigvals)
-            keep = curvature > np.finfo(float).eps * curvature.max(initial=0.0)
-            step = np.zeros_like(theta)
-            step[free] = eigvecs[:, keep] @ (eigvecs[:, keep].T @ grad[free] / curvature[keep])
-            if 0.5 * (grad @ step) <= FIT_TOL:
+            grad, curv = _profiled_derivatives(model)
+            # No step where the likelihood is flat, as it is once every
+            # off-diagonal kernel value underflows.
+            step = min(max(log_l + grad / abs(curv), log_lo), log_hi) - log_l if curv else 0.0
+            if 0.5 * grad * step <= FIT_TOL:
                 break
             # A trial is scored by its likelihood alone; only the accepted
             # one pays for derivatives, at the next step.
             for _ in range(FIT_BACKTRACKS + 1):
-                trial = np.clip(theta + step, log_lo, log_hi)
-                trial_model = _model_at(data, trial)
-                if trial_model is not None:
-                    trial_value = log_marginal_likelihood(trial_model)
-                    if trial_value > value:
-                        break
+                scored = _profiled(data, log_l + step)
+                if scored is not None and scored[1] > value:
+                    break
                 step *= 0.5
             else:
                 break
-            theta, model, value = trial, trial_model, trial_value
-        if best_val is None or value > best_val:
-            best_theta, best_val = theta, value
-    if best_theta is None:
-        raise FittingFailedError("no hyperparameter start could be factorized")
-    # The log/exp roundtrip can land an ulp outside the box; clip it back.
-    return KernelParams(*np.clip(np.exp(best_theta), lo, hi))
+            log_l += step
+            model, value = scored
+        if best is None or value > best[2]:
+            best = (log_l, model, value)
+    if best is None:
+        raise FittingFailedError("no hyperparameter start could be scored")
+    log_l, model, _ = best
+    amplitude = float(model.whitened @ model.whitened) / len(data)
+    # The log/exp roundtrip can land an ulp outside the interval; clip it back.
+    return KernelParams(min(max(math.exp(log_l), lo), hi), amplitude, 0.0)

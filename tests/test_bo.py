@@ -67,6 +67,13 @@ class TestRun:
         assert trace.final.best_value == 3.25
         assert all(rec.best_value == 3.25 for rec in trace.records)
 
+    def test_zero_objective_runs_without_a_fit(self):
+        # All residuals are 0, so the profiled amplitude is 0 at every
+        # lengthscale: each fit fails and the run keeps its current values.
+        trace = run(Objective(Sphere(2), lambda x: 0.0), BoConfig(n_init=3, n_iters=6))
+        assert not trace.aborted
+        assert len(trace.records) == 7
+
     def test_sphere_mean_recovery(self):
         # End-to-end: the optimizer localizes the closed-form minimizer.
         obj = frechet_objective(latitude_circle_problem(8, -0.5))

@@ -27,7 +27,9 @@ def _tool():
 def test_pins_blas_threads_before_numpy_and_scipy_load():
     # BLAS reads its thread count once, when numpy or scipy first loads it,
     # so the tool must set the variables before either import.  The probe
-    # records them at each package's first import.
+    # records them at each package's first import.  Loading the tool loads
+    # numpy; scipy loads later, when the tool imports manibo to run, which
+    # the probe stands in for by importing scipy after the tool.
     probe = f"""
 import importlib.abc, importlib.util, json, os, sys
 seen = {{}}
@@ -38,6 +40,7 @@ class Probe(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, Probe())
 spec = importlib.util.spec_from_file_location("count_ascent", {str(TOOL)!r})
 spec.loader.exec_module(importlib.util.module_from_spec(spec))
+import scipy.linalg
 print(json.dumps(seen))
 """
     env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}

@@ -451,11 +451,16 @@ class TestFitHyperparams:
             fit_hyperparams(data, median_heuristic_params(data), 0)
 
     def test_fitted_within_bounds(self, rng):
+        # The lengthscale lies in its interval, the amplitude is the one
+        # profiled at it, and there is no noise.
         data = _dataset(Sphere(2), 8, rng)
-        lo, hi = egp._fit_box(data)
+        lo, hi = egp._lengthscale_bounds(data)
         init = median_heuristic_params(data)
-        fitted = _values(fit_hyperparams(data, init, FIT_RESTARTS, seed=1))
-        assert np.all((lo <= fitted) & (fitted <= hi))
+        fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=1)
+        assert lo <= fitted.lengthscale <= hi
+        profiled = _profiled_amplitude(data, fitted.lengthscale)
+        assert fitted.amplitude == pytest.approx(profiled, rel=1e-12)
+        assert fitted.noise == 0.0
 
     def test_recovers_known_lengthscale(self):
         # Self-consistency: data drawn from a surrogate with lengthscale 1
@@ -477,14 +482,19 @@ class TestFitHyperparams:
         b = fit_hyperparams(data, init, FIT_RESTARTS, seed=5)
         assert a == b
 
+    def test_vanishing_residuals_cannot_be_fitted(self, rng):
+        # Every profiled amplitude is 0, so no start can be scored.
+        data = GpDataset.from_points([random_point(Sphere(2), rng) for _ in range(4)], np.zeros(4))
+        with pytest.raises(FittingFailedError):
+            fit_hyperparams(data, median_heuristic_params(data), FIT_RESTARTS)
 
-def _fit_case(kind, with_trend, duplicated, seed, monkeypatch=None):
+
+def _fit_case(kind, with_trend, duplicated, seed):
     """A dataset and starting values for one fit.  Values are a smooth
     function of the embedding.  With a trend there are enough points for
     the dataset to fit its affine prior mean; without, 8 points and the zero
-    mean.  The duplicated case repeats three of the points and, through
-    ``monkeypatch``, lowers the noise floor of ``egp._fit_box``, so that
-    candidates with little noise need jitter."""
+    mean.  The duplicated case repeats three of the points, so that the
+    noise-free Gram matrix is singular and needs jitter."""
     gen = np.random.default_rng(seed)
     n = TREND_POINTS_PER_COEFFICIENT * (kind.ambient_dim + 1) if with_trend else 8
     points = [random_point(kind, gen) for _ in range(n)]
@@ -496,15 +506,6 @@ def _fit_case(kind, with_trend, duplicated, seed, monkeypatch=None):
         assert np.any(data.trend != 0.0)
     else:
         np.testing.assert_array_equal(data.trend, 0.0)
-    if duplicated:
-        fit_box = egp._fit_box
-
-        def lowered_noise_floor(data):
-            lo, hi = fit_box(data)
-            lo[2] = 1e-18 * lo[1]
-            return lo, hi
-
-        monkeypatch.setattr(egp, "_fit_box", lowered_noise_floor)
     return data, median_heuristic_params(data)
 
 
@@ -529,73 +530,90 @@ def _recording_cholesky(monkeypatch):
     return jitters
 
 
-def _values(params):
-    return np.array([params.lengthscale, params.amplitude, params.noise])
+def _lml_at(data, lengthscale, amplitude):
+    """The log marginal likelihood of the noise-free model."""
+    return log_marginal_likelihood(GpModel.build(KernelParams(lengthscale, amplitude, 0.0), data))
 
 
-def _theta(params):
-    return np.log(_values(params))
+def _profiled_amplitude(data, lengthscale):
+    """|L^{-1} r|^2 / n of the unit-amplitude, noise-free model."""
+    whitened = GpModel.build(KernelParams(lengthscale, 1.0, 0.0), data).whitened
+    return float(whitened @ whitened) / len(data)
 
 
-def _lml_at(data, theta):
-    return log_marginal_likelihood(GpModel.build(KernelParams(*np.exp(theta)), data))
+def _profiled_lml(data, log_l):
+    """The log marginal likelihood at the profiled amplitude, through the
+    public model and likelihood rather than ``egp._profiled``."""
+    lengthscale = math.exp(log_l)
+    return _lml_at(data, lengthscale, _profiled_amplitude(data, lengthscale))
 
 
 class TestLmlDerivatives:
-    """``_lml_derivatives`` of ``_model_at`` against central finite
-    differences of ``log_marginal_likelihood(GpModel.build(...))`` in the
-    log-parameters."""
+    """``_profiled_derivatives`` of ``_profiled`` against central finite
+    differences of the log marginal likelihood at the profiled amplitude,
+    in the log lengthscale."""
 
     @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
     def test_matches_finite_differences(self, kind, with_trend):
         data, init = _fit_case(kind, with_trend, False, seed=5)
-        theta = _theta(init) + [0.3, -0.4, 3.0]
-        grad, hess = egp._lml_derivatives(egp._model_at(data, theta))
+        log_l = math.log(init.lengthscale) + 0.3
+        model, value = egp._profiled(data, log_l)
+        assert model.jitter == 0.0
+        assert value == pytest.approx(_profiled_lml(data, log_l), rel=1e-10)
+        grad, curv = egp._profiled_derivatives(model)
         h = 1e-3
-        steps = h * np.eye(3)
-        fd_grad = [(_lml_at(data, theta + e) - _lml_at(data, theta - e)) / (2 * h) for e in steps]
-        fd_hess = [
-            [
-                (
-                    _lml_at(data, theta + ei + ej) - _lml_at(data, theta + ei - ej)
-                    - _lml_at(data, theta - ei + ej) + _lml_at(data, theta - ei - ej)
-                ) / (4 * h * h)
-                for ej in steps
-            ]
-            for ei in steps
-        ]
-        scale = max(1.0, np.abs(hess).max())
-        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-5 * scale)
-        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-4 * scale)
+        fd_grad = (_profiled_lml(data, log_l + h) - _profiled_lml(data, log_l - h)) / (2 * h)
+        fd_curv = (
+            _profiled_lml(data, log_l + h) - 2.0 * value + _profiled_lml(data, log_l - h)
+        ) / (h * h)
+        scale = max(1.0, abs(curv))
+        assert grad == pytest.approx(fd_grad, rel=0, abs=1e-5 * scale)
+        assert curv == pytest.approx(fd_curv, rel=0, abs=1e-4 * scale)
+
+    @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
+    @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
+    def test_fitted_amplitude_maximizes(self, kind, with_trend):
+        # At the fitted lengthscale the likelihood falls on either side of
+        # the fitted amplitude.
+        data, init = _fit_case(kind, with_trend, False, seed=5)
+        fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
+        best = _lml_at(data, fitted.lengthscale, fitted.amplitude)
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert best >= _lml_at(data, fitted.lengthscale, factor * fitted.amplitude)
 
     def test_none_when_unfactorizable(self, monkeypatch):
+        # Three duplicated points and no jitter allowed.
         monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
-        data, init = _fit_case(Sphere(2), False, True, seed=5, monkeypatch=monkeypatch)
-        # Three duplicated points and a noise floor far below round-off.
-        assert egp._model_at(data, _theta(init) + [0.0, 0.0, -40.0]) is None
+        data, init = _fit_case(Sphere(2), False, True, seed=5)
+        assert egp._profiled(data, math.log(init.lengthscale)) is None
+
+    def test_none_when_residuals_vanish(self, rng):
+        data = _dataset(Sphere(2), 4, rng, fn=lambda x: 0.0)
+        assert egp._profiled(data, 0.0) is None
 
 
 class TestFitNewton:
     """``fit_hyperparams`` on the ``_fit_case`` datasets, checked against
-    the optimality conditions in the box rather than against a pinned
-    trajectory."""
+    the optimality conditions on the lengthscale interval rather than
+    against a pinned trajectory."""
 
     @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
     def test_box_kkt_point(self, kind, with_trend):
-        # A free coordinate has a small gradient; one at a bound has its
-        # gradient pointing out of the box.
+        # Inside the interval the Newton decrement is below the fit's
+        # tolerance; at a bound the gradient points out of the interval.
         data, init = _fit_case(kind, with_trend, False, seed=7)
         fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
-        theta = _theta(fitted)
-        log_lo, log_hi = np.log(egp._fit_box(data))
-        grad, _ = egp._lml_derivatives(egp._model_at(data, theta))
-        at_lo = np.isclose(theta, log_lo, rtol=0, atol=1e-12)
-        at_hi = np.isclose(theta, log_hi, rtol=0, atol=1e-12)
-        free = ~(at_lo | at_hi)
-        assert np.all(grad[at_lo] <= 0.0) and np.all(grad[at_hi] >= 0.0)
-        assert np.all(np.abs(grad[free]) <= 1e-3), (grad, free)
+        log_l = math.log(fitted.lengthscale)
+        log_lo, log_hi = np.log(egp._lengthscale_bounds(data))
+        grad, curv = egp._profiled_derivatives(egp._profiled(data, log_l)[0])
+        if math.isclose(log_l, log_lo, rel_tol=0, abs_tol=1e-12):
+            assert grad <= 0.0
+        elif math.isclose(log_l, log_hi, rel_tol=0, abs_tol=1e-12):
+            assert grad >= 0.0
+        else:
+            assert curv < 0.0 and grad**2 / (2.0 * -curv) <= egp.FIT_TOL, (grad, curv)
 
     @pytest.mark.parametrize(
         "with_trend, n_starts",
@@ -607,39 +625,34 @@ class TestFitNewton:
     def test_not_worse_than_any_start(self, kind, with_trend, n_starts):
         data, init = _fit_case(kind, with_trend, False, seed=7)
         fitted = fit_hyperparams(data, init, n_starts, seed=3)
-        lo, hi = egp._fit_box(data)
-        log_lo, log_hi = np.log(lo), np.log(hi)
+        log_lo, log_hi = np.log(egp._lengthscale_bounds(data))
         rng = np.random.default_rng(3)
-        starts = [np.log(np.clip(_values(init), lo, hi))]
+        starts = [np.clip(math.log(init.lengthscale), log_lo, log_hi)]
         starts += [rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1)]
         fitted_lml = log_marginal_likelihood(GpModel.build(fitted, data))
         for start in starts:
-            assert fitted_lml >= _lml_at(data, start)
+            assert fitted_lml >= _profiled_lml(data, start)
 
     @pytest.mark.parametrize("case", ["duplicated", "unfactorizable"])
     @pytest.mark.parametrize("with_trend", [False, True], ids=["zero_mean", "trend"])
     @pytest.mark.parametrize("kind", PIN_KINDS, ids=str)
     def test_needs_jitter_or_fails_to_factorize(self, kind, with_trend, case, monkeypatch):
-        # Duplicated points with a noise floor far below round-off: some
-        # candidates need jitter, and with none allowed they cannot be
-        # factorized.  The fit returns parameters whose model builds, or
-        # raises FittingFailedError.
+        # Duplicated points make every noise-free Gram matrix singular: the
+        # fit needs jitter, and with none allowed no start can be scored.
         if case == "unfactorizable":
             monkeypatch.setattr(egp, "JITTER_MAX", 0.0)
-        data, init = _fit_case(kind, with_trend, True, seed=7, monkeypatch=monkeypatch)
+        data, init = _fit_case(kind, with_trend, True, seed=7)
         jitters = _recording_cholesky(monkeypatch)
-        try:
-            fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
-        except FittingFailedError:
-            fitted = None
         if case == "duplicated":
-            assert any(j is not None and j > 0.0 for j in jitters)
+            fitted = fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
+            assert all(j is not None and j > 0.0 for j in jitters)
+            assert GpModel.build(fitted, data).jitter > 0.0
+            lo, hi = egp._lengthscale_bounds(data)
+            assert lo <= fitted.lengthscale <= hi and fitted.noise == 0.0
         else:
-            assert None in jitters
-        if fitted is not None:
-            GpModel.build(fitted, data)
-            lo, hi = egp._fit_box(data)
-            assert np.all((lo <= _values(fitted)) & (_values(fitted) <= hi))
+            with pytest.raises(FittingFailedError):
+                fit_hyperparams(data, init, FIT_RESTARTS, seed=3)
+            assert jitters and all(j is None for j in jitters)
 
 
 class TestSolveChol:

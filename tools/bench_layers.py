@@ -27,23 +27,22 @@ stored.  BLAS is pinned to one thread.
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
+import math
 import os
-
-# Before numpy loads BLAS: one thread, as the benchmark runs.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import importlib.util  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
+import sys
+import time
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
+from compare_traces import THREAD_VARS  # noqa: E402
+
+# Before numpy loads BLAS: one thread, as the benchmark runs.
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402
 from count_ascent import AscentCounter  # noqa: E402
 
 SEED = 0

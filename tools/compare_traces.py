@@ -49,8 +49,6 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from scipy.stats import wilcoxon
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
@@ -159,6 +157,10 @@ def _paired_line(workload: str, values, label: str = "paired") -> str:
     diffs = [y - x for x, y in zip(*values) if x is not None and y is not None]
     mean = statistics.fmean(diffs) if diffs else None
     sem = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else None
+    # Imported here, not at the top: the tools that import this module set
+    # ``THREAD_VARS`` before anything loads BLAS.
+    from scipy.stats import wilcoxon
+
     better, worse = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
     # With every difference zero, scipy warns and returns p = 1.
     p_value = format(wilcoxon(diffs).pvalue, ".4g") if better + worse else "n/a"

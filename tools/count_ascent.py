@@ -28,27 +28,24 @@ experiment's iteration budget, for a quick check.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import importlib
+import io
 import os
-
-# Before numpy, or scipy through compare_traces, loads BLAS: one thread, as
-# the benchmark runs.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import importlib  # noqa: E402
-import io  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
+import statistics
+import sys
+import tempfile
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from compare_traces import WORKLOADS, run_args  # noqa: E402
+from compare_traces import THREAD_VARS, WORKLOADS, run_args  # noqa: E402
+
+# Before numpy or scipy loads BLAS: one thread, as the benchmark runs.
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 KINDS = ("PI", "exploit")
 
