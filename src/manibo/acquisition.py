@@ -56,8 +56,10 @@ ASCENT_RTOL = 3e-3
 ASCENT_STEP = 0.1
 # Halvings of a row's trial step before its ascent stops.
 MAX_BACKTRACKS = 20
-# Trial steps a row tries per round: its step and its next halvings, scored
-# in one stack; it takes the first that is not rejected.
+# Trial steps a row tries in its first round after an accepted step: its
+# step and its next halvings, scored in one stack; it takes the first that
+# is not rejected.  Each round that rejects all of them doubles the trials
+# the row's next round tries.
 ASCENT_LOOKAHEAD = 4
 # Gradients a row takes before its ascent stops.
 ASCENT_MAX_STEPS = 200
@@ -235,14 +237,17 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     never scores below its start.
 
     The ascent runs in rounds.  Each round, every climbing row tries its
-    trial step and its next halvings together, up to ``ASCENT_LOOKAHEAD``
-    trials, no more than its halvings left and only those that move it at
-    least ``DEDUP_TOL``, in one stacked retraction and one stacked
-    posterior; the rows that move on take their next gradients in one
+    trial step and its next halvings together, in one stacked retraction
+    and one stacked posterior: ``ASCENT_LOOKAHEAD`` trials in its first
+    round after an accepted step, twice as many after each round that
+    rejects them all (an exponential search, Bentley & Yao 1976), no more
+    than its halvings left and only those that move it at least
+    ``DEDUP_TOL``.  The rows that move on take their next gradients in one
     stacked pass.  The row takes the first trial that is not rejected and
     discards the trials after it; when every trial is rejected, its step is
-    halved once per trial.  So every row reaches the iterates that trying
-    one trial per round would, in fewer rounds, whatever the lookahead.
+    halved once per trial.  So a row rejected at every trial makes at most
+    3 rounds (4 + 8 + 9 trials), not 21, and every row reaches the iterates
+    that trying one trial per round would, whatever the lookahead.
     Every row is computed on its own, so its result does not depend on the
     other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
     stack of the kind's ambient shape.
@@ -263,6 +268,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step = [ASCENT_STEP * state.model.params.lengthscale] * len(e)
     n_steps = [1] * len(e)  # gradients taken
     rejected = [0] * len(e)  # trials of the current step
+    lookahead = [ASCENT_LOOKAHEAD] * len(e)  # trials of the row's next round
     climbing = [i for i in range(len(e)) if speed[i] >= ASCENT_GRAD_TOL]
     while climbing:
         # Trial j of a row halves its step j times; scaling by 0.5**j is
@@ -273,7 +279,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         tried = []  # per trying row: (row, its first trial, its trial count)
         for i in climbing:
             reach = step[i] * speed[i]
-            limit = min(ASCENT_LOOKAHEAD, MAX_BACKTRACKS + 1 - rejected[i])
+            limit = min(lookahead[i], MAX_BACKTRACKS + 1 - rejected[i])
             first = len(src)
             j = 0
             while j < limit and reach * 0.5**j >= DEDUP_TOL:
@@ -295,7 +301,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # decides it: the trial that trying one trial per round would reach;
         # later trials are discarded.  A deciding trial that raises the
         # acquisition moves the row, one that does not ends it there; a row
-        # with no deciding trial halves its step once per trial.
+        # with no deciding trial halves its step once per trial and doubles
+        # its lookahead.
         moved, go, pick, retry = [], [], [], []
         for i, first, n_trials in tried:
             trials = range(first, first + n_trials)
@@ -303,6 +310,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             if t is None:
                 step[i] *= 0.5**n_trials
                 rejected[i] += n_trials
+                lookahead[i] *= 2
                 if rejected[i] <= MAX_BACKTRACKS:
                     retry.append(i)
                 continue
@@ -326,6 +334,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             for i, s in zip(go, ambient_norms(kind, tangent[go]).tolist()):
                 n_steps[i] += 1
                 rejected[i] = 0
+                lookahead[i] = ASCENT_LOOKAHEAD
                 speed[i] = s
                 if s >= ASCENT_GRAD_TOL:
                     retry.append(i)
@@ -334,14 +343,11 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _random_starts(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
-    """The ``ASCENT_STARTS - 1`` random embedded draws that lie within the
-    trust radius, as one stack, each row its own draw.  A NaN draw (an Spd
-    draw outside the chart) lies within no radius, so the same test drops
-    it."""
+    """Of ``ASCENT_STARTS - 1`` random embedded draws, drawn as one stack,
+    those that lie within the trust radius.  A NaN draw (an Spd draw
+    outside the chart) lies within no radius, so the same test drops it."""
     kind = state.model.data.kind
-    e = np.empty((ASCENT_STARTS - 1,) + kind.ambient_shape)
-    for row in e:
-        row[...] = kind.random_embedded(rng)
+    e = kind.random_embedded(rng, ASCENT_STARTS - 1)
     return e[_within_trust(state, kind.flatten_rows(e))]
 
 

@@ -15,7 +15,7 @@ Each kind is one class holding everything that differs between manifolds,
 behind the small protocol that ``ManifoldKind`` declares: the point check,
 ``embed`` and ``coords``, the stacked tangent projection and the one
 nearest-point map onto the image, ``project`` (which also enforces the
-kind's chart), random coordinates, and the flat layout.  Every step is that
+kind's chart), stacked random draws, and the flat layout.  Every step is that
 projection of the ambient step from an embedded row (``retract_embedded``),
 a retraction on every embedded submanifold (Absil & Malick, SIAM J. Optim.
 2012), and ``unembed`` is ``coords`` of a one-row projection.  Grassmann
@@ -94,20 +94,23 @@ class ManifoldKind:
       length-D row per ambient value, in C order (``einsum`` sums in memory
       order, so the layout decides a row's bits), and its inverse
       ``unflatten_rows(w)``;
-    * ``random_coords(gen)``, and ``random_embedded(gen)``, the embedding
-      of the same draw, an all-NaN row where ``project`` gives NaN.
+    * ``random_coords(gen, count)`` and ``random_embedded(gen, count)``,
+      one stack of ``count`` draws from ``gen``, in native coordinates and
+      embedded: one draw per kind, so both give the same points for the
+      same generator state.  A row is all-NaN where its draw has no image
+      point within the chart (a sphere draw of norm below
+      ``DEGENERATE_NORM_TOL``, an Spd draw past the chart).
 
     The stacked methods (``tangent_project`` through ``unflatten_rows``)
     accept leading batch axes and compute every row on its own, so a row's
-    bits do not depend on the other rows.
+    bits do not depend on the other rows.  So do the draws: a stack of
+    ``count`` rows has the bits of ``count`` one-row draws from the same
+    generator, and leaves it in the same state.
     """
 
     @functools.cached_property
     def ambient_dim(self) -> int:
         return self.flatten_rows(np.zeros(self.ambient_shape)).size
-
-    def random_embedded(self, gen: np.random.Generator) -> np.ndarray:
-        return self.embed(self.random_coords(gen))
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,16 @@ class Sphere(ManifoldKind):
         out.fill(np.nan)  # np.full_like minus its Python wrapper: called every ascent round
         return np.divide(a, norms, out=out, where=norms >= DEGENERATE_NORM_TOL)
 
-    def random_coords(self, gen):
-        v = gen.standard_normal(self.n + 1)
-        while np.linalg.norm(v) < DEGENERATE_NORM_TOL:
-            v = gen.standard_normal(self.n + 1)
-        return v / np.linalg.norm(v)
+    def random_coords(self, gen, count):
+        """Gaussian rows scaled to unit norm.  The norm is ``vecdot``'s,
+        which has ``np.linalg.norm``'s bits per row (``project``'s einsum
+        norm does not)."""
+        v = gen.standard_normal((count, self.n + 1))
+        norms = np.sqrt(np.vecdot(v, v))[:, None]
+        out = np.full_like(v, np.nan)
+        return np.divide(v, norms, out=out, where=norms >= DEGENERATE_NORM_TOL)
+
+    random_embedded = random_coords
 
     def flatten_rows(self, v):
         return np.array(v, order="C")
@@ -243,11 +251,17 @@ class Grassmann(_SymKind):
         out[~(gaps >= EIGENGAP_TOL)] = np.nan
         return out
 
-    def random_coords(self, gen):
-        q, r = np.linalg.qr(gen.standard_normal((self.n, self.p)))
-        signs = np.sign(np.diag(r))
+    def random_coords(self, gen, count):
+        """Frames of Gaussian matrices, by one stacked ``qr`` with the signs
+        of R's diagonal folded in, so that the frames are uniform."""
+        q, r = np.linalg.qr(gen.standard_normal((count, self.n, self.p)))
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0.0] = 1.0
-        return q * signs
+        return q * signs[:, None, :]
+
+    def random_embedded(self, gen, count):
+        q = self.random_coords(gen, count)
+        return q @ q.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -308,15 +322,18 @@ class Spd(_SymKind):
             out *= np.where(within, scale, np.nan)[..., None, None]
         return out
 
-    def random_coords(self, gen):
-        """The exponential of a symmetric Gaussian matrix; raises past the chart."""
-        return self.coords(project_to_image(self, gen.standard_normal((self.p, self.p))))
+    def random_coords(self, gen, count):
+        """The exponentials of ``random_embedded``'s rows."""
+        e = self.random_embedded(gen, count)
+        inside = ~np.isnan(e[:, 0, 0])
+        e[inside] = self.coords(e[inside])
+        return e
 
-    def random_embedded(self, gen):
-        """A symmetric Gaussian matrix, drawn on the image itself rather
-        than through ``embed`` (an ``eigh`` and a log) of its exponential
-        (another ``eigh``); NaN past the chart."""
-        return self.project(gen.standard_normal((1, self.p, self.p)))[0]
+    def random_embedded(self, gen, count):
+        """Symmetric Gaussian matrices, drawn on the image itself rather
+        than through ``embed`` (an ``eigh`` and a log) of their exponentials
+        (another ``eigh``)."""
+        return self.project(gen.standard_normal((count, self.p, self.p)))
 
 
 def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
@@ -473,8 +490,13 @@ def extrinsic_distance(x: ManifoldPoint, z: ManifoldPoint) -> float:
 def random_point(kind: ManifoldKind, rng: Union[int, np.random.Generator]) -> ManifoldPoint:
     """Draw a random point: uniform on the sphere and Grassmannian, and the
     exponential of a symmetric Gaussian matrix for Spd.  Deterministic given
-    the seed."""
-    return ManifoldPoint(kind, kind.random_coords(np.random.default_rng(rng)))
+    the seed: a one-row ``random_coords``.  Raises
+    ``DegenerateProjectionError`` where the draw has no image point within
+    the kind's chart."""
+    coords = kind.random_coords(np.random.default_rng(rng), 1)[0]
+    if np.isnan(coords.flat[0]):
+        raise DegenerateProjectionError(f"{kind} drew a point outside its chart")
+    return ManifoldPoint(kind, coords)
 
 
 def flatten_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:

@@ -373,7 +373,7 @@ def _maximize_starts(state, rng):
     sphere and the Grassmannian."""
     data = state.model.data
     kind = data.kind
-    e = np.stack([kind.random_embedded(rng) for _ in range(ASCENT_STARTS - 1)])
+    e = kind.random_embedded(rng, ASCENT_STARTS - 1)
     w = kind.flatten_rows(e)
     pull = (~_within_trust(state, w)).nonzero()[0]
     diff = w[pull] - state.trust_center
@@ -408,12 +408,12 @@ class TestMaximize:
             np.testing.assert_array_equal(seen[-1], reference)
         # The fourth draw comes back NaN, as an Spd draw past the chart
         # does: it is dropped, and the draws after it keep their own rows.
-        draw_row = type(kind).random_embedded
-        draws = iter(range(ASCENT_STARTS - 1))
+        draw = type(kind).random_embedded
 
-        def fourth_is_nan(self, gen):
-            row = draw_row(self, gen)
-            return np.full_like(row, np.nan) if next(draws) == 3 else row
+        def fourth_is_nan(self, gen, count):
+            e = draw(self, gen, count)
+            e[3] = np.nan
+            return e
 
         monkeypatch.setattr(type(kind), "random_embedded", fourth_is_nan)
         maximize(state, 0)
@@ -524,7 +524,9 @@ class TestMaximize:
             GpModel.build(params, data), -1.0, trust_radius=math.sqrt(2.0) / 2.0
         )
         monkeypatch.setattr(
-            Grassmann, "random_coords", lambda self, gen: np.array([[0.0], [1.0], [0.0]])
+            Grassmann,
+            "random_coords",
+            lambda self, gen, count: np.tile([[0.0], [1.0], [0.0]], (count, 1, 1)),
         )
         assert _random_starts(state, np.random.default_rng(0)).shape == (0, 3, 3)
         seen = []
@@ -553,7 +555,9 @@ class TestMaximize:
         state = AcquisitionState(GpModel.build(params, data), -1.0, trust_radius=trust_radius)
         far = kind.project(np.diag([20.0, 0.0])[None])[0]
         assert np.isnan(far).all()
-        monkeypatch.setattr(Spd, "random_embedded", lambda self, gen: far.copy())
+        monkeypatch.setattr(
+            Spd, "random_embedded", lambda self, gen, count: np.repeat(far[None], count, axis=0)
+        )
         assert _random_starts(state, np.random.default_rng(0)).shape == (0, 2, 2)
         seen = []
 
@@ -703,7 +707,8 @@ class TestBatchedAscent:
     )
     def test_lookahead_changes_no_result(self, kind, trust_radius, exploit, monkeypatch, rng):
         # The lookahead only sets how many of a row's trials a round
-        # tries, so every depth reaches the same iterates, bit for bit.
+        # tries, so every starting depth, doubled after each fully
+        # rejected round, reaches the same iterates, bit for bit.
         base = _state(kind, 8, rng)
         state = AcquisitionState(
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
@@ -803,7 +808,7 @@ class TestBatchedAscent:
     def test_last_halving_is_the_last_trial(self, kind, fits, rng):
         # Only the steps halved at least ``fits`` times fit in the trust
         # radius.  At MAX_BACKTRACKS the row's last trial moves it; one
-        # halving later every trial is rejected (21 = 5 * 4 + 1 trials), and
+        # halving later every trial is rejected (21 = 4 + 8 + 9 trials), and
         # the lookahead must not try the step halved once more.
         state, start = _incumbent_start(kind, rng, fits)
         # Every trial lies above the displacement floor, so only the
@@ -817,9 +822,10 @@ class TestBatchedAscent:
         assert np.array_equal(e[0], start) == (fits > MAX_BACKTRACKS)
 
     def test_rejected_row_tries_its_halvings_together(self, monkeypatch, rng):
-        # A row rejected at every trial makes ceil(21 / 4) = 6 rounds of
-        # retractions, not 21: its step and its next halvings at once, and
-        # the last round only the one trial left.
+        # A row rejected at every trial makes 3 rounds of retractions, not
+        # 21: its step and its next halvings at once, twice as many trials
+        # after each fully rejected round, and the last round only the
+        # trials left.
         state, start = _incumbent_start(Spd(3), rng, MAX_BACKTRACKS + 1)
         sizes = []
         retract = acquisition.retract_embedded
@@ -831,21 +837,25 @@ class TestBatchedAscent:
         monkeypatch.setattr(acquisition, "retract_embedded", counting)
         e, _ = ascend(state, start[None])
         np.testing.assert_array_equal(e[0], start)
-        trials = MAX_BACKTRACKS + 1
-        assert sizes == [ASCENT_LOOKAHEAD] * (trials // ASCENT_LOOKAHEAD) + [
-            trials % ASCENT_LOOKAHEAD
-        ]
-        assert len(sizes) == 6
+        assert sizes == [ASCENT_LOOKAHEAD, 2 * ASCENT_LOOKAHEAD, 9] == [4, 8, 9]
+        assert sum(sizes) == MAX_BACKTRACKS + 1
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_no_trial_below_the_displacement_floor(self, kind, monkeypatch, rng):
         # Rows stop at the loop's own resolution: every trial that the
         # ascent retracts, and then scores, moves its row by DEDUP_TOL or
-        # more, and a round's lookahead schedules every trial above that
-        # floor.  The small lengthscale makes rows halve their steps far.
+        # more, and a round schedules every trial above that floor within
+        # the row's lookahead and its halvings left.  The small lengthscale
+        # makes rows halve their steps far.
         params = KernelParams(lengthscale=0.05, amplitude=1.0, noise=1e-6)
         base = _state(kind, 8, rng, params=params)
-        rounds = []  # (trials, trials above the floor) per row and round
+        # Per row and round: its trials, its lookahead, the trials its
+        # lookahead and its halvings left allow, and those of them above
+        # the floor.
+        rounds = []
+        # Per row of the last round, by its point and tangent: its
+        # lookahead, its rejected trials before that round, and its trials.
+        last = {}
         retract = acquisition.retract_embedded
 
         def spy(kind, e, v, t):
@@ -856,13 +866,28 @@ class TestBatchedAscent:
             same = np.all(e[1:] == e[:-1], axis=axes) & np.all(v[1:] == v[:-1], axis=axes)
             first = np.concatenate([[0], np.flatnonzero(~same) + 1])
             trials = np.diff(np.append(first, len(e)))
-            halved = displacement[first, None] * 0.5 ** np.arange(ASCENT_LOOKAHEAD)
-            rounds.extend(zip(trials, (halved >= DEDUP_TOL).sum(axis=1)))
+            tried = {}
+            for f, n in zip(first.tolist(), trials.tolist()):
+                key = (e[f].tobytes(), v[f].tobytes())
+                # A row tries its point and tangent again only after a round
+                # that rejected every trial; an accepted step moves it.
+                if key in last:
+                    depth, rejected, n_last = last[key]
+                    depth, rejected = 2 * depth, rejected + n_last
+                else:
+                    depth, rejected = ASCENT_LOOKAHEAD, 0
+                limit = min(depth, MAX_BACKTRACKS + 1 - rejected)
+                halved = displacement[f] * 0.5 ** np.arange(limit)
+                rounds.append((n, depth, limit, int((halved >= DEDUP_TOL).sum())))
+                tried[key] = (depth, rejected, n)
+            last.clear()
+            last.update(tried)
             return retract(kind, e, v, t)
 
         monkeypatch.setattr(acquisition, "retract_embedded", spy)
 
         def ascend_as_reference(state):
+            last.clear()
             starts = _maximize_starts(state, rng)
             e, acq = ascend(state, starts)
             for row, start in enumerate(starts):
@@ -880,13 +905,13 @@ class TestBatchedAscent:
         ascend_as_reference(
             AcquisitionState(base.model, base.best_value, trust_radius=0.3, exploit=True)
         )
-        trials, above = np.array(rounds).T
-        assert np.all(trials <= above)
-        # Where the floor binds inside a lookahead, the round schedules
-        # exactly the trials above it, fewer than ASCENT_LOOKAHEAD.
-        clipped = above < ASCENT_LOOKAHEAD
-        assert clipped.any()
-        np.testing.assert_array_equal(trials[clipped], above[clipped])
+        trials, depth, limit, above = np.array(rounds).T
+        np.testing.assert_array_equal(trials, above)
+        assert np.all(trials <= depth)
+        # Some rows double their lookahead, and somewhere the floor binds
+        # inside a round: it schedules fewer trials than it allows.
+        assert (depth > ASCENT_LOOKAHEAD).any()
+        assert (above < limit).any()
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_exploit_row_stops_at_relative_gain(self, kind, monkeypatch, rng):

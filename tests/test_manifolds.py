@@ -23,6 +23,7 @@ from manibo import (
     unflatten_ambient,
 )
 from manibo.manifolds import (
+    DEGENERATE_NORM_TOL,
     SPD_CHART_SLACK,
     SPD_LOG_NORM_MAX,
     retract_embedded,
@@ -231,7 +232,7 @@ class TestSpdChart:
         # random_point raises on the same draw.
         kind = Spd(20)
         for seed in range(3):
-            assert np.isnan(kind.random_embedded(np.random.default_rng(seed))).all()
+            assert np.isnan(kind.random_embedded(np.random.default_rng(seed), 1)).all()
             with pytest.raises(DegenerateProjectionError, match="chart"):
                 random_point(kind, seed)
 
@@ -546,6 +547,75 @@ class TestRandomPoint:
         a = random_point(kind, 7)
         b = random_point(kind, 7)
         np.testing.assert_array_equal(a.coords, b.coords)
+
+
+class _FixedNormals:
+    """A generator stand-in whose ``standard_normal`` returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == self.draws.shape
+        return self.draws.copy()
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("count", [1, 9])
+    @pytest.mark.parametrize("draw", ["random_coords", "random_embedded"])
+    def test_stack_equals_one_row_draws(self, kind, count, draw):
+        # A stack of count draws has the bits of count one-row draws from
+        # the same generator, and leaves the generator in the same state.
+        shape = kind.coords_shape if draw == "random_coords" else kind.ambient_shape
+        for seed in range(20):
+            gen, row_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            stack = getattr(kind, draw)(gen, count)
+            rows = [getattr(kind, draw)(row_gen, 1) for _ in range(count)]
+            assert stack.shape == (count,) + shape
+            assert all(row.shape == (1,) + shape for row in rows)
+            np.testing.assert_array_equal(stack, np.concatenate(rows))
+            assert gen.bit_generator.state == row_gen.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_embedded_draws_embed_the_coordinate_draws(self, kind):
+        # One draw per kind: the embedded stack is the embedding of the
+        # coordinate stack from the same generator state, bit for bit on
+        # the sphere and the Grassmannian; on Spd the coordinates are the
+        # exponentials of the embedded draws, so their logs agree to
+        # round-off.
+        coords = kind.random_coords(np.random.default_rng(3), 9)
+        e = kind.random_embedded(np.random.default_rng(3), 9)
+        embedded = np.stack([kind.embed(c) for c in coords])
+        if isinstance(kind, Spd):
+            np.testing.assert_allclose(embedded, e, rtol=0.0, atol=1e-13)
+        else:
+            np.testing.assert_array_equal(embedded, e)
+
+    def test_sphere_rows_are_gaussian_rows_over_their_norm(self):
+        # The same bits as dividing each Gaussian row by np.linalg.norm.
+        kind = Sphere(4)
+        for seed in range(200):
+            draws = np.random.default_rng(seed).standard_normal((9, 5))
+            np.testing.assert_array_equal(
+                kind.random_coords(np.random.default_rng(seed), 9),
+                [v / np.linalg.norm(v) for v in draws],
+            )
+
+    @pytest.mark.parametrize("draw", ["random_coords", "random_embedded"])
+    def test_degenerate_and_past_the_chart_rows_are_nan(self, draw):
+        # A sphere row of norm below DEGENERATE_NORM_TOL and an Spd row
+        # past the chart come back all NaN; the rows around them keep the
+        # bits of their one-row draws.
+        sphere_rows = [[0.6, 0.8, 0.0], [0.5 * DEGENERATE_NORM_TOL, 0.0, 0.0], [0.0, 3.0, 4.0]]
+        spd_rows = [np.eye(2), np.diag([2.0 * SPD_LOG_NORM_MAX, 0.0]), np.diag([1.0, -2.0])]
+        for kind, rows in ((Sphere(2), sphere_rows), (Spd(2), spd_rows)):
+            stack = getattr(kind, draw)(_FixedNormals(rows), 3)
+            assert np.isnan(stack[1]).all()
+            for r in (0, 2):
+                alone = getattr(kind, draw)(_FixedNormals([rows[r]]), 1)[0]
+                assert np.isfinite(alone).all()
+                np.testing.assert_array_equal(stack[r], alone)
 
 
 class TestGrassmannProjectorAlgebra:

@@ -1,4 +1,5 @@
-"""Time one acquisition ascent per manifold kind on fixed states.
+"""Time one acquisition ascent and one ``maximize`` per manifold kind on
+fixed states.
 
     python3 tools/bench_layers.py [--tree TREE ...] [--repeats K]
 
@@ -7,13 +8,16 @@ Spd(3), on the problems of the three benchmark workloads) and each data
 size n in 10 and 38, builds one fixed state from ``SEED``: n design
 points (random points; on Spd a subset of the regression responses, as the
 run's design is), their objective values, median-heuristic hyperparameters
-and the run's trust radius (the design's diameter).  On that state it
-ascends ``maximize``'s starts, the incumbent and the ``_random_starts``
-drawn from the seed, once for a PI round and once for an exploit round, and
-prints the microseconds per ``ascend`` call and per ascent round, each the
-minimum over K timed calls.  The round count comes from one untimed call
-under ``count_ascent.AscentCounter``, which counts the stacked retraction
-every round makes.
+and the run's trust radius (the design's diameter).  On that state, once
+for a PI round and once for an exploit round, it times ``maximize(state,
+SEED)`` and the ``ascend`` call inside it, on the same starts: the
+incumbent and the ``_random_starts`` that ``maximize`` draws from the seed.
+It prints the microseconds per ``ascend`` call, per ascent round and per
+``maximize`` call, each the minimum over K timed calls; what ``maximize``
+adds to its ``ascend`` is drawing the starts and unembedding the winner.
+The round count comes from one untimed call under
+``count_ascent.AscentCounter``, which counts the stacked retraction every
+round makes.
 
 Unlike ``perfbench/run.py --trace 1``, which averages over whole runs
 whose trajectories move with every change to the traces, the states here
@@ -85,7 +89,7 @@ def problems(manibo) -> dict:
 
 def ascent_states(manibo, objective, draw, n: int):
     """The PI and the exploit state on n points drawn from ``SEED``, and
-    the starts ``maximize`` would ascend on them."""
+    the starts ``maximize(state, SEED)`` ascends on either."""
     acquisition, egp = manibo.acquisition, manibo.egp
     rng = np.random.default_rng(SEED)
     points = draw(n, rng)
@@ -98,7 +102,7 @@ def ascent_states(manibo, objective, draw, n: int):
         for name, exploit in (("PI", False), ("exploit", True))
     }
     incumbent = manibo.manifolds.embed(points[int(np.argmin(data.values))])
-    starts = acquisition._random_starts(states["PI"], rng)
+    starts = acquisition._random_starts(states["PI"], np.random.default_rng(SEED))
     return states, np.concatenate([incumbent[None], starts])
 
 
@@ -117,32 +121,40 @@ def cases(manibo) -> list[tuple]:
 
 
 def time_trees(trees: list, repeats: int) -> list[dict]:
-    """Per tree, the minimum time of each case's ``ascend`` call in
-    microseconds, over ``repeats`` calls that alternate between the trees
-    (in turn first)."""
+    """Per tree, the minimum time of each case's ``ascend`` and
+    ``maximize`` call in microseconds, keyed by the case and the call's
+    name, over ``repeats`` calls that alternate between the trees (in turn
+    first)."""
     best = [{} for _ in trees]
     for repeat in range(repeats):
         shift = repeat % len(trees)
         for t in list(range(len(trees)))[shift:] + list(range(len(trees)))[:shift]:
             manibo, tree_cases = trees[t]
+            acquisition = manibo.acquisition
             for key, state, starts, _ in tree_cases:
-                tick = time.perf_counter()
-                manibo.acquisition.ascend(state, starts)
-                elapsed = (time.perf_counter() - tick) * 1e6
-                best[t][key] = min(elapsed, best[t].get(key, math.inf))
+                for name, call, args in (
+                    ("ascend", acquisition.ascend, (state, starts)),
+                    ("maximize", acquisition.maximize, (state, SEED)),
+                ):
+                    tick = time.perf_counter()
+                    call(*args)
+                    elapsed = (time.perf_counter() - tick) * 1e6
+                    best[t][key, name] = min(elapsed, best[t].get((key, name), math.inf))
     return best
 
 
 def table_lines(tree_cases: list[tuple], best: dict) -> list[str]:
     lines = [
-        "| kind | n | round | starts | rounds | us per ascend | us per round |",
-        "|---|---|---|---|---|---|---|",
+        "| kind | n | round | starts | rounds | us per ascend | us per round"
+        " | us per maximize |",
+        "|---|---|---|---|---|---|---|---|",
     ]
-    for (kind, n, name), _, starts, rounds in tree_cases:
-        us = best[(kind, n, name)]
+    for key, _, starts, rounds in tree_cases:
+        us = best[key, "ascend"]
         per_round = f"{us / rounds:.1f}" if rounds else "-"
         lines.append(
-            f"| {kind} | {n} | {name} | {len(starts)} | {rounds} | {us:.0f} | {per_round} |"
+            f"| {' | '.join(map(str, key))} | {len(starts)} | {rounds} | {us:.0f}"
+            f" | {per_round} | {best[key, 'maximize']:.0f} |"
         )
     return lines
 
@@ -167,7 +179,7 @@ def main(argv=None) -> int:
         trees.append((manibo, cases(manibo)))
     best = time_trees(trees, args.repeats)
     for path, (_, tree_cases), tree_best in zip(paths, trees, best):
-        print(f"# ascend timings from {path / 'src'}, seed {SEED}, min of {args.repeats}")
+        print(f"# ascent timings from {path / 'src'}, seed {SEED}, min of {args.repeats}")
         for line in table_lines(tree_cases, tree_best):
             print(line)
     return 0
