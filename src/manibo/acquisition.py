@@ -51,8 +51,9 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # a minimizer of the mean, and ranking the starts needs no more than this
 # relative precision.
 ASCENT_RTOL = 3e-3
-# The ascent's first trial step, as a multiple of the kernel lengthscale, so
-# that its scale tracks the fitted kernel.
+# The ascent's first trial step, in lengthscales per unit of the tangent: a
+# row moves ASCENT_STEP * lengthscale * |tangent|, far where |tangent| is
+# large (at the incumbent, where sigma sits at its floor).
 ASCENT_STEP = 0.1
 # Halvings of a row's trial step before its ascent stops.
 MAX_BACKTRACKS = 20
@@ -113,10 +114,14 @@ class AcquisitionState:
         return 1e-12 * math.sqrt(self.model.params.amplitude)
 
     @functools.cached_property
+    def incumbent(self) -> int:
+        """Data index of the best observed point (the first of ties)."""
+        return int(np.argmin(self.model.data.values))
+
+    @functools.cached_property
     def trust_center(self) -> np.ndarray:
-        """Flat embedding of the incumbent, the best observed point."""
-        data = self.model.data
-        return data.embedded[int(np.argmin(data.values))]
+        """Flat embedding of the incumbent."""
+        return self.model.data.embedded[self.incumbent]
 
 
 def _improvement(
@@ -219,12 +224,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Each row keeps its own step length and stops on its own; a stopped row
     does no further work.  A trial step that would decrease the acquisition
     is halved; after an accepted step the next trial is 1.5 times as long,
-    so the step length adapts to the scale of the acquisition.  A trial is
-    scored only inside the trust radius; a trial outside it, or one the
-    retraction returns as NaN (no unique nearest image point, or outside
-    the chart), is rejected like one that does not improve, so every
-    iterate can be unembedded.  The first trial step is ``ASCENT_STEP``
-    lengthscales.  A row stops when its
+    so the step length adapts to the scale of the acquisition.  Every trial
+    is scored in one pass; one outside the trust radius (read from the
+    squared distances ``PosteriorRows`` carries) or NaN (no unique nearest
+    image point, or outside the chart) is rejected like one that does not
+    improve, so every iterate can be unembedded.  The first trial moves a
+    row ``ASCENT_STEP`` * lengthscale * |tangent|.  A row stops when its
     projected gradient is below ``ASCENT_GRAD_TOL``, its next trial would
     move it less than ``DEDUP_TOL`` (the displacement step * |tangent|; the
     loop treats points that close as one, and perturbs a proposal that
@@ -270,11 +275,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rejected = [0] * len(e)  # trials of the current step
     lookahead = [ASCENT_LOOKAHEAD] * len(e)  # trials of the row's next round
     climbing = [i for i in range(len(e)) if speed[i] >= ASCENT_GRAD_TOL]
+    halving = [0.5**j for j in range(MAX_BACKTRACKS + 2)]  # exact scalings
     while climbing:
-        # Trial j of a row halves its step j times; scaling by 0.5**j is
-        # exact, so it is the step that j rejections would leave.  A row
-        # tries only the trials that move it at least DEDUP_TOL (the
-        # displacement step * |tangent| * 0.5**j), and stops when it has none.
+        # Trial j of a row halves its step j times: the step that j
+        # rejections would leave.  A row tries only the trials that move it
+        # at least DEDUP_TOL (the displacement step * |tangent| * 0.5**j),
+        # and stops when it has none.
         src, trial_step = [], []  # per trial: its row and its step
         tried = []  # per trying row: (row, its first trial, its trial count)
         for i in climbing:
@@ -282,48 +288,47 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             limit = min(lookahead[i], MAX_BACKTRACKS + 1 - rejected[i])
             first = len(src)
             j = 0
-            while j < limit and reach * 0.5**j >= DEDUP_TOL:
+            while j < limit and reach * halving[j] >= DEDUP_TOL:
                 src.append(i)
-                trial_step.append(step[i] * 0.5**j)
+                trial_step.append(step[i] * halving[j])
                 j += 1
             if j:
                 tried.append((i, first, j))
         if not tried:
             break
         e_cand = retract_embedded(kind, e[src], tangent[src], np.array(trial_step))
-        w_cand = kind.flatten_rows(e_cand)
-        scored = _within_trust(state, w_cand).nonzero()[0]  # never a NaN row
-        post_cand = posterior_rows(state.model, w_cand[scored])
-        acq_scored, terms_cand = _ascent_value(state, post_cand)
-        # Per scored trial: its row in post_cand and its value.
-        found = dict(zip(scored.tolist(), enumerate(acq_scored.tolist())))
-        # A row's first scored trial that does not lower the acquisition
-        # decides it: the trial that trying one trial per round would reach;
-        # later trials are discarded.  A deciding trial that raises the
-        # acquisition moves the row, one that does not ends it there; a row
-        # with no deciding trial halves its step once per trial and doubles
-        # its lookahead.
+        # The trust centre is the incumbent's datum, so the pass's squared
+        # distances to it are ``_within_trust``'s; a NaN row fails the test.
+        post_cand = posterior_rows(state.model, kind.flatten_rows(e_cand))
+        acq_cand, terms_cand = _ascent_value(state, post_cand)
+        value = acq_cand.tolist()
+        inside = (post_cand.sq_dists[:, state.incumbent] <= state.trust_radius**2).tolist()
+        # A row's first trial inside the radius that does not lower the
+        # acquisition decides it: the trial that trying one trial per round
+        # would reach; later trials are discarded.  A deciding trial that
+        # raises the acquisition moves the row, one that does not ends it
+        # there; a row with no deciding trial halves its step once per trial
+        # and doubles its lookahead.
         moved, go, pick, retry = [], [], [], []
         for i, first, n_trials in tried:
             trials = range(first, first + n_trials)
-            t = next((u for u in trials if u in found and found[u][1] >= acq[i]), None)
+            t = next((u for u in trials if inside[u] and value[u] >= acq[i]), None)
             if t is None:
-                step[i] *= 0.5**n_trials
+                step[i] *= halving[n_trials]
                 rejected[i] += n_trials
                 lookahead[i] *= 2
                 if rejected[i] <= MAX_BACKTRACKS:
                     retry.append(i)
                 continue
-            k, value = found[t]
-            if not value > acq[i]:
+            if not value[t] > acq[i]:
                 continue
-            gain = value - acq[i]
+            gain = value[t] - acq[i]
             moved.append(t)
-            acq[i], step[i] = value, trial_step[t] * 1.5
-            remaining = abs(state.best_value + value) if state.exploit else -value
+            acq[i], step[i] = value[t], trial_step[t] * 1.5
+            remaining = abs(state.best_value + value[t]) if state.exploit else -value[t]
             if n_steps[i] < ASCENT_MAX_STEPS and not gain <= ASCENT_RTOL * remaining:
                 go.append(i)
-                pick.append(k)
+                pick.append(t)
         if moved:
             e[[src[t] for t in moved]] = e_cand[moved]
         if go:
@@ -368,9 +373,7 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     would give.  Proposals are bit-reproducible on one platform (one
     numpy/BLAS build), not across builds.
     """
-    data = state.model.data
-    kind = data.kind
-    incumbent = embed(data.points[int(np.argmin(data.values))])
+    incumbent = embed(state.model.data.points[state.incumbent])
     starts = _random_starts(state, np.random.default_rng(seed))
     e, acq = ascend(state, np.concatenate([incumbent[None], starts]))
-    return unembed(kind, e[int(np.argmax(acq))])
+    return unembed(state.model.data.kind, e[int(np.argmax(acq))])

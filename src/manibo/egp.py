@@ -262,8 +262,8 @@ class GpModel:
 @dataclass(frozen=True, eq=False)
 class PosteriorRows:
     """Posterior mean at a stack of flat embedding coordinates w (S, D),
-    with the terms its gradient reuses: the differences x_i - w to the data
-    and the cross-kernel k.
+    with the terms it was formed from: the differences x_i - w to the data
+    (its gradient reuses them), their squared norms and the cross-kernel k.
 
     The variance's terms are formed on demand, when a caller first reads
     them: v = L^{-1} k, the variance ``var`` and beta = L^{-T} v.  A caller
@@ -279,6 +279,7 @@ class PosteriorRows:
 
     model: GpModel
     diff: np.ndarray  # (S, n, D)
+    sq_dists: np.ndarray  # (S, n)
     k: np.ndarray  # (S, n)
     mean: np.ndarray  # (S,)
 
@@ -306,7 +307,9 @@ class PosteriorRows:
     def take(self, rows) -> "PosteriorRows":
         """The posterior at a subset of the rows, with the terms already
         formed."""
-        taken = PosteriorRows(self.model, self.diff[rows], self.k[rows], self.mean[rows])
+        taken = PosteriorRows(
+            self.model, self.diff[rows], self.sq_dists[rows], self.k[rows], self.mean[rows]
+        )
         for name in ("v", "var", "beta"):
             if name in self.__dict__:
                 taken.__dict__[name] = self.__dict__[name][rows]
@@ -347,7 +350,7 @@ def posterior_rows(model: GpModel, w: np.ndarray) -> PosteriorRows:
         + np.einsum("sd,d->s", w, trend[1:])
         + np.einsum("sn,n->s", k, model.alpha)
     )
-    return PosteriorRows(model, diff, k, mean)
+    return PosteriorRows(model, diff, sq, k, mean)
 
 
 def point_posterior_rows(model: GpModel, x: ManifoldPoint) -> PosteriorRows:

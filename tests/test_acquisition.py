@@ -715,29 +715,43 @@ class TestBatchedAscent:
         )
         starts = _maximize_starts(state, rng)
         e, acq = ascend(state, starts)
+        # The trials the trust test rejects, NaN ones included: in every
+        # posterior pass after an ``ascend`` call's first (its starts'), the
+        # rows whose squared distance to the incumbent's datum is not within
+        # the radius squared.
+        passes = []
+        scoring = acquisition.posterior_rows
+
+        def counting(model, w):
+            post = scoring(model, w)
+            inside = post.sq_dists[:, state.incumbent] <= state.trust_radius**2
+            passes.append(int((~inside).sum()))
+            return post
+
+        monkeypatch.setattr(acquisition, "posterior_rows", counting)
         outside = []
-        within_trust = acquisition._within_trust
-
-        def counting(trial_state, w):
-            inside = within_trust(trial_state, w)
-            outside.append(int((~inside).sum()))
-            return inside
-
-        monkeypatch.setattr(acquisition, "_within_trust", counting)
         for lookahead in (1, 2, 8, MAX_BACKTRACKS + 1):
             monkeypatch.setattr(acquisition, "ASCENT_LOOKAHEAD", lookahead)
             e_deep, acq_deep = ascend(state, starts)
             np.testing.assert_array_equal(e_deep, e)
             np.testing.assert_array_equal(acq_deep, acq)
+            outside += passes[1:]
+            passes.clear()
         assert (sum(outside) > 0) == (trust_radius < math.inf)
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_trust_distance_independent_of_stack_position(self, kind, rng):
         # ``_within_trust`` sums each flat row's squared distance with one
         # einsum, in memory order, so ``flatten_rows`` must give C-ordered
-        # stacks for a row's distance to be the one it has alone.
+        # stacks for a row's distance to be the one it has alone.  ``ascend``
+        # reads its trust test from the posterior pass over its trials, at
+        # the incumbent's datum, the trust centre: that column must hold
+        # the same bits.
         state = _state(kind, 6, rng)
         rows = np.stack([embed(random_point(kind, rng)) for _ in range(8)])
+        np.testing.assert_array_equal(
+            state.trust_center, state.model.data.embedded[state.incumbent]
+        )
 
         def sq_dists(w):  # as _within_trust computes them
             diff = w - state.trust_center
@@ -754,6 +768,30 @@ class TestBatchedAscent:
                 assert w.flags.c_contiguous
                 assert sq_dists(w)[position] == alone
                 assert _within_trust(bound, w)[position] == inside
+                column = posterior_rows(state.model, w).sq_dists[:, state.incumbent]
+                np.testing.assert_array_equal(column, sq_dists(w))
+
+    @pytest.mark.parametrize("trust_radius", [1.0, math.inf])
+    def test_nan_trial_lies_outside_the_posterior_trust_test(self, trust_radius, rng):
+        # An Spd trial past the chart comes back NaN from the retraction.
+        # Its squared distance in the posterior pass is NaN, so it lies
+        # within no radius, not even an infinite one, as in
+        # ``_within_trust``; the other rows keep their bits.
+        kind = Spd(3)
+        base = _state(kind, 6, rng)
+        state = AcquisitionState(base.model, base.best_value, trust_radius=trust_radius)
+        rows = np.stack([embed(random_point(kind, rng)) for _ in range(4)])
+        past = retract_embedded(kind, rows[:1], np.eye(3)[None], 2.0 * SPD_LOG_NORM_MAX)
+        assert np.isnan(past).all()
+        stack = np.concatenate([rows[:2], past, rows[2:]])
+        w = kind.flatten_rows(stack)
+        post = posterior_rows(state.model, w)
+        inside = post.sq_dists[:, state.incumbent] <= state.trust_radius**2
+        np.testing.assert_array_equal(inside, _within_trust(state, w))
+        assert not inside[2]
+        clean = posterior_rows(state.model, kind.flatten_rows(rows))
+        np.testing.assert_array_equal(np.delete(post.sq_dists, 2, axis=0), clean.sq_dists)
+        np.testing.assert_array_equal(np.delete(post.mean, 2), clean.mean)
 
     def test_failed_row_leaves_other_rows_unchanged(self, monkeypatch, rng):
         kind = Grassmann(2, 3)

@@ -76,13 +76,17 @@ def test_counts_rounds_and_rows_per_kind():
     class Acquisition:
         ASCENT_STARTS = 5
 
-        # Each start is one round, which stacks (rows, of which NaN) trial
-        # rows; the fake retraction returns the NaN ones first, as 2 x 2
-        # rows.
+        # Each start (rows, of which NaN, value, shift) is one round, which
+        # stacks that many trial rows; the fake retraction returns the NaN
+        # ones first, as 2 x 2 rows.  The start returns the value, moved by
+        # its shift.
         def ascend(self, state, e):
-            for rows, nan in e:
+            e = np.array(e, dtype=float)
+            for rows, nan, _, _ in e.astype(int):
                 self.retract_embedded(None, np.zeros((rows, 2, 2)), None, nan)
-            return e
+            out = e.copy()
+            out[:, 0] += e[:, 3]
+            return out, e[:, 2]
 
         def retract_embedded(self, kind, e, v, t):
             out = e.copy()
@@ -92,9 +96,13 @@ def test_counts_rounds_and_rows_per_kind():
     module = Acquisition()
     counter = tool.AscentCounter(module)
     with counter.installed():
-        module.ascend(SimpleNamespace(exploit=False), [(4, 1), (2, 0)])
-        module.ascend(SimpleNamespace(exploit=True), [(3, 3)])
-        module.ascend(SimpleNamespace(exploit=True), [(1, 0), (1, 1), (1, 0)])
+        # The incumbent's row wins on a tie, unmoved: an incumbent proposal.
+        module.ascend(SimpleNamespace(exploit=False), [(4, 1, 0.5, 0), (2, 0, 0.5, 0)])
+        # It wins, moved; then another row wins: neither is one.
+        module.ascend(SimpleNamespace(exploit=True), [(3, 3, 1.0, 1)])
+        module.ascend(
+            SimpleNamespace(exploit=True), [(1, 0, 0.0, 0), (1, 1, 2.0, 0), (1, 0, 0.0, 0)]
+        )
         # A retraction outside an ascend call is not counted.
         module.retract_embedded(None, np.zeros((9, 2, 2)), None, 9)
     assert module.ascend.__func__ is Acquisition.ascend  # restored
@@ -104,4 +112,7 @@ def test_counts_rounds_and_rows_per_kind():
     # Starts, and dropped starts: 5 less the starts, per call.
     assert counter.starts == {"PI": 2, "exploit": 4}
     assert counter.dropped == {"PI": 3, "exploit": 6}
-    assert tool.table_lines({"w": counter})[2].endswith("| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 4 = 5 |")
+    assert counter.incumbent == {"PI": 1, "exploit": 0}
+    assert tool.table_lines({"w": counter})[2].endswith(
+        "| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 4 = 5 | 1 + 0 = 1 |"
+    )

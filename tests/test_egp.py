@@ -279,7 +279,7 @@ def test_stacked_posterior_rows_equal_single_rows(seed, kind, n_rows, fortran):
     (mean_grad,) = stacked.gradients(variance=False)
     for row in range(n_rows):
         single = posterior_rows(model, w[row][None])
-        for name in ("k", "v", "mean", "var", "beta"):
+        for name in ("sq_dists", "k", "v", "mean", "var", "beta"):
             np.testing.assert_array_equal(getattr(stacked, name)[row], getattr(single, name)[0])
         for stacked_grad, single_grad in zip(grads, single.gradients()):
             np.testing.assert_array_equal(stacked_grad[row], single_grad[0])
@@ -332,7 +332,7 @@ def test_take_carries_the_terms_already_formed(rng):
     assert post.var.shape == (6,)
     taken = post.take([4, 1])
     assert set(vars(taken)) >= {"v", "var"} and "beta" not in vars(taken)
-    for name in ("v", "var"):
+    for name in ("diff", "sq_dists", "k", "mean", "v", "var"):
         np.testing.assert_array_equal(getattr(taken, name), getattr(post, name)[[4, 1]])
     fresh = posterior_rows(model, w[[4, 1]])
     np.testing.assert_array_equal(taken.gradients()[1], fresh.gradients()[1])

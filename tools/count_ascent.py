@@ -18,7 +18,11 @@ exploit rounds apart:
   draw outside the chart) or outside the trust radius, ``ASCENT_STARTS``
   less the starts, per call;
 - NaN trial rows: the trial rows the retractions returned as NaN, which
-  the ascent rejects.
+  the ascent rejects;
+- incumbent proposals: the ``ascend`` calls whose winner (the ``argmax`` of
+  the values it returned, the earliest on ties) is row 0, the incumbent's
+  start, returned unmoved, so that ``maximize`` proposes the incumbent
+  itself.
 
 The counts are exact and repeat on one numpy/BLAS build, so two trees'
 tables compare line by line; the run pins BLAS to one thread.  ``--seeds
@@ -52,8 +56,9 @@ KINDS = ("PI", "exploit")
 
 class AscentCounter:
     """Wraps ``ascend`` and ``retract_embedded`` in the acquisition module
-    and tallies each ``ascend`` call's starts, rounds, trial rows and NaN
-    trial rows under its round's kind."""
+    and tallies each ``ascend`` call's starts, rounds, trial rows, NaN
+    trial rows and whether it proposes the unmoved incumbent under its
+    round's kind."""
 
     def __init__(self, acquisition):
         self.acquisition = acquisition
@@ -62,6 +67,7 @@ class AscentCounter:
         self.nan_rows = {kind: 0 for kind in KINDS}
         self.starts = {kind: 0 for kind in KINDS}
         self.dropped = {kind: 0 for kind in KINDS}
+        self.incumbent = {kind: 0 for kind in KINDS}
         self._current = None  # [rounds, rows, NaN rows] of the ascend call under way
 
     def _ascend(self, state, e):
@@ -70,7 +76,10 @@ class AscentCounter:
         self.dropped[kind] += self.acquisition.ASCENT_STARTS - len(e)
         self._current = [0, 0, 0]
         try:
-            return self._real_ascend(state, e)
+            out, acq = self._real_ascend(state, e)
+            if int(np.argmax(acq)) == 0 and np.array_equal(out[0], e[0]):
+                self.incumbent[kind] += 1
+            return out, acq
         finally:
             rounds, rows, nan_rows = self._current
             self._current = None
@@ -118,8 +127,8 @@ def table_lines(counters: dict) -> list[str]:
         "| workload | rounds, PI + exploit | trial rows, PI + exploit "
         "| median rounds per `maximize`, PI / exploit (p90) "
         "| starts, PI + exploit | dropped starts, PI + exploit "
-        "| NaN trial rows, PI + exploit |",
-        "|---|---|---|---|---|---|---|",
+        "| NaN trial rows, PI + exploit | incumbent proposals, PI + exploit |",
+        "|---|---|---|---|---|---|---|---|",
     ]
 
     def total(counts):
@@ -135,7 +144,7 @@ def table_lines(counters: dict) -> list[str]:
             f"| {name} | {total(rounds)} | {total(counter.rows)} "
             f"| {medians[0]:g} / {medians[1]:g} ({p90s[0]:g} / {p90s[1]:g}) "
             f"| {total(counter.starts)} | {total(counter.dropped)} "
-            f"| {total(counter.nan_rows)} |"
+            f"| {total(counter.nan_rows)} | {total(counter.incumbent)} |"
         )
     return lines
 
