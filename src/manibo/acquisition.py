@@ -296,7 +296,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 tried.append((i, first, j))
         if not tried:
             break
-        e_cand = retract_embedded(kind, e[src], tangent[src], np.array(trial_step))
+        # Every gather and scatter of the round's rows takes one intp array:
+        # a list index is converted again at every use.
+        src = np.array(src, dtype=np.intp)
+        e_cand = retract_embedded(
+            kind, e.take(src, axis=0), tangent.take(src, axis=0), np.array(trial_step)
+        )
         # The trust centre is the incumbent's datum, so the pass's squared
         # distances to it are ``_within_trust``'s; a NaN row fails the test.
         post_cand = posterior_rows(state.model, kind.flatten_rows(e_cand))
@@ -311,9 +316,10 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # and doubles its lookahead.
         moved, go, pick, retry = [], [], [], []
         for i, first, n_trials in tried:
-            trials = range(first, first + n_trials)
-            t = next((u for u in trials if inside[u] and value[u] >= acq[i]), None)
-            if t is None:
+            for t in range(first, first + n_trials):
+                if inside[t] and value[t] >= acq[i]:
+                    break
+            else:
                 step[i] *= halving[n_trials]
                 rejected[i] += n_trials
                 lookahead[i] *= 2
@@ -330,13 +336,19 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 go.append(i)
                 pick.append(t)
         if moved:
-            e[[src[t] for t in moved]] = e_cand[moved]
+            moved = np.array(moved, dtype=np.intp)
+            e[src.take(moved)] = e_cand.take(moved, axis=0)
         if go:
+            rows, pick = np.array(go, dtype=np.intp), np.array(pick, dtype=np.intp)
             # The trial's posterior and value terms feed its gradient.
-            tangent[go] = _tangents(
-                state, e[go], post_cand.take(pick), tuple(term[pick] for term in terms_cand)
+            fresh = _tangents(
+                state,
+                e.take(rows, axis=0),
+                post_cand.take(pick),
+                tuple(term.take(pick, axis=0) for term in terms_cand),
             )
-            for i, s in zip(go, ambient_norms(kind, tangent[go]).tolist()):
+            tangent[rows] = fresh
+            for i, s in zip(go, ambient_norms(kind, fresh).tolist()):
                 n_steps[i] += 1
                 rejected[i] = 0
                 lookahead[i] = ASCENT_LOOKAHEAD

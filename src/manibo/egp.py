@@ -305,14 +305,18 @@ class PosteriorRows:
         return np.matmul(self.model.chol_inv.T, self.v[:, :, None])[..., 0]
 
     def take(self, rows) -> "PosteriorRows":
-        """The posterior at a subset of the rows, with the terms already
-        formed."""
+        """The posterior at a subset of the rows (a list or an intp array of
+        row indices), with the terms already formed."""
         taken = PosteriorRows(
-            self.model, self.diff[rows], self.sq_dists[rows], self.k[rows], self.mean[rows]
+            self.model,
+            self.diff.take(rows, axis=0),
+            self.sq_dists.take(rows, axis=0),
+            self.k.take(rows, axis=0),
+            self.mean.take(rows, axis=0),
         )
         for name in ("v", "var", "beta"):
             if name in self.__dict__:
-                taken.__dict__[name] = self.__dict__[name][rows]
+                taken.__dict__[name] = self.__dict__[name].take(rows, axis=0)
         return taken
 
     def gradients(self, variance: bool = True) -> tuple[np.ndarray, ...]:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Structural invariants (unit norm, orthonormal frames, symmetry).
 POINT_ATOL = 1e-10
@@ -76,6 +77,14 @@ class DegenerateProjectionError(ManifoldError):
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a float stack of symmetric matrices, bit for
+    bit, by the gufunc the wrapper calls, without the wrapper's validation
+    and ``errstate``: a matrix where ``eigh`` does not converge comes back
+    NaN (with a RuntimeWarning) where the wrapper raises ``LinAlgError``."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 class ManifoldKind:
@@ -231,8 +240,10 @@ class Grassmann(_SymKind):
         """Frames of the dominant p-eigenspaces of a stack of symmetric
         matrices, and the eigenvalue gap that makes each subspace unique (at
         least ``EIGENGAP_TOL``) or not.  The stacked ``eigh`` factors each
-        matrix on its own."""
-        w, vecs = np.linalg.eigh(sym_v)
+        matrix on its own; it calls the gufunc directly (``_eigh``), so a
+        matrix where ``eigh`` does not converge comes back NaN, gap and all,
+        and ``project`` makes its row NaN."""
+        w, vecs = _eigh(sym_v)
         gaps = w[..., self.n - self.p] - w[..., self.n - self.p - 1]
         return vecs[..., self.n - self.p:][..., ::-1], gaps
 

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import manibo
 from manibo import acquisition
@@ -26,23 +27,27 @@ def _run(*args):
 
 
 def _tables(stdout):
-    """Per tree, its title line and its rows as lists of cells."""
+    """Per table (one per tree, then the ratio table), its title line, its
+    header and its rows as lists of cells."""
     tables = []
     for line in stdout.splitlines():
         if line.startswith("# "):
-            tables.append((line, []))
-        elif line.startswith("| ") and line != HEADER:
-            tables[-1][1].append(line.strip("| ").split(" | "))
+            tables.append((line, None, []))
+        elif line.startswith("| kind | "):
+            tables[-1] = (tables[-1][0], line, [])
+        elif line.startswith("| "):
+            tables[-1][2].append(line.strip("| ").split(" | "))
         else:
-            assert line in (HEADER, "|---|---|---|---|---|---|---|---|"), line
+            assert line == "|" + "---|" * len(tables[-1][1].strip("| ").split(" | ")), line
     return tables
 
 
 def test_one_repeat_smoke():
     result = _run("--repeats", "1")
     assert result.returncode == 0, result.stdout + result.stderr
-    [(title, rows)] = _tables(result.stdout)
+    [(title, header, rows)] = _tables(result.stdout)
     assert title == f"# ascent timings from {ROOT / 'src'}, seed 0, min of 1"
+    assert header == HEADER
     assert [(kind, n, name) for kind, n, name, *_ in rows] == [
         (kind, n, name)
         for kind in ("sphere", "grassmann", "spd")
@@ -60,9 +65,17 @@ def test_trees_load_side_by_side():
     # The same checkout twice: two tables over the same states and rounds.
     result = _run("--repeats", "1", "--tree", str(ROOT), "--tree", str(ROOT))
     assert result.returncode == 0, result.stdout + result.stderr
-    first, second = _tables(result.stdout)
-    assert first[0] == second[0]
-    assert [row[:5] for row in first[1]] == [row[:5] for row in second[1]]
+    first, second, ratios = _tables(result.stdout)
+    assert first[:2] == second[:2] and first[1] == HEADER
+    assert [row[:5] for row in first[2]] == [row[:5] for row in second[2]]
+    # Then one row per case: the second tree's us per call over the first's.
+    assert ratios[0] == f"# us per call over tree 1's, {ROOT / 'src'}; trees in --tree order"
+    assert ratios[1] == "| kind | n | round | ascend, tree 2 | maximize, tree 2 |"
+    assert [row[:3] for row in ratios[2]] == [row[:3] for row in first[2]]
+    for (*_, ascend, maximize), one, two in zip(ratios[2], first[2], second[2]):
+        # The tables print rounded microseconds; the ratios use the raw ones.
+        assert float(ascend) == pytest.approx(float(two[5]) / float(one[5]), rel=0.01, abs=1e-3)
+        assert float(maximize) == pytest.approx(float(two[7]) / float(one[7]), rel=0.01, abs=1e-3)
 
 
 def test_rejects_no_repeats():

@@ -332,8 +332,10 @@ def test_take_carries_the_terms_already_formed(rng):
     assert post.var.shape == (6,)
     taken = post.take([4, 1])
     assert set(vars(taken)) >= {"v", "var"} and "beta" not in vars(taken)
+    by_array = post.take(np.array([4, 1], dtype=np.intp))
     for name in ("diff", "sq_dists", "k", "mean", "v", "var"):
         np.testing.assert_array_equal(getattr(taken, name), getattr(post, name)[[4, 1]])
+        assert getattr(by_array, name).tobytes() == getattr(taken, name).tobytes()
     fresh = posterior_rows(model, w[[4, 1]])
     np.testing.assert_array_equal(taken.gradients()[1], fresh.gradients()[1])
     assert "v" not in vars(posterior_rows(model, w).take([0]))

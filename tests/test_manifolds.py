@@ -26,6 +26,7 @@ from manibo.manifolds import (
     DEGENERATE_NORM_TOL,
     SPD_CHART_SLACK,
     SPD_LOG_NORM_MAX,
+    _eigh,
     retract_embedded,
     tangent_project_embedded,
 )
@@ -626,6 +627,31 @@ class TestGrassmannProjectorAlgebra:
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             np.testing.assert_allclose(proj.T, proj, atol=1e-10)
             assert np.trace(proj) == pytest.approx(kind.p, abs=1e-10)
+
+
+class TestEighHelper:
+    """``_eigh`` calls the gufunc behind ``np.linalg.eigh``: the same bits
+    on the symmetric stacks a Grassmann projection factors."""
+
+    @staticmethod
+    def _assert_numpy_bits(a):
+        w, vecs = _eigh(a)
+        w_np, vecs_np = np.linalg.eigh(a)
+        assert w.tobytes() == w_np.tobytes()
+        assert vecs.tobytes() == vecs_np.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,n_rows",
+        [(Grassmann(2, 3), 1), (Grassmann(2, 3), 8), (Grassmann(2, 3), 23), (Grassmann(2, 4), 8)],
+    )
+    def test_trial_stacks(self, kind, n_rows, rng):
+        e, _, v = _stack(kind, rng, n_rows)
+        a = e + 0.3 * v
+        self._assert_numpy_bits(0.5 * (a + a.swapaxes(-1, -2)))
+
+    def test_tied_matrix(self):
+        # The ambiguous row of ``test_ambiguous_row_is_nan_and_spares_the_others``.
+        self._assert_numpy_bits(np.diag([1.0, 0.5, 0.5])[None])
 
 
 class TestFlattening:

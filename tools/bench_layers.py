@@ -25,7 +25,9 @@ are fixed, so the numbers compare the cost of one call across commits.
 Each ``--tree`` (default: this checkout) loads its own ``src/manibo`` side
 by side in this process, the timed calls alternate between the trees, and
 one table per tree follows: on a shared machine the speed drifts between
-separate runs by more than a change to one layer saves.  Nothing is
+separate runs by more than a change to one layer saves.  With two or more
+trees a last table gives, per case, each later tree's us per ``ascend``
+and per ``maximize`` divided by the first tree's (tree 1).  Nothing is
 stored.  BLAS is pinned to one thread.
 """
 
@@ -159,6 +161,26 @@ def table_lines(tree_cases: list[tuple], best: dict) -> list[str]:
     return lines
 
 
+def ratio_lines(tree_cases: list[tuple], best: list[dict]) -> list[str]:
+    """Per case, every later tree's us per ``ascend`` and per ``maximize``
+    divided by the first tree's: one number per case and call."""
+    others = range(2, len(best) + 1)
+    lines = [
+        "| kind | n | round | "
+        + " | ".join(f"ascend, tree {t} | maximize, tree {t}" for t in others)
+        + " |",
+        "|---|---|---|" + "---|---|" * len(others),
+    ]
+    for key, *_ in tree_cases:
+        cells = [
+            f"{tree_best[key, name] / best[0][key, name]:.3f}"
+            for tree_best in best[1:]
+            for name in ("ascend", "maximize")
+        ]
+        lines.append(f"| {' | '.join(map(str, key))} | {' | '.join(cells)} |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, action="append",
@@ -181,6 +203,10 @@ def main(argv=None) -> int:
     for path, (_, tree_cases), tree_best in zip(paths, trees, best):
         print(f"# ascent timings from {path / 'src'}, seed {SEED}, min of {args.repeats}")
         for line in table_lines(tree_cases, tree_best):
+            print(line)
+    if len(trees) > 1:
+        print(f"# us per call over tree 1's, {paths[0] / 'src'}; trees in --tree order")
+        for line in ratio_lines(trees[0][1], best):
             print(line)
     return 0
 
