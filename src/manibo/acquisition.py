@@ -59,8 +59,8 @@ ASCENT_STEP = 0.1
 MAX_BACKTRACKS = 20
 # Trial steps a row tries in its first round after an accepted step: its
 # step and its next halvings, scored in one stack; it takes the first that
-# is not rejected.  Each round that rejects all of them doubles the trials
-# the row's next round tries.
+# is not rejected.  A round after k halvings tries ASCENT_LOOKAHEAD + k, so
+# each round that rejects all of its trials doubles the next round's.
 ASCENT_LOOKAHEAD = 4
 # Gradients a row takes before its ascent stops.
 ASCENT_MAX_STEPS = 200
@@ -250,9 +250,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``DEDUP_TOL``.  The rows that move on take their next gradients in one
     stacked pass.  The row takes the first trial that is not rejected and
     discards the trials after it; when every trial is rejected, its step is
-    halved once per trial.  So a row rejected at every trial makes at most
-    3 rounds (4 + 8 + 9 trials), not 21, and every row reaches the iterates
-    that trying one trial per round would, whatever the lookahead.
+    halved once per trial.  So a round after k halvings tries
+    ``ASCENT_LOOKAHEAD`` + k (4, 8 and 16 after 0, 4 and 12): a round cut
+    short by the cap or the floor ends its row.  A row rejected at every
+    trial makes at most 3 rounds (4 + 8 + 9 trials), not 21, and every row
+    reaches the iterates that trying one trial per round would, whatever
+    the lookahead.
     Every row is computed on its own, so its result does not depend on the
     other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
     stack of the kind's ambient shape.
@@ -273,7 +276,6 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step = [ASCENT_STEP * state.model.params.lengthscale] * len(e)
     n_steps = [1] * len(e)  # gradients taken
     rejected = [0] * len(e)  # trials of the current step
-    lookahead = [ASCENT_LOOKAHEAD] * len(e)  # trials of the row's next round
     climbing = [i for i in range(len(e)) if speed[i] >= ASCENT_GRAD_TOL]
     halving = [0.5**j for j in range(MAX_BACKTRACKS + 2)]  # exact scalings
     while climbing:
@@ -285,7 +287,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         tried = []  # per trying row: (row, its first trial, its trial count)
         for i in climbing:
             reach = step[i] * speed[i]
-            limit = min(lookahead[i], MAX_BACKTRACKS + 1 - rejected[i])
+            limit = min(ASCENT_LOOKAHEAD + rejected[i], MAX_BACKTRACKS + 1 - rejected[i])
             first = len(src)
             j = 0
             while j < limit and reach * halving[j] >= DEDUP_TOL:
@@ -312,8 +314,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # acquisition decides it: the trial that trying one trial per round
         # would reach; later trials are discarded.  A deciding trial that
         # raises the acquisition moves the row, one that does not ends it
-        # there; a row with no deciding trial halves its step once per trial
-        # and doubles its lookahead.
+        # there; a row with no deciding trial halves its step once per trial.
         moved, go, pick, retry = [], [], [], []
         for i, first, n_trials in tried:
             for t in range(first, first + n_trials):
@@ -322,7 +323,6 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             else:
                 step[i] *= halving[n_trials]
                 rejected[i] += n_trials
-                lookahead[i] *= 2
                 if rejected[i] <= MAX_BACKTRACKS:
                     retry.append(i)
                 continue
@@ -351,7 +351,6 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
             for i, s in zip(go, ambient_norms(kind, fresh).tolist()):
                 n_steps[i] += 1
                 rejected[i] = 0
-                lookahead[i] = ASCENT_LOOKAHEAD
                 speed[i] = s
                 if s >= ASCENT_GRAD_TOL:
                     retry.append(i)

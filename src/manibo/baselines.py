@@ -7,15 +7,13 @@ decrease the value.  Nelder-Mead runs in flat embedding coordinates and
 retracts every candidate vertex onto the manifold before the objective sees
 it, so a manifold-valued objective never receives an off-manifold argument.
 
-Both return a ``RunTrace``, as the Bayesian loop does, and abort through
-it on a failure after their first evaluation.  Gradient descent records
-accepted iterates; Nelder-Mead records every objective evaluation, which
-makes evaluation-count comparisons direct.
+Both evaluate through a ``RunTrace``, as the Bayesian loop does, so all
+three fail alike (``RunTrace.evaluate``).  Gradient descent records
+accepted iterates; Nelder-Mead records every evaluation, which makes
+evaluation-count comparisons direct.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -60,20 +58,16 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
     ``InvalidInputError``; on the sphere none fails (|e - lam tangent| >= 1).
     Stops when the projected gradient norm falls below ``GD_TOL``, no
     halving produces a decrease, or ``max_iters`` is reached.  After the
-    first evaluation any exception aborts the run (``RunTrace.abort``), with
-    a reason naming its stage: the gradient, a rejected step or the
-    objective; on the first it raises.
+    first evaluation an exception from the gradient or a rejected step
+    aborts the run, as a failed evaluation does (``RunTrace.evaluate``),
+    with a reason naming its stage; on the first evaluation a failure raises.
     """
     if obj.grad is None:
         raise InvalidInputError("gradient descent needs an objective with a gradient")
     trace = RunTrace(obj)
-    start = time.perf_counter()
-    x = x0
-    f = float(obj.fn(x))
-    n_evals = 1
-    trace.record(0, x, f, n_evals, start)
+    x, f = x0, trace.evaluate(x0, "at iteration 0")
+    trace.record(0, x, f)
     for t in range(1, max_iters + 1):
-        tick = time.perf_counter()
         stage = "gradient raised"  # what an exception means, for the abort
         try:
             tangent = project_to_tangent(x, obj.grad(x))
@@ -85,10 +79,8 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
                 stage = "step rejected"
                 stepped = retract_embedded(x.kind, e[None], -tangent[None], lam)
                 candidate = unembed(x.kind, stepped[0])
-                stage = "objective raised"
-                f_cand = float(obj.fn(candidate))
-                n_evals += 1
-                if f_cand < f:
+                f_cand = trace.evaluate(candidate, f"at iteration {t}")
+                if f_cand is None or f_cand < f:
                     break
                 lam *= 0.5
             else:
@@ -96,8 +88,10 @@ def riemannian_gd(obj: Objective, x0: ManifoldPoint, max_iters: int = 100) -> Ru
         except Exception as exc:  # any failure here keeps the trace
             trace.abort(f"{stage} at iteration {t}", exc)
             break
+        if f_cand is None:
+            break
         x, f = candidate, f_cand
-        trace.record(t, x, f, n_evals, tick)
+        trace.record(t, x, f)
     return trace
 
 
@@ -105,39 +99,34 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
     """Simplex search in flat embedding coordinates with retracted evaluation.
 
     The initial simplex is the embedding of x0 plus an ``NM_INIT_SPREAD``
-    perturbation along each flat axis.  Candidates whose retraction is
-    degenerate count as +inf.  Ties at the worst vertex accept the
-    reflection, so a flat objective keeps reflecting until the evaluation
-    budget is exhausted.  Stops when the simplex diameter drops below
-    ``NM_TOL`` or the budget runs out; a budget below 1 raises
-    ``InvalidInputError``.  An evaluation that raises a ``ManifoldError`` is
-    recorded at x0 with value inf; after the first evaluation any other
-    exception aborts the run (``RunTrace.abort``), and on the first it raises.
+    perturbation along each flat axis.  A candidate whose retraction is
+    degenerate is not evaluated: it counts as +inf at x0 and spends one
+    evaluation of the budget.  Ties at the worst vertex accept the
+    reflection, so a flat objective keeps reflecting until the budget is
+    exhausted.  Stops when the simplex diameter drops below ``NM_TOL`` or
+    the budget runs out; a budget below 1 raises ``InvalidInputError``.  A
+    failed evaluation (``RunTrace.evaluate``) aborts the run, or raises on
+    the first evaluation.
     """
     if max_evals < 1:
         raise InvalidInputError(f"max_evals must be >= 1, got {max_evals}")
     kind = obj.kind
     dim = kind.ambient_dim
     trace = RunTrace(obj)
-    n_evals = 0
 
     def evaluate(w: np.ndarray) -> float:
-        nonlocal n_evals
         if trace.aborted:
             return np.inf
-        tick = time.perf_counter()
         try:
             point = unembed(kind, unflatten_ambient(kind, w))
-            value = float(obj.fn(point))
-        except ManifoldError:
+        except ManifoldError:  # a failed retraction
             point, value = x0, np.inf
-        except Exception as exc:  # a user objective may raise anything
-            if not n_evals:
-                raise
-            trace.abort(f"objective raised at evaluation {n_evals + 1}", exc)
-            return np.inf
-        n_evals += 1
-        trace.record(n_evals, point, value, n_evals, tick)
+            trace.n_evals += 1
+        else:
+            value = trace.evaluate(point, f"at evaluation {trace.n_evals + 1}")
+            if value is None:
+                return np.inf
+        trace.record(trace.n_evals, point, value)
         return value
 
     w0 = flatten_ambient(kind, embed(x0))
@@ -156,14 +145,14 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
         diffs = simplex[:, None, :] - simplex[None, :, :]
         return float(np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).max())
 
-    while n_evals < max_evals and not trace.aborted and diameter() >= NM_TOL:
+    while trace.n_evals < max_evals and not trace.aborted and diameter() >= NM_TOL:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         worst = simplex[-1]
         centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + NM_REFLECT * (centroid - worst)
         f_reflected = evaluate(reflected)
-        if f_reflected < values[0] and n_evals < max_evals:
+        if f_reflected < values[0] and trace.n_evals < max_evals:
             expanded = centroid + NM_EXPAND * (centroid - worst)
             f_expanded = evaluate(expanded)
             if f_expanded < f_reflected:
@@ -172,14 +161,14 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
                 simplex[-1], values[-1] = reflected, f_reflected
         elif f_reflected <= values[-1]:
             simplex[-1], values[-1] = reflected, f_reflected
-        elif n_evals < max_evals:
+        elif trace.n_evals < max_evals:
             contracted = centroid + NM_CONTRACT * (worst - centroid)
             f_contracted = evaluate(contracted)
             if f_contracted <= min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
                 for i in range(1, len(simplex)):
-                    if n_evals >= max_evals:
+                    if trace.n_evals >= max_evals:
                         break
                     simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
                     values[i] = evaluate(simplex[i])

@@ -2,11 +2,12 @@
 
 One run: draw an initial design, fit the surrogate, then alternate between
 maximizing the acquisition, evaluating the objective at the proposal, and
-refitting.  The run's trace (``RunTrace``) keeps the incumbent, the best
-observed value, and the abort.  Failures after the first evaluation (a
-non-finite objective value, or an exception from the objective, the
-proposal or a surrogate update) abort the run but keep the trace
-collected so far, since traces are the primary artifact.
+refitting.  The run's trace (``RunTrace``) evaluates the objective, as
+the baselines' traces do, and keeps the incumbent, the best observed
+value, and the abort.  Failures after the first evaluation (a non-finite objective
+value, or an exception from the objective, the proposal or a surrogate
+update) abort the run but keep the trace collected so far, since traces
+are the primary artifact.
 """
 
 from __future__ import annotations
@@ -135,12 +136,15 @@ class TraceRecord:
 class RunTrace:
     """The records of one optimizer run on ``objective``, its incumbent (the
     first record's point, replaced by each later record's point whose value
-    is strictly below the incumbent's value) and its abort (``abort``)."""
+    is strictly below the incumbent's value), its abort (``abort``) and its
+    count of objective evaluations (``n_evals``, kept by ``evaluate``)."""
 
     objective: Objective
     records: list[TraceRecord] = field(default_factory=list)
     aborted: bool = False
     abort_reason: Optional[str] = None
+    n_evals: int = field(default=0, init=False)
+    _since: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def abort(self, reason: str, exc: Optional[Exception] = None) -> None:
         """Mark the run aborted for ``reason``, to which ``exc`` appends
@@ -151,19 +155,39 @@ class RunTrace:
         self.aborted = True
         self.abort_reason = reason
 
-    def record(
-        self, iteration: int, point: ManifoldPoint, value: float, n_evals: int, since: float
-    ) -> None:
-        """Append the state after an evaluation batch that began at
-        ``time.perf_counter()`` reading ``since``: the incumbent after it,
-        and the incumbent's distance to the objective's oracle point when it
-        has one."""
+    def evaluate(self, x: ManifoldPoint, where: str) -> Optional[float]:
+        """The objective's value at x, counted in ``n_evals``; None when the
+        objective raised or returned a non-finite value, which aborts the
+        run for a reason that ends in ``where`` (say ``at iteration 3``).
+        On the first evaluation such a failure raises instead."""
+        try:
+            y = float(self.objective.fn(x))
+        except Exception as exc:  # a user objective may raise anything
+            if not self.n_evals:
+                raise
+            self.abort(f"objective raised {where}", exc)
+            return None
+        if not math.isfinite(y):
+            if not self.n_evals:
+                raise InvalidInputError(
+                    f"objective returned non-finite value {y!r} on the first evaluation"
+                )
+            self.abort(f"objective returned non-finite value {y!r} {where}")
+            return None
+        self.n_evals += 1
+        return y
+
+    def record(self, iteration: int, point: ManifoldPoint, value: float) -> None:
+        """Append the state after an evaluation batch: the incumbent, its
+        distance to the objective's oracle point when it has one, ``n_evals``
+        and the wall time since the previous record (or since creation)."""
         best_point, best_value = point, value
         if self.records and not value < self.final.best_value:
             best_point, best_value = self.final.best_point, self.final.best_value
         err = None
         if self.objective.oracle_point is not None:
             err = extrinsic_distance(best_point, self.objective.oracle_point)
+        since, self._since = self._since, time.perf_counter()
         self.records.append(
             TraceRecord(
                 iteration=iteration,
@@ -172,8 +196,8 @@ class RunTrace:
                 best_value=best_value,
                 best_point=best_point,
                 err_to_oracle=err,
-                wall_ms=(time.perf_counter() - since) * 1e3,
-                n_evals=n_evals,
+                wall_ms=(self._since - since) * 1e3,
+                n_evals=self.n_evals,
             )
         )
 
@@ -267,15 +291,14 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     initial design (or the part of it evaluated before a failure) and its
     first fit; records 1..n_iters follow the proposals.  After the first
     evaluation, a non-finite objective value or any exception from the
-    objective, the proposal phase (surrogate build, acquisition
-    maximization, dedup) or a surrogate update aborts the run
+    objective (``RunTrace.evaluate``), the proposal phase (surrogate build,
+    acquisition maximization, dedup) or a surrogate update aborts the run
     (``RunTrace.abort``), which keeps the trace collected so far.  A
     failure on the first evaluation raises.
     """
     trace = RunTrace(obj)
     seed_seq = np.random.SeedSequence(cfg.seed)
     init_seq, loop_seq = seed_seq.spawn(2)
-    start = time.perf_counter()
 
     if cfg.init_points is not None:
         init_points = list(cfg.init_points)
@@ -289,19 +312,8 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     points: list[ManifoldPoint] = []
     values: list[float] = []
     for pt in init_points:
-        try:
-            y = float(obj.fn(pt))
-        except Exception as exc:  # a user objective may raise anything
-            if not values:
-                raise
-            trace.abort("objective raised during init", exc)
-            break
-        if not math.isfinite(y):
-            if not values:
-                raise InvalidInputError(
-                    f"objective returned non-finite value {y!r} on the first evaluation"
-                )
-            trace.abort(f"objective returned non-finite value {y!r} during init")
+        y = trace.evaluate(pt, "during init")
+        if y is None:
             break
         points.append(pt)
         values.append(y)
@@ -311,7 +323,7 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     params = cfg.kernel
     if not trace.aborted:
         params = _surrogate_update(trace, dataset, params, cfg, 0)
-    trace.record(0, points[best_idx], values[best_idx], len(points), start)
+    trace.record(0, points[best_idx], values[best_idx])
 
     loop_rng = np.random.default_rng(loop_seq)
     # Proposals stay within the initial design's diameter of the incumbent:
@@ -322,7 +334,6 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
     for s in range(1, cfg.n_iters + 1):
         if trace.aborted:
             break
-        tick = time.perf_counter()
         try:
             state = AcquisitionState(
                 GpModel.build(params, dataset),
@@ -335,16 +346,11 @@ def run(obj: Objective, cfg: BoConfig) -> RunTrace:
         except Exception as exc:  # any failure here keeps the trace
             trace.abort(f"proposal failed at iteration {s}", exc)
             break
-        try:
-            y = float(obj.fn(x_next))
-        except Exception as exc:  # a user objective may raise anything
-            trace.abort(f"objective raised at iteration {s}", exc)
-            break
-        if not math.isfinite(y):
-            trace.abort(f"objective returned non-finite value {y!r} at iteration {s}")
+        y = trace.evaluate(x_next, f"at iteration {s}")
+        if y is None:
             break
         dataset = dataset.append(x_next, y)
         if s < cfg.n_iters:  # no proposal would use the last iteration's fit
             params = _surrogate_update(trace, dataset, params, cfg, s)
-        trace.record(s, x_next, y, len(dataset), tick)
+        trace.record(s, x_next, y)
     return trace

@@ -370,9 +370,9 @@ def _optimizer_summary(trace: RunTrace, csv_name: str, wall_ms: float) -> dict:
 
 
 def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
-    """Execute one seed into out_dir; returns True when any optimizer aborted."""
+    """Execute one seed into out_dir; returns True when any optimizer aborted.
+    A failed first evaluation is a usage error, and nothing is written."""
     objective, init_points = build_problem(cfg, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bo_cfg = BoConfig(
         n_init=cfg.init,
         n_iters=cfg.iters,
@@ -397,22 +397,27 @@ def _run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> bool:
         optimizers["nelder_mead"] = lambda: nelder_mead(
             objective, x0, max_evals=cfg.init + cfg.iters
         )
-    aborted = False
-    x0 = None
+    traces = {}
     for name, optimize in optimizers.items():
         tick = time.perf_counter()
-        trace = optimize()
+        try:
+            traces[name] = optimize()
+        except Exception as exc:  # a user objective may raise anything
+            raise click.UsageError(
+                f"seed {seed}: {name} failed on its first evaluation: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         wall_ms = (time.perf_counter() - tick) * 1e3
-        write_trace_csv(trace, out_dir / f"{name}.csv", timings=cfg.timings)
-        summary["optimizers"][name] = _optimizer_summary(trace, f"{name}.csv", wall_ms)
-        aborted |= trace.aborted
-        if x0 is None:
-            x0 = trace.records[0].best_point
+        summary["optimizers"][name] = _optimizer_summary(traces[name], f"{name}.csv", wall_ms)
+        x0 = traces["ebo"].records[0].best_point
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, trace in traces.items():
+        write_trace_csv(trace, out_dir / f"{name}.csv", timings=cfg.timings)
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return aborted
+    return any(trace.aborted for trace in traces.values())
 
 
 def _with_options(command):

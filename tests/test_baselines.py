@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from manibo import (
+    BoConfig,
+    DomainError,
     FrechetProblem,
     InvalidInputError,
     ManifoldPoint,
@@ -22,6 +24,7 @@ from manibo import (
     random_approx_problem,
     random_point,
     riemannian_gd,
+    run,
     unembed,
     unflatten_ambient,
 )
@@ -209,19 +212,27 @@ class TestNelderMead:
             nelder_mead(obj, random_point(obj.kind, rng), max_evals=max_evals)
         assert calls == []
 
-    def test_every_evaluation_failing_returns_x0(self, rng):
-        # A failed evaluation counts as +inf and is recorded at x0, which
-        # stays the best point when nothing succeeds.
-        kind = Sphere(2)
+    def test_failed_retraction_spends_an_evaluation_at_x0(self):
+        # x0 lies at log-norm 9.95, so the initial simplex's vertices along
+        # the two diagonal axes lie past the chart bound of 10: each is a
+        # +inf row at x0 that counts toward n_evals and the budget, and the
+        # objective never sees it.
+        kind = Spd(2)
+        x0 = ManifoldPoint(kind, np.exp(9.95 / math.sqrt(2.0)) * np.eye(2))
+        calls = []
 
-        def failing(x):
-            raise InvalidInputError("outside the objective's domain")
+        def fn(x):
+            calls.append(x)
+            return float(np.sum(embed(x) ** 2))
 
-        x0 = random_point(kind, rng)
-        trace = nelder_mead(Objective(kind=kind, fn=failing), x0, max_evals=2)
-        assert trace.final.best_point is x0
-        assert [rec.best_point for rec in trace.records] == [x0, x0]
-        assert all(rec.value == math.inf for rec in trace.records)
+        trace = nelder_mead(Objective(kind=kind, fn=fn), x0, max_evals=4)
+        assert not trace.aborted
+        assert [rec.iteration for rec in trace.records] == [1, 2, 3, 4]
+        assert [rec.n_evals for rec in trace.records] == [1, 2, 3, 4]
+        assert [rec.value == math.inf for rec in trace.records] == [False, True, False, True]
+        assert all(rec.point is x0 for rec in trace.records if rec.value == math.inf)
+        assert len(calls) == 2
+        assert all(math.isfinite(rec.best_value) for rec in trace.records)
 
 
 def _failing_at(fn, k):
@@ -295,6 +306,59 @@ class TestAbort:
         assert trace.aborted
         assert trace.abort_reason.startswith("objective raised at evaluation 2: ")
         assert len(trace.records) == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "domain", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("optimizer", ["ebo", "gd", "nelder_mead"])
+    @pytest.mark.parametrize("at_call", [1, 4])
+    def test_one_failure_rule(self, optimizer, failure, at_call):
+        # All three optimizers evaluate through RunTrace.evaluate.  A failed
+        # first evaluation raises: the objective's exception, or
+        # InvalidInputError for a non-finite value.  A failed 4th evaluation
+        # aborts the run with the records so far, whose incumbents are all
+        # finite, and calls the objective no more.
+        gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
+        x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
+        calls = {"n": 0}
+
+        def failing(x):
+            calls["n"] += 1
+            if calls["n"] == at_call:
+                if failure == "raise":
+                    raise RuntimeError("simulator crashed")
+                if failure == "domain":
+                    raise DomainError("objective left its domain")
+                return float(failure)
+            return gobj.fn(x)
+
+        obj = dataclasses.replace(gobj, fn=failing)
+        optimize = {
+            "ebo": lambda: run(obj, BoConfig(n_init=3, n_iters=4, seed=0)),
+            "gd": lambda: riemannian_gd(obj, x0, max_iters=10),
+            "nelder_mead": lambda: nelder_mead(obj, x0, max_evals=10),
+        }[optimizer]
+        if at_call == 1:
+            expected = {"raise": RuntimeError, "domain": DomainError}.get(
+                failure, InvalidInputError
+            )
+            with pytest.raises(expected):
+                optimize()
+            return
+        trace = optimize()
+        # On this problem GD takes one evaluation per iteration.
+        where, iterations, n_evals = {
+            "ebo": ("at iteration 1", [0], [3]),
+            "gd": ("at iteration 3", [0, 1, 2], [1, 2, 3]),
+            "nelder_mead": ("at evaluation 4", [1, 2, 3], [1, 2, 3]),
+        }[optimizer]
+        assert trace.aborted
+        assert trace.abort_reason == {
+            "raise": f"objective raised {where}: RuntimeError: simulator crashed",
+            "domain": f"objective raised {where}: DomainError: objective left its domain",
+        }.get(failure, f"objective returned non-finite value {failure} {where}")
+        assert [rec.iteration for rec in trace.records] == iterations
+        assert [rec.n_evals for rec in trace.records] == n_evals
+        assert all(math.isfinite(rec.best_value) for rec in trace.records)
+        assert calls["n"] == 4
 
     def test_first_evaluation_failure_raises(self):
         gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -266,10 +267,11 @@ class TestAbort:
         assert [r.iteration for r in trace.records] == [0]
         assert trace.final.best_value == 0.0
 
-    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    @pytest.mark.parametrize("failure", ["nan", "inf", "-inf", "raise"])
     def test_init_failure_aborts_with_trace(self, failure):
-        # The 3rd of 5 initial points fails: a NaN and an exception both
-        # abort the run and keep record 0 over the first two points.
+        # The 3rd of 5 initial points fails: a non-finite value and an
+        # exception all abort the run and keep record 0 over the first two
+        # points.
         calls = {"n": 0}
         base = frechet_objective(latitude_circle_problem()).fn
 
@@ -278,16 +280,20 @@ class TestAbort:
             if calls["n"] == 3:
                 if failure == "raise":
                     raise RuntimeError("simulator crashed")
-                return np.nan
+                return float(failure)
             return base(x)
 
         obj = Objective(kind=KIND, fn=failing_third)
         trace = run(obj, BoConfig(n_init=5, n_iters=4, seed=0))
         assert trace.aborted
-        assert trace.abort_reason == {
-            "nan": "objective returned non-finite value nan during init",
-            "raise": "objective raised during init: RuntimeError: simulator crashed",
-        }[failure]
+        if failure == "raise":
+            assert trace.abort_reason == (
+                "objective raised during init: RuntimeError: simulator crashed"
+            )
+        else:
+            assert trace.abort_reason == (
+                f"objective returned non-finite value {failure} during init"
+            )
         assert [r.iteration for r in trace.records] == [0]
         assert trace.final.n_evals == 2
         assert np.isfinite(trace.final.best_value)
@@ -558,18 +564,32 @@ class TestRefitSchedule:
 
 class TestRunTrace:
     def test_record_measures_the_incumbent_against_the_oracle(self, rng):
+        # Each record carries the evaluations ``evaluate`` counted so far,
+        # and the wall time since the record before it (or since the trace
+        # was created), so the records' times add up to no more than the run.
         x, y, oracle = (random_point(KIND, rng) for _ in range(3))
-        trace = bo.RunTrace(Objective(kind=KIND, fn=float))
-        trace.record(0, x, 2.0, 4, 0.0)
+
+        def fn(point):
+            return 2.0 if point is x else 3.0
+
+        trace = bo.RunTrace(Objective(kind=KIND, fn=fn))
+        trace.record(0, x, trace.evaluate(x, "during init"))
         assert trace.final.err_to_oracle is None
-        trace = bo.RunTrace(Objective(kind=KIND, fn=float, oracle_point=oracle))
-        trace.record(0, x, 2.0, 4, 0.0)
-        trace.record(1, y, 3.0, 5, 0.0)
+        start = time.perf_counter()
+        trace = bo.RunTrace(Objective(kind=KIND, fn=fn, oracle_point=oracle))
+        for _ in range(4):
+            value = trace.evaluate(x, "during init")
+        time.sleep(0.01)
+        trace.record(0, x, value)
+        trace.record(1, y, trace.evaluate(y, "at iteration 1"))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
         first, second = trace.records
         assert (first.iteration, first.point, first.value, first.n_evals) == (0, x, 2.0, 4)
         assert (second.iteration, second.point, second.value, second.n_evals) == (1, y, 3.0, 5)
         assert (second.best_point, second.best_value) == (x, 2.0)
         assert second.err_to_oracle == extrinsic_distance(x, oracle)
+        assert first.wall_ms >= 10.0 and second.wall_ms >= 0.0
+        assert first.wall_ms + second.wall_ms <= elapsed_ms
 
     def test_incumbent_is_first_point_then_strictly_lower_ones(self, rng):
         # The first record's point is the incumbent whatever its value, inf
@@ -579,7 +599,7 @@ class TestRunTrace:
         values = [math.inf, 2.0, 2.0, 3.0, 1.0]
         trace = bo.RunTrace(Objective(kind=KIND, fn=float))
         for i, (point, value) in enumerate(zip(points, values)):
-            trace.record(i, point, value, i + 1, 0.0)
+            trace.record(i, point, value)
         incumbents = [points[0], points[1], points[1], points[1], points[4]]
         assert [rec.best_point for rec in trace.records] == incumbents
         assert [rec.best_value for rec in trace.records] == [math.inf, 2.0, 2.0, 2.0, 1.0]

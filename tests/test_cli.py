@@ -241,6 +241,54 @@ class TestRun:
         assert other["abort_reason"] == f"{reason}: RuntimeError: simulator crashed"
         assert other["n_evals"] == 3
 
+    @pytest.mark.parametrize("fail_at, failure, named", [
+        (1, "raise", "seed 3: ebo failed on its first evaluation: RuntimeError: simulator crashed"),
+        (1, "nan", "seed 3: ebo failed on its first evaluation: InvalidInputError: "
+                   "objective returned non-finite value nan on the first evaluation"),
+        (11, "raise", "seed 3: gd failed on its first evaluation: RuntimeError: simulator crashed"),
+    ], ids=["ebo-raise", "ebo-nan", "gd-raise"])
+    def test_failed_first_evaluation_is_a_usage_error(
+        self, runner, tmp_path, monkeypatch, fail_at, failure, named
+    ):
+        # eBO makes 10 evaluations here, so the 11th call is gd's first.
+        # Either optimizer failing on its first evaluation leaves no output
+        # directory, not one without its summary.json.  Each case imports
+        # its own module.
+        name = f"failing_{failure}_at_{fail_at}"
+        module = tmp_path / f"{name}.py"
+        module.write_text(
+            "import dataclasses, itertools\n"
+            "from manibo import frechet_grad_objective, latitude_circle_problem\n"
+            "def make(seed):\n"
+            "    base = frechet_grad_objective(latitude_circle_problem())\n"
+            "    calls = itertools.count(1)\n"
+            "    def fn(x):\n"
+            f"        if next(calls) == {fail_at}:\n"
+            + ("            raise RuntimeError('simulator crashed')\n" if failure == "raise"
+               else "            return float('nan')\n")
+            + "        return base.fn(x)\n"
+            "    return dataclasses.replace(base, fn=fn)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        out = tmp_path / "exp"
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--experiment", "custom",
+                "--objective", f"{name}:make",
+                "--seed", "3",
+                "--iters", "6",
+                "--init", "4",
+                "--baselines", "gd",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_gd_rejected_off_sphere(self, runner, tmp_path):
         # Only the sphere's objective carries a gradient; both commands
         # reject gd for the others before running anything.
