@@ -71,8 +71,8 @@ ASCENT_GRAD_TOL = 1e-8
 # Gram matrix stays factorizable), and an ascent row stops once its next
 # trial would move it less than this.
 DEDUP_TOL = 1e-8
-# Starts per maximization: the incumbent and, of this many less one random
-# draws, those within the trust radius.
+# Starts per maximization: the incumbent and this many less one random
+# draws; a draw outside the trust radius returns at -inf, unranked.
 ASCENT_STARTS = 10
 
 
@@ -90,10 +90,11 @@ def inverse_mills_ratio(z):
 class AcquisitionState:
     """Frozen view of one acquisition round: surrogate and incumbent value.
 
-    ``trust_radius`` keeps the ascent within that embedded distance of the
-    incumbent (``trust_center``); it must be positive (``math.inf`` for no
-    trust region).  ``exploit`` makes the round climb the negated posterior
-    mean instead of PI, proposing the surrogate's minimizer.
+    ``trust_radius`` keeps the ascent's starts and trials within that
+    embedded distance of the incumbent's datum; it must be positive
+    (``math.inf`` for no trust region).  ``exploit`` makes the round climb
+    the negated posterior mean instead of PI, proposing the surrogate's
+    minimizer.
     """
 
     model: GpModel
@@ -117,11 +118,6 @@ class AcquisitionState:
     def incumbent(self) -> int:
         """Data index of the best observed point (the first of ties)."""
         return int(np.argmin(self.model.data.values))
-
-    @functools.cached_property
-    def trust_center(self) -> np.ndarray:
-        """Flat embedding of the incumbent."""
-        return self.model.data.embedded[self.incumbent]
 
 
 def _improvement(
@@ -190,11 +186,11 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
     return unflatten_ambient(x.kind, density * dr[0])
 
 
-def _within_trust(state: AcquisitionState, w: np.ndarray) -> np.ndarray:
-    """Per row of flat points w, whether it lies within the trust radius
-    (every finite row, at an infinite radius)."""
-    diff = w - state.trust_center
-    return np.einsum("sd,sd->s", diff, diff) <= state.trust_radius**2
+def _inside_radius(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
+    """Per row of a posterior pass, the ascent's one trust test: its squared
+    distance to the incumbent's datum is within the radius squared (never
+    for a NaN row, not even at an infinite radius)."""
+    return post.sq_dists[:, state.incumbent] <= state.trust_radius**2
 
 
 def _tangents(
@@ -212,7 +208,11 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Projected gradient ascent of the acquisition from every start at
     once.  ``e`` stacks the embedded starts along a leading axis; returns
     the last accepted iterate of every start, stacked the same way, and the
-    value the ascent reached there.  ``e`` itself is not modified.
+    value the ascent reached there.  ``e`` itself is not modified.  Every
+    start and trial must pass one test, ``_inside_radius``: finite and
+    within the trust radius.  A start that fails it never climbs and
+    returns unmoved at -inf, so every row returned lies within the radius
+    or has the value -inf.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set, which forms
@@ -225,8 +225,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     does no further work.  A trial step that would decrease the acquisition
     is halved; after an accepted step the next trial is 1.5 times as long,
     so the step length adapts to the scale of the acquisition.  Every trial
-    is scored in one pass; one outside the trust radius (read from the
-    squared distances ``PosteriorRows`` carries) or NaN (no unique nearest
+    is scored in one pass; one that fails the test (NaN: no unique nearest
     image point, or outside the chart) is rejected like one that does not
     improve, so every iterate can be unembedded.  The first trial moves a
     row ``ASCENT_STEP`` * lengthscale * |tangent|.  A row stops when its
@@ -271,12 +270,13 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     tangent = _tangents(state, e, post, terms)
     # The per-row bookkeeping is plain Python on scalars, which round as
     # numpy's float64 does and cost far less on these few rows.
-    acq = values.tolist()
+    inside = _inside_radius(state, post).tolist()
+    acq = [value if ok else -math.inf for value, ok in zip(values.tolist(), inside)]
     speed = ambient_norms(kind, tangent).tolist()  # |tangent| per row
     step = [ASCENT_STEP * state.model.params.lengthscale] * len(e)
     n_steps = [1] * len(e)  # gradients taken
     rejected = [0] * len(e)  # trials of the current step
-    climbing = [i for i in range(len(e)) if speed[i] >= ASCENT_GRAD_TOL]
+    climbing = [i for i in range(len(e)) if inside[i] and speed[i] >= ASCENT_GRAD_TOL]
     halving = [0.5**j for j in range(MAX_BACKTRACKS + 2)]  # exact scalings
     while climbing:
         # Trial j of a row halves its step j times: the step that j
@@ -304,12 +304,10 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         e_cand = retract_embedded(
             kind, e.take(src, axis=0), tangent.take(src, axis=0), np.array(trial_step)
         )
-        # The trust centre is the incumbent's datum, so the pass's squared
-        # distances to it are ``_within_trust``'s; a NaN row fails the test.
         post_cand = posterior_rows(state.model, kind.flatten_rows(e_cand))
         acq_cand, terms_cand = _ascent_value(state, post_cand)
         value = acq_cand.tolist()
-        inside = (post_cand.sq_dists[:, state.incumbent] <= state.trust_radius**2).tolist()
+        inside = _inside_radius(state, post_cand).tolist()
         # A row's first trial inside the radius that does not lower the
         # acquisition decides it: the trial that trying one trial per round
         # would reach; later trials are discarded.  A deciding trial that
@@ -358,33 +356,26 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return e, np.array(acq)
 
 
-def _random_starts(state: AcquisitionState, rng: np.random.Generator) -> np.ndarray:
-    """Of ``ASCENT_STARTS - 1`` random embedded draws, drawn as one stack,
-    those that lie within the trust radius.  A NaN draw (an Spd draw
-    outside the chart) lies within no radius, so the same test drops it."""
-    kind = state.model.data.kind
-    e = kind.random_embedded(rng, ASCENT_STARTS - 1)
-    return e[_within_trust(state, kind.flatten_rows(e))]
-
-
 def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     """Best acquisition point across multistart ascents.
 
-    Ascends the best observed point and the ``_random_starts`` stack drawn
-    from ``seed`` together in one ``ascend`` call; deterministic given the
-    seed.  Starts are ranked on the values their ascent reached (log PI, so
-    candidates whose PI rounds to 1.0 still rank), at their embedded last
-    iterates; ties keep the earliest start.  Every start begins within the
-    trust radius (row 0, the incumbent's, at its centre) and ``ascend``
-    accepts only trials within it, so every row ranks.  Only the winner is
-    unembedded.
+    Ascends the best observed point and ``ASCENT_STARTS - 1`` random
+    embedded draws from ``seed``, drawn as one stack, together in one
+    ``ascend`` call; deterministic given the seed.  Starts are ranked on the
+    values their ascent reached (log PI, so candidates whose PI rounds to
+    1.0 still rank), at their embedded last iterates; ties keep the
+    earliest start.  A draw that fails ``ascend``'s trust test (outside the
+    radius, or NaN: an Spd draw past the chart) returns at -inf and never
+    wins; row 0, the incumbent's, lies at distance 0 and always passes.
+    Only the winner is unembedded.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
     would give.  Proposals are bit-reproducible on one platform (one
     numpy/BLAS build), not across builds.
     """
+    kind = state.model.data.kind
     incumbent = embed(state.model.data.points[state.incumbent])
-    starts = _random_starts(state, np.random.default_rng(seed))
-    e, acq = ascend(state, np.concatenate([incumbent[None], starts]))
-    return unembed(state.model.data.kind, e[int(np.argmax(acq))])
+    draws = kind.random_embedded(np.random.default_rng(seed), ASCENT_STARTS - 1)
+    e, acq = ascend(state, np.concatenate([incumbent[None], draws]))
+    return unembed(kind, e[int(np.argmax(acq))])

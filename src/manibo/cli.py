@@ -360,7 +360,7 @@ def _optimizer_summary(trace: RunTrace, csv_name: str, wall_ms: float) -> dict:
             if final.err_to_oracle is not None
             else None
         ),
-        "n_evals": final.n_evals,
+        "n_evals": trace.n_evals,
         "iterations": final.iteration,
         "aborted": trace.aborted,
         "abort_reason": trace.abort_reason,

@@ -34,8 +34,7 @@ from manibo.acquisition import (
     _ascent_gradient,
     _ascent_value,
     _improvement,
-    _random_starts,
-    _within_trust,
+    _inside_radius,
     inverse_mills_ratio,
 )
 from manibo.egp import posterior, posterior_rows
@@ -328,40 +327,63 @@ class TestAscend:
             with pytest.raises(InvalidInputError):
                 ascend(state, starts)
 
+    @pytest.mark.parametrize("trust_radius", [0.5, math.inf])
+    def test_start_failing_the_trust_test_returns_unmoved_at_minus_inf(
+        self, trust_radius, rng
+    ):
+        # A start outside the radius and a NaN start (an Spd row past the
+        # chart) never climb: each returns unmoved with the value -inf, so
+        # it never ranks.  The incumbent's row lies at distance 0 and
+        # climbs as it does alone.
+        kind = Spd(3)
+        base = _state(kind, 6, rng)
+        state = AcquisitionState(base.model, base.best_value, trust_radius=trust_radius)
+        incumbent = embed(state.model.data.points[state.incumbent])
+        far = incumbent + np.eye(3)  # sqrt(3) away in flat coordinates
+        past = kind.project((20.0 * np.eye(3))[None])[0]
+        assert np.isnan(past).all()
+        starts = np.stack([incumbent, far, past])
+        e, acq = ascend(state, starts)
+        alone, alone_acq = ascend(state, starts[:1])
+        np.testing.assert_array_equal(e[0], alone[0])
+        assert acq[0] == alone_acq[0] and math.isfinite(acq[0])
+        dropped = [2] if math.isinf(trust_radius) else [1, 2]
+        np.testing.assert_array_equal(e[dropped], starts[dropped])
+        assert (acq[dropped] == -np.inf).all()
+        if math.isinf(trust_radius):
+            assert math.isfinite(acq[1])
+
 
 def _reference_draw(kind, rng):
     """A random start row as ``maximize`` draws it: ``random_point``'s
     embedding, except on Spd, where it is the symmetric Gaussian matrix that
-    ``random_point`` exponentiates, kept only inside the chart."""
+    ``random_point`` exponentiates, or a NaN row past the chart."""
     if isinstance(kind, Spd):
         e = _sym(rng.standard_normal(kind.ambient_shape))
-        if not np.linalg.norm(e) <= SPD_LOG_NORM_MAX:
-            raise ManifoldError("outside the chart")
-        return e
+        return e if np.linalg.norm(e) <= SPD_LOG_NORM_MAX else np.full_like(e, np.nan)
     return embed(random_point(kind, rng))
 
 
-def _reference_starts(state, seed, nan_draw=None):
-    """The start rows of ``maximize``, built through manifold points: the
-    incumbent, then each ``_reference_draw`` but the one numbered
-    ``nan_draw``, skipped where it lies outside the trust radius.  Also
-    returns how many draws were skipped for lying outside it."""
+def _distances(state, e):
+    """Per embedded row of e, its flat distance to the incumbent's datum
+    (NaN for a NaN row)."""
     data = state.model.data
-    kind = data.kind
-    rng = np.random.default_rng(seed)
-    starts, outside = [embed(data.points[int(np.argmin(data.values))])], 0
-    for draw in range(ASCENT_STARTS - 1):
-        try:
-            e = _reference_draw(kind, rng)
-        except ManifoldError:
-            continue
-        if draw == nan_draw:
-            continue
-        if np.linalg.norm(flatten_ambient(kind, e) - state.trust_center) > state.trust_radius:
-            outside += 1
-            continue
-        starts.append(e)
-    return np.stack(starts), outside
+    return np.linalg.norm(data.kind.flatten_rows(e) - data.embedded[state.incumbent], axis=1)
+
+
+def _spy_on_ascend(monkeypatch):
+    """Wrap ``acquisition.ascend``, as ``maximize`` calls it; returns the
+    list to which every call appends its starts, rows and values."""
+    seen = []
+    real_ascend = acquisition.ascend
+
+    def spy(state, e):
+        out, acq = real_ascend(state, e)
+        seen.append((np.array(e), out, acq))
+        return out, acq
+
+    monkeypatch.setattr(acquisition, "ascend", spy)
+    return seen
 
 
 def _maximize_starts(state, rng):
@@ -370,17 +392,17 @@ def _maximize_starts(state, rng):
     trust radius where it lies outside and mapped back by ``kind.project``.
     So where the radius binds, rows start inside, on and outside its
     boundary: the projection moves a pulled row off the radius, on the
-    sphere and the Grassmannian."""
+    sphere and the Grassmannian, and a row it moves past the radius
+    returns unmoved at -inf."""
     data = state.model.data
     kind = data.kind
     e = kind.random_embedded(rng, ASCENT_STARTS - 1)
-    w = kind.flatten_rows(e)
-    pull = (~_within_trust(state, w)).nonzero()[0]
-    diff = w[pull] - state.trust_center
+    pull = (~(_distances(state, e) <= state.trust_radius)).nonzero()[0]
+    center = data.embedded[state.incumbent]
+    diff = kind.flatten_rows(e[pull]) - center
     scale = state.trust_radius / np.linalg.norm(diff, axis=1)
-    pulled = state.trust_center + diff * scale[:, None]
-    e[pull] = kind.project(kind.unflatten_rows(pulled))
-    starts = np.concatenate([embed(data.points[int(np.argmin(data.values))])[None], e])
+    e[pull] = kind.project(kind.unflatten_rows(center + diff * scale[:, None]))
+    starts = np.concatenate([embed(data.points[state.incumbent])[None], e])
     assert len(starts) == ASCENT_STARTS == 10 and np.isfinite(starts).all()
     return starts
 
@@ -391,23 +413,35 @@ class TestMaximize:
     def test_start_rows_match_manifold_point_path(
         self, kind, trust_radius, monkeypatch, rng
     ):
+        # ``maximize`` ascends the incumbent and every draw, each built here
+        # through manifold points.  A draw outside the radius returns
+        # unmoved at -inf; every other row ranks.
         base = _state(kind, 8, rng)
         state = AcquisitionState(base.model, base.best_value, trust_radius=trust_radius)
-        seen = []
-        real_ascend = acquisition.ascend
+        incumbent = embed(state.model.data.points[state.incumbent])
+        seen = _spy_on_ascend(monkeypatch)
 
-        def spy(state, e):
-            seen.append(np.array(e))
-            return real_ascend(state, e)
-
-        monkeypatch.setattr(acquisition, "ascend", spy)
-        for seed in range(3):
+        def check(seed, nan_draw=None):
             maximize(state, seed)
-            reference, outside = _reference_starts(state, seed)
-            assert outside > 0 if math.isfinite(trust_radius) else outside == 0
-            np.testing.assert_array_equal(seen[-1], reference)
+            starts, e, acq = seen[-1]
+            draw_rng = np.random.default_rng(seed)
+            reference = np.stack(
+                [incumbent] + [_reference_draw(kind, draw_rng) for _ in range(ASCENT_STARTS - 1)]
+            )
+            if nan_draw is not None:
+                reference[1 + nan_draw] = np.nan
+            np.testing.assert_array_equal(starts, reference)
+            dropped = ~(_distances(state, starts) <= trust_radius)
+            np.testing.assert_array_equal(e[dropped], starts[dropped])
+            assert (acq[dropped] == -np.inf).all()
+            assert np.isfinite(acq[~dropped]).all()
+            return dropped
+
+        for seed in range(3):
+            dropped = check(seed)
+            assert dropped.any() if math.isfinite(trust_radius) else not dropped.any()
         # The fourth draw comes back NaN, as an Spd draw past the chart
-        # does: it is dropped, and the draws after it keep their own rows.
+        # does: it returns at -inf, and the draws after it keep their rows.
         draw = type(kind).random_embedded
 
         def fourth_is_nan(self, gen, count):
@@ -416,23 +450,21 @@ class TestMaximize:
             return e
 
         monkeypatch.setattr(type(kind), "random_embedded", fourth_is_nan)
-        maximize(state, 0)
-        reference, outside = _reference_starts(state, 0, nan_draw=3)
-        assert len(reference) == ASCENT_STARTS - 1 - outside
-        np.testing.assert_array_equal(seen[-1], reference)
+        assert check(0, nan_draw=3)[4]
 
-    def test_spd_start_is_the_log_of_its_random_point(self, rng):
+    def test_spd_start_is_the_log_of_its_random_point(self, monkeypatch, rng):
         # An Spd start is drawn on the image, without the exp/log round trip
         # through random_point, and differs from that point's embedding by
         # round-off only.
         kind = Spd(3)
         state = _state(kind, 5, rng)
+        seen = _spy_on_ascend(monkeypatch)
         for seed in range(5):
-            starts = _random_starts(state, np.random.default_rng(seed))
+            maximize(state, seed)
             point_rng = np.random.default_rng(seed)
             points = [random_point(kind, point_rng) for _ in range(ASCENT_STARTS - 1)]
             np.testing.assert_allclose(
-                starts, [embed(point) for point in points], rtol=0.0, atol=1e-13
+                seen[-1][0][1:], [embed(point) for point in points], rtol=0.0, atol=1e-13
             )
 
     def test_single_start_reduces_to_ascend_from_incumbent(self, monkeypatch, rng):
@@ -484,37 +516,35 @@ class TestMaximize:
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_ascends_the_incumbent_and_draws_within_the_radius(self, kind, monkeypatch, rng):
-        # Row 0 is the incumbent's, at the trust centre, and every other row
-        # lies within the radius, so every row ranks.  At a radius no draw
-        # reaches, only the incumbent ascends.
+        # Row 0 is the incumbent's, at distance 0, and always ranks.  Every
+        # row ``ascend`` returns lies within the radius or returns unmoved
+        # at -inf.  At a radius no draw reaches, only the incumbent ranks.
         base = _state(kind, 8, rng)
-        incumbent = embed(base.model.data.points[int(np.argmin(base.model.data.values))])
-        seen = []
-        real_ascend = acquisition.ascend
-
-        def spy(state, e):
-            seen.append(np.array(e))
-            return real_ascend(state, e)
-
-        monkeypatch.setattr(acquisition, "ascend", spy)
+        incumbent = embed(base.model.data.points[base.incumbent])
+        seen = _spy_on_ascend(monkeypatch)
         for radius in (1.5, 3.0, 1e-6):
             state = AcquisitionState(base.model, base.best_value, trust_radius=radius)
             for seed in range(3):
                 maximize(state, seed)
-                np.testing.assert_array_equal(seen[-1][0], incumbent)
-                w = kind.flatten_rows(seen[-1])
-                assert np.linalg.norm(w - state.trust_center, axis=1).max() <= radius
+                starts, e, acq = seen[-1]
+                assert len(starts) == ASCENT_STARTS
+                np.testing.assert_array_equal(starts[0], incumbent)
+                ranked = np.isfinite(acq)
+                assert ranked[0]
+                assert _distances(state, e[ranked]).max() <= radius
+                np.testing.assert_array_equal(e[~ranked], starts[~ranked])
+                assert (acq[~ranked] == -np.inf).all()
                 if radius == 3.0:  # draws reach it on every kind
-                    assert len(seen[-1]) > 1
+                    assert ranked.sum() > 1
                 if radius == 1e-6:
-                    assert len(seen[-1]) == 1
+                    assert ranked.sum() == 1
 
     def test_draw_outside_the_radius_is_dropped_not_pulled(self, monkeypatch, rng):
         # The incumbent spans e1 and every random draw e2, sqrt(2) away in
         # flat coordinates.  At radius sqrt(2) / 2 a pull onto the radius
         # would land on diag(0.5, 0.5, 0), whose top eigenvalue is tied, so
-        # it has no nearest image point.  The draws are dropped instead, and
-        # only the incumbent ascends.
+        # it has no nearest image point.  The draws return unmoved at -inf
+        # instead, and only the incumbent ranks.
         kind = Grassmann(1, 3)
         incumbent = ManifoldPoint(kind, [[1.0], [0.0], [0.0]])
         points = [incumbent] + [random_point(kind, rng) for _ in range(3)]
@@ -528,25 +558,20 @@ class TestMaximize:
             "random_coords",
             lambda self, gen, count: np.tile([[0.0], [1.0], [0.0]], (count, 1, 1)),
         )
-        assert _random_starts(state, np.random.default_rng(0)).shape == (0, 3, 3)
-        seen = []
-        real_ascend = acquisition.ascend
-
-        def spy(state, e):
-            seen.append(np.array(e))
-            return real_ascend(state, e)
-
-        monkeypatch.setattr(acquisition, "ascend", spy)
+        seen = _spy_on_ascend(monkeypatch)
         maximize(state, 0)
-        np.testing.assert_array_equal(seen[-1], embed(incumbent)[None])
+        starts, e, acq = seen[-1]
+        np.testing.assert_array_equal(starts[0], embed(incumbent))
+        np.testing.assert_array_equal(e[1:], np.tile(np.diag([0.0, 1.0, 0.0]), (9, 1, 1)))
+        assert math.isfinite(acq[0]) and (acq[1:] == -np.inf).all()
 
     @pytest.mark.parametrize("trust_radius", [1.0, math.inf])
     def test_draws_past_the_chart_are_dropped_at_any_radius(self, trust_radius, monkeypatch):
         # The incumbent lies at log-norm 9.5 and every random draw at 20
         # along the same axis, past the chart, where ``random_embedded``
         # returns NaN.  A NaN row lies within no radius, not even an
-        # infinite one, so the draws are dropped and only the incumbent
-        # ascends.
+        # infinite one, so the draws return unmoved at -inf and only the
+        # incumbent ranks.
         kind = Spd(2)
         logs = [np.diag([9.5, 0.0]), np.diag([9.0, 0.5]), np.diag([9.2, -0.3])]
         points = [unembed(kind, v) for v in logs]
@@ -558,29 +583,24 @@ class TestMaximize:
         monkeypatch.setattr(
             Spd, "random_embedded", lambda self, gen, count: np.repeat(far[None], count, axis=0)
         )
-        assert _random_starts(state, np.random.default_rng(0)).shape == (0, 2, 2)
-        seen = []
-
-        def spy(state, e):
-            seen.append(np.array(e))
-            return ascend(state, e)
-
-        monkeypatch.setattr(acquisition, "ascend", spy)
+        seen = _spy_on_ascend(monkeypatch)
         result = maximize(state, 0)
-        np.testing.assert_array_equal(seen[-1], embed(points[0])[None])
+        starts, e, acq = seen[-1]
+        np.testing.assert_array_equal(starts[0], embed(points[0]))
+        assert np.isnan(e[1:]).all()
+        assert math.isfinite(acq[0]) and (acq[1:] == -np.inf).all()
         assert ambient_norms(kind, embed(result)) <= SPD_LOG_NORM_MAX
 
 
 class TestTrustAndExploit:
-    def test_proposal_within_trust_radius(self, rng):
+    def test_proposal_inside_trust_radius(self, rng):
         kind = Spd(3)
         state = _state(kind, 5, rng)
         radius = 0.05
         bounded = AcquisitionState(state.model, state.best_value, trust_radius=radius)
         for seed in range(3):
             x = maximize(bounded, seed)
-            center = bounded.trust_center
-            assert np.linalg.norm(flatten_ambient(kind, embed(x)) - center) <= radius + 1e-12
+            assert _distances(bounded, embed(x)[None])[0] <= radius + 1e-12
 
     def test_exploit_round_descends_posterior_mean(self, rng):
         kind = Sphere(2)
@@ -596,11 +616,15 @@ class TestTrustAndExploit:
 def _reference_ascend(state, e, retract=retract_embedded):
     """The ascent of one embedded start, step by step: the rules ``ascend``
     applies to every row, written as a plain loop over 1-row evaluations.
-    A NaN trial (no nearest image point, or outside the chart) lies within
-    no trust radius, so it is rejected like any other."""
+    A start that fails the trust test returns unmoved at -inf.  A NaN trial
+    (no nearest image point, or outside the chart) lies within no trust
+    radius, so it is rejected like any other."""
     kind = state.model.data.kind
     w = flatten_ambient(kind, e)
-    acq = _ascent_value(state, _at(state, w))[0][0]
+    post = _at(state, w)
+    if not _inside_radius(state, post)[0]:
+        return e, -math.inf
+    acq = _ascent_value(state, post)[0][0]
     step = ASCENT_STEP * state.model.params.lengthscale
     for _ in range(acquisition.ASCENT_MAX_STEPS):
         grad = unflatten_ambient(kind, _ascent_gradient_at(state, w))
@@ -614,8 +638,9 @@ def _reference_ascend(state, e, retract=retract_embedded):
                 break
             e_cand = retract(kind, e[None], tangent[None], step)[0]
             w_cand = kind.flatten_rows(e_cand)
-            if _within_trust(state, w_cand[None])[0]:
-                acq_cand = _ascent_value(state, _at(state, w_cand))[0][0]
+            post = _at(state, w_cand)
+            if _inside_radius(state, post)[0]:
+                acq_cand = _ascent_value(state, post)[0][0]
                 if acq_cand >= acq:
                     accepted = True
                     break
@@ -686,9 +711,9 @@ class TestBatchedAscent:
         starts = _maximize_starts(state, rng)
         if trust_radius == 0.8:
             # Rows pulled onto the radius start on it (Spd) or, projected
-            # back onto the image, some past it (the sphere and Grassmannian).
-            distance = np.linalg.norm(kind.flatten_rows(starts) - state.trust_center, axis=1)
-            assert (distance >= (1.0 - 1e-9) * trust_radius).any()
+            # back onto the image, some past it (the sphere and Grassmannian),
+            # where they return unmoved at -inf.
+            assert (_distances(state, starts) >= (1.0 - 1e-9) * trust_radius).any()
         given = starts.copy()
         e, acq = ascend(state, starts)
         np.testing.assert_array_equal(starts, given)  # the starts are not moved
@@ -717,15 +742,13 @@ class TestBatchedAscent:
         e, acq = ascend(state, starts)
         # The trials the trust test rejects, NaN ones included: in every
         # posterior pass after an ``ascend`` call's first (its starts'), the
-        # rows whose squared distance to the incumbent's datum is not within
-        # the radius squared.
+        # rows that fail ``_inside_radius``.
         passes = []
         scoring = acquisition.posterior_rows
 
         def counting(model, w):
             post = scoring(model, w)
-            inside = post.sq_dists[:, state.incumbent] <= state.trust_radius**2
-            passes.append(int((~inside).sum()))
+            passes.append(int((~_inside_radius(state, post)).sum()))
             return post
 
         monkeypatch.setattr(acquisition, "posterior_rows", counting)
@@ -739,44 +762,12 @@ class TestBatchedAscent:
             passes.clear()
         assert (sum(outside) > 0) == (trust_radius < math.inf)
 
-    @pytest.mark.parametrize("kind", BATCH_KINDS)
-    def test_trust_distance_independent_of_stack_position(self, kind, rng):
-        # ``_within_trust`` sums each flat row's squared distance with one
-        # einsum, in memory order, so ``flatten_rows`` must give C-ordered
-        # stacks for a row's distance to be the one it has alone.  ``ascend``
-        # reads its trust test from the posterior pass over its trials, at
-        # the incumbent's datum, the trust centre: that column must hold
-        # the same bits.
-        state = _state(kind, 6, rng)
-        rows = np.stack([embed(random_point(kind, rng)) for _ in range(8)])
-        np.testing.assert_array_equal(
-            state.trust_center, state.model.data.embedded[state.incumbent]
-        )
-
-        def sq_dists(w):  # as _within_trust computes them
-            diff = w - state.trust_center
-            return np.einsum("sd,sd->s", diff, diff)
-
-        for row in rows:
-            alone = sq_dists(kind.flatten_rows(row[None]))[0]
-            bound = AcquisitionState(state.model, state.best_value, math.sqrt(alone))
-            inside = _within_trust(bound, kind.flatten_rows(row[None]))[0]
-            for position in range(len(rows)):
-                stack = rows.copy()
-                stack[position] = row
-                w = kind.flatten_rows(stack)
-                assert w.flags.c_contiguous
-                assert sq_dists(w)[position] == alone
-                assert _within_trust(bound, w)[position] == inside
-                column = posterior_rows(state.model, w).sq_dists[:, state.incumbent]
-                np.testing.assert_array_equal(column, sq_dists(w))
-
     @pytest.mark.parametrize("trust_radius", [1.0, math.inf])
     def test_nan_trial_lies_outside_the_posterior_trust_test(self, trust_radius, rng):
         # An Spd trial past the chart comes back NaN from the retraction.
         # Its squared distance in the posterior pass is NaN, so it lies
-        # within no radius, not even an infinite one, as in
-        # ``_within_trust``; the other rows keep their bits.
+        # within no radius, not even an infinite one; the other rows keep
+        # their bits and their distances.
         kind = Spd(3)
         base = _state(kind, 6, rng)
         state = AcquisitionState(base.model, base.best_value, trust_radius=trust_radius)
@@ -786,9 +777,11 @@ class TestBatchedAscent:
         stack = np.concatenate([rows[:2], past, rows[2:]])
         w = kind.flatten_rows(stack)
         post = posterior_rows(state.model, w)
-        inside = post.sq_dists[:, state.incumbent] <= state.trust_radius**2
-        np.testing.assert_array_equal(inside, _within_trust(state, w))
+        inside = _inside_radius(state, post)
         assert not inside[2]
+        np.testing.assert_array_equal(
+            np.delete(inside, 2), _distances(state, rows) <= trust_radius
+        )
         clean = posterior_rows(state.model, kind.flatten_rows(rows))
         np.testing.assert_array_equal(np.delete(post.sq_dists, 2, axis=0), clean.sq_dists)
         np.testing.assert_array_equal(np.delete(post.mean, 2), clean.mean)
@@ -977,7 +970,9 @@ class TestBatchedAscent:
         # left shrinks with the rows' distance from it, so the rule never
         # binds, and the rows end where their next trial would move them
         # less than DEDUP_TOL, next to the incumbent.  The trust radius of
-        # one lengthscale keeps every start within the datum's reach.
+        # one lengthscale keeps every start within the datum's reach; a
+        # pulled start that the projection moved past it returns unmoved at
+        # -inf.
         params = KernelParams(lengthscale=0.5, amplitude=1.0, noise=1e-6)
         model = GpModel.build(params, GpDataset.from_points([random_point(kind, rng)], [-1.0]))
         least = _at(AcquisitionState(model, 0.0), model.data.embedded[0]).mean[0]
@@ -988,8 +983,9 @@ class TestBatchedAscent:
         unstopped, unstopped_acq = ascend(state, starts)
         np.testing.assert_array_equal(e, unstopped)
         np.testing.assert_array_equal(acq, unstopped_acq)
-        distance = np.linalg.norm(kind.flatten_rows(e) - state.trust_center, axis=1)
-        assert distance.max() < 10 * DEDUP_TOL
+        ranked = np.isfinite(acq)
+        np.testing.assert_array_equal(e[~ranked], starts[~ranked])
+        assert _distances(state, e[ranked]).max() < 10 * DEDUP_TOL
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_exploit_round_never_forms_the_variance(self, kind, monkeypatch, rng):
@@ -1028,7 +1024,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("radius", [-0.3, 0.0, math.nan])
     def test_rejects_trust_radius(self, radius):
-        # A negative radius would pass ``_within_trust``'s squared test as
+        # A negative radius would pass ``_inside_radius``'s squared test as
         # its absolute value; at 0 or NaN every trial leaves the region.
         with pytest.raises(InvalidInputError, match="trust_radius"):
             AcquisitionState(model=None, best_value=0.0, trust_radius=radius)

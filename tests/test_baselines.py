@@ -359,10 +359,3 @@ class TestAbort:
         assert [rec.n_evals for rec in trace.records] == n_evals
         assert all(math.isfinite(rec.best_value) for rec in trace.records)
         assert calls["n"] == 4
-
-    def test_first_evaluation_failure_raises(self):
-        gobj = frechet_grad_objective(latitude_circle_problem(8, -0.5))
-        x0 = ManifoldPoint(Sphere(2), [1.0, 0.0, 0.0])
-        for optimize in (riemannian_gd, nelder_mead):
-            with pytest.raises(RuntimeError):
-                optimize(dataclasses.replace(gobj, fn=_failing_at(gobj.fn, 1)), x0)

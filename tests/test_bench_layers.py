@@ -86,7 +86,9 @@ def test_rejects_no_repeats():
 
 def test_maximize_ascends_the_timed_starts(monkeypatch):
     # The two timed calls of a case do the same ascent: the ``maximize``
-    # column adds only the draw of the starts and the unembedding.
+    # column adds only the draw of the starts and the unembedding.  The
+    # timed starts are the incumbent and every raw draw, and the starts
+    # column counts those that rank.
     spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
     tool = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
@@ -100,7 +102,9 @@ def test_maximize_ascends_the_timed_starts(monkeypatch):
 
     cases = tool.cases(manibo)
     monkeypatch.setattr(acquisition, "ascend", spy)
-    for _, state, starts, _ in cases:
+    for _, state, starts, ranked, _ in cases:
         acquisition.maximize(state, tool.SEED)
         np.testing.assert_array_equal(seen[-1], starts)
+        assert len(starts) == acquisition.ASCENT_STARTS
+        assert ranked == np.isfinite(real_ascend(state, starts)[1]).sum()
     assert len(seen) == len(cases) == 12

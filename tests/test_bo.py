@@ -298,18 +298,6 @@ class TestAbort:
         assert trace.final.n_evals == 2
         assert np.isfinite(trace.final.best_value)
 
-    def test_exception_on_first_evaluation_raises(self):
-        def broken(x):
-            raise RuntimeError("simulator crashed")
-
-        with pytest.raises(RuntimeError):
-            run(Objective(kind=KIND, fn=broken), BoConfig(n_init=3, n_iters=2, seed=0))
-
-    def test_nonfinite_first_evaluation_raises(self):
-        obj = Objective(kind=KIND, fn=lambda x: np.inf)
-        with pytest.raises(InvalidInputError):
-            run(obj, BoConfig(n_init=3, n_iters=2, seed=0))
-
 
 class TestProposalDedup:
     def test_far_proposal_unchanged(self, rng):

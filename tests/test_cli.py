@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from manibo.baselines import GD_MAX_BACKTRACKS
 from manibo.cli import main
 
 
@@ -240,6 +241,40 @@ class TestRun:
         assert other["aborted"]
         assert other["abort_reason"] == f"{reason}: RuntimeError: simulator crashed"
         assert other["n_evals"] == 3
+
+    def test_gd_counts_the_evaluations_of_a_rejected_last_loop(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # The gradient points uphill, so every step of gd's first iteration
+        # raises the value: its backtracking loop rejects all of its trials
+        # and gd stops with no record after x0's.  The summary still counts
+        # every evaluation it made.
+        module = tmp_path / "uphill_objective.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from manibo import Objective, Sphere\n"
+            "def make(seed):\n"
+            "    return Objective(kind=Sphere(2), fn=lambda x: float(x.coords[2]),\n"
+            "                     grad=lambda x: np.array([0.0, 0.0, -1.0]))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        out = tmp_path / "exp"
+        result = _run(
+            runner,
+            "run",
+            "--experiment", "custom",
+            "--objective", "uphill_objective:make",
+            "--seed", "2",
+            "--iters", "4",
+            "--init", "3",
+            "--baselines", "gd",
+            "--out", str(out),
+        )
+        assert result.exit_code == 0, result.output
+        gd = json.loads((out / "summary.json").read_text())["optimizers"]["gd"]
+        assert gd["iterations"] == 0 and not gd["aborted"]
+        assert gd["n_evals"] == 1 + GD_MAX_BACKTRACKS + 1
+        assert len((out / "gd.csv").read_text().splitlines()) == 2  # header and x0
 
     @pytest.mark.parametrize("fail_at, failure, named", [
         (1, "raise", "seed 3: ebo failed on its first evaluation: RuntimeError: simulator crashed"),

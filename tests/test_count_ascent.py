@@ -79,10 +79,10 @@ def test_counts_rounds_and_rows_per_kind():
         # Each start (rows, of which NaN, value, shift) is one round, which
         # stacks that many trial rows; the fake retraction returns the NaN
         # ones first, as 2 x 2 rows.  The start returns the value, moved by
-        # its shift.
+        # its shift; a start at -inf is dropped.
         def ascend(self, state, e):
             e = np.array(e, dtype=float)
-            for rows, nan, _, _ in e.astype(int):
+            for rows, nan in e[:, :2].astype(int):
                 self.retract_embedded(None, np.zeros((rows, 2, 2)), None, nan)
             out = e.copy()
             out[:, 0] += e[:, 3]
@@ -98,10 +98,11 @@ def test_counts_rounds_and_rows_per_kind():
     with counter.installed():
         # The incumbent's row wins on a tie, unmoved: an incumbent proposal.
         module.ascend(SimpleNamespace(exploit=False), [(4, 1, 0.5, 0), (2, 0, 0.5, 0)])
-        # It wins, moved; then another row wins: neither is one.
+        # It wins, moved; then another row wins: neither is one.  The last
+        # row of the last call returns at -inf: a dropped start.
         module.ascend(SimpleNamespace(exploit=True), [(3, 3, 1.0, 1)])
         module.ascend(
-            SimpleNamespace(exploit=True), [(1, 0, 0.0, 0), (1, 1, 2.0, 0), (1, 0, 0.0, 0)]
+            SimpleNamespace(exploit=True), [(1, 0, 0.0, 0), (1, 1, 2.0, 0), (1, 0, -np.inf, 0)]
         )
         # A retraction outside an ascend call is not counted.
         module.retract_embedded(None, np.zeros((9, 2, 2)), None, 9)
@@ -109,10 +110,11 @@ def test_counts_rounds_and_rows_per_kind():
     assert counter.rounds == {"PI": [2], "exploit": [1, 3]}
     assert counter.rows == {"PI": 6, "exploit": 6}
     assert counter.nan_rows == {"PI": 1, "exploit": 4}
-    # Starts, and dropped starts: 5 less the starts, per call.
-    assert counter.starts == {"PI": 2, "exploit": 4}
-    assert counter.dropped == {"PI": 3, "exploit": 6}
+    # Starts, those with a finite value, and dropped starts: 5 less the
+    # starts, per call.
+    assert counter.starts == {"PI": 2, "exploit": 3}
+    assert counter.dropped == {"PI": 3, "exploit": 7}
     assert counter.incumbent == {"PI": 1, "exploit": 0}
     assert tool.table_lines({"w": counter})[2].endswith(
-        "| 2 + 4 = 6 | 3 + 6 = 9 | 1 + 4 = 5 | 1 + 0 = 1 |"
+        "| 2 + 3 = 5 | 3 + 7 = 10 | 1 + 4 = 5 | 1 + 0 = 1 |"
     )

@@ -11,11 +11,13 @@ run's design is), their objective values, median-heuristic hyperparameters
 and the run's trust radius (the design's diameter).  On that state, once
 for a PI round and once for an exploit round, it times ``maximize(state,
 SEED)`` and the ``ascend`` call inside it, on the same starts: the
-incumbent and the ``_random_starts`` that ``maximize`` draws from the seed.
-It prints the microseconds per ``ascend`` call, per ascent round and per
-``maximize`` call, each the minimum over K timed calls; what ``maximize``
-adds to its ``ascend`` is drawing the starts and unembedding the winner.
-The round count comes from one untimed call under
+incumbent and the ``ASCENT_STARTS - 1`` random draws that ``maximize``
+draws from the seed.  It prints the microseconds per ``ascend`` call, per
+ascent round and per ``maximize`` call, each the minimum over K timed
+calls; what ``maximize`` adds to its ``ascend`` is drawing the starts and
+unembedding the winner.  The round count and the starts column, the rows
+that rank (those ``ascend`` returns a finite value for, the others failing
+its trust test), come from one untimed call under
 ``count_ascent.AscentCounter``, which counts the stacked retraction every
 round makes.
 
@@ -91,7 +93,8 @@ def problems(manibo) -> dict:
 
 def ascent_states(manibo, objective, draw, n: int):
     """The PI and the exploit state on n points drawn from ``SEED``, and
-    the starts ``maximize(state, SEED)`` ascends on either."""
+    the starts ``maximize(state, SEED)`` ascends on either: the incumbent
+    and the raw draws."""
     acquisition, egp = manibo.acquisition, manibo.egp
     rng = np.random.default_rng(SEED)
     points = draw(n, rng)
@@ -104,12 +107,13 @@ def ascent_states(manibo, objective, draw, n: int):
         for name, exploit in (("PI", False), ("exploit", True))
     }
     incumbent = manibo.manifolds.embed(points[int(np.argmin(data.values))])
-    starts = acquisition._random_starts(states["PI"], np.random.default_rng(SEED))
-    return states, np.concatenate([incumbent[None], starts])
+    draws = data.kind.random_embedded(np.random.default_rng(SEED), acquisition.ASCENT_STARTS - 1)
+    return states, np.concatenate([incumbent[None], draws])
 
 
 def cases(manibo) -> list[tuple]:
-    """Every (kind, n, round) with its state, starts and rounds."""
+    """Every (kind, n, round) with its state, starts, ranked starts and
+    rounds."""
     acquisition = manibo.acquisition
     found = []
     for kind, (objective, draw) in problems(manibo).items():
@@ -118,7 +122,8 @@ def cases(manibo) -> list[tuple]:
             for name, state in states.items():
                 with AscentCounter(acquisition).installed() as counter:
                     acquisition.ascend(state, starts)
-                found.append(((kind, n, name), state, starts, counter.rounds[name][-1]))
+                ranked, rounds = counter.starts[name], counter.rounds[name][-1]
+                found.append(((kind, n, name), state, starts, ranked, rounds))
     return found
 
 
@@ -133,7 +138,7 @@ def time_trees(trees: list, repeats: int) -> list[dict]:
         for t in list(range(len(trees)))[shift:] + list(range(len(trees)))[:shift]:
             manibo, tree_cases = trees[t]
             acquisition = manibo.acquisition
-            for key, state, starts, _ in tree_cases:
+            for key, state, starts, *_ in tree_cases:
                 for name, call, args in (
                     ("ascend", acquisition.ascend, (state, starts)),
                     ("maximize", acquisition.maximize, (state, SEED)),
@@ -151,11 +156,11 @@ def table_lines(tree_cases: list[tuple], best: dict) -> list[str]:
         " | us per maximize |",
         "|---|---|---|---|---|---|---|---|",
     ]
-    for key, _, starts, rounds in tree_cases:
+    for key, _, _, ranked, rounds in tree_cases:
         us = best[key, "ascend"]
         per_round = f"{us / rounds:.1f}" if rounds else "-"
         lines.append(
-            f"| {' | '.join(map(str, key))} | {len(starts)} | {rounds} | {us:.0f}"
+            f"| {' | '.join(map(str, key))} | {ranked} | {rounds} | {us:.0f}"
             f" | {per_round} | {best[key, 'maximize']:.0f} |"
         )
     return lines

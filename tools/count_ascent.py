@@ -13,10 +13,11 @@ exploit rounds apart:
 - rounds: the retractions made inside ``ascend``;
 - trial rows: the rows those retractions stacked;
 - the median and the 90th percentile of the rounds per ``maximize``;
-- starts: the rows ``ascend`` was given;
-- dropped starts: the random draws ``maximize`` dropped as NaN (an Spd
-  draw outside the chart) or outside the trust radius, ``ASCENT_STARTS``
-  less the starts, per call;
+- starts: the rows that rank, those to which ``ascend`` returned a finite
+  value;
+- dropped starts: ``ASCENT_STARTS`` less the starts, per call: the random
+  draws that failed ``ascend``'s trust test, NaN (an Spd draw outside the
+  chart) or outside the trust radius, and returned at -inf;
 - NaN trial rows: the trial rows the retractions returned as NaN, which
   the ascent rejects;
 - incumbent proposals: the ``ascend`` calls whose winner (the ``argmax`` of
@@ -56,9 +57,9 @@ KINDS = ("PI", "exploit")
 
 class AscentCounter:
     """Wraps ``ascend`` and ``retract_embedded`` in the acquisition module
-    and tallies each ``ascend`` call's starts, rounds, trial rows, NaN
-    trial rows and whether it proposes the unmoved incumbent under its
-    round's kind."""
+    and tallies each ``ascend`` call's ranked and dropped starts, rounds,
+    trial rows, NaN trial rows and whether it proposes the unmoved
+    incumbent under its round's kind."""
 
     def __init__(self, acquisition):
         self.acquisition = acquisition
@@ -72,11 +73,12 @@ class AscentCounter:
 
     def _ascend(self, state, e):
         kind = "exploit" if state.exploit else "PI"
-        self.starts[kind] += len(e)
-        self.dropped[kind] += self.acquisition.ASCENT_STARTS - len(e)
         self._current = [0, 0, 0]
         try:
             out, acq = self._real_ascend(state, e)
+            ranked = int(np.isfinite(acq).sum())
+            self.starts[kind] += ranked
+            self.dropped[kind] += self.acquisition.ASCENT_STARTS - ranked
             if int(np.argmax(acq)) == 0 and np.array_equal(out[0], e[0]):
                 self.incumbent[kind] += 1
             return out, acq
