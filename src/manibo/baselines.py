@@ -115,7 +115,9 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
     trace = RunTrace(obj)
 
     def evaluate(w: np.ndarray) -> float:
-        if trace.aborted:
+        """The value at a flat vertex, recorded; +inf without a record once
+        the run has aborted or spent its budget."""
+        if trace.aborted or trace.n_evals >= max_evals:
             return np.inf
         try:
             point = unembed(kind, unflatten_ambient(kind, w))
@@ -136,10 +138,7 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
         vertex[axis] += NM_INIT_SPREAD
         simplex.append(vertex)
     simplex = np.stack(simplex)
-    values = np.array([evaluate(v) for v in simplex[: min(dim + 1, max_evals)]])
-    if len(values) < dim + 1:
-        # Budget did not even cover the initial simplex.
-        return trace
+    values = np.array([evaluate(v) for v in simplex])
 
     def diameter() -> float:
         diffs = simplex[:, None, :] - simplex[None, :, :]
@@ -152,7 +151,7 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
         centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + NM_REFLECT * (centroid - worst)
         f_reflected = evaluate(reflected)
-        if f_reflected < values[0] and trace.n_evals < max_evals:
+        if f_reflected < values[0]:
             expanded = centroid + NM_EXPAND * (centroid - worst)
             f_expanded = evaluate(expanded)
             if f_expanded < f_reflected:
@@ -161,15 +160,13 @@ def nelder_mead(obj: Objective, x0: ManifoldPoint, max_evals: int = 500) -> RunT
                 simplex[-1], values[-1] = reflected, f_reflected
         elif f_reflected <= values[-1]:
             simplex[-1], values[-1] = reflected, f_reflected
-        elif trace.n_evals < max_evals:
+        else:
             contracted = centroid + NM_CONTRACT * (worst - centroid)
             f_contracted = evaluate(contracted)
             if f_contracted <= min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
                 for i in range(1, len(simplex)):
-                    if trace.n_evals >= max_evals:
-                        break
                     simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
                     values[i] = evaluate(simplex[i])
     return trace

@@ -4,11 +4,11 @@ and a summary JSON.
 Two tables define the command line.  ``EXPERIMENTS`` maps each experiment
 name to its default budget and the builder of its problem.  The fields of
 ``ExperimentConfig`` are the settings: each field's metadata gives its INI
-section and how its text parses, and the click options, the accepted INI
-keys and the resolved configuration all come from those fields.  A flag
-``--refit-every`` is the field ``refit_every`` and the key ``refit-every``
-of its section, without the section's prefix (``--kernel-noise`` is
-``[kernel] noise``).
+section, how its text parses and, for some, the values it accepts, and the
+click options, the accepted INI keys and the resolved configuration all come
+from those fields.  A flag ``--refit-every`` is the field ``refit_every``
+and the key ``refit-every`` of its section, without the section's prefix
+(``--kernel-noise`` is ``[kernel] noise``).
 
 Output contract per run directory: one ``<optimizer>.csv`` per enabled
 optimizer with the fixed header ``iter,f_next,f_best,err_to_oracle,wall_ms``
@@ -52,8 +52,6 @@ from .experiments import (
     response_design,
     spd_regression_objective,
 )
-
-BASELINES = ("gd", "nelder-mead")
 
 
 class ConfigError(Exception):
@@ -132,7 +130,8 @@ EXPERIMENTS = {
 def _setting(section: str, kind: str, default=MISSING, help=None, choices=None):
     """One setting: an ``ExperimentConfig`` field whose text (from the config
     file or a text flag) parses as ``kind``: int, float, bool, str, ints (a
-    comma-separated integer list) or names (a comma-separated name list)."""
+    comma-separated integer list) or names (a comma-separated name list).
+    With ``choices``, the str or each name must be one of them."""
     metadata = {"section": section, "kind": kind, "help": help, "choices": choices}
     return field(default=default, metadata=metadata)
 
@@ -154,7 +153,7 @@ class ExperimentConfig:
         "run", "int", 5, "Hyperparameter refit cadence (0 disables fitting)."
     )
     baselines: tuple[str, ...] = _setting(
-        "run", "names", (), "Comma-separated subset of: gd, nelder-mead."
+        "run", "names", (), "Comma-separated baselines to run.", ("gd", "nelder-mead")
     )
     out: str = _setting("run", "str", "manibo-runs", "Output directory.")
     timings: bool = _setting(
@@ -217,7 +216,11 @@ _KIND_NAMES = {"ints": "integer list"}
 _CLICK_TYPES = {"int": int, "float": float, "str": str, "ints": str, "names": str}
 
 
-def _parse(raw: str, kind: str, label: str):
+def _parse(raw: str, setting: dataclasses.Field, label: str):
+    """The setting's value from its text; a ``ConfigError`` naming ``label``
+    unless the text parses and, where the setting lists choices, each value
+    is one of them."""
+    kind, choices = setting.metadata["kind"], setting.metadata["choices"]
     try:
         if kind == "int":
             return int(raw)
@@ -232,11 +235,15 @@ def _parse(raw: str, kind: str, label: str):
             raise ValueError(raw)
         if kind == "ints":  # an empty list leaves the setting unset
             return tuple(int(part) for part in raw.split(",") if part.strip()) if raw else None
-        if kind == "names":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        return raw
     except ValueError as exc:
         raise ConfigError(f"invalid {_KIND_NAMES.get(kind, kind)} for {label}: {raw!r}") from exc
+    names = (raw,) if kind == "str" else tuple(
+        part.strip() for part in raw.split(",") if part.strip()
+    )
+    for name in names:
+        if choices and name not in choices:
+            raise ConfigError(f"unknown {label} {name!r}; choose from {', '.join(choices)}")
+    return raw if kind == "str" else names
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -258,7 +265,7 @@ def _read_config_file(path: str) -> dict[str, object]:
             setting = _FILE_KEYS.get((section, key))
             if setting is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            values[setting.name] = _parse(raw, setting.metadata["kind"], f"[{section}] {key}")
+            values[setting.name] = _parse(raw, setting, f"[{section}] {key}")
     return values
 
 
@@ -269,17 +276,13 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     for setting in fields(ExperimentConfig):
         value = flags.get(setting.name)
         if isinstance(value, str):  # a text flag parses as the file's text does
-            value = _parse(value, setting.metadata["kind"], _flag(setting))
+            value = _parse(value, setting, _flag(setting))
         elif value is None:
             continue
         merged[setting.name] = value
 
     if "experiment" not in merged:
         raise ConfigError("experiment is required (flag --experiment or [run] experiment)")
-    if merged["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {merged['experiment']!r}; choose from {', '.join(EXPERIMENTS)}"
-        )
     if "seed" not in merged:
         raise ConfigError("seed is required for reproducibility (flag --seed or [run] seed)")
 
@@ -292,11 +295,6 @@ def resolve_config(config_path: Optional[str], flags: dict) -> ExperimentConfig:
     merged.setdefault("init", experiment.init)
 
     cfg = ExperimentConfig(**merged)
-    for baseline in cfg.baselines:
-        if baseline not in BASELINES:
-            raise ConfigError(
-                f"unknown baseline {baseline!r}; choose from {', '.join(BASELINES)}"
-            )
     if cfg.iters < 0 or cfg.init < 1 or cfg.refit_every < 0:
         raise ConfigError("iters must be >= 0, init >= 1 and refit-every >= 0")
     for name, seeds in (("seed", (cfg.seed,)), ("seeds", cfg.seeds or ())):
@@ -426,8 +424,9 @@ def _with_options(command):
         if meta["kind"] == "bool":
             option = click.option(f"{flag}/--no-{flag[2:]}", default=None, help=meta["help"])
         else:
-            kind = click.Choice(meta["choices"]) if meta["choices"] else _CLICK_TYPES[meta["kind"]]
-            option = click.option(flag, type=kind, default=None, help=meta["help"])
+            choices = f"[{'|'.join(meta['choices'])}]" if meta["choices"] else None
+            option = click.option(flag, type=_CLICK_TYPES[meta["kind"]], default=None,
+                                  help=meta["help"], metavar=choices)
         command = option(command)
     return click.option("--config", "config_path", type=click.Path(), default=None,
                         help="Config file (INI sections mirroring the flags).")(command)

@@ -134,7 +134,9 @@ class GpDataset:
 
         Formed from coordinate differences: the expansion |a|^2 + |b|^2 -
         2 a.b loses absolute precision eps |a|^2, which swamps the distances
-        between the closely spaced points of a converged run."""
+        between the closely spaced points of a converged run.  Symmetric bit
+        for bit: a - b is exactly -(b - a), so entries (i, j) and (j, i) sum
+        the same squares in the same order."""
         diffs = self.embedded[:, None, :] - self.embedded[None, :, :]
         return np.einsum("ijk,ijk->ij", diffs, diffs)
 
@@ -167,9 +169,9 @@ class GpDataset:
 
 def gram_matrix(params: KernelParams, data: GpDataset) -> np.ndarray:
     """Kernel matrix of the dataset plus noise on the diagonal, from the
-    dataset's cached squared distances; symmetric bit for bit."""
+    dataset's cached squared distances; symmetric bit for bit, as they are."""
     k = params.amplitude * np.exp(-data.sq_dists / (2.0 * params.lengthscale**2))
-    return 0.5 * (k + k.T) + params.noise * np.eye(len(data))
+    return k + params.noise * np.eye(len(data))
 
 
 def _cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, float]:

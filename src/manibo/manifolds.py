@@ -12,10 +12,10 @@ steps are computed:
   matrix logarithm (log-Euclidean coordinates) inside Sym(p).
 
 Each kind is one class holding everything that differs between manifolds,
-behind the small protocol that ``ManifoldKind`` declares: the point check,
-``embed`` and ``coords``, the stacked tangent projection and the one
-nearest-point map onto the image, ``project`` (which also enforces the
-kind's chart), stacked random draws, and the flat layout.  Every step is that
+behind the small protocol that ``ManifoldKind`` declares: ``embed`` (which
+also checks the point) and ``coords``, the stacked tangent projection and
+the one nearest-point map onto the image, ``project`` (which also enforces
+the kind's chart), stacked random draws, and the flat layout.  Every step is that
 projection of the ambient step from an embedded row (``retract_embedded``),
 a retraction on every embedded submanifold (Absil & Malick, SIAM J. Optim.
 2012), and ``unembed`` is ``coords`` of a one-row projection.  Grassmann
@@ -93,9 +93,10 @@ class ManifoldKind:
 
     * ``coords_shape``, ``ambient_shape``; ``ambient_dim``, the flat
       length, comes from ``flatten_rows``;
-    * ``check_point(coords)`` raises unless the coordinates are valid;
-    * ``embed(coords)``; ``coords(e)``, the native coordinates of an image
-      point that ``project`` returned, without a check;
+    * ``embed(coords)``, which raises unless the coordinates are a valid
+      point and otherwise returns their embedding; ``coords(e)``, the
+      native coordinates of an image point that ``project`` returned,
+      without a check;
     * ``tangent_project(e, g)`` and ``project(a)``, the image point nearest
       to each finite ambient row of a, NaN where the nearest image point is
       undefined, not unique, or outside the kind's chart;
@@ -138,12 +139,10 @@ class Sphere(ManifoldKind):
 
     ambient_shape = coords_shape
 
-    def check_point(self, coords):
+    def embed(self, coords):
         norm = np.linalg.norm(coords)
         if abs(norm - 1.0) > POINT_ATOL:
             raise InvalidInputError(f"sphere point has norm {norm!r}, expected 1")
-
-    def embed(self, coords):
         return np.array(coords)
 
     def coords(self, e):
@@ -229,11 +228,9 @@ class Grassmann(_SymKind):
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.n, self.n)
 
-    def check_point(self, coords):
+    def embed(self, coords):
         if np.max(np.abs(coords.T @ coords - np.eye(self.p))) > POINT_ATOL:
             raise InvalidInputError("Grassmann frame columns are not orthonormal")
-
-    def embed(self, coords):
         return coords @ coords.T
 
     def _top_frames(self, sym_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,25 +288,23 @@ class Spd(_SymKind):
 
     ambient_shape = coords_shape
 
-    def check_point(self, coords):
+    def embed(self, coords):
+        """The matrix logarithm, from one ``eigh``; raises
+        InvalidInputError unless the point is symmetric, DomainError off the
+        SPD cone or outside the chart."""
         if np.max(np.abs(coords - coords.T)) > POINT_ATOL:
             raise InvalidInputError("Spd point is not symmetric")
-        eigs = np.linalg.eigvalsh(_sym(coords))
-        if eigs[0] <= 0.0:
-            raise DomainError("Spd point is not positive definite")
-        log_norm = float(np.linalg.norm(np.log(eigs)))
+        w, v = np.linalg.eigh(_sym(coords))
+        if w[0] <= 0.0:
+            raise DomainError(f"Spd point is not positive definite (min eigenvalue {w[0]:g})")
+        log_w = np.log(w)
+        log_norm = float(np.linalg.norm(log_w))
         if log_norm > SPD_LOG_NORM_MAX + SPD_CHART_SLACK:
             raise DomainError(
                 f"Spd point has log-norm {log_norm:g}, outside the chart "
                 f"(at most {SPD_LOG_NORM_MAX:g})"
             )
-
-    def embed(self, coords):
-        """The matrix logarithm; raises DomainError off the SPD cone."""
-        w, v = np.linalg.eigh(_sym(coords))
-        if w[0] <= 0.0:
-            raise DomainError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
-        return _sym((v * np.log(w)) @ v.T)
+        return _sym((v * log_w) @ v.T)
 
     def coords(self, e):
         """The matrix exponential, of each matrix of a stack."""
@@ -360,10 +355,12 @@ def ambient_norms(kind: ManifoldKind, a: np.ndarray) -> np.ndarray:
 class ManifoldPoint:
     """A point on a manifold in its native coordinates.
 
-    Construction validates the coordinate invariants of the kind: unit norm
-    for the sphere, orthonormal columns for a Grassmann frame, symmetry and
-    positive definiteness for Spd.  Coordinates are stored as a read-only
-    float64 array, and so is their embedding, computed once on first use.
+    Construction embeds the point (``kind.embed``), which validates the
+    coordinate invariants of the kind: unit norm for the sphere, orthonormal
+    columns for a Grassmann frame, symmetry, positive definiteness and the
+    chart for Spd.  Coordinates are stored as a read-only float64 array, and
+    so is their embedding: the data, the objective, the acquisition, the
+    dedup and the trace all embed the same points.
     """
 
     kind: ManifoldKind
@@ -378,17 +375,11 @@ class ManifoldPoint:
             )
         if not np.all(np.isfinite(coords)):
             raise InvalidInputError("coords contain non-finite entries")
-        self.kind.check_point(coords)
-        coords.setflags(write=False)
+        embedding = self.kind.embed(coords)
+        for array in (coords, embedding):
+            array.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-    @functools.cached_property
-    def _embedding(self) -> np.ndarray:
-        """``kind.embed(coords)``, read-only: the data, the objective, the
-        acquisition, the dedup and the trace all embed the same points."""
-        e = self.kind.embed(self.coords)
-        e.setflags(write=False)
-        return e
+        object.__setattr__(self, "_embedding", embedding)
 
 
 def _require_ambient(kind: ManifoldKind, v: np.ndarray) -> np.ndarray:
@@ -407,9 +398,10 @@ def embed(x: ManifoldPoint) -> np.ndarray:
 
     Sphere: identity.  Grassmann: the orthogonal projector ``X @ X.T`` (the
     same matrix for every frame spanning the subspace).  Spd: the matrix
-    logarithm.  Computed once per point: every call on the same point
-    returns the same read-only array, so a caller that writes into the
-    embedding (an objective, say) works on a copy, ``embed(x).copy()``.
+    logarithm.  Computed when the point is built, which validates it: every
+    call on the same point returns the same read-only array, so a caller
+    that writes into the embedding (an objective, say) works on a copy,
+    ``embed(x).copy()``.
     """
     return x._embedding
 

@@ -396,6 +396,19 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--experiment", "nope", "--seed", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("from_file", [True, False], ids=["file", "flag"])
+    def test_unknown_baseline_named(self, runner, tmp_path, from_file):
+        config = tmp_path / "run.cfg"
+        config.write_text("[run]\nexperiment = frechet-sphere\nseed = 1\nbaselines = gd\n")
+        args = ["validate", "--config", str(config)]
+        if from_file:
+            config.write_text(config.read_text().replace("= gd", "= gd, nelder-meed"))
+        else:
+            args += ["--baselines", "nelder-meed,gd"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "'nelder-meed'; choose from gd, nelder-mead" in result.output
+
     def test_bad_custom_objective_rejected(self, runner):
         result = runner.invoke(
             main,

@@ -25,12 +25,13 @@ from manibo import (
     median_heuristic_params,
     posterior,
     random_point,
+    unembed,
 )
 from manibo import egp
 from manibo.bo import FIT_RESTARTS, REFIT_RESTARTS
 from manibo.egp import TREND_POINTS_PER_COEFFICIENT, posterior_rows
 
-from conftest import BATCH_KINDS, FAMILY_KINDS
+from conftest import ALL_KINDS, BATCH_KINDS, FAMILY_KINDS
 
 
 def _dataset(kind, n, rng, fn=None):
@@ -172,6 +173,20 @@ class TestGramMatrix:
         model = GpModel.build(params, data)
         gram = gram_matrix(params, data)
         np.testing.assert_allclose(model.chol @ model.chol.T, gram, rtol=1e-8)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_distances_and_gram_are_symmetric_bit_for_bit(self, kind, rng):
+        # gram_matrix does not symmetrize: it relies on sq_dists being
+        # symmetric in every bit, near-duplicate and repeated points included.
+        points = [random_point(kind, rng) for _ in range(6)]
+        for x in points[:3]:
+            nudge = 1e-9 * rng.standard_normal(kind.ambient_shape)
+            points.append(unembed(kind, embed(x) + nudge))
+        points.append(points[0])
+        data = GpDataset.from_points(points, rng.standard_normal(len(points)))
+        params = KernelParams(lengthscale=0.7, amplitude=1.3, noise=1e-3)
+        for matrix in (data.sq_dists, gram_matrix(params, data)):
+            assert matrix.tobytes() == matrix.T.copy().tobytes()
 
 
 class TestPosterior:

@@ -101,7 +101,9 @@ class TestEmbed:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_embedding_is_computed_once_and_read_only(self, kind, rng, monkeypatch):
-        x = random_point(kind, rng)
+        # The point is embedded while it is built, which validates it, and
+        # never again.
+        coords = random_point(kind, rng).coords
         calls = []
         real = type(kind).embed
 
@@ -110,6 +112,8 @@ class TestEmbed:
             return real(self, coords)
 
         monkeypatch.setattr(type(kind), "embed", counting)
+        x = ManifoldPoint(kind, coords)
+        assert len(calls) == 1
         first = embed(x)
         assert embed(x) is first
         assert len(calls) == 1
@@ -117,6 +121,24 @@ class TestEmbed:
         assert first.tobytes() == kind.embed(x.coords).tobytes()
         with pytest.raises(ValueError):
             first.flat[0] = 1.0
+
+    def test_spd_point_is_checked_and_embedded_by_one_eigh(self, rng, monkeypatch):
+        coords = random_point(Spd(3), rng).coords
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append("eigh")
+            return real_eigh(a, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append("eigvalsh")
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        embed(ManifoldPoint(Spd(3), coords))
+        assert calls == ["eigh"]
 
     def test_spd_coords_of_a_stack_equal_each_matrix_alone(self, rng):
         kind = Spd(3)

@@ -19,7 +19,11 @@ unembedding the winner.  The round count and the starts column, the rows
 that rank (those ``ascend`` returns a finite value for, the others failing
 its trust test), come from one untimed call under
 ``count_ascent.AscentCounter``, which counts the stacked retraction every
-round makes.
+round makes.  To compare a tree from before ``ascend`` screened its own
+starts (commit dffb23e) with one after it, read the ``maximize`` column,
+not the ``ascend`` one: both trees' ``maximize`` ascends the same rows, but
+an older ``ascend`` climbs the draws outside the trust radius that a newer
+one returns unmoved at ``-inf``.
 
 Unlike ``perfbench/run.py --trace 1``, which averages over whole runs
 whose trajectories move with every change to the traces, the states here
