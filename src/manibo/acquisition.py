@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -186,6 +187,17 @@ def pi_gradient_ambient(state: AcquisitionState, x: ManifoldPoint) -> np.ndarray
     return unflatten_ambient(x.kind, density * dr[0])
 
 
+class AscentWork(NamedTuple):
+    """What one ``ascend`` call did: its rounds, one stacked retraction
+    each; the trial rows those retractions stacked; and the trial rows that
+    scored NaN (no unique nearest image point, or outside the chart),
+    which the trust test rejects."""
+
+    rounds: int
+    trial_rows: int
+    nan_rows: int
+
+
 def _inside_radius(state: AcquisitionState, post: PosteriorRows) -> np.ndarray:
     """Per row of a posterior pass, the ascent's one trust test: its squared
     distance to the incumbent's datum is within the radius squared (never
@@ -204,15 +216,15 @@ def _tangents(
     return tangent_project_embedded(kind, e, grad)
 
 
-def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, AscentWork]:
     """Projected gradient ascent of the acquisition from every start at
     once.  ``e`` stacks the embedded starts along a leading axis; returns
-    the last accepted iterate of every start, stacked the same way, and the
-    value the ascent reached there.  ``e`` itself is not modified.  Every
-    start and trial must pass one test, ``_inside_radius``: finite and
-    within the trust radius.  A start that fails it never climbs and
-    returns unmoved at -inf, so every row returned lies within the radius
-    or has the value -inf.
+    the last accepted iterate of every start, stacked the same way, the
+    value the ascent reached there, and the ``AscentWork`` it took.  ``e``
+    itself is not modified.  Every start and trial must pass one test,
+    ``_inside_radius``: finite and within the trust radius.  A start that
+    fails it never climbs and returns unmoved at -inf, so every row
+    returned lies within the radius or has the value -inf.
 
     The ascent climbs log PI (same maximizer, no saturation at PI = 1), or
     the negated posterior mean when ``state.exploit`` is set, which forms
@@ -256,8 +268,9 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     reaches the iterates that trying one trial per round would, whatever
     the lookahead.
     Every row is computed on its own, so its result does not depend on the
-    other starts.  Raises ``InvalidInputError`` unless ``e`` is a non-empty
-    stack of the kind's ambient shape.
+    other starts or on their order in a round's stack.  Raises
+    ``InvalidInputError`` unless ``e`` is a non-empty stack of the kind's
+    ambient shape.
     """
     kind = state.model.data.kind
     e = np.array(e, dtype=float, order="C")
@@ -278,6 +291,7 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rejected = [0] * len(e)  # trials of the current step
     climbing = [i for i in range(len(e)) if inside[i] and speed[i] >= ASCENT_GRAD_TOL]
     halving = [0.5**j for j in range(MAX_BACKTRACKS + 2)]  # exact scalings
+    rounds = trial_rows = nan_rows = 0
     while climbing:
         # Trial j of a row halves its step j times: the step that j
         # rejections would leave.  A row tries only the trials that move it
@@ -308,6 +322,12 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
         acq_cand, terms_cand = _ascent_value(state, post_cand)
         value = acq_cand.tolist()
         inside = _inside_radius(state, post_cand).tolist()
+        rounds += 1
+        trial_rows += len(src)
+        # A NaN row scores NaN and fails the trust test; a finite row never
+        # scores NaN.  So a round whose trials all pass has no NaN rows.
+        if False in inside:
+            nan_rows += int(np.count_nonzero(np.isnan(acq_cand)))
         # A row's first trial inside the radius that does not lower the
         # acquisition decides it: the trial that trying one trial per round
         # would reach; later trials are discarded.  A deciding trial that
@@ -352,8 +372,8 @@ def ascend(state: AcquisitionState, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 speed[i] = s
                 if s >= ASCENT_GRAD_TOL:
                     retry.append(i)
-        climbing = sorted(retry)
-    return e, np.array(acq)
+        climbing = retry
+    return e, np.array(acq), AscentWork(rounds, trial_rows, nan_rows)
 
 
 def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
@@ -367,7 +387,8 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     earliest start.  A draw that fails ``ascend``'s trust test (outside the
     radius, or NaN: an Spd draw past the chart) returns at -inf and never
     wins; row 0, the incumbent's, lies at distance 0 and always passes.
-    Only the winner is unembedded.
+    Only the winner is unembedded; the ``AscentWork`` that ``ascend``
+    returns beside the rows is dropped.
 
     Each start ascends on its own bits: the batch size changes no row's
     result, so the proposal is the one that ascending the starts one by one
@@ -377,5 +398,5 @@ def maximize(state: AcquisitionState, seed: int) -> ManifoldPoint:
     kind = state.model.data.kind
     incumbent = embed(state.model.data.points[state.incumbent])
     draws = kind.random_embedded(np.random.default_rng(seed), ASCENT_STARTS - 1)
-    e, acq = ascend(state, np.concatenate([incumbent[None], draws]))
+    e, acq, _ = ascend(state, np.concatenate([incumbent[None], draws]))
     return unembed(kind, e[int(np.argmax(acq))])

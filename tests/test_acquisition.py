@@ -278,7 +278,7 @@ class TestAscend:
         model = GpModel.build(params, GpDataset.from_points([a, b], [0.4, 0.4]))
         state = AcquisitionState(model, 0.4)
         monkeypatch.setattr(acquisition, "ASCENT_GRAD_TOL", 1e-5)
-        e, _ = ascend(state, embed(mid)[None])
+        e, _, _ = ascend(state, embed(mid)[None])
         np.testing.assert_allclose(e[0], embed(mid), atol=1e-12)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -286,7 +286,7 @@ class TestAscend:
         state = _state(kind, 4, rng)
         for _ in range(5):
             x0 = random_point(kind, rng)
-            e, acq = ascend(state, embed(x0)[None])
+            e, acq, _ = ascend(state, embed(x0)[None])
             assert acq[0] >= _log_pi_at(state, flatten_ambient(kind, embed(x0)))
             # The value is the log PI at the returned embedded iterate, bit
             # for bit.
@@ -302,7 +302,7 @@ class TestAscend:
         start = ManifoldPoint(kind, [1.0, 0.0, 0.0])
         # A quarter-sphere traverse needs more than the default step budget.
         monkeypatch.setattr(acquisition, "ASCENT_MAX_STEPS", 2000)
-        _, acq = ascend(state, embed(start)[None])
+        _, acq, _ = ascend(state, embed(start)[None])
         probe_rng = np.random.default_rng(11)
         probe_best = max(
             pi_value(state, random_point(kind, probe_rng)) for _ in range(100)
@@ -343,8 +343,8 @@ class TestAscend:
         past = kind.project((20.0 * np.eye(3))[None])[0]
         assert np.isnan(past).all()
         starts = np.stack([incumbent, far, past])
-        e, acq = ascend(state, starts)
-        alone, alone_acq = ascend(state, starts[:1])
+        e, acq, _ = ascend(state, starts)
+        alone, alone_acq, _ = ascend(state, starts[:1])
         np.testing.assert_array_equal(e[0], alone[0])
         assert acq[0] == alone_acq[0] and math.isfinite(acq[0])
         dropped = [2] if math.isinf(trust_radius) else [1, 2]
@@ -378,9 +378,9 @@ def _spy_on_ascend(monkeypatch):
     real_ascend = acquisition.ascend
 
     def spy(state, e):
-        out, acq = real_ascend(state, e)
+        out, acq, work = real_ascend(state, e)
         seen.append((np.array(e), out, acq))
-        return out, acq
+        return out, acq, work
 
     monkeypatch.setattr(acquisition, "ascend", spy)
     return seen
@@ -472,7 +472,7 @@ class TestMaximize:
         state = _state(kind, 5, rng)
         monkeypatch.setattr(acquisition, "ASCENT_STARTS", 1)
         incumbent = state.model.data.points[int(np.argmin(state.model.data.values))]
-        e, _ = ascend(state, embed(incumbent)[None])
+        e, _, _ = ascend(state, embed(incumbent)[None])
         result = maximize(state, 3)
         np.testing.assert_array_equal(result.coords, unembed(kind, e[0]).coords)
 
@@ -487,12 +487,12 @@ class TestMaximize:
         starts = np.stack([embed(s) for s in starts])
         best_e, best_acq = None, -np.inf
         for s in starts:
-            e, acq = ascend(state, s[None])
+            e, acq, _ = ascend(state, s[None])
             if acq[0] > best_acq:
                 best_e, best_acq = e[0], acq[0]
         result = maximize(state, 9)
         np.testing.assert_array_equal(result.coords, unembed(kind, best_e).coords)
-        e, acq = ascend(state, starts)
+        e, acq, _ = ascend(state, starts)
         np.testing.assert_array_equal(e[int(np.argmax(acq))], best_e)
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -696,6 +696,53 @@ def _incumbent_start(kind, rng, fits):
     return state, start
 
 
+def _spy_on_retraction(monkeypatch):
+    """Wrap ``acquisition.retract_embedded``, as ``ascend`` calls it;
+    returns the counts it keeps: calls, rows and all-NaN rows."""
+    counts = [0, 0, 0]
+    real_retract = acquisition.retract_embedded
+
+    def spy(kind, e, v, t):
+        out = real_retract(kind, e, v, t)
+        counts[0] += 1
+        counts[1] += len(out)
+        counts[2] += int(np.isnan(out).all(axis=tuple(range(1, out.ndim))).sum())
+        return out
+
+    monkeypatch.setattr(acquisition, "retract_embedded", spy)
+    return counts
+
+
+class TestAscentWork:
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("exploit", [False, True])
+    @pytest.mark.parametrize("trust_radius", [math.inf, 0.3])
+    def test_counts_the_retractions_it_makes(
+        self, kind, exploit, trust_radius, monkeypatch, rng
+    ):
+        # One round per stacked retraction, its rows the trial rows, and
+        # the NaN ones among them.
+        base = _state(kind, 8, rng)
+        state = AcquisitionState(
+            base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
+        )
+        starts = _maximize_starts(state, rng)
+        counts = _spy_on_retraction(monkeypatch)
+        _, _, work = ascend(state, starts)
+        assert work.rounds >= 1
+        assert work == tuple(counts)
+
+    def test_counts_nan_trials_past_the_spd_chart(self, monkeypatch):
+        # On this state the first trials from the incumbent step past the
+        # Spd chart: the retraction returns them NaN, and they score NaN.
+        state = _state(Spd(3), 6, np.random.default_rng(0))
+        start = embed(state.model.data.points[state.incumbent])
+        counts = _spy_on_retraction(monkeypatch)
+        _, acq, work = ascend(state, start[None])
+        assert math.isfinite(acq[0])
+        assert work == tuple(counts) and work.nan_rows > 0
+
+
 class TestBatchedAscent:
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     @pytest.mark.parametrize(
@@ -715,10 +762,10 @@ class TestBatchedAscent:
             # where they return unmoved at -inf.
             assert (_distances(state, starts) >= (1.0 - 1e-9) * trust_radius).any()
         given = starts.copy()
-        e, acq = ascend(state, starts)
+        e, acq, _ = ascend(state, starts)
         np.testing.assert_array_equal(starts, given)  # the starts are not moved
         for row, start in enumerate(starts):
-            alone, alone_acq = ascend(state, start[None])
+            alone, alone_acq, _ = ascend(state, start[None])
             reference, reference_acq = _reference_ascend(state, start)
             np.testing.assert_array_equal(e[row], alone[0])
             np.testing.assert_array_equal(e[row], reference)
@@ -739,7 +786,7 @@ class TestBatchedAscent:
             base.model, base.best_value, trust_radius=trust_radius, exploit=exploit
         )
         starts = _maximize_starts(state, rng)
-        e, acq = ascend(state, starts)
+        e, acq, _ = ascend(state, starts)
         # The trials the trust test rejects, NaN ones included: in every
         # posterior pass after an ``ascend`` call's first (its starts'), the
         # rows that fail ``_inside_radius``.
@@ -755,7 +802,7 @@ class TestBatchedAscent:
         outside = []
         for lookahead in (1, 2, 8, MAX_BACKTRACKS + 1):
             monkeypatch.setattr(acquisition, "ASCENT_LOOKAHEAD", lookahead)
-            e_deep, acq_deep = ascend(state, starts)
+            e_deep, acq_deep, _ = ascend(state, starts)
             np.testing.assert_array_equal(e_deep, e)
             np.testing.assert_array_equal(acq_deep, acq)
             outside += passes[1:]
@@ -801,7 +848,7 @@ class TestBatchedAscent:
             elif gain < 0.0 and rejected is None:
                 rejected = start
         starts = np.stack(starts + [moves, rejected])
-        clean_e, clean_acq = ascend(state, starts)
+        clean_e, clean_acq, _ = ascend(state, starts)
         retract = acquisition.retract_embedded
 
         first_step = ASCENT_STEP * state.model.params.lengthscale
@@ -820,7 +867,7 @@ class TestBatchedAscent:
         for row, halvings_only, stays in [(2, False, True), (5, True, True), (4, True, False)]:
             retract_failing = failing(starts[row], halvings_only)
             monkeypatch.setattr(acquisition, "retract_embedded", retract_failing)
-            e, acq = ascend(state, starts)
+            e, acq, _ = ascend(state, starts)
             # A failed trial is rejected and halved like any other: the row
             # is the reference ascent through the same retraction, and a
             # halving that fails after an accepted first trial is never
@@ -846,7 +893,7 @@ class TestBatchedAscent:
         # halvings left stop the row.
         last_step = ASCENT_STEP * state.model.params.lengthscale * 0.5**MAX_BACKTRACKS
         assert last_step * ambient_norms(kind, _first_tangent(state, start)) >= DEDUP_TOL
-        e, acq = ascend(state, start[None])
+        e, acq, _ = ascend(state, start[None])
         reference, reference_acq = _reference_ascend(state, start)
         np.testing.assert_array_equal(e[0], reference)
         assert acq[0] == reference_acq
@@ -866,10 +913,11 @@ class TestBatchedAscent:
             return retract(kind, e, v, t)
 
         monkeypatch.setattr(acquisition, "retract_embedded", counting)
-        e, _ = ascend(state, start[None])
+        e, _, work = ascend(state, start[None])
         np.testing.assert_array_equal(e[0], start)
         assert sizes == [ASCENT_LOOKAHEAD, 2 * ASCENT_LOOKAHEAD, 9] == [4, 8, 9]
         assert sum(sizes) == MAX_BACKTRACKS + 1
+        assert (work.rounds, work.trial_rows) == (len(sizes), sum(sizes)) == (3, 21)
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_no_trial_below_the_displacement_floor(self, kind, monkeypatch, rng):
@@ -920,7 +968,7 @@ class TestBatchedAscent:
         def ascend_as_reference(state):
             last.clear()
             starts = _maximize_starts(state, rng)
-            e, acq = ascend(state, starts)
+            e, acq, _ = ascend(state, starts)
             for row, start in enumerate(starts):
                 reference, reference_acq = _reference_ascend(state, start)
                 np.testing.assert_array_equal(e[row], reference)
@@ -962,7 +1010,7 @@ class TestBatchedAscent:
         mean = _at(greedy, kind.flatten_rows(first)[0]).mean[0]
         for ratio, stops in [(2.0, True), (-2.0, True), (0.5, False), (-0.5, False)]:
             state = AcquisitionState(base.model, mean + ratio * gain / ASCENT_RTOL, exploit=True)
-            e, acq = ascend(state, start[None])
+            e, acq, _ = ascend(state, start[None])
             assert np.array_equal(e[0], first[0]) == stops
             assert (acq[0] == -mean) == stops
         # One datum below the zero prior mean: the mean is least exactly at
@@ -978,9 +1026,9 @@ class TestBatchedAscent:
         least = _at(AcquisitionState(model, 0.0), model.data.embedded[0]).mean[0]
         state = AcquisitionState(model, least, trust_radius=0.5, exploit=True)
         starts = _maximize_starts(state, rng)
-        e, acq = ascend(state, starts)
+        e, acq, _ = ascend(state, starts)
         monkeypatch.setattr(acquisition, "ASCENT_RTOL", 0.0)
-        unstopped, unstopped_acq = ascend(state, starts)
+        unstopped, unstopped_acq, _ = ascend(state, starts)
         np.testing.assert_array_equal(e, unstopped)
         np.testing.assert_array_equal(acq, unstopped_acq)
         ranked = np.isfinite(acq)
@@ -1009,7 +1057,7 @@ class TestBatchedAscent:
         # so every trial is rejected and every row stays at its start.
         monkeypatch.setattr(manifolds, "EIGENGAP_TOL", math.inf)
         starts = np.stack([embed(random_point(kind, rng)) for _ in range(3)])
-        e, acq = ascend(state, starts)
+        e, acq, _ = ascend(state, starts)
         np.testing.assert_array_equal(e, starts)
         assert np.all(np.isfinite(acq))
         # maximize cannot unembed the winner.

@@ -20,6 +20,14 @@ HEADER = (
 )
 
 
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
+        spec.loader.exec_module(tool)
+    return tool
+
+
 def _run(*args):
     return subprocess.run(
         [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
@@ -89,10 +97,7 @@ def test_maximize_ascends_the_timed_starts(monkeypatch):
     # column adds only the draw of the starts and the unembedding.  The
     # timed starts are the incumbent and every raw draw, and the starts
     # column counts those that rank.
-    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
-        spec.loader.exec_module(tool)
+    tool = _tool()
     seen = []
     real_ascend = acquisition.ascend
 
@@ -108,3 +113,17 @@ def test_maximize_ascends_the_timed_starts(monkeypatch):
         assert len(starts) == acquisition.ASCENT_STARTS
         assert ranked == np.isfinite(real_ascend(state, starts)[1]).sum()
     assert len(seen) == len(cases) == 12
+
+
+def test_tree_without_ascent_work_prints_no_rounds(monkeypatch):
+    # A tree from before ``ascend`` returned its ``AscentWork`` returns the
+    # rows and values only: its starts still rank, and its rounds and us
+    # per round print as "-".
+    tool = _tool()
+    real_ascend = acquisition.ascend
+    monkeypatch.setattr(acquisition, "ascend", lambda state, e: real_ascend(state, e)[:2])
+    cases = tool.cases(manibo)
+    best = {(key, name): 1.0 for key, *_ in cases for name in ("ascend", "maximize")}
+    for line, (*_, ranked, rounds) in zip(tool.table_lines(cases, best)[2:], cases, strict=True):
+        assert rounds is None
+        assert line.strip("| ").split(" | ")[3:] == [str(ranked), "-", "1", "-", "1"]

@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 
+from manibo.acquisition import AscentWork
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "count_ascent.py"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -74,47 +76,40 @@ def test_counts_rounds_and_rows_per_kind():
     tool = _tool()
 
     class Acquisition:
-        ASCENT_STARTS = 5
-
-        # Each start (rows, of which NaN, value, shift) is one round, which
-        # stacks that many trial rows; the fake retraction returns the NaN
-        # ones first, as 2 x 2 rows.  The start returns the value, moved by
-        # its shift; a start at -inf is dropped.
+        # Each start is (value, shift): it returns the value, moved by its
+        # shift, and a start at -inf is dropped.  The record of the call
+        # comes with its state.
         def ascend(self, state, e):
             e = np.array(e, dtype=float)
-            for rows, nan in e[:, :2].astype(int):
-                self.retract_embedded(None, np.zeros((rows, 2, 2)), None, nan)
             out = e.copy()
-            out[:, 0] += e[:, 3]
-            return out, e[:, 2]
-
-        def retract_embedded(self, kind, e, v, t):
-            out = e.copy()
-            out[:t] = np.nan
-            return out
+            out[:, 0] += e[:, 1]
+            return out, e[:, 0], state.work
 
     module = Acquisition()
-    counter = tool.AscentCounter(module)
-    with counter.installed():
-        # The incumbent's row wins on a tie, unmoved: an incumbent proposal.
-        module.ascend(SimpleNamespace(exploit=False), [(4, 1, 0.5, 0), (2, 0, 0.5, 0)])
-        # It wins, moved; then another row wins: neither is one.  The last
-        # row of the last call returns at -inf: a dropped start.
-        module.ascend(SimpleNamespace(exploit=True), [(3, 3, 1.0, 1)])
-        module.ascend(
-            SimpleNamespace(exploit=True), [(1, 0, 0.0, 0), (1, 1, 2.0, 0), (1, 0, -np.inf, 0)]
-        )
-        # A retraction outside an ascend call is not counted.
-        module.retract_embedded(None, np.zeros((9, 2, 2)), None, 9)
+
+    def cli_main(args, standalone_mode):
+        for exploit, work, starts in [
+            # The incumbent's row wins on a tie, unmoved: an incumbent
+            # proposal.
+            (False, (2, 6, 1), [(0.5, 0), (0.5, 0)]),
+            # It wins, moved; then another row wins: neither is one.  The
+            # last row of the last call returns at -inf: a dropped start.
+            (True, (1, 3, 3), [(1.0, 1)]),
+            (True, (3, 3, 1), [(0.0, 0), (2.0, 0), (-np.inf, 0)]),
+        ]:
+            module.ascend(SimpleNamespace(exploit=exploit, work=AscentWork(*work)), starts)
+        print("seed 0: ok")
+
+    workload = SimpleNamespace(name="w", cli_args=lambda seed, out_dir, iters: [])
+    calls = tool.count_workload(cli_main, module, workload, [0], None, Path("unused"))
     assert module.ascend.__func__ is Acquisition.ascend  # restored
-    assert counter.rounds == {"PI": [2], "exploit": [1, 3]}
-    assert counter.rows == {"PI": 6, "exploit": 6}
-    assert counter.nan_rows == {"PI": 1, "exploit": 4}
-    # Starts, those with a finite value, and dropped starts: 5 less the
-    # starts, per call.
-    assert counter.starts == {"PI": 2, "exploit": 3}
-    assert counter.dropped == {"PI": 3, "exploit": 7}
-    assert counter.incumbent == {"PI": 1, "exploit": 0}
-    assert tool.table_lines({"w": counter})[2].endswith(
+    assert [(kind, work.rounds, ranked, unmoved) for kind, work, ranked, unmoved in calls] == [
+        ("PI", 2, 2, True), ("exploit", 1, 1, False), ("exploit", 3, 2, False)
+    ]
+    # Rounds, trial rows and NaN trial rows come from the records; starts
+    # are those with a finite value, and dropped starts 5 less the starts,
+    # per call.
+    assert tool.table_lines({"w": calls}, 5)[2] == (
+        "| w | 2 + 4 = 6 | 6 + 6 = 12 | 2 / 2 (2 / 2.8) "
         "| 2 + 3 = 5 | 3 + 7 = 10 | 1 + 4 = 5 | 1 + 0 = 1 |"
     )

@@ -17,13 +17,14 @@ ascent round and per ``maximize`` call, each the minimum over K timed
 calls; what ``maximize`` adds to its ``ascend`` is drawing the starts and
 unembedding the winner.  The round count and the starts column, the rows
 that rank (those ``ascend`` returns a finite value for, the others failing
-its trust test), come from one untimed call under
-``count_ascent.AscentCounter``, which counts the stacked retraction every
-round makes.  To compare a tree from before ``ascend`` screened its own
-starts (commit dffb23e) with one after it, read the ``maximize`` column,
-not the ``ascend`` one: both trees' ``maximize`` ascends the same rows, but
-an older ``ascend`` climbs the draws outside the trust radius that a newer
-one returns unmoved at ``-inf``.
+its trust test), come from one untimed ``ascend`` call: the rounds from the
+``AscentWork`` it returns, one stacked retraction each.  A tree from before
+that record (its ``ascend`` returns two values) prints its rounds and us
+per round as ``-``.  To compare a tree from before ``ascend`` screened its
+own starts (commit dffb23e) with one after it, read the ``maximize``
+column, not the ``ascend`` one: both trees' ``maximize`` ascends the same
+rows, but an older ``ascend`` climbs the draws outside the trust radius
+that a newer one returns unmoved at ``-inf``.
 
 Unlike ``perfbench/run.py --trace 1``, which averages over whole runs
 whose trajectories move with every change to the traces, the states here
@@ -55,7 +56,6 @@ from compare_traces import THREAD_VARS  # noqa: E402
 os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
 import numpy as np  # noqa: E402
-from count_ascent import AscentCounter  # noqa: E402
 
 SEED = 0
 SIZES = (10, 38)
@@ -117,16 +117,14 @@ def ascent_states(manibo, objective, draw, n: int):
 
 def cases(manibo) -> list[tuple]:
     """Every (kind, n, round) with its state, starts, ranked starts and
-    rounds."""
-    acquisition = manibo.acquisition
+    rounds (None for a tree whose ``ascend`` returns no ``AscentWork``)."""
     found = []
     for kind, (objective, draw) in problems(manibo).items():
         for n in SIZES:
             states, starts = ascent_states(manibo, objective, draw, n)
             for name, state in states.items():
-                with AscentCounter(acquisition).installed() as counter:
-                    acquisition.ascend(state, starts)
-                ranked, rounds = counter.starts[name], counter.rounds[name][-1]
+                _, acq, *work = manibo.acquisition.ascend(state, starts)
+                ranked, rounds = int(np.isfinite(acq).sum()), work[0].rounds if work else None
                 found.append(((kind, n, name), state, starts, ranked, rounds))
     return found
 
@@ -164,7 +162,8 @@ def table_lines(tree_cases: list[tuple], best: dict) -> list[str]:
         us = best[key, "ascend"]
         per_round = f"{us / rounds:.1f}" if rounds else "-"
         lines.append(
-            f"| {' | '.join(map(str, key))} | {ranked} | {rounds} | {us:.0f}"
+            f"| {' | '.join(map(str, key))} | {ranked} | {'-' if rounds is None else rounds}"
+            f" | {us:.0f}"
             f" | {per_round} | {best[key, 'maximize']:.0f} |"
         )
     return lines

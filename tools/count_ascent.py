@@ -4,13 +4,13 @@
 
 Runs ``manibo run`` with each benchmark workload's flags
 (``perfbench/workloads.py``) on seeds 0..3, in this process, from
-``TREE/src`` (default: this checkout), with ``acquisition.ascend`` and
-``acquisition.retract_embedded`` wrapped.  Every ``maximize`` makes one
-``ascend`` call on its stack of starts, and every ascent round one stacked
-retraction of its trial rows, so the wrappers count, for PI and for
-exploit rounds apart:
+``TREE/src`` (default: this checkout), with ``acquisition.ascend`` wrapped.
+Every ``maximize`` makes one ``ascend`` call on its stack of starts, and
+the wrapper keeps what each call returns: its ``AscentWork`` record, its
+values and its rows.  From those it counts, for PI and for exploit rounds
+apart:
 
-- rounds: the retractions made inside ``ascend``;
+- rounds: the record's rounds, one stacked retraction each;
 - trial rows: the rows those retractions stacked;
 - the median and the 90th percentile of the rounds per ``maximize``;
 - starts: the rows that rank, those to which ``ascend`` returned a finite
@@ -18,17 +18,18 @@ exploit rounds apart:
 - dropped starts: ``ASCENT_STARTS`` less the starts, per call: the random
   draws that failed ``ascend``'s trust test, NaN (an Spd draw outside the
   chart) or outside the trust radius, and returned at -inf;
-- NaN trial rows: the trial rows the retractions returned as NaN, which
-  the ascent rejects;
+- NaN trial rows: the record's trial rows that scored NaN, which the
+  ascent rejects;
 - incumbent proposals: the ``ascend`` calls whose winner (the ``argmax`` of
   the values it returned, the earliest on ties) is row 0, the incumbent's
   start, returned unmoved, so that ``maximize`` proposes the incumbent
   itself.
 
 The counts are exact and repeat on one numpy/BLAS build, so two trees'
-tables compare line by line; the run pins BLAS to one thread.  ``--seeds
-N`` runs seeds 0..N-1 instead, and ``--iters N`` overrides each
-experiment's iteration budget, for a quick check.
+tables compare line by line; the run pins BLAS to one thread.  A tree whose
+``ascend`` returns no ``AscentWork`` (before the record existed) cannot be
+counted.  ``--seeds N`` runs seeds 0..N-1 instead, and ``--iters N``
+overrides each experiment's iteration budget, for a quick check.
 """
 
 from __future__ import annotations
@@ -55,64 +56,23 @@ import numpy as np  # noqa: E402
 KINDS = ("PI", "exploit")
 
 
-class AscentCounter:
-    """Wraps ``ascend`` and ``retract_embedded`` in the acquisition module
-    and tallies each ``ascend`` call's ranked and dropped starts, rounds,
-    trial rows, NaN trial rows and whether it proposes the unmoved
-    incumbent under its round's kind."""
+def count_workload(cli_main, acquisition, workload, seeds, iters, out_dir: Path) -> list:
+    """Per ``ascend`` call of the workload's seed runs: its round's kind,
+    its ``AscentWork``, its starts that rank and whether it proposes the
+    unmoved incumbent; raises if a seed's run does not finish."""
+    calls = []
+    real_ascend = acquisition.ascend
 
-    def __init__(self, acquisition):
-        self.acquisition = acquisition
-        self.rounds = {kind: [] for kind in KINDS}  # per ascend call
-        self.rows = {kind: 0 for kind in KINDS}
-        self.nan_rows = {kind: 0 for kind in KINDS}
-        self.starts = {kind: 0 for kind in KINDS}
-        self.dropped = {kind: 0 for kind in KINDS}
-        self.incumbent = {kind: 0 for kind in KINDS}
-        self._current = None  # [rounds, rows, NaN rows] of the ascend call under way
+    def ascend(state, e):
+        out, acq, work = real_ascend(state, e)
+        unmoved = int(np.argmax(acq)) == 0 and np.array_equal(out[0], e[0])
+        calls.append(
+            ("exploit" if state.exploit else "PI", work, int(np.isfinite(acq).sum()), unmoved)
+        )
+        return out, acq, work
 
-    def _ascend(self, state, e):
-        kind = "exploit" if state.exploit else "PI"
-        self._current = [0, 0, 0]
-        try:
-            out, acq = self._real_ascend(state, e)
-            ranked = int(np.isfinite(acq).sum())
-            self.starts[kind] += ranked
-            self.dropped[kind] += self.acquisition.ASCENT_STARTS - ranked
-            if int(np.argmax(acq)) == 0 and np.array_equal(out[0], e[0]):
-                self.incumbent[kind] += 1
-            return out, acq
-        finally:
-            rounds, rows, nan_rows = self._current
-            self._current = None
-            self.rounds[kind].append(rounds)
-            self.rows[kind] += rows
-            self.nan_rows[kind] += nan_rows
-
-    def _retract(self, kind, e, v, t):
-        out = self._real_retract(kind, e, v, t)
-        if self._current is not None:
-            self._current[0] += 1
-            self._current[1] += len(e)
-            self._current[2] += int(np.isnan(out.reshape(len(out), -1)[:, 0]).sum())
-        return out
-
-    @contextlib.contextmanager
-    def installed(self):
-        module = self.acquisition
-        self._real_ascend, self._real_retract = module.ascend, module.retract_embedded
-        module.ascend, module.retract_embedded = self._ascend, self._retract
-        try:
-            yield self
-        finally:
-            module.ascend, module.retract_embedded = self._real_ascend, self._real_retract
-
-
-def count_workload(cli_main, acquisition, workload, seeds, iters, out_dir: Path):
-    """The counter after running the workload's seeds; raises if a seed's
-    run does not finish."""
-    counter = AscentCounter(acquisition)
-    with counter.installed():
+    acquisition.ascend = ascend
+    try:
         for seed in seeds:
             args = run_args(workload, seed, out_dir / f"seed-{seed}", iters)
             echoed = io.StringIO()
@@ -120,11 +80,14 @@ def count_workload(cli_main, acquisition, workload, seeds, iters, out_dir: Path)
                 cli_main(args, standalone_mode=False)
             if f"seed {seed}: ok" not in echoed.getvalue():
                 raise RuntimeError(f"{workload.name} seed {seed}: {echoed.getvalue()!r}")
-    return counter
+    finally:
+        acquisition.ascend = real_ascend
+    return calls
 
 
-def table_lines(counters: dict) -> list[str]:
-    """The markdown table of the counts, one row per workload."""
+def table_lines(calls: dict, starts_per_call: int) -> list[str]:
+    """The markdown table of the counts, one row per workload, from its
+    ``count_workload`` calls; ``starts_per_call`` is ``ASCENT_STARTS``."""
     lines = [
         "| workload | rounds, PI + exploit | trial rows, PI + exploit "
         "| median rounds per `maximize`, PI / exploit (p90) "
@@ -134,19 +97,24 @@ def table_lines(counters: dict) -> list[str]:
     ]
 
     def total(counts):
-        return f"{counts['PI']:,} + {counts['exploit']:,} = {sum(counts.values()):,}"
+        return f"{counts[0]:,} + {counts[1]:,} = {sum(counts):,}"
 
-    for name, counter in counters.items():
-        rounds = {kind: sum(counter.rounds[kind]) for kind in KINDS}
-        medians = [statistics.median(counter.rounds[kind]) if counter.rounds[kind] else 0
-                   for kind in KINDS]
-        p90s = [float(np.percentile(counter.rounds[kind], 90.0)) if counter.rounds[kind] else 0
-                for kind in KINDS]
+    for name, workload_calls in calls.items():
+        # Per kind, one row per call: rounds, trial rows, starts, dropped
+        # starts, NaN trial rows and whether it proposes the incumbent.
+        rows = {kind: [] for kind in KINDS}
+        for kind, work, ranked, unmoved in workload_calls:
+            rows[kind].append((work.rounds, work.trial_rows, ranked, starts_per_call - ranked,
+                               work.nan_rows, unmoved))
+        per_call = [np.array(rows[kind], dtype=int).reshape(-1, 6) for kind in KINDS]
+        sums = [[int(counts[:, column].sum()) for counts in per_call] for column in range(6)]
+        rounds = [counts[:, 0] if len(counts) else [0] for counts in per_call]
+        medians = [statistics.median(counts) for counts in rounds]
+        p90s = [float(np.percentile(counts, 90.0)) for counts in rounds]
         lines.append(
-            f"| {name} | {total(rounds)} | {total(counter.rows)} "
+            f"| {name} | {total(sums[0])} | {total(sums[1])} "
             f"| {medians[0]:g} / {medians[1]:g} ({p90s[0]:g} / {p90s[1]:g}) "
-            f"| {total(counter.starts)} | {total(counter.dropped)} "
-            f"| {total(counter.nan_rows)} | {total(counter.incumbent)} |"
+            f"| {' | '.join(total(column) for column in sums[2:])} |"
         )
     return lines
 
@@ -170,15 +138,15 @@ def main(argv=None) -> int:
     acquisition = importlib.import_module("manibo.acquisition")
 
     seeds = range(args.seeds)
-    counters = {}
+    calls = {}
     with tempfile.TemporaryDirectory(prefix="count-ascent-") as tmp:
         for workload in WORKLOADS.values():
-            counters[workload.name] = count_workload(
+            calls[workload.name] = count_workload(
                 cli_main, acquisition, workload, seeds, args.iters, Path(tmp) / workload.name
             )
     print(f"# ascent counts from {src}, seeds {seeds[0]}..{seeds[-1]}"
           + ("" if args.iters is None else f", --iters {args.iters}"))
-    for line in table_lines(counters):
+    for line in table_lines(calls, acquisition.ASCENT_STARTS):
         print(line)
     return 0
 
